@@ -30,7 +30,6 @@ from .errors import DomainError, SolveError
 from .ground_kernel import (
     KernelConfig,
     interior_inner_cap,
-    kernel_series,
     source_signature,
     source_signature_batch,
 )
@@ -328,29 +327,26 @@ def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
 
 
 def ground_kernel_matrix(system: BemSystem) -> np.ndarray:
-    """Densified kernel matrix w_j K(y_i, x_j; re), built pairwise through
-    the single-point series path.  O(N^2) work and storage; diagnostics
-    and small-system tests only."""
+    """Densified kernel matrix w_j K(y_i, x_j; re): the single-source
+    signature of every panel, contracted with the receiver harmonics over
+    all p^2 columns.  O(N^2) storage; diagnostics and small-system tests
+    only."""
     mesh = system.mesh
-    n = len(mesh)
     re = system.domain.re
-    out = np.zeros((n, n))
-    for j in range(n):
-        sig = source_signature(mesh.centroids[j] / re, system.constants)
-        for i in range(n):
-            out[i, j] = mesh.areas[j] * kernel_series(
-                mesh.centroids[i], sig, system.kernel_config
-            )
-    return out
+    yt = mesh.centroids / re
+    if np.any(np.linalg.norm(yt, axis=1) >= 1.0):
+        raise DomainError("ground_kernel_matrix requires every centroid inside re")
+    sigs = np.stack([source_signature(x, system.constants).coeffs for x in yt])
+    return solid_harmonics_batch(yt, system.config.p) @ sigs.T * mesh.areas[None, :] / re
 
 
 def solve(system: BemSystem, rtol_check: float = 1e-10) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` forms free + rfac sfac transiently (chunked, the stored
-    factors stay untouched) and LU-solves; ``iterative`` runs lgmres on
-    the factored operator.  The relative residual is verified against
-    ``rtol_check`` either way.
+    ``direct`` forms free + rfac sfac transiently (chunked, on the rows
+    where rfac is nonzero; the stored factors stay untouched) and
+    LU-solves; ``iterative`` runs lgmres on the factored operator.  The
+    relative residual is verified against ``rtol_check`` either way.
     """
     n = system.size
     rhs = system.rhs
@@ -360,10 +356,13 @@ def solve(system: BemSystem, rtol_check: float = 1e-10) -> np.ndarray:
     if system.config.solver == "direct":
         a = system.free_matrix.copy()
         if system.sfac.shape[0]:
+            # Plane rows of rfac are exact zeros by parity; add the term
+            # only where a row carries it.
+            rows = np.flatnonzero(np.any(system.rfac, axis=1))
             chunk = max(1, int(2e7) // max(n, 1))
-            for i0 in range(0, n, chunk):
-                i1 = min(i0 + chunk, n)
-                a[i0:i1] += system.rfac[i0:i1] @ system.sfac
+            for i0 in range(0, rows.size, chunk):
+                r = rows[i0 : i0 + chunk]
+                a[r] += system.rfac[r] @ system.sfac
         try:
             sigma = sla.solve(a, rhs, overwrite_a=True, assume_a="gen")
         except sla.LinAlgError as exc:
@@ -430,13 +429,22 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
     The panel sum uses the same near/far dispatch as assembly; the kernel
-    part reuses the stored source factors.  With ``source`` given, the
-    incident monopole and its kernel image are added and the induced part
-    is reported separately.
+    part reuses the stored source factors.  With the ground kernel on,
+    every point must lie inside ``re`` (the receiver series diverges
+    outside), else :class:`DomainError` is raised.  With ``source`` given,
+    the incident monopole and its kernel image are added and the induced
+    part is reported separately.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if system.config.use_ground_kernel and np.any(
+        np.linalg.norm(pts, axis=1) >= system.domain.re
+    ):
+        raise DomainError(
+            f"field points must satisfy |y| < re = {system.domain.re}: the "
+            "receiver series of the ground kernel diverges outside"
+        )
     sigma = system.solution
     mesh = system.mesh
     npts = pts.shape[0]

@@ -526,54 +526,29 @@ def interior_inner_cap(constants: SpectralConstants, p: int) -> int:
     return cap
 
 
+# Sources per block of the interior signatures: the degree-(2p - 2)
+# harmonics of one block at p = 104 take 44 MB, where the whole
+# 1279-source surface of the bump anchor would take 438 MB.
+_INTERIOR_BLOCK = 128
+
+
 def _signature_interior_batch(points, constants, p):
     """Inner-series signatures for general interior sources, summed to the
     n' <= 2p - 3 cap (the terms beyond are negligible at the radii where
-    this branch is dispatched)."""
+    this branch is dispatched).  The source harmonics are built one block
+    of sources at a time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    harmonics = solid_harmonics_batch(pts, 2 * p - 1)
-    coupling = _interior_coupling(constants, p)
-    coeffs = np.zeros((pts.shape[0], sh_size(p)))
-    for m in range(p):
-        rows, cols, nu_cols, cmat = coupling[m]
-        if rows.size == 0 or cols.size == 0:
-            continue
-        rp = harmonics[:, [sh_index(int(npr), m) for npr in cols]] * nu_cols[None, :]
-        coeffs[:, [sh_index(int(n), m) for n in rows]] = rp @ cmat.T
-        if m > 0:
-            rm = harmonics[:, [sh_index(int(npr), -m) for npr in cols]] * nu_cols[None, :]
-            coeffs[:, [sh_index(int(n), -m) for n in rows]] = rm @ cmat.T
-    return coeffs
-
-
-def _signature_interior_single(x, constants, p):
-    """Single-source inner series with the literal stopping rule: stop a
-    (n, m) sum once three consecutive terms fall below 1e-16 of the running
-    sum, capped at n' = 2p - 3."""
-    harmonics = solid_harmonics_batch(x[None, :], 2 * p - 1)[0]
-    coeffs = np.zeros(sh_size(p))
-    for m in range(p):
-        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (4.0 * math.pi)
-        for n in range(m, p):
-            if (n + m) % 2 == 0:
-                continue
-            nu_r = constants.nu[n + 1, m]
+    terms = []
+    for m, (rows, cols, nu_cols, cmat) in _interior_coupling(constants, p).items():
+        if rows.size and cols.size:
             for sm in ((m,) if m == 0 else (m, -m)):
-                total = 0.0
-                quiet = 0
-                for npr in range(m, 2 * p - 2, 2):
-                    nu_c = constants.nu[npr, m]
-                    if not math.isfinite(nu_c):
-                        break
-                    term = nu_c / (npr + n + 1.0) * harmonics[sh_index(npr, sm)]
-                    total += term
-                    if abs(term) <= 1e-16 * abs(total):
-                        quiet += 1
-                        if quiet >= 3:
-                            break
-                    else:
-                        quiet = 0
-                coeffs[sh_index(n, sm)] = pref * nu_r * total
+                terms.append((sh_index(rows, sm), sh_index(cols, sm), nu_cols, cmat.T))
+    coeffs = np.zeros((pts.shape[0], sh_size(p)))
+    for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
+        block = slice(i0, i0 + _INTERIOR_BLOCK)
+        harmonics = solid_harmonics_batch(pts[block], 2 * p - 1)
+        for out_idx, in_idx, nu_cols, cmat_t in terms:
+            coeffs[block, out_idx] = (harmonics[:, in_idx] * nu_cols[None, :]) @ cmat_t
     return coeffs
 
 
@@ -675,7 +650,7 @@ def source_signature(
             raise DomainError("ground-series branch requires z = 0")
         coeffs = _signature_ground_series(pt, constants, p)
     elif method == "interior":
-        coeffs = _signature_interior_single(pt, constants, p)
+        coeffs = _signature_interior_batch(pt[None, :], constants, p)[0]
     else:
         raise DomainError(f"unknown signature method {method!r}")
     return SourceSignature(source=pt, p=p, coeffs=coeffs)

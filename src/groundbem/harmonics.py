@@ -241,8 +241,12 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
     Returns
     -------
     (N, p*p) array, flat-indexed by :func:`sh_index`.  Cost is O(p^2) per
-    point; the recursion is the diagonal fill, one subdiagonal step, then a
-    vertical three-term recurrence at fixed |m|.
+    point.  The table is built degree-major as (p*p, N), so degree n is the
+    contiguous row block ``n^2 .. n^2 + 2n``; one vectorized step per degree
+    produces degree n + 1 from degrees n and n - 1: the vertical three-term
+    recurrence for |m| <= n - 1, the subdiagonal step at m = +-n and the
+    diagonal step at m = +-(n + 1).  The transpose of that table is
+    returned.
     """
     p = int(p)
     if p < 1:
@@ -257,33 +261,25 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     r2 = x * x + y * y + z * z
 
-    vals = np.zeros((npts, p * p))
-    vals[:, sh_index(0, 0)] = 1.0
-    if p == 1:
-        return vals
-
-    vals[:, sh_index(1, 1)] = -0.5 * x
-    vals[:, sh_index(1, -1)] = 0.5 * y
-
-    # Diagonal fill for m >= 2.
-    for m in range(2, p):
-        cp = vals[:, sh_index(m - 1, m - 1)]
-        cm = vals[:, sh_index(m - 1, -(m - 1))]
-        vals[:, sh_index(m, m)] = -(x * cp + y * cm) / (2.0 * m)
-        vals[:, sh_index(m, -m)] = (y * cp - x * cm) / (2.0 * m)
-
-    # Subdiagonal, then vertical three-term recurrence at fixed |m|.
-    for m in range(0, p - 1):
-        for sign in ((1,) if m == 0 else (1, -1)):
-            sm = sign * m
-            vals[:, sh_index(m + 1, sm)] = -z * vals[:, sh_index(m, sm)]
-            for n in range(m + 1, p - 1):
-                vals[:, sh_index(n + 1, sm)] = -(
-                    (2.0 * n + 1.0) * z * vals[:, sh_index(n, sm)]
-                    + r2 * vals[:, sh_index(n - 1, sm)]
-                ) / ((n + 1.0) ** 2 - m * m)
-
-    return vals
+    v = np.empty((p * p, npts))
+    v[0] = 1.0
+    if p > 1:
+        v[sh_index(1, -1)] = 0.5 * y
+        v[sh_index(1, 0)] = -z * v[0]
+        v[sh_index(1, 1)] = -0.5 * x
+    for n in range(1, p - 1):
+        b0, b1 = n * n, (n + 1) * (n + 1)  # first rows of degrees n, n + 1
+        m = np.arange(-(n - 1), n)[:, None]
+        v[b1 + 2 : b1 + 2 * n + 1] = -(
+            (2.0 * n + 1.0) * z * v[b0 + 1 : b0 + 2 * n]
+            + r2 * v[(n - 1) ** 2 : b0]
+        ) / ((n + 1.0) ** 2 - m * m)
+        v[b1 + 1] = -z * v[b0]
+        v[b1 + 2 * n + 1] = -z * v[b0 + 2 * n]
+        cp, cm = v[b0 + 2 * n], v[b0]
+        v[b1 + 2 * n + 2] = -(x * cp + y * cm) / (2.0 * (n + 1))
+        v[b1] = (y * cp - x * cm) / (2.0 * (n + 1))
+    return v.T
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately built from different primitives than the
 library paths it checks: associated Legendre values come from polynomial
-differentiation, the plane-source radial functions from a positive-integrand
+differentiation, solid harmonics and interior signatures from scalar
+per-(n, m) loops, the plane-source radial functions from a positive-integrand
 Legendre-function representation plus Gauss quadrature, and the triangle
 self-term from a polar-coordinate ray integral.
 """
@@ -67,6 +68,79 @@ def oracle_complex_harmonic(pt, n, m):
     phi = math.atan2(y, x)
     val = norm * legendre_p(n, am, z / r if r else 1.0) * r**n
     return val * complex(math.cos(m * phi), math.sin(m * phi))
+
+
+def oracle_solid_harmonics_loop(points, p):
+    """Real solid harmonics by the per-(n, m) column loop: the diagonal
+    fill, then per |m| the subdiagonal step and the vertical three-term
+    recurrence, one scalar-indexed column at a time.  Same arithmetic, in
+    the same order, as the library's degree-blocked recursion, so the two
+    agree bit for bit."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    r2 = x * x + y * y + z * z
+
+    def col(n, m):
+        return n * n + n + m
+
+    vals = np.zeros((pts.shape[0], p * p))
+    vals[:, col(0, 0)] = 1.0
+    if p == 1:
+        return vals
+    vals[:, col(1, 1)] = -0.5 * x
+    vals[:, col(1, -1)] = 0.5 * y
+    for m in range(2, p):
+        cp = vals[:, col(m - 1, m - 1)]
+        cm = vals[:, col(m - 1, -(m - 1))]
+        vals[:, col(m, m)] = -(x * cp + y * cm) / (2.0 * m)
+        vals[:, col(m, -m)] = (y * cp - x * cm) / (2.0 * m)
+    for m in range(0, p - 1):
+        for sign in ((1,) if m == 0 else (1, -1)):
+            sm = sign * m
+            vals[:, col(m + 1, sm)] = -z * vals[:, col(m, sm)]
+            for n in range(m + 1, p - 1):
+                vals[:, col(n + 1, sm)] = -(
+                    (2.0 * n + 1.0) * z * vals[:, col(n, sm)]
+                    + r2 * vals[:, col(n - 1, sm)]
+                ) / ((n + 1.0) ** 2 - m * m)
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# Interior-source signature oracle (scalar inner series)
+# ---------------------------------------------------------------------------
+
+
+def oracle_signature_interior_single(x, constants, p):
+    """Single-source inner series with the literal stopping rule: stop a
+    (n, m) sum once three consecutive terms fall below 1e-16 of the running
+    sum, capped at n' = 2p - 3.  Scalar loops over the loop-oracle
+    harmonics, independent of the library's blocked matrix form."""
+    harmonics = oracle_solid_harmonics_loop(np.asarray(x, dtype=float), 2 * p - 1)[0]
+    coeffs = np.zeros(p * p)
+    for m in range(p):
+        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (4.0 * math.pi)
+        for n in range(m, p):
+            if (n + m) % 2 == 0:
+                continue
+            nu_r = constants.nu[n + 1, m]
+            for sm in ((m,) if m == 0 else (m, -m)):
+                total = 0.0
+                quiet = 0
+                for npr in range(m, 2 * p - 2, 2):
+                    nu_c = constants.nu[npr, m]
+                    if not math.isfinite(nu_c):
+                        break
+                    term = nu_c / (npr + n + 1.0) * harmonics[npr * npr + npr + sm]
+                    total += term
+                    if abs(term) <= 1e-16 * abs(total):
+                        quiet += 1
+                        if quiet >= 3:
+                            break
+                    else:
+                        quiet = 0
+                coeffs[n * n + n + sm] = pref * nu_r * total
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

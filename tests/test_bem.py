@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 from scipy.spatial.transform import Rotation
 
 from groundbem.bem import (
@@ -20,6 +21,7 @@ from groundbem.bem import (
     triangle_single_layer,
 )
 from groundbem.errors import DomainError, SolveError
+from groundbem.experiments import analytic_bump_potential
 from groundbem.ground_kernel import KernelConfig, kernel_integral
 from groundbem.surface_mesh import (
     EXTENSION,
@@ -189,6 +191,22 @@ def test_extension_rows_have_no_kernel(small_system, rng):
     assert np.abs(contrib[~ext]).max() > 0.0
 
 
+def test_direct_solve_adds_kernel_on_surface_rows_only(small_system):
+    # rfac rows of panels on the plane (extension and ground) are exact
+    # zeros by parity, so the direct solve adds rfac @ sfac only on the
+    # SURFACE rows; the result must equal an LU of the fully densified
+    # operator
+    tags = small_system.mesh.tags
+    assert np.any(tags == EXTENSION)
+    assert np.all(small_system.rfac[tags != SURFACE] == 0.0)
+    assert np.all(np.any(small_system.rfac[tags == SURFACE] != 0.0, axis=1))
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    full = small_system.free_matrix + small_system.rfac @ small_system.sfac
+    want = sla.solve(full, small_system.rhs)
+    got = solve(small_system)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_truncation_error_halves_twice_per_two_orders(rng):
     # at ratio 2, raising p by 2 cuts the series-vs-integral discrepancy
     # by about (1/2)^2
@@ -324,6 +342,25 @@ def test_below_ground_flags(solved_disc):
     assert not grid.flags[0]
     assert grid.flags[1]
     assert np.all(np.isfinite(grid.values))
+
+
+def test_field_outside_re_raises_with_ground_kernel():
+    # the receiver series diverges for |y| >= re (it gave 15512 against
+    # the exact 0.0088 at (0, 0, 6)); inside re the field still matches
+    # the image solution of the bump
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=2.4, target_edge=0.25)
+    with pytest.warns(UserWarning):
+        system = assemble(mesh, DomainSpec(r0=2.0, re=2.4), BemConfig(p=20))
+    source = (0.0, 0.0, 2.0)
+    set_point_source_rhs(system, source)
+    solve(system)
+    inside = np.array([[0.0, 0.0, 1.5], [1.2, 0.3, 0.8], [-0.6, 1.1, 1.4], [0.0, 0.0, 2.35]])
+    got = evaluate_field(system, inside, source=source).values
+    want = [analytic_bump_potential(y, 2.0) for y in inside]
+    np.testing.assert_allclose(got, want, rtol=5e-2)
+    for y in ([0.0, 0.0, 3.0], [0.0, 0.0, 6.0], [5.0, 0.0, 0.5], [2.4, 0.0, 0.0]):
+        with pytest.raises(DomainError, match="re = 2.4"):
+            evaluate_field(system, np.array([inside[0], y]), source=source)
 
 
 def test_field_requires_solution():

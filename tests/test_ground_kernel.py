@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from groundbem.errors import DomainError, QuadratureError
 from groundbem.ground_kernel import (
+    _INTERIOR_BLOCK,
     KernelConfig,
+    _signature_interior_batch,
     kernel_integral,
     kernel_integral_truncated,
     kernel_neumann,
@@ -20,7 +22,13 @@ from groundbem.ground_kernel import (
 )
 from groundbem.harmonics import build_spectral_constants, elliptic_ke, sh_index
 
-from conftest import RadialOracle, oracle_complex_harmonic, oracle_w, oracle_w_raw
+from conftest import (
+    RadialOracle,
+    oracle_complex_harmonic,
+    oracle_signature_interior_single,
+    oracle_w,
+    oracle_w_raw,
+)
 
 CFG = KernelConfig(scale_radius=1.0, p=12, integral_tolerance=1e-11)
 
@@ -338,10 +346,35 @@ def test_signature_batch_matches_single(rng):
     )
     batch = source_signature_batch(pts, constants)
     for i, x in enumerate(pts):
-        single = source_signature(x, constants)
-        nz = np.abs(single.coeffs) > 0
-        assert np.allclose(batch[i][nz], single.coeffs[nz], rtol=1e-10)
+        # interior sources against the scalar inner series; plane sources
+        # against the single-source dispatch of the recurrence branch
+        if x[2] != 0.0:
+            single = oracle_signature_interior_single(x, constants, 9)
+        else:
+            single = source_signature(x, constants).coeffs
+        nz = np.abs(single) > 0
+        assert np.allclose(batch[i][nz], single[nz], rtol=1e-10)
         assert np.max(np.abs(batch[i][~nz])) == 0.0
+
+
+def test_interior_signature_blocks_are_independent():
+    # a call spanning several source blocks equals separate calls on each
+    # block bit for bit, and the single-source dispatch to rounding (a
+    # one-row product may take another BLAS kernel)
+    constants = build_spectral_constants(9)
+    n = 2 * _INTERIOR_BLOCK + 3
+    pts = np.random.default_rng(7).uniform(-0.4, 0.4, (n, 3))
+    whole = _signature_interior_batch(pts, constants, 9)
+    split = np.concatenate(
+        [
+            _signature_interior_batch(pts[i0 : i0 + _INTERIOR_BLOCK], constants, 9)
+            for i0 in range(0, n, _INTERIOR_BLOCK)
+        ]
+    )
+    assert np.array_equal(whole.view(np.int64), split.view(np.int64))
+    for i in (0, _INTERIOR_BLOCK - 1, _INTERIOR_BLOCK, n - 1):
+        one = source_signature(pts[i], constants, method="interior").coeffs
+        np.testing.assert_allclose(one, whole[i], rtol=1e-13, atol=0.0)
 
 
 def test_non_symmetry_witness():

@@ -15,7 +15,7 @@ from groundbem.harmonics import (
     solid_harmonics_batch,
 )
 
-from conftest import legendre_p, oracle_solid_harmonic
+from conftest import legendre_p, oracle_solid_harmonic, oracle_solid_harmonics_loop
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,19 @@ def test_batch_matches_single(rng):
     for i, pt in enumerate(pts):
         single = solid_harmonics(pt, 6)
         assert np.array_equal(batch[i], single.values)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 23, 104, 207])
+@pytest.mark.parametrize("npts", [1, 64])
+def test_batch_bitwise_equals_loop_oracle(p, npts):
+    # compared as int64 bit patterns, so signed zeros must match too
+    pts = np.random.default_rng(1000 * p + npts).uniform(-0.9, 0.9, (npts, 3))
+    pts[1::3, 2] = 0.0
+    pts[2::4, 2] = -0.0
+    got = solid_harmonics_batch(pts, p)
+    want = oracle_solid_harmonics_loop(pts, p)
+    assert got.shape == want.shape == (npts, p * p)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_nonfinite_point_rejected():
