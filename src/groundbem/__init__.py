@@ -19,7 +19,6 @@ from .harmonics import (
 from .ground_kernel import (
     KernelConfig,
     RadialTable,
-    SeriesCoefficients,
     SourceSignature,
     kernel_integral,
     kernel_integral_truncated,
@@ -28,7 +27,6 @@ from .ground_kernel import (
     kernel_series,
     kernel_value,
     radial_table,
-    series_coefficients,
     source_signature,
 )
 from .surface_mesh import (

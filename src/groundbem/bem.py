@@ -27,12 +27,7 @@ from scipy import linalg as sla
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import DomainError, SolveError
-from .ground_kernel import (
-    KernelConfig,
-    interior_inner_cap,
-    source_signature,
-    source_signature_batch,
-)
+from .ground_kernel import interior_inner_cap, source_signature, source_signature_batch
 from .harmonics import build_spectral_constants, sh_index, solid_harmonics_batch
 from .surface_mesh import EXTENSION, SURFACE, DomainSpec, Panel, PanelMesh
 
@@ -109,16 +104,43 @@ def triangle_single_layer(panel: Panel, y) -> float:
     return float(bare) / _FOUR_PI
 
 
-def _panel_layer_at_points(mesh: PanelMesh, j: int, points: np.ndarray) -> np.ndarray:
-    bare = _single_layer_bare(
-        mesh.face_vertices[j][None, :, :],
-        mesh.normals[j][None, :],
-        mesh.edge_tangents[j][None, :, :],
-        mesh.edge_lengths[j][None, :],
-        mesh.edge_normals[j][None, :, :],
-        points,
-    )
-    return bare / _FOUR_PI
+# Rows of the free-space block built at once: the 256 x N distance block
+# takes 13 MB at N = 6306, and every near pair of those rows goes into one
+# analytic-integral call.
+_ROW_BLOCK = 256
+
+
+def _free_block(mesh: PanelMesh, points: np.ndarray, r_nf: float | None) -> np.ndarray:
+    """Single layer of every panel at every point, ``(len(points), N)``.
+
+    Pairs with squared centroid distance below ``r_nf^2`` get the analytic
+    triangle integral, all others the centroid monopole.  ``r_nf = None``
+    means 5 mean panel diameters.  The near pairs are read off each row
+    block's distance block, so no second structure is needed.
+    """
+    if r_nf is None:
+        r_nf = 5.0 * mesh.mean_diameter
+    r_nf2 = r_nf * r_nf
+    cents = mesh.centroids
+    csq = np.einsum("ij,ij->i", cents, cents)
+    psq = np.einsum("ij,ij->i", points, points)
+    out = np.empty((points.shape[0], len(mesh)))
+    for i0 in range(0, points.shape[0], _ROW_BLOCK):
+        rows = slice(i0, i0 + _ROW_BLOCK)
+        d2 = psq[rows, None] + csq[None, :] - 2.0 * points[rows] @ cents.T
+        np.maximum(d2, 0.0, out=d2)
+        with np.errstate(divide="ignore"):
+            out[rows] = mesh.areas[None, :] / (_FOUR_PI * np.sqrt(d2))
+        i, j = np.nonzero(d2 < r_nf2)
+        out[i0 + i, j] = _single_layer_bare(
+            mesh.face_vertices[j],
+            mesh.normals[j],
+            mesh.edge_tangents[j],
+            mesh.edge_lengths[j],
+            mesh.edge_normals[j],
+            points[i0 + i],
+        ) / _FOUR_PI
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +194,6 @@ class BemSystem:
     sfac: np.ndarray
     active_idx: np.ndarray
     constants: object
-    kernel_config: KernelConfig
     rhs: np.ndarray
     solution: np.ndarray | None = None
 
@@ -214,34 +235,11 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
             stacklevel=2,
         )
 
-    r_nf = config.nearfield_radius
-    if r_nf is None:
-        r_nf = 5.0 * mesh.mean_diameter
-
     centroids = mesh.centroids
     areas = mesh.areas
-
-    # Far block: centroid monopole approximation, chunked over rows.
-    a = np.empty((n, n))
-    sq = np.einsum("ij,ij->i", centroids, centroids)
-    chunk = max(1, int(2e7) // max(n, 1))
-    with np.errstate(divide="ignore"):
-        for i0 in range(0, n, chunk):
-            i1 = min(i0 + chunk, n)
-            d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * centroids[i0:i1] @ centroids.T
-            np.maximum(d2, 0.0, out=d2)
-            a[i0:i1] = areas[None, :] / (_FOUR_PI * np.sqrt(d2))
-
-    # Near corrections: analytic integral for every pair within r_nf.
-    r_nf2 = r_nf * r_nf
-    for j in range(n):
-        d2 = np.einsum("ij,ij->i", centroids - centroids[j], centroids - centroids[j])
-        near = np.nonzero(d2 < r_nf2)[0]
-        if near.size:
-            a[near, j] = _panel_layer_at_points(mesh, j, centroids[near])
+    a = _free_block(mesh, centroids, config.nearfield_radius)
 
     constants = build_spectral_constants(p)
-    kcfg = KernelConfig(scale_radius=re, p=p)
     active = _active_indices(p)
     if config.use_ground_kernel:
         cap = interior_inner_cap(constants, p)
@@ -271,7 +269,6 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
         sfac=sfac,
         active_idx=active,
         constants=constants,
-        kernel_config=kcfg,
         rhs=np.zeros(n),
     )
 
@@ -428,12 +425,12 @@ def _below_ground_flags(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
 def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
-    The panel sum uses the same near/far dispatch as assembly; the kernel
-    part reuses the stored source factors.  With the ground kernel on,
-    every point must lie inside ``re`` (the receiver series diverges
-    outside), else :class:`DomainError` is raised.  With ``source`` given,
-    the incident monopole and its kernel image are added and the induced
-    part is reported separately.
+    The panel sum is assembly's free-space block taken at these points;
+    the kernel part reuses the stored source factors.  With the ground
+    kernel on, every point must lie inside ``re`` (the receiver series
+    diverges outside), else :class:`DomainError` is raised.  With
+    ``source`` given, the incident monopole and its kernel image are added
+    and the induced part is reported separately.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
@@ -447,25 +444,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         )
     sigma = system.solution
     mesh = system.mesh
-    npts = pts.shape[0]
-
-    r_nf = system.config.nearfield_radius
-    if r_nf is None:
-        r_nf = 5.0 * mesh.mean_diameter
-
-    d2 = (
-        np.einsum("ij,ij->i", pts, pts)[:, None]
-        + np.einsum("ij,ij->i", mesh.centroids, mesh.centroids)[None, :]
-        - 2.0 * pts @ mesh.centroids.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    with np.errstate(divide="ignore"):
-        g = mesh.areas[None, :] / (_FOUR_PI * np.sqrt(d2))
-    near_any = d2 < r_nf * r_nf
-    for j in np.nonzero(near_any.any(axis=0))[0]:
-        rows = np.nonzero(near_any[:, j])[0]
-        g[rows, j] = _panel_layer_at_points(mesh, j, pts[rows])
-    values = g @ sigma
+    values = _free_block(mesh, pts, system.config.nearfield_radius) @ sigma
 
     if system.config.use_ground_kernel:
         rfac_pts = _receiver_factor(pts, system.domain.re, system.config.p, system.active_idx)

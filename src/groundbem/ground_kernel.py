@@ -42,10 +42,8 @@ from .harmonics import (
 __all__ = [
     "KernelConfig",
     "RadialTable",
-    "SeriesCoefficients",
     "SourceSignature",
     "radial_table",
-    "series_coefficients",
     "source_signature",
     "source_signature_batch",
     "kernel_integral",
@@ -135,8 +133,9 @@ def _series_terms_needed(xi_max: float) -> int:
     return min(max(j, 24), _SERIES_JCAP)
 
 
-def _w_series(xis: np.ndarray, m_max: int) -> np.ndarray:
-    """w_m(xi) for m = 0..m_max via its positive hypergeometric-type series.
+def _w_series(xis: np.ndarray, m_max: int, m_min: int = 0) -> np.ndarray:
+    """w_m(xi) for m = m_min..m_max via its positive hypergeometric-type
+    series; row k of the result is m = m_min + k.
 
     All terms are positive, so the result is accurate in relative terms for
     every m, including where w_m is exponentially small in m.
@@ -150,13 +149,12 @@ def _w_series(xis: np.ndarray, m_max: int) -> np.ndarray:
     zpow[0] = 1.0
     for j in range(1, jmax + 1):
         zpow[j] = zpow[j - 1] * z
-    b = np.empty((m_max + 1, jmax + 1))
-    for m in range(m_max + 1):
-        b[m] = a[: jmax + 1] * a[m : m + jmax + 1]
+    b = np.stack([a[: jmax + 1] * a[m : m + jmax + 1] for m in range(m_min, m_max + 1)])
     w = 2.0 * math.pi * (b @ zpow)
     ximpow = np.ones(xis.size)
     for m in range(m_max + 1):
-        w[m] *= ximpow
+        if m >= m_min:
+            w[m - m_min] *= ximpow
         ximpow = ximpow * xis
     return w
 
@@ -229,7 +227,7 @@ class _RadialBatch:
                 (1.0 + xis * xis) / xis * (2.0 * m - 2.0) / (2.0 * m - 1.0) * w[m - 1]
                 - (2.0 * m - 3.0) / (2.0 * m - 1.0) * w[m - 2]
             )
-        w_top_direct = _w_series(xis, mw)[mw]
+        w_top_direct = _w_series(xis, mw, m_min=mw)[0]
         denom = np.abs(w_top_direct) + 1e-300
         w_resid = np.abs(w[mw] - w_top_direct) / denom
         w_bad = w_resid > _W_CHECK_TOL
@@ -387,72 +385,6 @@ def radial_table(xi: float, p: int) -> RadialTable:
 
 
 # ---------------------------------------------------------------------------
-# Series coefficient tables (complex-basis bookkeeping)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Coupling coefficients of the double harmonic series.
-
-    ``j[m][i, k]`` couples receiver degree ``n = row_n[m][i]`` with source
-    degree ``n' = col_n[m][k]``; the ``R^(-n-n'-1)`` radius factor is
-    applied at evaluation time via :meth:`i_value`.
-    """
-
-    p: int
-    j: dict
-    row_n: dict
-    col_n: dict
-
-    def j_value(self, n: int, nprime: int, m: int) -> float:
-        am = abs(m)
-        rows = self.row_n.get(am)
-        if rows is None or not (am <= n < self.p) or nprime < am:
-            raise DomainError(f"indices ({n}, {nprime}, {m}) outside table")
-        cols = self.col_n[am]
-        if nprime > cols[-1]:
-            raise DomainError(f"source degree {nprime} outside table")
-        return float(self.j[am][n - am, nprime - am])
-
-    def i_value(self, n: int, nprime: int, m: int, radius: float = 1.0) -> float:
-        return self.j_value(n, nprime, m) * radius ** (-(n + nprime + 1))
-
-
-def series_coefficients(p: int, constants: SpectralConstants | None = None) -> SeriesCoefficients:
-    """Tables of the double-series coupling coefficients for n < p and
-    n' <= 2p - 3."""
-    if constants is None:
-        constants = build_spectral_constants(p)
-    if constants.nmax < 2 * p - 3:
-        raise DomainError("constants table too small for requested p")
-    j = {}
-    row_n = {}
-    col_n = {}
-    for m in range(p):
-        rows = np.arange(m, p)
-        cols = np.arange(m, 2 * p - 2)
-        tab = np.zeros((rows.size, cols.size))
-        for i, n in enumerate(rows):
-            lnp1 = constants.big_l[n + 1, m]
-            if lnp1 == 0.0:
-                continue
-            an = constants.a[n, m]
-            tab[i] = (
-                4.0
-                * math.pi
-                * an
-                * lnp1
-                * constants.big_l[cols, m]
-                / ((2.0 * cols + 1.0) * (n + cols + 1.0))
-            )
-        j[m] = tab
-        row_n[m] = rows
-        col_n[m] = cols
-    return SeriesCoefficients(p=p, j=j, row_n=row_n, col_n=col_n)
-
-
-# ---------------------------------------------------------------------------
 # Source signatures (the factored kernel's source-side coefficients)
 # ---------------------------------------------------------------------------
 
@@ -514,16 +446,10 @@ def _interior_coupling(constants: SpectralConstants, p: int):
 
 def interior_inner_cap(constants: SpectralConstants, p: int) -> int:
     """Smallest inner-series source degree retained across all m (the
-    float64-overflow cap); the inner truncation error behaves like
-    |x|^cap."""
-    cap = 2 * p - 3
-    for m in range(p):
-        cols = np.arange(m, 2 * p - 2)
-        cols = cols[(cols + m) % 2 == 0]
-        finite = cols[np.isfinite(constants.nu[cols, m])]
-        if finite.size:
-            cap = min(cap, int(finite[-1]))
-    return cap
+    float64-overflow cap of :func:`_interior_coupling`); the inner
+    truncation error behaves like |x|^cap."""
+    coupling = _interior_coupling(constants, p).values()
+    return min((int(cols[-1]) for _, cols, _, _ in coupling if cols.size), default=2 * p - 3)
 
 
 # Sources per block of the interior signatures: the degree-(2p - 2)
@@ -574,52 +500,6 @@ def _signature_ground_batch(points, constants, p, batch=None):
     return coeffs
 
 
-def _signature_ground_series(x, constants, p, tail=1e-17, max_terms=100_000):
-    """Plane-source signature summed from the inner harmonic series to full
-    convergence (term-ratio form; diagnostic cross-check of the recurrence
-    branch, usable for any |x| < 1 with z = 0)."""
-    rho = math.hypot(x[0], x[1])
-    phi = math.atan2(x[1], x[0])
-    if not rho < 1.0:
-        raise DomainError("series converges only for |x| < 1")
-    coeffs = np.zeros(sh_size(p))
-    rho2 = rho * rho
-    for m in range(p):
-        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (4.0 * math.pi)
-        # nu_m^m * R_m^{+-m} on the plane, as a bounded running product.
-        seed_mag = 1.0
-        for k in range(1, m + 1):
-            seed_mag *= rho * (2.0 * k - 1.0) / (2.0 * k)
-        for n in range(m, p):
-            if (n + m) % 2 == 0:
-                continue
-            nu_r = constants.nu[n + 1, m]
-            t = seed_mag / (m + n + 1.0)
-            total = t
-            npr = m
-            count = 0
-            while True:
-                ratio = (
-                    rho2
-                    * (npr - m + 1.0)
-                    * (npr + m + 1.0)
-                    / ((npr + 2.0 - m) * (npr + 2.0 + m))
-                    * (npr + n + 1.0)
-                    / (npr + n + 3.0)
-                )
-                t *= ratio
-                total += t
-                npr += 2
-                count += 1
-                if t <= tail * total or count >= max_terms:
-                    break
-            base = pref * nu_r * total
-            coeffs[sh_index(n, m)] = base * math.cos(m * phi)
-            if m > 0:
-                coeffs[sh_index(n, -m)] = base * math.sin(-m * phi)
-    return coeffs
-
-
 def source_signature(
     x,
     constants: SpectralConstants,
@@ -629,9 +509,8 @@ def source_signature(
     """Coefficient vector of the factored kernel for one source point.
 
     ``x`` is dimensionless with |x| < 1.  ``method`` selects the branch:
-    ``auto`` uses the plane recurrences when z = 0 and the inner harmonic
-    series otherwise; ``ground-series`` forces the fully converged series
-    for plane sources (diagnostic).
+    ``auto`` uses the plane recurrences (``ground``) when z = 0 and the
+    inner harmonic series (``interior``) otherwise.
     """
     pt = _as_point(x)
     p = constants.p
@@ -645,10 +524,6 @@ def source_signature(
         if not on_plane:
             raise DomainError("ground branch requires z = 0")
         coeffs = _signature_ground_batch(pt[None, :], constants, p)[0]
-    elif method == "ground-series":
-        if not on_plane:
-            raise DomainError("ground-series branch requires z = 0")
-        coeffs = _signature_ground_series(pt, constants, p)
     elif method == "interior":
         coeffs = _signature_interior_batch(pt[None, :], constants, p)[0]
     else:

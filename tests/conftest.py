@@ -3,9 +3,11 @@
 Everything here is deliberately built from different primitives than the
 library paths it checks: associated Legendre values come from polynomial
 differentiation, solid harmonics and interior signatures from scalar
-per-(n, m) loops, the plane-source radial functions from a positive-integrand
-Legendre-function representation plus Gauss quadrature, and the triangle
-self-term from a polar-coordinate ray integral.
+per-(n, m) loops, plane-source signatures from the term-ratio inner series,
+the complex-basis coupling table from its closed form, the plane-source
+radial functions from a positive-integrand Legendre-function representation
+plus Gauss quadrature, the triangle self-term from a polar-coordinate ray
+integral, and the free-space block from a per-panel column loop.
 """
 
 import math
@@ -14,6 +16,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 from scipy import integrate
+
+from groundbem.bem import _single_layer_bare
+from groundbem.harmonics import build_spectral_constants
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +148,101 @@ def oracle_signature_interior_single(x, constants, p):
     return coeffs
 
 
+def oracle_signature_ground_series(x, constants, p, tail=1e-17, max_terms=100_000):
+    """Plane-source signature summed from the inner harmonic series to full
+    convergence, in term-ratio form with a bounded running-product seed for
+    nu_m^m R_m^{+-m}; independent of the radial recurrences.  Usable for any
+    |x| < 1 with z = 0."""
+    rho = math.hypot(x[0], x[1])
+    phi = math.atan2(x[1], x[0])
+    assert rho < 1.0, "series converges only for |x| < 1"
+    coeffs = np.zeros(p * p)
+    rho2 = rho * rho
+    for m in range(p):
+        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (4.0 * math.pi)
+        seed_mag = 1.0
+        for k in range(1, m + 1):
+            seed_mag *= rho * (2.0 * k - 1.0) / (2.0 * k)
+        for n in range(m, p):
+            if (n + m) % 2 == 0:
+                continue
+            nu_r = constants.nu[n + 1, m]
+            t = seed_mag / (m + n + 1.0)
+            total = t
+            npr = m
+            count = 0
+            while True:
+                ratio = (
+                    rho2
+                    * (npr - m + 1.0)
+                    * (npr + m + 1.0)
+                    / ((npr + 2.0 - m) * (npr + 2.0 + m))
+                    * (npr + n + 1.0)
+                    / (npr + n + 3.0)
+                )
+                t *= ratio
+                total += t
+                npr += 2
+                count += 1
+                if t <= tail * total or count >= max_terms:
+                    break
+            base = pref * nu_r * total
+            coeffs[n * n + n + m] = base * math.cos(m * phi)
+            if m > 0:
+                coeffs[n * n + n - m] = base * math.sin(-m * phi)
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Complex-basis coupling coefficients of the double harmonic series
+# ---------------------------------------------------------------------------
+
+
+class SeriesCoefficients:
+    """Coupling coefficients of the double harmonic series.
+
+    ``j[m][i, k]`` couples receiver degree ``n = row_n[m][i]`` with source
+    degree ``n' = col_n[m][k]``; the ``R^(-n-n'-1)`` radius factor is
+    applied at evaluation time via :meth:`i_value`.
+    """
+
+    def __init__(self, p, j, row_n, col_n):
+        self.p, self.j, self.row_n, self.col_n = p, j, row_n, col_n
+
+    def j_value(self, n, nprime, m):
+        am = abs(m)
+        assert am in self.row_n and am <= n < self.p and am <= nprime <= self.col_n[am][-1]
+        return float(self.j[am][n - am, nprime - am])
+
+    def i_value(self, n, nprime, m, radius=1.0):
+        return self.j_value(n, nprime, m) * radius ** (-(n + nprime + 1))
+
+
+def oracle_series_coefficients(p):
+    """Tables of the double-series coupling coefficients for n < p and
+    n' <= 2p - 3, from the closed form in the spectral constants."""
+    constants = build_spectral_constants(p)
+    j, row_n, col_n = {}, {}, {}
+    for m in range(p):
+        rows = np.arange(m, p)
+        cols = np.arange(m, 2 * p - 2)
+        tab = np.zeros((rows.size, cols.size))
+        for i, n in enumerate(rows):
+            lnp1 = constants.big_l[n + 1, m]
+            if lnp1 == 0.0:
+                continue
+            tab[i] = (
+                4.0
+                * math.pi
+                * constants.a[n, m]
+                * lnp1
+                * constants.big_l[cols, m]
+                / ((2.0 * cols + 1.0) * (n + cols + 1.0))
+            )
+        j[m], row_n[m], col_n[m] = tab, rows, cols
+    return SeriesCoefficients(p, j, row_n, col_n)
+
+
 # ---------------------------------------------------------------------------
 # Plane-source radial function oracles
 # ---------------------------------------------------------------------------
@@ -246,6 +346,42 @@ def oracle_triangle_self(vertices2d, point2d):
         rho_max, 0.0, 2.0 * math.pi, limit=500, epsabs=1e-12, epsrel=1e-11
     )
     return val / (4.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Free-space block oracle (per-panel column loop)
+# ---------------------------------------------------------------------------
+
+
+def oracle_free_block_loop(mesh, r_nf):
+    """Free-space collocation block as the per-column loop built it: the
+    centroid monopole in row chunks of 2e7 // N, then, one panel at a time,
+    the analytic integral on every centroid whose direct-difference squared
+    distance lies below r_nf^2."""
+    n = len(mesh)
+    centroids = mesh.centroids
+    a = np.empty((n, n))
+    sq = np.einsum("ij,ij->i", centroids, centroids)
+    chunk = max(1, int(2e7) // max(n, 1))
+    with np.errstate(divide="ignore"):
+        for i0 in range(0, n, chunk):
+            i1 = min(i0 + chunk, n)
+            d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * centroids[i0:i1] @ centroids.T
+            np.maximum(d2, 0.0, out=d2)
+            a[i0:i1] = mesh.areas[None, :] / (4.0 * math.pi * np.sqrt(d2))
+    for j in range(n):
+        d2 = np.einsum("ij,ij->i", centroids - centroids[j], centroids - centroids[j])
+        near = np.nonzero(d2 < r_nf * r_nf)[0]
+        if near.size:
+            a[near, j] = _single_layer_bare(
+                mesh.face_vertices[j][None, :, :],
+                mesh.normals[j][None, :],
+                mesh.edge_tangents[j][None, :, :],
+                mesh.edge_lengths[j][None, :],
+                mesh.edge_normals[j][None, :, :],
+                centroids[near],
+            ) / (4.0 * math.pi)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from scipy import linalg as sla
 from scipy.spatial.transform import Rotation
 
+from groundbem import bem
 from groundbem.bem import (
     BemConfig,
     apply_ground_kernel,
@@ -33,7 +34,7 @@ from groundbem.surface_mesh import (
     make_flat_disc_mesh,
 )
 
-from conftest import green, oracle_triangle_self
+from conftest import green, oracle_free_block_loop, oracle_triangle_self
 
 
 def make_panel(vertices, tag=GROUND):
@@ -123,23 +124,30 @@ def test_far_pair_green_symmetry(small_system):
                 assert gij == pytest.approx(gji, rel=1e-13)
 
 
-def test_near_entries_are_analytic(small_system):
-    mesh = small_system.mesh
-    r_nf = 5.0 * mesh.mean_diameter
-    a = small_system.free_matrix
-    hits = 0
-    for j in range(0, len(mesh), 11):
-        panel = mesh.panel(j)
-        for i in range(0, len(mesh), 13):
-            d = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j])
-            want = (
-                triangle_single_layer(panel, mesh.centroids[i])
-                if d < r_nf
-                else mesh.areas[j] * green(mesh.centroids[i], mesh.centroids[j])
-            )
-            assert a[i, j] == pytest.approx(want, rel=1e-12)
-            hits += 1
-    assert hits > 100
+def test_near_entries_are_analytic(small_system, solved_disc):
+    # the flat disc has more panels than one row block of the free-space
+    # sum, so block boundaries are crossed; every entry must equal the
+    # per-column loop bit for bit, near entries the analytic integral and
+    # far entries the centroid monopole
+    assert len(small_system.mesh) < bem._ROW_BLOCK < len(solved_disc.mesh)
+    for system in (small_system, solved_disc):
+        mesh = system.mesh
+        r_nf = 5.0 * mesh.mean_diameter
+        a = system.free_matrix
+        assert np.array_equal(a, oracle_free_block_loop(mesh, r_nf))
+        hits = 0
+        for j in range(0, len(mesh), 11):
+            panel = mesh.panel(j)
+            for i in range(0, len(mesh), 13):
+                d = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j])
+                want = (
+                    triangle_single_layer(panel, mesh.centroids[i])
+                    if d < r_nf
+                    else mesh.areas[j] * green(mesh.centroids[i], mesh.centroids[j])
+                )
+                assert a[i, j] == pytest.approx(want, rel=1e-12)
+                hits += 1
+        assert hits > 100
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +333,14 @@ def test_field_matches_image_solution(solved_disc):
     assert np.allclose(
         grid.induced, grid.values - [green(p, (0, 0, 0.5)) for p in pts]
     )
+
+
+def test_field_at_centroids_is_the_free_matvec(solved_disc):
+    # with the kernel off and no source, the field at the collocation
+    # points is the same panel sum as the assembled block
+    mesh = solved_disc.mesh
+    grid = evaluate_field(solved_disc, mesh.centroids)
+    assert np.array_equal(grid.values, solved_disc.free_matrix @ solved_disc.solution)
 
 
 def test_far_field_decay(solved_disc):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from groundbem.ground_kernel import (
     _INTERIOR_BLOCK,
     KernelConfig,
     _signature_interior_batch,
+    _w_series,
+    interior_inner_cap,
     kernel_integral,
     kernel_integral_truncated,
     kernel_neumann,
@@ -16,15 +19,21 @@ from groundbem.ground_kernel import (
     kernel_series,
     kernel_value,
     radial_table,
-    series_coefficients,
     source_signature,
     source_signature_batch,
 )
-from groundbem.harmonics import build_spectral_constants, elliptic_ke, sh_index
+from groundbem.harmonics import (
+    TruncationAccuracyWarning,
+    build_spectral_constants,
+    elliptic_ke,
+    sh_index,
+)
 
 from conftest import (
     RadialOracle,
     oracle_complex_harmonic,
+    oracle_series_coefficients,
+    oracle_signature_ground_series,
     oracle_signature_interior_single,
     oracle_w,
     oracle_w_raw,
@@ -124,6 +133,18 @@ def test_fallback_engages_where_recurrences_unstable():
     assert t_big.method == "recurrence"
     assert not t_big.degraded
     assert t_big.check_residual < 1e-9
+
+
+def test_w_check_rows_match_full_series():
+    # the recurrence check reads only the top row of the positive-term
+    # series; built alone (or any tail of rows) it must agree with the
+    # same rows of the full table
+    xis = np.array([0.05, 0.3, 0.6, 0.9, 0.97])
+    for m_min, m_max in [(1, 1), (7, 7), (40, 40), (5, 12), (0, 9)]:
+        part = _w_series(xis, m_max, m_min=m_min)
+        full = _w_series(xis, m_max)
+        assert part.shape == (m_max - m_min + 1, xis.size)
+        np.testing.assert_allclose(part, full[m_min:], rtol=1e-13, atol=0.0)
 
 
 def test_quadrature_error_on_singular_source():
@@ -305,12 +326,10 @@ def test_ground_branch_matches_converged_series():
     for rho, phi in [(0.5, 0.7), (0.9, -2.1)]:
         x = np.array([rho * math.cos(phi), rho * math.sin(phi), 0.0])
         rec = source_signature(x, constants, method="ground")
-        ser = source_signature(x, constants, method="ground-series")
-        nz = np.abs(ser.coeffs) > 0.0
+        ser = oracle_signature_ground_series(x, constants, 12)
+        nz = np.abs(ser) > 0.0
         assert np.all(rec.coeffs[~nz] == 0.0)
-        assert np.max(
-            np.abs(rec.coeffs[nz] - ser.coeffs[nz]) / np.abs(ser.coeffs[nz])
-        ) < 1e-8
+        assert np.max(np.abs(rec.coeffs[nz] - ser[nz]) / np.abs(ser[nz])) < 1e-8
 
 
 def test_interior_branch_reaches_ground_limit():
@@ -324,6 +343,24 @@ def test_interior_branch_reaches_ground_limit():
     interior = source_signature(x_near, constants).coeffs
     nz = np.abs(ground) > 1e-14
     assert np.max(np.abs(interior[nz] - ground[nz]) / np.abs(ground[nz])) < 1e-5
+
+
+def test_inner_cap_matches_overflow_filter():
+    # the cap is the lowest top source degree the inner series keeps:
+    # per m the degrees n' = m, m + 2, ... <= 2p - 3 whose nu is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationAccuracyWarning)
+        for p in range(2, 129):
+            constants = build_spectral_constants(p)
+            want = 2 * p - 3
+            for m in range(p):
+                cols = np.arange(m, 2 * p - 2, 2)
+                kept = cols[np.isfinite(constants.nu[cols, m])]
+                if kept.size:
+                    want = min(want, int(kept[-1]))
+            assert interior_inner_cap(constants, p) == want
+    # parity alone caps at 2p - 4; at p = 128 the nu overflow bites first
+    assert want < 2 * 128 - 4
 
 
 def test_signature_domain_errors():
@@ -431,7 +468,7 @@ def test_neumann_duality_by_independent_quadratures():
 
 
 def test_series_coefficients_null_product():
-    sc = series_coefficients(10)
+    sc = oracle_series_coefficients(10)
     for m in range(10):
         rows = sc.row_n[m]
         for n in rows:
@@ -448,7 +485,7 @@ def test_series_coefficients_null_product():
 
 
 def test_i_value_radius_power():
-    sc = series_coefficients(6)
+    sc = oracle_series_coefficients(6)
     j = sc.j_value(1, 2, 0)
     assert sc.i_value(1, 2, 0, radius=2.0) == pytest.approx(j * 2.0 ** (-4), rel=1e-15)
 
@@ -457,7 +494,7 @@ def test_complex_series_matches_real_factorization():
     # rebuild the truncated kernel from the complex-basis coefficient table
     # and the orthonormal harmonics; it must agree with the real-basis path
     p = 6
-    sc = series_coefficients(p)
+    sc = oracle_series_coefficients(p)
     constants = build_spectral_constants(p)
     y = np.array([0.25, 0.1, 0.2])
     x = np.array([0.1, -0.15, 0.3])
