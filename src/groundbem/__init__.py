@@ -23,7 +23,6 @@ from .ground_kernel import (
     kernel_integral,
     kernel_integral_truncated,
     kernel_neumann,
-    kernel_neumann_integral,
     kernel_series,
     kernel_value,
     radial_table,

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .errors import DomainError, SolveError
 from .ground_kernel import interior_inner_cap, source_signature, source_signature_batch
 from .harmonics import build_spectral_constants, sh_index, solid_harmonics_batch
-from .surface_mesh import EXTENSION, SURFACE, DomainSpec, Panel, PanelMesh
+from .surface_mesh import SURFACE, DomainSpec, Panel, PanelMesh
 
 __all__ = [
     "BemConfig",
@@ -110,16 +110,15 @@ def triangle_single_layer(panel: Panel, y) -> float:
 _ROW_BLOCK = 256
 
 
-def _free_block(mesh: PanelMesh, points: np.ndarray, r_nf: float | None) -> np.ndarray:
+def _free_block(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
     """Single layer of every panel at every point, ``(len(points), N)``.
 
-    Pairs with squared centroid distance below ``r_nf^2`` get the analytic
-    triangle integral, all others the centroid monopole.  ``r_nf = None``
-    means 5 mean panel diameters.  The near pairs are read off each row
-    block's distance block, so no second structure is needed.
+    Pairs closer than the near-field radius, 5 mean panel diameters, get
+    the analytic triangle integral, all others the centroid monopole.  The
+    near pairs are read off each row block's distance block, so no second
+    structure is needed.
     """
-    if r_nf is None:
-        r_nf = 5.0 * mesh.mean_diameter
+    r_nf = 5.0 * mesh.mean_diameter
     r_nf2 = r_nf * r_nf
     cents = mesh.centroids
     csq = np.einsum("ij,ij->i", cents, cents)
@@ -152,24 +151,18 @@ def _free_block(mesh: PanelMesh, points: np.ndarray, r_nf: float | None) -> np.n
 class BemConfig:
     """Discretization and solver parameters.
 
-    ``nearfield_radius = None`` defaults to 5 mean panel diameters; the
-    self integral is always analytic regardless.  ``prescribed_eps`` is
-    the target kernel accuracy used for sanity warnings against the
-    chosen truncation number.
+    ``prescribed_eps`` is the target kernel accuracy used for sanity
+    warnings against the chosen truncation number.
     """
 
     p: int = 12
-    nearfield_radius: float | None = None
     solver: str = "direct"
-    iterative_tol: float = 1e-10
     prescribed_eps: float = 1e-4
     use_ground_kernel: bool = True
 
     def __post_init__(self):
         if self.p < 2:
             raise DomainError(f"truncation number must be >= 2, got {self.p}")
-        if self.nearfield_radius is not None and self.nearfield_radius <= 0:
-            raise DomainError("nearfield_radius must be positive")
         if self.solver not in ("direct", "iterative"):
             raise DomainError(f"unknown solver {self.solver!r}")
         if not 0.0 < self.prescribed_eps < 1.0:
@@ -237,7 +230,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
 
     centroids = mesh.centroids
     areas = mesh.areas
-    a = _free_block(mesh, centroids, config.nearfield_radius)
+    a = _free_block(mesh, centroids)
 
     constants = build_spectral_constants(p)
     active = _active_indices(p)
@@ -337,13 +330,19 @@ def ground_kernel_matrix(system: BemSystem) -> np.ndarray:
     return solid_harmonics_batch(yt, system.config.p) @ sigs.T * mesh.areas[None, :] / re
 
 
-def solve(system: BemSystem, rtol_check: float = 1e-10) -> np.ndarray:
+# Relative residual the lgmres iteration aims for, and that every
+# solution must meet.
+_SOLVE_RTOL = 1e-10
+
+
+def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
     ``direct`` forms free + rfac sfac transiently (chunked, on the rows
     where rfac is nonzero; the stored factors stay untouched) and
     LU-solves; ``iterative`` runs lgmres on the factored operator.  The
-    relative residual is verified against ``rtol_check`` either way.
+    relative residual is verified against 1e-10 either way, else
+    :class:`SolveError` is raised.
     """
     n = system.size
     rhs = system.rhs
@@ -368,18 +367,16 @@ def solve(system: BemSystem, rtol_check: float = 1e-10) -> np.ndarray:
         del a
     else:
         op = LinearOperator((n, n), matvec=lambda v: apply_operator(system, v))
-        sigma, info = lgmres(
-            op, rhs, rtol=system.config.iterative_tol, atol=0.0, maxiter=2000
-        )
+        sigma, info = lgmres(op, rhs, rtol=_SOLVE_RTOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise SolveError(f"lgmres did not converge (info = {info})")
 
     rhs_norm = float(np.linalg.norm(rhs))
     resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (rhs_norm or 1.0)
-    if not resid <= rtol_check:
+    if not resid <= _SOLVE_RTOL:
         cond = float(np.linalg.cond(system.free_matrix)) if n <= 2000 else None
         raise SolveError(
-            f"solution residual {resid:.3e} exceeds {rtol_check:.1e}",
+            f"solution residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e}",
             condition=cond,
         )
     system.solution = sigma
@@ -444,7 +441,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         )
     sigma = system.solution
     mesh = system.mesh
-    values = _free_block(mesh, pts, system.config.nearfield_radius) @ sigma
+    values = _free_block(mesh, pts) @ sigma
 
     if system.config.use_ground_kernel:
         rfac_pts = _receiver_factor(pts, system.domain.re, system.config.p, system.active_idx)

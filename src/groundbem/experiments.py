@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import DomainError
 from .ground_kernel import (
     KernelConfig,
     kernel_integral,
-    kernel_series,
     source_signature_batch,
 )
 from .harmonics import build_spectral_constants, solid_harmonics_batch

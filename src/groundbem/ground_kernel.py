@@ -23,7 +23,7 @@ hole radius); the public entry points apply the ``1/R`` scaling law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -33,7 +33,6 @@ from .harmonics import (
     SpectralConstants,
     _elliptic_ke_arrays,
     build_spectral_constants,
-    elliptic_ke,
     sh_index,
     sh_size,
     solid_harmonics_batch,
@@ -48,7 +47,6 @@ __all__ = [
     "source_signature_batch",
     "kernel_integral",
     "kernel_integral_truncated",
-    "kernel_neumann_integral",
     "kernel_series",
     "kernel_neumann",
     "kernel_value",
@@ -69,15 +67,12 @@ class KernelConfig:
     integral_tolerance: relative tolerance for the quadrature path.
     tail_radius:        cutoff radius for the truncated integral; the
                         analytic tail beyond it is added in closed form.
-    series_fraction:    dispatch threshold: the series path is used when
-                        both scaled radii are below this fraction.
     """
 
     scale_radius: float = 1.0
     p: int = 12
     integral_tolerance: float = 1e-10
     tail_radius: float = 1e3
-    series_fraction: float = 0.95
 
     def __post_init__(self):
         if self.scale_radius <= 0:
@@ -133,6 +128,19 @@ def _series_terms_needed(xi_max: float) -> int:
     return min(max(j, 24), _SERIES_JCAP)
 
 
+def _series_setup(xis: np.ndarray, m_top: int):
+    """Term count (set by the largest xi), a_k for k <= jmax + m_top + 1 and
+    the power table Z[j, s] = (xi_s^2)^j shared by the positive series."""
+    jmax = _series_terms_needed(float(np.max(xis))) if xis.size else 24
+    a = _half_ratio_coeffs(jmax + m_top + 1)
+    z = xis * xis
+    zpow = np.empty((jmax + 1, xis.size))
+    zpow[0] = 1.0
+    for j in range(1, jmax + 1):
+        zpow[j] = zpow[j - 1] * z
+    return jmax, a, zpow
+
+
 def _w_series(xis: np.ndarray, m_max: int, m_min: int = 0) -> np.ndarray:
     """w_m(xi) for m = m_min..m_max via its positive hypergeometric-type
     series; row k of the result is m = m_min + k.
@@ -141,14 +149,8 @@ def _w_series(xis: np.ndarray, m_max: int, m_min: int = 0) -> np.ndarray:
     every m, including where w_m is exponentially small in m.
     """
     xis = np.asarray(xis, dtype=float)
-    jmax = _series_terms_needed(float(np.max(xis))) if xis.size else 24
-    a = _half_ratio_coeffs(jmax + m_max + 1)
-    z = xis * xis
-    # Z[j, s] = (xi_s^2)^j ; B[m, j] = a_j a_{j+m}
-    zpow = np.empty((jmax + 1, xis.size))
-    zpow[0] = 1.0
-    for j in range(1, jmax + 1):
-        zpow[j] = zpow[j - 1] * z
+    jmax, a, zpow = _series_setup(xis, m_max)
+    # B[m, j] = a_j a_{j+m}
     b = np.stack([a[: jmax + 1] * a[m : m + jmax + 1] for m in range(m_min, m_max + 1)])
     w = 2.0 * math.pi * (b @ zpow)
     ximpow = np.ones(xis.size)
@@ -159,29 +161,21 @@ def _w_series(xis: np.ndarray, m_max: int, m_min: int = 0) -> np.ndarray:
     return w
 
 
-def _u_series_layers(xis, p, layers, zpow=None):
+def _u_series_layers(xis, layers):
     """u_n^m via term-by-term integration of the w_m series.
 
     ``layers`` maps m -> array of n values; returns m -> (len(n), len(xi))
     arrays.  Exact transformation of the defining integral, positive terms.
     """
     xis = np.asarray(xis, dtype=float)
-    m_top = max(layers) if layers else 0
-    jmax = _series_terms_needed(float(np.max(xis))) if xis.size else 24
-    a = _half_ratio_coeffs(jmax + m_top + 1)
-    if zpow is None or zpow.shape[0] < jmax + 1:
-        z = xis * xis
-        zpow = np.empty((jmax + 1, xis.size))
-        zpow[0] = 1.0
-        for j in range(1, jmax + 1):
-            zpow[j] = zpow[j - 1] * z
+    jmax, a, zpow = _series_setup(xis, max(layers) if layers else 0)
     out = {}
     j_idx = np.arange(jmax + 1, dtype=float)
     for m, n_values in layers.items():
         beta = a[: jmax + 1] * a[m : m + jmax + 1]
         denom = n_values[:, None] + m + 2.0 * j_idx[None, :] + 1.0
         coeff = beta[None, :] / denom
-        vals = 2.0 * math.pi * (coeff @ zpow[: jmax + 1])
+        vals = 2.0 * math.pi * (coeff @ zpow)
         vals *= xis[None, :] ** m
         out[m] = vals
     return out
@@ -192,8 +186,52 @@ def _layer_n_values(p: int, m: int) -> np.ndarray:
     return np.arange(m + 1, 2 * p - 2 - m, 2)
 
 
-class _RadialBatch:
-    """Radial tables for a batch of xi values (vectorized build)."""
+def _u_recurrence(xis, kk, ee, v, layers):
+    """u_n^m by the layer recurrences, unchecked.  Layer 0 runs up in n;
+    each layer m >= 1 comes from the two below it in one array step, row
+    k from rows k and k + 1 of layer m - 1 (and k + 1 of layer m - 2)."""
+    xi2 = xis * xis
+    n0 = layers[0]
+    u0 = np.empty((n0.size, xis.size))
+    u0[0] = (4.0 * ee - 4.0 * (1.0 - xi2) * kk) / xi2
+    for k in range(1, n0.size):
+        n = float(n0[k])
+        u0[k] = (
+            4.0 * ee - 4.0 * n * (1.0 - xi2) * kk + (n - 1.0) ** 2 * u0[k - 1]
+        ) / (n * n * xi2)
+    u = {0: u0}
+    if len(layers) > 1:
+        n = (layers[1] - 1.0)[:, None]
+        u[1] = (
+            (n + 1.0) * u0[:-1]
+            + (n + 2.0) * xi2 * u0[1:]
+            + 4.0 * (1.0 - xi2) * kk
+            - 8.0 * ee
+        ) / ((2.0 * n + 3.0) * xis)
+    for m in range(2, len(layers)):
+        n = (layers[m] - 1.0)[:, None]
+        prev = u[m - 1]
+        u[m] = (
+            2.0
+            * ((n + 1.0) * prev[:-1] + (n + 2.0) * xi2 * prev[1:] - v[m - 1])
+            / ((2.0 * n + 3.0) * xis)
+            - u[m - 2][1:-1]
+        )
+    return u
+
+
+class RadialTable:
+    """Radial source functions w_m, v_m and u_n^m at dimensionless radii
+    xi in (0, 1), one column per xi.
+
+    ``w[m]`` and ``v[m]`` are arrays over m; ``u`` is stored in layers of
+    fixed |m| holding degrees with n + m odd (``layer_n[m]``).  The
+    recurrences are used where their forward error (validated against an
+    independent positive-term series) stays below the check tolerances;
+    otherwise the column is rebuilt from the series.  A column is
+    ``series_capped`` when it was rebuilt and its own xi needs more terms
+    than the series cap (only possible extremely close to xi = 1).
+    """
 
     def __init__(self, xis: np.ndarray, p: int):
         xis = np.asarray(xis, dtype=float)
@@ -249,59 +287,20 @@ class _RadialBatch:
         # --- u_n^m layer by layer.
         layers = {m: _layer_n_values(p, m) for m in range(self.m_max_u + 1)}
         self.layer_n = layers
-        u = {}
-        xi2 = xis * xis
-        n0 = layers[0]
-        u0 = np.empty((n0.size, nxi))
-        u0[0] = (4.0 * ee - 4.0 * (1.0 - xi2) * kk) / xi2
-        for k in range(1, n0.size):
-            n = float(n0[k])
-            u0[k] = (
-                4.0 * ee - 4.0 * n * (1.0 - xi2) * kk + (n - 1.0) ** 2 * u0[k - 1]
-            ) / (n * n * xi2)
-        u[0] = u0
-        if self.m_max_u >= 1:
-            n1 = layers[1]
-            u1 = np.empty((n1.size, nxi))
-            for k in range(n1.size):
-                n = float(n1[k] - 1)
-                u1[k] = (
-                    (n + 1.0) * u0[k]
-                    + (n + 2.0) * xi2 * u0[k + 1]
-                    + 4.0 * (1.0 - xi2) * kk
-                    - 8.0 * ee
-                ) / ((2.0 * n + 3.0) * xis)
-            u[1] = u1
-        for mm in range(2, self.m_max_u + 1):
-            nm = layers[mm]
-            prev = u[mm - 1]
-            prev2 = u[mm - 2]
-            um = np.empty((nm.size, nxi))
-            vrow = self.v[mm - 1]
-            for k in range(nm.size):
-                n = float(nm[k] - 1)
-                um[k] = (
-                    2.0
-                    * ((n + 1.0) * prev[k] + (n + 2.0) * xi2 * prev[k + 1] - vrow)
-                    / ((2.0 * n + 3.0) * xis)
-                    - prev2[k + 1]
-                )
-            u[mm] = um
+        u = _u_recurrence(xis, kk, ee, v, layers)
 
         # --- validate layer corners against the series; rebuild bad columns.
-        check_layers = {0: np.array([n0[-1]])}
+        check_layers = {0: layers[0][-1:]}
         if self.m_max_u >= 1:
-            m_top = self.m_max_u
-            check_layers[m_top] = np.array([layers[m_top][-1]])
-        direct = _u_series_layers(xis, p, check_layers)
+            check_layers[self.m_max_u] = layers[self.m_max_u][-1:]
+        direct = _u_series_layers(xis, check_layers)
         resid = np.zeros(nxi)
-        for m, n_vals in check_layers.items():
-            k = (int(n_vals[0]) - m - 1) // 2
+        for m in check_layers:
             den = np.abs(direct[m][0]) + 1e-300
-            resid = np.maximum(resid, np.abs(u[m][k] - direct[m][0]) / den)
+            resid = np.maximum(resid, np.abs(u[m][-1] - direct[m][0]) / den)
         u_bad = resid > _U_CHECK_TOL
         if np.any(u_bad):
-            rebuilt = _u_series_layers(xis[u_bad], p, layers)
+            rebuilt = _u_series_layers(xis[u_bad], layers)
             for m in layers:
                 u[m][:, u_bad] = rebuilt[m]
         self.u = u
@@ -309,79 +308,44 @@ class _RadialBatch:
         self.u_from_series = u_bad
         # extremely close to the domain edge the fallback series itself is
         # term-capped; flag those columns as accuracy-degraded
-        self.series_capped = (u_bad | self.w_from_series) & (
-            _series_terms_needed(float(np.max(xis))) >= _SERIES_JCAP
-        )
+        capped = [_series_terms_needed(float(x)) >= _SERIES_JCAP for x in xis]
+        self.series_capped = (u_bad | w_bad) & np.array(capped, dtype=bool)
 
-    def u_value(self, n: int, m: int):
+    @property
+    def method(self) -> str:
+        """``"series"`` if any column was rebuilt from the series."""
+        return "series" if np.any(self.u_from_series | self.w_from_series) else "recurrence"
+
+    @property
+    def check_residual(self) -> float:
+        """Largest recurrence-vs-series check residual over the columns."""
+        return float(np.max(np.maximum(self.w_residual, self.u_residual), initial=0.0))
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any column is ``series_capped``."""
+        return bool(np.any(self.series_capped))
+
+    def w_value(self, m: int) -> np.ndarray:
+        return self.w[abs(m)]
+
+    def u_value(self, n: int, m: int) -> np.ndarray:
         am = abs(m)
         if (n + am) % 2 == 0:
             raise DomainError(f"u is tabulated only for odd n + m, got ({n}, {m})")
-        nvals = self.layer_n[am]
         k = (n - am - 1) // 2
-        if am > self.m_max_u or k < 0 or k >= nvals.size:
+        if am > self.m_max_u or k < 0 or k >= self.layer_n[am].size:
             raise DomainError(f"(n, m) = ({n}, {m}) outside table for p = {self.p}")
         return self.u[am][k]
 
 
-@dataclass(frozen=True)
-class RadialTable:
-    """Radial source functions at one dimensionless radius xi in (0, 1).
-
-    ``w[m]`` and ``v[m]`` are plain arrays over m; ``u`` is stored in
-    layers of fixed |m| holding degrees with n + m odd.  ``degraded`` is
-    set when even the fallback cross-validation could not certify the
-    table (only possible extremely close to xi = 1).
-    """
-
-    xi: float
-    p: int
-    w: np.ndarray
-    v: np.ndarray
-    layer_n: dict
-    u: dict
-    method: str
-    check_residual: float
-    degraded: bool
-
-    def w_value(self, m: int) -> float:
-        return float(self.w[abs(m)])
-
-    def u_value(self, n: int, m: int) -> float:
-        am = abs(m)
-        if (n + am) % 2 == 0:
-            raise DomainError(f"u is tabulated only for odd n + m, got ({n}, {m})")
-        k = (n - am - 1) // 2
-        nvals = self.layer_n.get(am)
-        if nvals is None or k < 0 or k >= nvals.size:
-            raise DomainError(f"(n, m) = ({n}, {m}) outside table for p = {self.p}")
-        return float(self.u[am][k])
-
-
 def radial_table(xi: float, p: int) -> RadialTable:
-    """Build the radial tables at a single xi; see :class:`RadialTable`.
-
-    The recurrences are used where their forward error (validated against
-    an independent positive-term series) stays below 5e-10; otherwise the
-    whole table is rebuilt from the series.
-    """
+    """Build the radial tables at a single xi: a one-column
+    :class:`RadialTable`."""
     xi = float(xi)
     if not 0.0 < xi < 1.0:
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    batch = _RadialBatch(np.array([xi]), p)
-    from_series = bool(batch.u_from_series[0] or batch.w_from_series[0])
-    residual = float(max(batch.w_residual[0], batch.u_residual[0]))
-    return RadialTable(
-        xi=xi,
-        p=int(p),
-        w=batch.w[:, 0].copy(),
-        v=batch.v[:, 0].copy(),
-        layer_n=batch.layer_n,
-        u={m: batch.u[m][:, 0].copy() for m in batch.u},
-        method="series" if from_series else "recurrence",
-        check_residual=residual,
-        degraded=bool(batch.series_capped[0]),
-    )
+    return RadialTable(np.array([xi]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -478,25 +442,22 @@ def _signature_interior_batch(points, constants, p):
     return coeffs
 
 
-def _signature_ground_batch(points, constants, p, batch=None):
-    """Signatures for sources on the plane via the radial recurrences."""
+def _signature_ground_batch(points, constants, p):
+    """Signatures for sources on the plane via the radial recurrences, one
+    |m| at a time: the degrees n = m + 1, m + 3, ... < p read the first
+    rows of radial layer m."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    if batch is None:
-        batch = _RadialBatch(rho, p)
+    table = RadialTable(rho, p)
     coeffs = np.zeros((pts.shape[0], sh_size(p)))
     for m in range(p - 1):
         pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
-        cosm = np.cos(m * phi)
-        sinm = np.sin(-m * phi)
-        for n in range(m, p):
-            if (n + m) % 2 == 0:
-                continue
-            base = pref * constants.nu[n + 1, m] * batch.u_value(n, m)
-            coeffs[:, sh_index(n, m)] = base * cosm
-            if m > 0:
-                coeffs[:, sh_index(n, -m)] = base * sinm
+        ns = np.arange(m + 1, p, 2)
+        base = (pref * constants.nu[ns + 1, m])[:, None] * table.u[m][: ns.size]
+        coeffs[:, sh_index(ns, m)] = (base * np.cos(m * phi)).T
+        if m > 0:
+            coeffs[:, sh_index(ns, -m)] = (base * np.sin(-m * phi)).T
     return coeffs
 
 
@@ -671,51 +632,6 @@ def kernel_integral_truncated(
     return (-yt[2] / (8.0 * math.pi**2) * base + tail) / r
 
 
-def kernel_neumann_integral(
-    y,
-    x,
-    tail_radius: float | None = None,
-    config: KernelConfig = KernelConfig(),
-) -> float:
-    """Neumann kernel KN(y, x; R) by direct quadrature of its own layer
-    integral: the single layer of the normal derivative of the free-space
-    kernel at the source.  Integrated in the untransformed radial variable,
-    so the path is numerically independent of the Dirichlet quadrature;
-    used to confirm the duality swap rather than assume it.
-    """
-    yp = _as_point(y)
-    xp = _as_point(x)
-    r = config.scale_radius
-    rinf = float(tail_radius) if tail_radius is not None else config.tail_radius
-    if rinf <= r:
-        raise DomainError("tail radius must exceed the scale radius")
-    if xp[2] == 0.0:
-        return 0.0
-    rho_y, phi_y, _, r_y = _cyl(yp)
-    rho_x, phi_x, _, r_x = _cyl(xp)
-    tol = config.integral_tolerance
-
-    def inner(rho_p):
-        def fvals(phi):
-            dy = rho_p * rho_p - 2.0 * rho_y * rho_p * np.cos(phi - phi_y) + r_y * r_y
-            dx = rho_p * rho_p - 2.0 * rho_x * rho_p * np.cos(phi - phi_x) + r_x * r_x
-            return rho_p / (np.sqrt(dy) * dx * np.sqrt(dx))
-        return _phi_integral(fvals, 0.05 * tol)
-
-    breaks = [b for b in (2.0 * r, 10.0 * r, 100.0 * r) if r < b < rinf]
-    val, abserr, info, *rest = integrate.quad(
-        inner, r, rinf, epsabs=1e-300, epsrel=tol, limit=400,
-        points=breaks or None, full_output=True,
-    )
-    if rest:
-        raise QuadratureError(
-            f"neumann quadrature did not converge: {rest[0]}",
-            estimate=abserr, value=val,
-        )
-    tail = xp[2] / (8.0 * math.pi * rinf * rinf)
-    return xp[2] / (8.0 * math.pi**2) * val + tail
-
-
 # ---------------------------------------------------------------------------
 # Series path and dispatch
 # ---------------------------------------------------------------------------
@@ -733,6 +649,11 @@ def kernel_series(y, signature: SourceSignature, config: KernelConfig = KernelCo
     return float(harmonics @ signature.coeffs) / r
 
 
+# Dispatch threshold of ``kernel_value(path="auto")``: the series path is
+# used when both scaled radii are at most this fraction.
+_SERIES_FRACTION = 0.95
+
+
 def kernel_value(
     y,
     x,
@@ -741,15 +662,15 @@ def kernel_value(
     constants: SpectralConstants | None = None,
 ) -> float:
     """K(y, x; R) by the requested path (``series``, ``integral`` or
-    ``auto``: series where both scaled radii are below the dispatch
-    fraction, quadrature otherwise)."""
+    ``auto``: series where both scaled radii are at most 0.95, quadrature
+    otherwise)."""
     yp = _as_point(y)
     xp = _as_point(x)
     r = config.scale_radius
     ry = float(np.linalg.norm(yp)) / r
     rx = float(np.linalg.norm(xp)) / r
     if path == "auto":
-        path = "series" if max(ry, rx) <= config.series_fraction else "integral"
+        path = "series" if max(ry, rx) <= _SERIES_FRACTION else "integral"
     if path == "series":
         if max(ry, rx) >= 1.0:
             raise DomainError("series path requires |y| < R and |x| < R")

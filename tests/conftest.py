@@ -6,8 +6,11 @@ differentiation, solid harmonics and interior signatures from scalar
 per-(n, m) loops, plane-source signatures from the term-ratio inner series,
 the complex-basis coupling table from its closed form, the plane-source
 radial functions from a positive-integrand Legendre-function representation
-plus Gauss quadrature, the triangle self-term from a polar-coordinate ray
-integral, and the free-space block from a per-panel column loop.
+plus Gauss quadrature, the Neumann kernel from its own layer integral, the
+triangle self-term from a polar-coordinate ray integral, and the
+free-space block from a per-panel column loop.  The per-row radial layer
+loop and the per-(n, m) plane-signature fill are frozen here as the
+references that the library's layer-at-a-time forms must match bit for bit.
 """
 
 import math
@@ -18,7 +21,9 @@ from numpy.polynomial import polynomial as P
 from scipy import integrate
 
 from groundbem.bem import _single_layer_bare
-from groundbem.harmonics import build_spectral_constants
+from groundbem.errors import QuadratureError
+from groundbem.ground_kernel import KernelConfig, RadialTable, _cyl, _phi_integral
+from groundbem.harmonics import build_spectral_constants, sh_index
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +198,29 @@ def oracle_signature_ground_series(x, constants, p, tail=1e-17, max_terms=100_00
     return coeffs
 
 
+def oracle_signature_ground_loop(points, constants, p):
+    """Plane-source signatures filled one (n, m) column at a time from the
+    radial table's ``u_value``; the same arithmetic, in the same order, as
+    the library's one-layer-per-|m| fill."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    table = RadialTable(rho, p)
+    coeffs = np.zeros((pts.shape[0], p * p))
+    for m in range(p - 1):
+        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
+        cosm = np.cos(m * phi)
+        sinm = np.sin(-m * phi)
+        for n in range(m, p):
+            if (n + m) % 2 == 0:
+                continue
+            base = pref * constants.nu[n + 1, m] * table.u_value(n, m)
+            coeffs[:, sh_index(n, m)] = base * cosm
+            if m > 0:
+                coeffs[:, sh_index(n, -m)] = base * sinm
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # Complex-basis coupling coefficients of the double harmonic series
 # ---------------------------------------------------------------------------
@@ -284,6 +312,48 @@ def oracle_w_raw(m, xi):
     return val
 
 
+def oracle_u_layers_loop(xis, kk, ee, v, layers):
+    """The unchecked u_n^m layer recurrences one row (one k) at a time:
+    layer 0 up in n, layer 1 from layer 0 and the elliptic integrals,
+    layer m >= 2 from layers m - 1, m - 2 and v_{m-1}."""
+    xi2 = xis * xis
+    n0 = layers[0]
+    u0 = np.empty((n0.size, xis.size))
+    u0[0] = (4.0 * ee - 4.0 * (1.0 - xi2) * kk) / xi2
+    for k in range(1, n0.size):
+        n = float(n0[k])
+        u0[k] = (
+            4.0 * ee - 4.0 * n * (1.0 - xi2) * kk + (n - 1.0) ** 2 * u0[k - 1]
+        ) / (n * n * xi2)
+    u = {0: u0}
+    if len(layers) > 1:
+        n1 = layers[1]
+        u1 = np.empty((n1.size, xis.size))
+        for k in range(n1.size):
+            n = float(n1[k] - 1)
+            u1[k] = (
+                (n + 1.0) * u0[k]
+                + (n + 2.0) * xi2 * u0[k + 1]
+                + 4.0 * (1.0 - xi2) * kk
+                - 8.0 * ee
+            ) / ((2.0 * n + 3.0) * xis)
+        u[1] = u1
+    for mm in range(2, len(layers)):
+        nm = layers[mm]
+        prev, prev2 = u[mm - 1], u[mm - 2]
+        um = np.empty((nm.size, xis.size))
+        for k in range(nm.size):
+            n = float(nm[k] - 1)
+            um[k] = (
+                2.0
+                * ((n + 1.0) * prev[k] + (n + 2.0) * xi2 * prev[k + 1] - v[mm - 1])
+                / ((2.0 * n + 3.0) * xis)
+                - prev2[k + 1]
+            )
+        u[mm] = um
+    return u
+
+
 class RadialOracle:
     """u_n^m by Gauss-Legendre quadrature of the radial moment of w_m,
     with w values cached per (m, node) and a two-resolution consistency
@@ -314,6 +384,50 @@ class RadialOracle:
             f"radial oracle not converged at n={n}, m={m}, xi={self.xi}"
         )
         return hi
+
+
+# ---------------------------------------------------------------------------
+# Neumann kernel oracle (its own layer integral)
+# ---------------------------------------------------------------------------
+
+
+def oracle_kernel_neumann_integral(y, x, tail_radius=None, config=KernelConfig()):
+    """Neumann kernel KN(y, x; R) by direct quadrature of its own layer
+    integral: the single layer of the normal derivative of the free-space
+    kernel at the source.  Integrated in the untransformed radial variable,
+    so the path is numerically independent of the Dirichlet quadrature;
+    used to confirm the duality swap rather than assume it.
+    """
+    yp = np.asarray(y, dtype=float).reshape(3)
+    xp = np.asarray(x, dtype=float).reshape(3)
+    r = config.scale_radius
+    rinf = float(tail_radius) if tail_radius is not None else config.tail_radius
+    assert rinf > r, "tail radius must exceed the scale radius"
+    if xp[2] == 0.0:
+        return 0.0
+    rho_y, phi_y, _, r_y = _cyl(yp)
+    rho_x, phi_x, _, r_x = _cyl(xp)
+    tol = config.integral_tolerance
+
+    def inner(rho_p):
+        def fvals(phi):
+            dy = rho_p * rho_p - 2.0 * rho_y * rho_p * np.cos(phi - phi_y) + r_y * r_y
+            dx = rho_p * rho_p - 2.0 * rho_x * rho_p * np.cos(phi - phi_x) + r_x * r_x
+            return rho_p / (np.sqrt(dy) * dx * np.sqrt(dx))
+        return _phi_integral(fvals, 0.05 * tol)
+
+    breaks = [b for b in (2.0 * r, 10.0 * r, 100.0 * r) if r < b < rinf]
+    val, abserr, info, *rest = integrate.quad(
+        inner, r, rinf, epsabs=1e-300, epsrel=tol, limit=400,
+        points=breaks or None, full_output=True,
+    )
+    if rest:
+        raise QuadratureError(
+            f"neumann quadrature did not converge: {rest[0]}",
+            estimate=abserr, value=val,
+        )
+    tail = xp[2] / (8.0 * math.pi * rinf * rinf)
+    return xp[2] / (8.0 * math.pi**2) * val + tail
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ from groundbem.errors import DomainError, QuadratureError
 from groundbem.ground_kernel import (
     _INTERIOR_BLOCK,
     KernelConfig,
+    RadialTable,
+    _signature_ground_batch,
     _signature_interior_batch,
+    _u_recurrence,
     _w_series,
     interior_inner_cap,
     kernel_integral,
     kernel_integral_truncated,
     kernel_neumann,
-    kernel_neumann_integral,
     kernel_series,
     kernel_value,
     radial_table,
@@ -32,9 +34,12 @@ from groundbem.harmonics import (
 from conftest import (
     RadialOracle,
     oracle_complex_harmonic,
+    oracle_kernel_neumann_integral,
     oracle_series_coefficients,
+    oracle_signature_ground_loop,
     oracle_signature_ground_series,
     oracle_signature_interior_single,
+    oracle_u_layers_loop,
     oracle_w,
     oracle_w_raw,
 )
@@ -58,25 +63,27 @@ def test_w_oracle_matches_raw_quadrature():
 def test_w_seeds_closed_forms():
     t = radial_table(0.5, 8)
     pair = elliptic_ke(0.25)
-    assert t.w_value(0) == pytest.approx(4.0 * pair.k_value, rel=1e-14)
-    assert t.w_value(1) == pytest.approx(
+    assert t.w_value(0)[0] == pytest.approx(4.0 * pair.k_value, rel=1e-14)
+    assert t.w_value(1)[0] == pytest.approx(
         4.0 / 0.5 * (pair.k_value - pair.e_value), rel=1e-13
     )
-    assert t.w_value(-1) == t.w_value(1)
+    assert t.w_value(-1)[0] == t.w_value(1)[0]
 
 
 def test_w_small_xi_limits():
     t = radial_table(1e-7, 5)
-    assert t.w_value(0) == pytest.approx(2.0 * math.pi, rel=1e-10)
+    assert t.w_value(0)[0] == pytest.approx(2.0 * math.pi, rel=1e-10)
     for m in range(1, 4):
-        assert abs(t.w_value(m)) < 1e-5
+        assert abs(t.w_value(m)[0]) < 1e-5
 
 
 def test_w_positive_and_decreasing_in_m():
     for xi in (0.2, 0.5, 0.8, 0.95):
         t = radial_table(xi, 10)
-        assert np.all(t.w > 0.0)
-        assert np.all(np.diff(t.w) < 0.0)
+        w = t.w[:, 0]
+        assert w.size == 9
+        assert np.all(w > 0.0)
+        assert np.all(np.diff(w) < 0.0)
 
 
 def test_u_seed_closed_form():
@@ -84,10 +91,10 @@ def test_u_seed_closed_form():
     t = radial_table(xi, 6)
     pair = elliptic_ke(xi * xi)
     u10 = 4.0 / xi**2 * (pair.e_value - (1.0 - xi * xi) * pair.k_value)
-    assert t.u_value(1, 0) == pytest.approx(u10, rel=1e-13)
+    assert t.u_value(1, 0)[0] == pytest.approx(u10, rel=1e-13)
     # frozen value of the same quantity
-    assert t.u_value(1, 0) == pytest.approx(3.250391091679681, rel=1e-13)
-    assert radial_table(1e-7, 4).u_value(1, 0) == pytest.approx(math.pi, rel=1e-9)
+    assert t.u_value(1, 0)[0] == pytest.approx(3.250391091679681, rel=1e-13)
+    assert radial_table(1e-7, 4).u_value(1, 0)[0] == pytest.approx(math.pi, rel=1e-9)
 
 
 def test_u_matches_quadrature_oracle_spot():
@@ -98,15 +105,15 @@ def test_u_matches_quadrature_oracle_spot():
         oracle = RadialOracle(xi, m_max=7)
         for m in range(0, 8):
             for n in table.layer_n[m]:
-                assert table.u_value(int(n), m) == pytest.approx(
+                assert table.u_value(int(n), m)[0] == pytest.approx(
                     oracle.u(int(n), m), rel=1e-9
                 ), (n, m, xi, table.method)
 
 
 def test_u_negative_m_symmetry():
     t = radial_table(0.6, 7)
-    assert t.u_value(4, -3) == t.u_value(4, 3)
-    assert t.u_value(3, -2) == t.u_value(3, 2)
+    assert t.u_value(4, -3)[0] == t.u_value(4, 3)[0]
+    assert t.u_value(3, -2)[0] == t.u_value(3, 2)[0]
 
 
 def test_u_parity_lookup_rejected():
@@ -133,6 +140,47 @@ def test_fallback_engages_where_recurrences_unstable():
     assert t_big.method == "recurrence"
     assert not t_big.degraded
     assert t_big.check_residual < 1e-9
+
+
+def test_degraded_is_per_column():
+    # the series is sized by the batch's largest xi, but only a column
+    # whose own xi needs the term cap is flagged: 0.1 is rebuilt from the
+    # series here too, and is no more degraded than on its own
+    t = RadialTable(np.array([0.1, 0.99999]), 14)
+    assert np.array_equal(t.u_from_series | t.w_from_series, [True, True])
+    assert np.array_equal(t.series_capped, [False, True])
+    assert t.degraded and t.method == "series"
+    assert not radial_table(0.1, 14).degraded
+    assert radial_table(0.99999, 14).degraded
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("p", [23, 104])
+def test_layerwise_radial_and_signature_bitwise_equal_loops(p):
+    # the one-array-step-per-layer recurrence and the one-layer-per-|m|
+    # signature fill repeat the frozen per-row and per-(n, m) loops' exact
+    # arithmetic, so they must agree bit for bit
+    rng = np.random.default_rng(p)
+    xis = np.sort(rng.uniform(0.3, 0.99, 64))
+    t = RadialTable(xis, p)
+    args = (t.xis, t.k_elliptic, t.e_elliptic, t.v, t.layer_n)
+    got, want = _u_recurrence(*args), oracle_u_layers_loop(*args)
+    kept = ~t.u_from_series
+    assert set(got) == set(want) == set(range(p - 1))
+    for m in want:
+        assert np.array_equal(_bits(got[m]), _bits(want[m])), m
+        assert np.array_equal(_bits(t.u[m][:, kept]), _bits(want[m][:, kept])), m
+    phi = rng.uniform(-math.pi, math.pi, xis.size)
+    pts = np.stack([xis * np.cos(phi), xis * np.sin(phi), np.zeros(xis.size)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationAccuracyWarning)
+        constants = build_spectral_constants(p)
+    want_sig = oracle_signature_ground_loop(pts, constants, p)
+    assert np.array_equal(_bits(_signature_ground_batch(pts, constants, p)), _bits(want_sig))
+    assert np.array_equal(_bits(source_signature_batch(pts, constants)), _bits(want_sig))
 
 
 def test_w_check_rows_match_full_series():
@@ -167,11 +215,11 @@ def test_appendix_integration_by_parts_identity():
             for n in range(m + 1, 12):
                 if (n + m) % 2 == 0:
                     continue
-                um = t.u_value(n, m)
-                up2 = t.u_value(n + 2, m)
-                um_minus = t.u_value(n + 1, m - 1)
-                um_plus = t.u_value(n + 1, m + 1)
-                vm = float(t.v[m])
+                um = t.u_value(n, m)[0]
+                up2 = t.u_value(n + 2, m)[0]
+                um_minus = t.u_value(n + 1, m - 1)[0]
+                um_plus = t.u_value(n + 1, m + 1)[0]
+                vm = float(t.v[m, 0])
                 lhs = um + xi * xi * up2 - xi * (um_minus + um_plus)
                 rhs = (vm - xi * xi * up2 + 0.5 * xi * (um_minus + um_plus)) / (n + 1.0)
                 scale = max(abs(um), abs(vm), 1e-30)
@@ -456,7 +504,7 @@ def test_neumann_vanishes_for_plane_source():
 def test_neumann_duality_by_independent_quadratures():
     y = np.array([0.3, -0.2, 0.25])
     x = np.array([0.1, 0.2, 0.35])
-    kn = kernel_neumann_integral(y, x, tail_radius=200.0, config=CFG)
+    kn = oracle_kernel_neumann_integral(y, x, tail_radius=200.0, config=CFG)
     kd = kernel_integral_truncated(x, y, tail_radius=200.0, config=CFG)
     assert kn == pytest.approx(-kd, rel=1e-7)
     assert kn != 0.0

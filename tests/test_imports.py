@@ -1,0 +1,62 @@
+"""Static checks on the package's imports and exports (stdlib only; no
+linter is installed): every imported name is used, and every name listed
+in ``__all__`` exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "groundbem"
+MODULES = sorted(PACKAGE.glob("*.py"))
+# The package init imports names to re-export them.
+IMPLEMENTATION = [p for p in MODULES if p.name != "__init__.py"]
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def _imported(tree, lines):
+    """(bound name, line) of every import a linter would flag if unused;
+    ``__future__`` imports and lines marked ``# noqa: F401`` are skipped."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            yield name, node.lineno
+
+
+def _used(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", IMPLEMENTATION, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    used = _used(tree) | set(_all_names(tree))
+    unused = [
+        f"{name} (line {line})"
+        for name, line in _imported(tree, source.splitlines())
+        if name not in used
+    ]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_exist(path):
+    module = importlib.import_module(f"groundbem.{path.stem}".removesuffix(".__init__"))
+    missing = [n for n in _all_names(ast.parse(path.read_text())) if not hasattr(module, n)]
+    assert not missing, f"{path.name}: __all__ names not defined: {missing}"
