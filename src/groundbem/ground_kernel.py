@@ -164,12 +164,13 @@ def _w_series(xis: np.ndarray, m_max: int, m_min: int = 0) -> np.ndarray:
 def _u_series_layers(xis, layers):
     """u_n^m via term-by-term integration of the w_m series.
 
-    ``layers`` maps m -> array of n values; returns m -> (len(n), len(xi))
-    arrays.  Exact transformation of the defining integral, positive terms.
+    ``layers`` maps m -> array of n values; yields (m, (len(n), len(xi))
+    array) one layer at a time, so a caller that stores each layer as it
+    comes never holds a second copy of the table.  Exact transformation of
+    the defining integral, positive terms.
     """
     xis = np.asarray(xis, dtype=float)
     jmax, a, zpow = _series_setup(xis, max(layers) if layers else 0)
-    out = {}
     j_idx = np.arange(jmax + 1, dtype=float)
     for m, n_values in layers.items():
         beta = a[: jmax + 1] * a[m : m + jmax + 1]
@@ -177,8 +178,7 @@ def _u_series_layers(xis, layers):
         coeff = beta[None, :] / denom
         vals = 2.0 * math.pi * (coeff @ zpow)
         vals *= xis[None, :] ** m
-        out[m] = vals
-    return out
+        yield m, vals
 
 
 def _layer_n_values(p: int, m: int) -> np.ndarray:
@@ -293,16 +293,17 @@ class RadialTable:
         check_layers = {0: layers[0][-1:]}
         if self.m_max_u >= 1:
             check_layers[self.m_max_u] = layers[self.m_max_u][-1:]
-        direct = _u_series_layers(xis, check_layers)
+        direct = dict(_u_series_layers(xis, check_layers))
         resid = np.zeros(nxi)
         for m in check_layers:
             den = np.abs(direct[m][0]) + 1e-300
             resid = np.maximum(resid, np.abs(u[m][-1] - direct[m][0]) / den)
         u_bad = resid > _U_CHECK_TOL
         if np.any(u_bad):
-            rebuilt = _u_series_layers(xis[u_bad], layers)
-            for m in layers:
-                u[m][:, u_bad] = rebuilt[m]
+            # Layer by layer: the rebuilt columns, as large as u itself on
+            # the plane sources near the edge, never exist all at once.
+            for m, rebuilt in _u_series_layers(xis[u_bad], layers):
+                u[m][:, u_bad] = rebuilt
         self.u = u
         self.u_residual = resid
         self.u_from_series = u_bad
