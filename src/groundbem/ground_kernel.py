@@ -65,20 +65,15 @@ class KernelConfig:
     scale_radius:       hole radius R parameterizing K(y, x; R).
     p:                  series truncation number.
     integral_tolerance: relative tolerance for the quadrature path.
-    tail_radius:        cutoff radius for the truncated integral; the
-                        analytic tail beyond it is added in closed form.
     """
 
     scale_radius: float = 1.0
     p: int = 12
     integral_tolerance: float = 1e-10
-    tail_radius: float = 1e3
 
     def __post_init__(self):
         if self.scale_radius <= 0:
             raise DomainError(f"scale_radius must be > 0, got {self.scale_radius}")
-        if self.tail_radius <= self.scale_radius:
-            raise DomainError("tail_radius must exceed scale_radius")
         if self.p < 2:
             raise DomainError(f"truncation number must be >= 2, got {self.p}")
         if not 0 < self.integral_tolerance < 1:
@@ -100,137 +95,147 @@ def _cyl(pt):
 
 
 # ---------------------------------------------------------------------------
-# Radial functions of ground-plane sources: w_m, v_m, u_n^m
+# Radial functions of ground-plane sources: w_m and u_n^m
 # ---------------------------------------------------------------------------
 
-# Fallback thresholds.  The forward recurrences carry a parasitic solution
-# growing like xi^(-index); columns where the cross-validation against the
-# positive-term series exceeds these are recomputed from the series.
-_W_CHECK_TOL = 1e-11
-_U_CHECK_TOL = 5e-10
-_SERIES_TAIL = 4e-17
-_SERIES_JCAP = 60_000
+# Each recurrence runs in the direction in which its unwanted solution
+# decays (Gautschi, SIAM Rev. 9, 1967), chosen per column from its xi.
+# Next to w_m ~ xi^m the recurrence in m has a solution ~ xi^-m, so a
+# forward run amplifies errors by xi^(-2 m_top): forward where
+# 2 m_top ln(1/xi) <= _W_FORWARD, elsewhere Miller's backward algorithm
+# from _W_START / ln(1/xi) steps above the table.  Each u layer's
+# recurrence in n has a homogeneous solution ~ xi^-n: forward where
+# 2 (p - 1) ln(1/xi) <= _U_FORWARD, elsewhere backward from _U_START /
+# ln(1/xi) two-degree steps above the table.  The start errors decay by
+# exp(-72) and exp(-36).
+_W_FORWARD = 1.0
+_W_START = 36.0
+_U_FORWARD = 6.0
+_U_START = 18.0
 
 
-def _half_ratio_coeffs(kmax: int) -> np.ndarray:
-    """a_k = (2k-1)!!/(2k)!! for k = 0..kmax, by running product."""
-    a = np.empty(kmax + 1)
-    a[0] = 1.0
-    for k in range(1, kmax + 1):
-        a[k] = a[k - 1] * (2 * k - 1) / (2.0 * k)
-    return a
+def _w_columns(xis, kk, ee, m_top):
+    """w_m for m = 0..m_top, one column per xi.
 
-
-def _series_terms_needed(xi_max: float) -> int:
-    if xi_max <= 0.1:
-        return 24
-    j = int(math.log(_SERIES_TAIL) / (2.0 * math.log(xi_max))) + 8
-    return min(max(j, 24), _SERIES_JCAP)
-
-
-def _series_setup(xis: np.ndarray, m_top: int):
-    """Term count (set by the largest xi), a_k for k <= jmax + m_top + 1 and
-    the power table Z[j, s] = (xi_s^2)^j shared by the positive series."""
-    jmax = _series_terms_needed(float(np.max(xis))) if xis.size else 24
-    a = _half_ratio_coeffs(jmax + m_top + 1)
-    z = xis * xis
-    zpow = np.empty((jmax + 1, xis.size))
-    zpow[0] = 1.0
-    for j in range(1, jmax + 1):
-        zpow[j] = zpow[j - 1] * z
-    return jmax, a, zpow
-
-
-def _w_series(xis: np.ndarray, m_max: int, m_min: int = 0) -> np.ndarray:
-    """w_m(xi) for m = m_min..m_max via its positive hypergeometric-type
-    series; row k of the result is m = m_min + k.
-
-    All terms are positive, so the result is accurate in relative terms for
-    every m, including where w_m is exponentially small in m.
+    Forward from w_0 = 4K and w_1 = 4(K - E)/xi where the forward error
+    stays small; elsewhere the ratios r_m = w_m / w_(m-1) come from
+    r_(m-1) = (2m - 3) / ((2m - 2)(1 + xi^2)/xi - (2m - 1) r_m), run down
+    from r = 0, and w_m = 4K r_1 ... r_m.
     """
-    xis = np.asarray(xis, dtype=float)
-    jmax, a, zpow = _series_setup(xis, m_max)
-    # B[m, j] = a_j a_{j+m}
-    b = np.stack([a[: jmax + 1] * a[m : m + jmax + 1] for m in range(m_min, m_max + 1)])
-    w = 2.0 * math.pi * (b @ zpow)
-    ximpow = np.ones(xis.size)
-    for m in range(m_max + 1):
-        if m >= m_min:
-            w[m - m_min] *= ximpow
-        ximpow = ximpow * xis
+    w = np.empty((m_top + 1, xis.size))
+    w[0] = 4.0 * kk
+    log_inv = -np.log(xis)
+    fwd = 2.0 * m_top * log_inv <= _W_FORWARD
+    if np.any(fwd):
+        x = xis[fwd]
+        c = (1.0 + x * x) / x
+        sub = np.empty((m_top + 1, x.size))
+        sub[0] = w[0, fwd]
+        sub[1] = 4.0 * (kk[fwd] - ee[fwd]) / x
+        for m in range(2, m_top + 1):
+            sub[m] = ((2.0 * m - 2.0) * c * sub[m - 1]
+                      - (2.0 * m - 3.0) * sub[m - 2]) / (2.0 * m - 1.0)
+        w[:, fwd] = sub
+    if not np.all(fwd):
+        # Columns enter the run at their own top, largest first, each
+        # from r = 0: the same steps as it would take alone.
+        back = np.flatnonzero(~fwd)
+        top = m_top + np.ceil(_W_START / log_inv[back]).astype(int)
+        order = np.argsort(-top, kind="stable")
+        back, top = back[order], top[order]
+        x = xis[back]
+        c = (1.0 + x * x) / x
+        steps = np.arange(int(top[0]), 1, -1)
+        running = np.searchsorted(-top, -steps, side="right")
+        ratios = np.empty((m_top, back.size))
+        r = np.zeros(back.size)
+        for m, k in zip(steps, running):
+            r[:k] = (2.0 * m - 3.0) / ((2.0 * m - 2.0) * c[:k] - (2.0 * m - 1.0) * r[:k])
+            if m <= m_top + 1:
+                ratios[m - 2] = r
+        w[1:, back] = w[0, back] * np.cumprod(ratios, axis=0)
     return w
 
 
-def _u_series_layers(xis, layers):
-    """u_n^m via term-by-term integration of the w_m series.
+def _u_layers(xis, w, p):
+    """u_n^m for 0 <= m <= p - 2 and the degrees n = m + 1, m + 3, ... < p,
+    stacked layer after layer in one (rows, len(xis)) array; returns it with
+    each layer's first row.
 
-    ``layers`` maps m -> array of n values; yields (m, (len(n), len(xi))
-    array) one layer at a time, so a caller that stores each layer as it
-    comes never holds a second copy of the table.  Exact transformation of
-    the defining integral, positive terms.
+    Per layer, two integrations by parts of u_n^m = int_0^1 t^n w_m(xi t) dt
+    give the first-order recurrence in steps of two degrees
+
+        (n^2 - m^2) xi^2 u_n = ((n - 1)^2 - m^2) u_(n-2) + g_m - (n - 1) h_m,
+
+    g_m = (2m - 1) xi w_(m-1) - (m + (m - 1) xi^2) w_m (with w_(-1) = w_1)
+    and h_m = (1 - xi^2) w_m.  Its coefficient of u_(n-2) vanishes at
+    n = m + 1, which seeds the forward run.  Every layer steps at once; a
+    layer drops out of the sweep at its last stored degree.
     """
-    xis = np.asarray(xis, dtype=float)
-    jmax, a, zpow = _series_setup(xis, max(layers) if layers else 0)
-    j_idx = np.arange(jmax + 1, dtype=float)
-    for m, n_values in layers.items():
-        beta = a[: jmax + 1] * a[m : m + jmax + 1]
-        denom = n_values[:, None] + m + 2.0 * j_idx[None, :] + 1.0
-        coeff = beta[None, :] / denom
-        vals = 2.0 * math.pi * (coeff @ zpow)
-        vals *= xis[None, :] ** m
-        yield m, vals
-
-
-def _layer_n_values(p: int, m: int) -> np.ndarray:
-    """Degrees stored in layer m: n + m odd, m + 1 <= n <= 2p - 3 - m."""
-    return np.arange(m + 1, 2 * p - 2 - m, 2)
-
-
-def _u_recurrence(xis, kk, ee, v, layers):
-    """u_n^m by the layer recurrences, unchecked.  Layer 0 runs up in n;
-    each layer m >= 1 comes from the two below it in one array step, row
-    k from rows k and k + 1 of layer m - 1 (and k + 1 of layer m - 2)."""
     xi2 = xis * xis
-    n0 = layers[0]
-    u0 = np.empty((n0.size, xis.size))
-    u0[0] = (4.0 * ee - 4.0 * (1.0 - xi2) * kk) / xi2
-    for k in range(1, n0.size):
-        n = float(n0[k])
-        u0[k] = (
-            4.0 * ee - 4.0 * n * (1.0 - xi2) * kk + (n - 1.0) ** 2 * u0[k - 1]
-        ) / (n * n * xi2)
-    u = {0: u0}
-    if len(layers) > 1:
-        n = (layers[1] - 1.0)[:, None]
-        u[1] = (
-            (n + 1.0) * u0[:-1]
-            + (n + 2.0) * xi2 * u0[1:]
-            + 4.0 * (1.0 - xi2) * kk
-            - 8.0 * ee
-        ) / ((2.0 * n + 3.0) * xis)
-    for m in range(2, len(layers)):
-        n = (layers[m] - 1.0)[:, None]
-        prev = u[m - 1]
-        u[m] = (
-            2.0
-            * ((n + 1.0) * prev[:-1] + (n + 2.0) * xi2 * prev[1:] - v[m - 1])
-            / ((2.0 * n + 3.0) * xis)
-            - u[m - 2][1:-1]
-        )
-    return u
+    m = np.arange(p - 1)
+    count = (p - m) // 2
+    first = np.concatenate(([0], np.cumsum(count)[:-1]))
+    u = np.empty((int(count.sum()), xis.size))
+    w_m = w[: p - 1]
+    w_prev = np.concatenate((w[1:2], w[: p - 2]))
+    g = (2.0 * m[:, None] - 1.0) * xis * w_prev - (m[:, None] + (m[:, None] - 1.0) * xi2) * w_m
+    h = (1.0 - xi2) * w_m
+    log_inv = -np.log(xis)
+    forward = 2.0 * (p - 1) * log_inv <= _U_FORWARD
+    fwd, back = np.flatnonzero(forward), np.flatnonzero(~forward)
+    msq = (m * m).astype(float)
+
+    if fwd.size:
+        g_f, h_f, xi2_f = g[:, fwd], h[:, fwd], xi2[fwd]
+        cur = np.zeros((p - 1, fwd.size))
+        for k in range(int(count[0])):
+            a = min(p - 1, p - 2 * k - 1)
+            n = (m[:a] + 1.0 + 2.0 * k)[:, None]
+            cur = ((n - 1.0) ** 2 - msq[:a, None]) * cur[:a] + g_f[:a] - (n - 1.0) * h_f[:a]
+            cur /= (n * n - msq[:a, None]) * xi2_f
+            u[np.ix_(first[:a] + k, fwd)] = cur
+
+    if back.size:
+        # As in the w run, columns enter at their own start, largest first.
+        start = np.ceil(_U_START / log_inv[back]).astype(int)
+        order = np.argsort(-start, kind="stable")
+        back, start = back[order], start[order]
+        top = first + count - 1
+        n_top = m + 2 * count - 1
+        g_b, h_b, xi2_b, w_b = g[:, back], h[:, back], xi2[back], w_m[:, back]
+        # position t holds degree n_top + 2t of each layer; t <= 0 is stored
+        steps = np.arange(int(start[0]), -int(count[0]), -1)
+        running = np.searchsorted(-start, -steps, side="right")
+        cur = np.empty((p - 1, back.size))
+        k_prev = 0
+        for t, k in zip(steps, running):
+            a = min(p - 1, p + 2 * t - 1)
+            if k_prev:
+                # step the running columns from degree n down to n - 2
+                n = (n_top[:a] + 2.0 * t + 2.0)[:, None]
+                run = cur[:a, :k_prev]
+                run *= (n * n - msq[:a, None]) * xi2_b[:k_prev]
+                run -= g_b[:a, :k_prev]
+                run += (n - 1.0) * h_b[:a, :k_prev]
+                run /= (n - 1.0) ** 2 - msq[:a, None]
+            if k > k_prev:
+                n = (n_top + 2.0 * t)[:, None]
+                cur[:, k_prev:k] = w_b[:, k_prev:k] / (n + m[:, None] + 1.0)
+            if t <= 0:
+                u[np.ix_(top[:a] + t, back)] = cur[:a]
+            k_prev = k
+    return u, first
 
 
 class RadialTable:
-    """Radial source functions w_m, v_m and u_n^m at dimensionless radii
-    xi in (0, 1), one column per xi.
+    """Radial source functions w_m and u_n^m at dimensionless radii xi in
+    (0, 1), one column per xi.
 
-    ``w[m]`` and ``v[m]`` are arrays over m; ``u`` is stored in layers of
-    fixed |m| holding degrees with n + m odd (``layer_n[m]``).  The
-    recurrences are used where their forward error (validated against an
-    independent positive-term series) stays below the check tolerances;
-    otherwise the column is rebuilt from the series.  A column is
-    ``series_capped`` when it was rebuilt and its own xi needs more terms
-    than the series cap (only possible extremely close to xi = 1).
+    ``w[m]`` holds m = 0..max(1, p - 2); ``u`` is stored in layers of fixed
+    |m| <= p - 2 holding the degrees n < p with n + m odd (``layer_n[m]``),
+    the ones the plane-source signatures read.  Each column runs each
+    recurrence in its stable direction, chosen from its own xi and p.
     """
 
     def __init__(self, xis: np.ndarray, p: int):
@@ -245,87 +250,16 @@ class RadialTable:
         self.xis = xis
         self.p = p
         self.m_max_u = p - 2
-        self.m_max_w = max(1, p - 2)
-        self._build()
-
-    def _build(self):
-        xis, p = self.xis, self.p
-        nxi = xis.size
         kk, ee = _elliptic_ke_arrays(xis * xis)
-        self.k_elliptic, self.e_elliptic = kk, ee
-
-        # --- w_m: seeds + forward recurrence, validated at the top index.
-        mw = self.m_max_w
-        w = np.empty((mw + 1, nxi))
-        w[0] = 4.0 * kk
-        if mw >= 1:
-            w[1] = 4.0 * (kk - ee) / xis
-        for m in range(2, mw + 1):
-            w[m] = (
-                (1.0 + xis * xis) / xis * (2.0 * m - 2.0) / (2.0 * m - 1.0) * w[m - 1]
-                - (2.0 * m - 3.0) / (2.0 * m - 1.0) * w[m - 2]
-            )
-        w_top_direct = _w_series(xis, mw, m_min=mw)[0]
-        denom = np.abs(w_top_direct) + 1e-300
-        w_resid = np.abs(w[mw] - w_top_direct) / denom
-        w_bad = w_resid > _W_CHECK_TOL
-        if np.any(w_bad):
-            w[:, w_bad] = _w_series(xis[w_bad], mw)
-        self.w = w
-        self.w_residual = w_resid
-        self.w_from_series = w_bad
-
-        # --- v_m = (1 + xi^2) w_m - xi (w_{m+1} + w_{m-1}), m >= 1.
-        # v_{mw-1} is the highest one consumed by the layer recurrence.
-        nv = max(0, mw - 1)
-        v = np.empty((nv + 1, nxi))
-        v[0] = 8.0 * ee - 4.0 * (1.0 - xis * xis) * kk
-        for m in range(1, nv + 1):
-            v[m] = (1.0 + xis * xis) * w[m] - xis * (w[m + 1] + w[m - 1])
-        self.v = v
-
-        # --- u_n^m layer by layer.
-        layers = {m: _layer_n_values(p, m) for m in range(self.m_max_u + 1)}
-        self.layer_n = layers
-        u = _u_recurrence(xis, kk, ee, v, layers)
-
-        # --- validate layer corners against the series; rebuild bad columns.
-        check_layers = {0: layers[0][-1:]}
-        if self.m_max_u >= 1:
-            check_layers[self.m_max_u] = layers[self.m_max_u][-1:]
-        direct = dict(_u_series_layers(xis, check_layers))
-        resid = np.zeros(nxi)
-        for m in check_layers:
-            den = np.abs(direct[m][0]) + 1e-300
-            resid = np.maximum(resid, np.abs(u[m][-1] - direct[m][0]) / den)
-        u_bad = resid > _U_CHECK_TOL
-        if np.any(u_bad):
-            # Layer by layer: the rebuilt columns, as large as u itself on
-            # the plane sources near the edge, never exist all at once.
-            for m, rebuilt in _u_series_layers(xis[u_bad], layers):
-                u[m][:, u_bad] = rebuilt
-        self.u = u
-        self.u_residual = resid
-        self.u_from_series = u_bad
-        # extremely close to the domain edge the fallback series itself is
-        # term-capped; flag those columns as accuracy-degraded
-        capped = [_series_terms_needed(float(x)) >= _SERIES_JCAP for x in xis]
-        self.series_capped = (u_bad | w_bad) & np.array(capped, dtype=bool)
+        self.w = _w_columns(xis, kk, ee, max(1, p - 2))
+        flat, first = _u_layers(xis, self.w, p)
+        self.layer_n = {m: np.arange(m + 1, p, 2) for m in range(p - 1)}
+        self.u = {m: flat[first[m] : first[m] + n.size] for m, n in self.layer_n.items()}
 
     @property
     def method(self) -> str:
-        """``"series"`` if any column was rebuilt from the series."""
-        return "series" if np.any(self.u_from_series | self.w_from_series) else "recurrence"
-
-    @property
-    def check_residual(self) -> float:
-        """Largest recurrence-vs-series check residual over the columns."""
-        return float(np.max(np.maximum(self.w_residual, self.u_residual), initial=0.0))
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any column is ``series_capped``."""
-        return bool(np.any(self.series_capped))
+        """Always ``"recurrence"``: the one route the table has."""
+        return "recurrence"
 
     def w_value(self, m: int) -> np.ndarray:
         return self.w[abs(m)]
@@ -445,8 +379,8 @@ def _signature_interior_batch(points, constants, p):
 
 def _signature_ground_batch(points, constants, p):
     """Signatures for sources on the plane via the radial recurrences, one
-    |m| at a time: the degrees n = m + 1, m + 3, ... < p read the first
-    rows of radial layer m."""
+    |m| at a time: the degrees n = m + 1, m + 3, ... < p read radial
+    layer m."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
@@ -455,7 +389,7 @@ def _signature_ground_batch(points, constants, p):
     for m in range(p - 1):
         pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
         ns = np.arange(m + 1, p, 2)
-        base = (pref * constants.nu[ns + 1, m])[:, None] * table.u[m][: ns.size]
+        base = (pref * constants.nu[ns + 1, m])[:, None] * table.u[m]
         coeffs[:, sh_index(ns, m)] = (base * np.cos(m * phi)).T
         if m > 0:
             coeffs[:, sh_index(ns, -m)] = (base * np.sin(-m * phi)).T
@@ -607,21 +541,26 @@ def kernel_integral(y, x, config: KernelConfig = KernelConfig()) -> float:
     return -yt[2] / (8.0 * math.pi**2) * base / r
 
 
+# Default cutoff radius of the truncated integral; the analytic tail beyond
+# it is added in closed form.
+_TAIL_RADIUS = 1e3
+
+
 def kernel_integral_truncated(
     y,
     x,
-    tail_radius: float | None = None,
+    tail_radius: float = _TAIL_RADIUS,
     config: KernelConfig = KernelConfig(),
 ) -> float:
     """Truncated kernel integral plus its analytic far-field tail.
 
     Valid for any pair above the plane (and as an oracle for interior
-    pairs); ``tail_radius`` defaults to the configured cutoff.
+    pairs).
     """
     yp = _as_point(y)
     xp = _as_point(x)
     r = config.scale_radius
-    rinf = float(tail_radius) if tail_radius is not None else config.tail_radius
+    rinf = float(tail_radius)
     if rinf <= r:
         raise DomainError("tail radius must exceed the scale radius")
     yt, xt = yp / r, xp / r

@@ -36,11 +36,12 @@ __all__ = [
 ]
 
 # Accuracy of the recursions is asserted by the test suite only up to this
-# truncation; beyond it we warn.  Past _P_HARD_LIMIT the double-factorial
-# products consumed by the kernel series overflow float64, so we refuse.
+# truncation (the bump anchor's p = 104); beyond it we warn.  Past
+# _P_HARD_LIMIT the double-factorial products consumed by the kernel series
+# overflow float64, so we refuse.
 # (Between the two, unused corners of the sign-product table may reach inf;
 # consumers restrict themselves to the finite region.)
-_P_SOFT_LIMIT = 40
+_P_SOFT_LIMIT = 104
 _P_HARD_LIMIT = 128
 
 
@@ -109,8 +110,8 @@ class SpectralConstants:
     even in the sign of m).
 
     Tables are filled for ``0 <= m <= n <= 2p - 2``; one extra band beyond
-    the kernel truncation because the ground-point radial recurrences
-    consume degrees up to ``2p - 3`` at ``m = 0``.
+    the kernel truncation because the inner series of interior sources
+    consumes source degrees up to ``2p - 3``.
 
     Fields
     ------

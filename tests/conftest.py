@@ -5,12 +5,12 @@ library paths it checks: associated Legendre values come from polynomial
 differentiation, solid harmonics and interior signatures from scalar
 per-(n, m) loops, plane-source signatures from the term-ratio inner series,
 the complex-basis coupling table from its closed form, the plane-source
-radial functions from a positive-integrand Legendre-function representation
-plus Gauss quadrature, the Neumann kernel from its own layer integral, the
-triangle self-term from a polar-coordinate ray integral, and the
-free-space block from a per-panel column loop.  The per-row radial layer
-loop and the per-(n, m) plane-signature fill are frozen here as the
-references that the library's layer-at-a-time forms must match bit for bit.
+radial functions from their positive-term series and from a
+positive-integrand Legendre-function representation plus Gauss quadrature,
+the Neumann kernel from its own layer integral, the triangle self-term from
+a polar-coordinate ray integral, and the free-space block from a per-panel
+column loop.  The per-(n, m) plane-signature fill is frozen here as the
+reference that the library's layer-at-a-time fill must match bit for bit.
 """
 
 import math
@@ -22,7 +22,7 @@ from scipy import integrate
 
 from groundbem.bem import _single_layer_bare
 from groundbem.errors import QuadratureError
-from groundbem.ground_kernel import KernelConfig, RadialTable, _cyl, _phi_integral
+from groundbem.ground_kernel import _TAIL_RADIUS, KernelConfig, RadialTable, _cyl, _phi_integral
 from groundbem.harmonics import build_spectral_constants, sh_index
 
 
@@ -312,46 +312,35 @@ def oracle_w_raw(m, xi):
     return val
 
 
-def oracle_u_layers_loop(xis, kk, ee, v, layers):
-    """The unchecked u_n^m layer recurrences one row (one k) at a time:
-    layer 0 up in n, layer 1 from layer 0 and the elliptic integrals,
-    layer m >= 2 from layers m - 1, m - 2 and v_{m-1}."""
-    xi2 = xis * xis
-    n0 = layers[0]
-    u0 = np.empty((n0.size, xis.size))
-    u0[0] = (4.0 * ee - 4.0 * (1.0 - xi2) * kk) / xi2
-    for k in range(1, n0.size):
-        n = float(n0[k])
-        u0[k] = (
-            4.0 * ee - 4.0 * n * (1.0 - xi2) * kk + (n - 1.0) ** 2 * u0[k - 1]
-        ) / (n * n * xi2)
-    u = {0: u0}
-    if len(layers) > 1:
-        n1 = layers[1]
-        u1 = np.empty((n1.size, xis.size))
-        for k in range(n1.size):
-            n = float(n1[k] - 1)
-            u1[k] = (
-                (n + 1.0) * u0[k]
-                + (n + 2.0) * xi2 * u0[k + 1]
-                + 4.0 * (1.0 - xi2) * kk
-                - 8.0 * ee
-            ) / ((2.0 * n + 3.0) * xis)
-        u[1] = u1
-    for mm in range(2, len(layers)):
-        nm = layers[mm]
-        prev, prev2 = u[mm - 1], u[mm - 2]
-        um = np.empty((nm.size, xis.size))
-        for k in range(nm.size):
-            n = float(nm[k] - 1)
-            um[k] = (
-                2.0
-                * ((n + 1.0) * prev[k] + (n + 2.0) * xi2 * prev[k + 1] - v[mm - 1])
-                / ((2.0 * n + 3.0) * xis)
-                - prev2[k + 1]
-            )
-        u[mm] = um
-    return u
+def oracle_radial_series(xi, p, tail=4e-17):
+    """Radial tables at one xi from their positive-term series:
+
+        w_m   = 2 pi xi^m sum_j a_j a_(j+m) xi^(2j),
+        u_n^m = 2 pi xi^m sum_j a_j a_(j+m) xi^(2j) / (n + m + 2j + 1),
+
+    a_k = (2k - 1)!!/(2k)!!, the second by term-by-term integration of the
+    first.  Every term is positive, so each value is accurate in relative
+    terms, also where it is exponentially small in m.  Summed until
+    xi^(2j) falls below ``tail``, sized for this xi alone with no cap on
+    the term count.  Returns (w over m = 0..max(1, p - 2), {m: u over
+    n = m + 1, m + 3, ... < p}).
+    """
+    m_top = max(1, p - 2)
+    terms = 24 if xi <= 0.1 else int(math.log(tail) / (2.0 * math.log(xi))) + 8
+    j = np.arange(terms + 1, dtype=float)
+    k = np.arange(1, terms + m_top + 2, dtype=float)
+    a = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
+    zpow = (xi * xi) ** j
+    w = np.empty(m_top + 1)
+    u = {}
+    for m in range(m_top + 1):
+        bz = a[: terms + 1] * a[m : m + terms + 1] * zpow
+        scale = 2.0 * math.pi * xi**m
+        w[m] = scale * np.sum(bz)
+        if m <= p - 2:
+            u[m] = np.array([scale * np.sum(bz / (n + m + 2.0 * j + 1.0))
+                             for n in range(m + 1, p, 2)])
+    return w, u
 
 
 class RadialOracle:
@@ -391,7 +380,7 @@ class RadialOracle:
 # ---------------------------------------------------------------------------
 
 
-def oracle_kernel_neumann_integral(y, x, tail_radius=None, config=KernelConfig()):
+def oracle_kernel_neumann_integral(y, x, tail_radius=_TAIL_RADIUS, config=KernelConfig()):
     """Neumann kernel KN(y, x; R) by direct quadrature of its own layer
     integral: the single layer of the normal derivative of the free-space
     kernel at the source.  Integrated in the untransformed radial variable,
@@ -401,7 +390,7 @@ def oracle_kernel_neumann_integral(y, x, tail_radius=None, config=KernelConfig()
     yp = np.asarray(y, dtype=float).reshape(3)
     xp = np.asarray(x, dtype=float).reshape(3)
     r = config.scale_radius
-    rinf = float(tail_radius) if tail_radius is not None else config.tail_radius
+    rinf = float(tail_radius)
     assert rinf > r, "tail radius must exceed the scale radius"
     if xp[2] == 0.0:
         return 0.0

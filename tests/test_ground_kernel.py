@@ -12,8 +12,6 @@ from groundbem.ground_kernel import (
     RadialTable,
     _signature_ground_batch,
     _signature_interior_batch,
-    _u_recurrence,
-    _w_series,
     interior_inner_cap,
     kernel_integral,
     kernel_integral_truncated,
@@ -35,11 +33,11 @@ from conftest import (
     RadialOracle,
     oracle_complex_harmonic,
     oracle_kernel_neumann_integral,
+    oracle_radial_series,
     oracle_series_coefficients,
     oracle_signature_ground_loop,
     oracle_signature_ground_series,
     oracle_signature_interior_single,
-    oracle_u_layers_loop,
     oracle_w,
     oracle_w_raw,
 )
@@ -98,10 +96,10 @@ def test_u_seed_closed_form():
 
 
 def test_u_matches_quadrature_oracle_spot():
-    # compact version of the acceptance grid: one stable and one
-    # fallback-triggering radius
+    # compact version of the acceptance grid: at p = 16 the u layers of
+    # 0.35 run backward and those of 0.9 forward
     for xi in (0.35, 0.9):
-        table = radial_table(xi, 9)  # n up to 15
+        table = radial_table(xi, 16)  # n up to 15
         oracle = RadialOracle(xi, m_max=7)
         for m in range(0, 8):
             for n in table.layer_n[m]:
@@ -130,28 +128,25 @@ def test_radial_domain_errors():
             radial_table(bad, 6)
 
 
-def test_fallback_engages_where_recurrences_unstable():
-    # parasitic modes grow like xi^{-n}: small xi with deep tables must
-    # fall back to the series and say so
-    t_small = radial_table(0.1, 14)
-    assert t_small.method == "series"
-    assert not t_small.degraded
-    t_big = radial_table(0.95, 14)
-    assert t_big.method == "recurrence"
-    assert not t_big.degraded
-    assert t_big.check_residual < 1e-9
-
-
-def test_degraded_is_per_column():
-    # the series is sized by the batch's largest xi, but only a column
-    # whose own xi needs the term cap is flagged: 0.1 is rebuilt from the
-    # series here too, and is no more degraded than on its own
-    t = RadialTable(np.array([0.1, 0.99999]), 14)
-    assert np.array_equal(t.u_from_series | t.w_from_series, [True, True])
-    assert np.array_equal(t.series_capped, [False, True])
-    assert t.degraded and t.method == "series"
-    assert not radial_table(0.1, 14).degraded
-    assert radial_table(0.99999, 14).degraded
+def test_radial_table_matches_series_oracle():
+    # every stored w and u entry against the positive-term series, sized
+    # per column with no term cap; entries below 1e-290 have underflowed
+    xis = [1e-7, 1e-4, 0.01, 0.1, 0.3, 0.4719, 0.9, 0.95, 0.9713, 0.9856, 0.995]
+    grid = {p: list(xis) for p in (2, 3, 5, 8, 14, 23, 40, 64, 104, 128)}
+    grid[104].append(0.999)
+    grid[14].append(0.99999)
+    for p, column_xis in grid.items():
+        table = RadialTable(np.array(column_xis), p)
+        for col, xi in enumerate(column_xis):
+            w, u = oracle_radial_series(xi, p)
+            assert sorted(table.u) == sorted(u)
+            pairs = [(table.w[:, col], w)] + [(table.u[m][:, col], u[m]) for m in u]
+            for got, want in pairs:
+                assert got.shape == want.shape, (p, xi)
+                big = want > 1e-290
+                np.testing.assert_allclose(
+                    got[big], want[big], rtol=1e-11, atol=0.0, err_msg=f"p = {p}, xi = {xi}"
+                )
 
 
 def _bits(a):
@@ -160,39 +155,17 @@ def _bits(a):
 
 @pytest.mark.parametrize("p", [23, 104])
 def test_layerwise_radial_and_signature_bitwise_equal_loops(p):
-    # the one-array-step-per-layer recurrence and the one-layer-per-|m|
-    # signature fill repeat the frozen per-row and per-(n, m) loops' exact
-    # arithmetic, so they must agree bit for bit
+    # the one-layer-per-|m| signature fill repeats the frozen per-(n, m)
+    # loop's exact arithmetic on the same radial table, so the two must
+    # agree bit for bit
     rng = np.random.default_rng(p)
     xis = np.sort(rng.uniform(0.3, 0.99, 64))
-    t = RadialTable(xis, p)
-    args = (t.xis, t.k_elliptic, t.e_elliptic, t.v, t.layer_n)
-    got, want = _u_recurrence(*args), oracle_u_layers_loop(*args)
-    kept = ~t.u_from_series
-    assert set(got) == set(want) == set(range(p - 1))
-    for m in want:
-        assert np.array_equal(_bits(got[m]), _bits(want[m])), m
-        assert np.array_equal(_bits(t.u[m][:, kept]), _bits(want[m][:, kept])), m
     phi = rng.uniform(-math.pi, math.pi, xis.size)
     pts = np.stack([xis * np.cos(phi), xis * np.sin(phi), np.zeros(xis.size)], axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationAccuracyWarning)
-        constants = build_spectral_constants(p)
+    constants = build_spectral_constants(p)
     want_sig = oracle_signature_ground_loop(pts, constants, p)
     assert np.array_equal(_bits(_signature_ground_batch(pts, constants, p)), _bits(want_sig))
     assert np.array_equal(_bits(source_signature_batch(pts, constants)), _bits(want_sig))
-
-
-def test_w_check_rows_match_full_series():
-    # the recurrence check reads only the top row of the positive-term
-    # series; built alone (or any tail of rows) it must agree with the
-    # same rows of the full table
-    xis = np.array([0.05, 0.3, 0.6, 0.9, 0.97])
-    for m_min, m_max in [(1, 1), (7, 7), (40, 40), (5, 12), (0, 9)]:
-        part = _w_series(xis, m_max, m_min=m_min)
-        full = _w_series(xis, m_max)
-        assert part.shape == (m_max - m_min + 1, xis.size)
-        np.testing.assert_allclose(part, full[m_min:], rtol=1e-13, atol=0.0)
 
 
 def test_quadrature_error_on_singular_source():
@@ -209,9 +182,12 @@ def test_appendix_integration_by_parts_identity():
     # two representations of the same boundary moment, evaluated from the
     # stored table: I = u_n^m + xi^2 u_{n+2}^m - xi (u_{n+1}^{m-1} + u_{n+1}^{m+1})
     # must equal (v_m - xi^2 u_{n+2}^m + xi/2 (u_{n+1}^{m-1} + u_{n+1}^{m+1}))/(n+1)
+    # with v_m = (1 + xi^2) w_m - xi (w_{m+1} + w_{m-1})
     for xi in (0.4, 0.85):
-        t = radial_table(xi, 10)
+        t = radial_table(xi, 14)
+        w = t.w[:, 0]
         for m in range(1, 6):
+            vm = (1.0 + xi * xi) * w[m] - xi * (w[m + 1] + w[m - 1])
             for n in range(m + 1, 12):
                 if (n + m) % 2 == 0:
                     continue
@@ -219,7 +195,6 @@ def test_appendix_integration_by_parts_identity():
                 up2 = t.u_value(n + 2, m)[0]
                 um_minus = t.u_value(n + 1, m - 1)[0]
                 um_plus = t.u_value(n + 1, m + 1)[0]
-                vm = float(t.v[m, 0])
                 lhs = um + xi * xi * up2 - xi * (um_minus + um_plus)
                 rhs = (vm - xi * xi * up2 + 0.5 * xi * (um_minus + um_plus)) / (n + 1.0)
                 scale = max(abs(um), abs(vm), 1e-30)

@@ -60,3 +60,41 @@ def test_all_names_exist(path):
     module = importlib.import_module(f"groundbem.{path.stem}".removesuffix(".__init__"))
     missing = [n for n in _all_names(ast.parse(path.read_text())) if not hasattr(module, n)]
     assert not missing, f"{path.name}: __all__ names not defined: {missing}"
+
+
+def _module_private_names(tree):
+    """Private names a module binds at top level: functions, classes and
+    assigned constants starting with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def _references(tree):
+    """Every name a module reads: loaded names, attribute names and the
+    names it imports from other modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_dead_private_names():
+    # a module-level private name that nothing in the package reads is
+    # leftover code (a helper whose caller was removed)
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    read = {name for tree in trees.values() for name in _references(tree)}
+    dead = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _module_private_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert not dead, f"unreferenced private names: {dead}"
