@@ -573,7 +573,8 @@ def measure_cost_curve(
     """Wall-clock cost of the factored kernel over the extension ratio at
     fixed prescribed accuracy.  Plane-source counts scale with the ring
     area at fixed surface density, mirroring how a solver would mesh the
-    extension; each timing is the best of ``repeats`` runs."""
+    extension.  Each run signs all sources in one batch, as assembly
+    does; each timing is the best of ``repeats`` runs."""
     ratios = np.asarray(sorted(ratios), dtype=float)
     rng = np.random.default_rng(seed)
     density = n_sources / (2.0 * math.pi)
@@ -588,14 +589,12 @@ def measure_cost_curve(
         for _ in range(repeats):
             t0 = time.perf_counter()
             constants = build_spectral_constants(p)
-            sig = source_signature_batch(sources / ratio, constants)
             rr = np.sqrt(rng.uniform(1.0, ratio * ratio * 0.998, n_ext))
             ph = rng.uniform(0.0, 2.0 * math.pi, n_ext)
             ring = np.stack([rr * np.cos(ph), rr * np.sin(ph), np.zeros(n_ext)], axis=1)
-            sig_ring = source_signature_batch(ring / ratio, constants)
+            sig = source_signature_batch(np.vstack([sources, ring]) / ratio, constants)
             rec = solid_harmonics_batch(receivers / ratio, p) / ratio
             _ = rec @ sig.T
-            _ = rec @ sig_ring.T
             best = min(best, time.perf_counter() - t0)
         secs[i] = best
     return CostCurve(

@@ -100,28 +100,30 @@ def _cyl(pt):
 
 # Each recurrence runs in the direction in which its unwanted solution
 # decays (Gautschi, SIAM Rev. 9, 1967), chosen per column from its xi.
-# Next to w_m ~ xi^m the recurrence in m has a solution ~ xi^-m, so a
-# forward run amplifies errors by xi^(-2 m_top): forward where
-# 2 m_top ln(1/xi) <= _W_FORWARD, elsewhere Miller's backward algorithm
-# from _W_START / ln(1/xi) steps above the table.  Each u layer's
-# recurrence in n has a homogeneous solution ~ xi^-n: forward where
-# 2 (p - 1) ln(1/xi) <= _U_FORWARD, elsewhere backward from _U_START /
-# ln(1/xi) two-degree steps above the table.  The start errors decay by
-# exp(-72) and exp(-36).
+# The w recurrence in m has a solution ~ xi^-m next to w_m ~ xi^m: forward
+# where 2 m_top ln(1/xi) <= _W_FORWARD, elsewhere Miller's algorithm from
+# _W_START / ln(1/xi) steps above the table.  Each u layer's recurrence in n
+# has a solution ~ xi^-n: forward where 2 (p - 1) ln(1/xi) <= _U_FORWARD,
+# elsewhere backward from _U_START / ln(1/xi) two-degree steps above the
+# table.  The start errors, about 1e-4 and 1e-2, decay by exp(-24) and
+# exp(-36), below double rounding.
 _W_FORWARD = 1.0
-_W_START = 36.0
+_W_START = 12.0
 _U_FORWARD = 6.0
 _U_START = 18.0
+_U_BLOCK = 1 << 19  # entries per array in one block of the u start sums
 
 
-def _w_columns(xis, kk, ee, m_top):
+def _w_columns(xis, m_top):
     """w_m for m = 0..m_top, one column per xi.
 
     Forward from w_0 = 4K and w_1 = 4(K - E)/xi where the forward error
     stays small; elsewhere the ratios r_m = w_m / w_(m-1) come from
     r_(m-1) = (2m - 3) / ((2m - 2)(1 + xi^2)/xi - (2m - 1) r_m), run down
-    from r = 0, and w_m = 4K r_1 ... r_m.
+    from the large-m form r_N = xi (2N - 1)/(2N) (1 + xi^2/(4 (1 - xi^2) N^2))
+    at each column's own start N, and w_m = 4K r_1 ... r_m.
     """
+    kk, ee = _elliptic_ke_arrays(xis * xis)
     w = np.empty((m_top + 1, xis.size))
     w[0] = 4.0 * kk
     log_inv = -np.log(xis)
@@ -137,19 +139,28 @@ def _w_columns(xis, kk, ee, m_top):
                       - (2.0 * m - 3.0) * sub[m - 2]) / (2.0 * m - 1.0)
         w[:, fwd] = sub
     if not np.all(fwd):
-        # Columns enter the run at their own top, largest first, each
-        # from r = 0: the same steps as it would take alone.
+        # Columns enter the run at their own start, largest first, so each
+        # takes the same steps as it would alone.
         back = np.flatnonzero(~fwd)
-        top = m_top + np.ceil(_W_START / log_inv[back]).astype(int)
-        order = np.argsort(-top, kind="stable")
-        back, top = back[order], top[order]
+        start = m_top + np.ceil(_W_START / log_inv[back])
+        order = np.argsort(-start, kind="stable")
+        back, start = back[order], start[order]
+        steps = np.arange(int(start[0]), 1, -1)
+        running = np.searchsorted(-start, -steps, side="right")
         x = xis[back]
-        c = (1.0 + x * x) / x
-        steps = np.arange(int(top[0]), 1, -1)
-        running = np.searchsorted(-top, -steps, side="right")
+        x2 = x * x
+        c = (1.0 + x2) / x
+        r = x * (2.0 * start - 1.0) / (2.0 * start) * (1.0 + x2 / (4.0 * (1.0 - x2) * start**2))
         ratios = np.empty((m_top, back.size))
-        r = np.zeros(back.size)
-        for m, k in zip(steps, running):
+        # while the first column runs alone, plain floats beat 1-entry arrays
+        solo = int(np.count_nonzero(running == 1))
+        r0, c0 = float(r[0]), float(c[0])
+        for m in steps[:solo].tolist():
+            r0 = (2.0 * m - 3.0) / ((2.0 * m - 2.0) * c0 - (2.0 * m - 1.0) * r0)
+            if m <= m_top + 1:
+                ratios[m - 2, 0] = r0
+        r[0] = r0
+        for m, k in zip(steps[solo:].tolist(), running[solo:].tolist()):
             r[:k] = (2.0 * m - 3.0) / ((2.0 * m - 2.0) * c[:k] - (2.0 * m - 1.0) * r[:k])
             if m <= m_top + 1:
                 ratios[m - 2] = r
@@ -158,9 +169,8 @@ def _w_columns(xis, kk, ee, m_top):
 
 
 def _u_layers(xis, w, p):
-    """u_n^m for 0 <= m <= p - 2 and the degrees n = m + 1, m + 3, ... < p,
-    stacked layer after layer in one (rows, len(xis)) array; returns it with
-    each layer's first row.
+    """u_n^m for 0 <= m <= p - 2 and the degrees n = m + 1, m + 3, ... < p:
+    one (degrees, len(xis)) array per layer m, views of one stacked array.
 
     Per layer, two integrations by parts of u_n^m = int_0^1 t^n w_m(xi t) dt
     give the first-order recurrence in steps of two degrees
@@ -169,63 +179,66 @@ def _u_layers(xis, w, p):
 
     g_m = (2m - 1) xi w_(m-1) - (m + (m - 1) xi^2) w_m (with w_(-1) = w_1)
     and h_m = (1 - xi^2) w_m.  Its coefficient of u_(n-2) vanishes at
-    n = m + 1, which seeds the forward run.  Every layer steps at once; a
-    layer drops out of the sweep at its last stored degree.
+    n = m + 1, which seeds the forward run.  Every layer steps at once.
     """
     xi2 = xis * xis
     m = np.arange(p - 1)
     count = (p - m) // 2
     first = np.concatenate(([0], np.cumsum(count)[:-1]))
     u = np.empty((int(count.sum()), xis.size))
-    w_m = w[: p - 1]
-    w_prev = np.concatenate((w[1:2], w[: p - 2]))
-    g = (2.0 * m[:, None] - 1.0) * xis * w_prev - (m[:, None] + (m[:, None] - 1.0) * xi2) * w_m
-    h = (1.0 - xi2) * w_m
+    # the runs work on (column, layer) arrays, layers as the inner axis
+    w_m = w[: p - 1].T
+    w_prev = np.concatenate((w[1:2], w[: p - 2])).T
+    g = (2.0 * m - 1.0) * xis[:, None] * w_prev - (m + (m - 1.0) * xi2[:, None]) * w_m
+    h = (1.0 - xi2)[:, None] * w_m
     log_inv = -np.log(xis)
     forward = 2.0 * (p - 1) * log_inv <= _U_FORWARD
     fwd, back = np.flatnonzero(forward), np.flatnonzero(~forward)
     msq = (m * m).astype(float)
 
     if fwd.size:
-        g_f, h_f, xi2_f = g[:, fwd], h[:, fwd], xi2[fwd]
-        cur = np.zeros((p - 1, fwd.size))
+        g_f, h_f, xi2_f = g[fwd], h[fwd], xi2[fwd, None]
+        cur = np.zeros((fwd.size, p - 1))
         for k in range(int(count[0])):
             a = min(p - 1, p - 2 * k - 1)
-            n = (m[:a] + 1.0 + 2.0 * k)[:, None]
-            cur = ((n - 1.0) ** 2 - msq[:a, None]) * cur[:a] + g_f[:a] - (n - 1.0) * h_f[:a]
-            cur /= (n * n - msq[:a, None]) * xi2_f
-            u[np.ix_(first[:a] + k, fwd)] = cur
+            n = m[:a] + 1.0 + 2.0 * k
+            cur = ((n - 1.0) ** 2 - msq[:a]) * cur[:, :a] + g_f[:, :a] - (n - 1.0) * h_f[:, :a]
+            cur /= (n * n - msq[:a]) * xi2_f
+            u[(first[:a] + k)[:, None], fwd] = cur.T
 
     if back.size:
-        # As in the w run, columns enter at their own start, largest first.
-        start = np.ceil(_U_START / log_inv[back]).astype(int)
-        order = np.argsort(-start, kind="stable")
-        back, start = back[order], start[order]
-        top = first + count - 1
-        n_top = m + 2 * count - 1
-        g_b, h_b, xi2_b, w_b = g[:, back], h[:, back], xi2[back], w_m[:, back]
-        # position t holds degree n_top + 2t of each layer; t <= 0 is stored
-        steps = np.arange(int(start[0]), -int(count[0]), -1)
-        running = np.searchsorted(-start, -steps, side="right")
-        cur = np.empty((p - 1, back.size))
-        k_prev = 0
-        for t, k in zip(steps, running):
-            a = min(p - 1, p + 2 * t - 1)
-            if k_prev:
-                # step the running columns from degree n down to n - 2
-                n = (n_top[:a] + 2.0 * t + 2.0)[:, None]
-                run = cur[:a, :k_prev]
-                run *= (n * n - msq[:a, None]) * xi2_b[:k_prev]
-                run -= g_b[:a, :k_prev]
-                run += (n - 1.0) * h_b[:a, :k_prev]
-                run /= (n - 1.0) ** 2 - msq[:a, None]
-            if k > k_prev:
-                n = (n_top + 2.0 * t)[:, None]
-                cur[:, k_prev:k] = w_b[:, k_prev:k] / (n + m[:, None] + 1.0)
-            if t <= 0:
-                u[np.ix_(top[:a] + t, back)] = cur[:a]
-            k_prev = k
-    return u, first
+        # Each layer starts L = ceil(_U_START / ln(1/xi)) two-degree steps
+        # above its top stored degree, from w_m / (n + m + 1).  Down to there
+        # the run u_(n-2) = a_n u_n + b_n sums to sum_s (a_1 ... a_(s-1)) b_s
+        # + (a_1 ... a_L) u_start, formed for a block of columns at a time.
+        n_top, top = m + 2 * count - 1, first + count - 1
+        lead = np.ceil(_U_START / log_inv[back]).astype(int)
+        order = np.argsort(-lead, kind="stable")
+        back, lead = back[order], lead[order]
+        g_b, h_b, xi2_b = g[back], h[back], xi2[back, None]
+        cur = np.empty((back.size, p - 1))
+        i0 = 0
+        while i0 < back.size:
+            cols = slice(i0, i0 + max(1, _U_BLOCK // (int(lead[i0]) * (p - 1))))
+            s = np.arange(1, lead[i0] + 1)[:, None, None]
+            n = n_top + 2.0 * s
+            gamma = (n - 1.0) ** 2 - msq
+            a_s = (n * n - msq) * xi2_b[cols] / gamma
+            b_s = ((n - 1.0) * h_b[cols] - g_b[cols]) / gamma * (s <= lead[cols, None])
+            prod = np.cumprod(a_s, axis=0)
+            start = w_m[back[cols]] / (n_top + 2.0 * lead[cols, None] + m + 1.0)
+            cur[cols] = (b_s[0] + np.sum(prod[:-1] * b_s[1:], axis=0)
+                         + prod[lead[cols] - 1, np.arange(start.shape[0])] * start)
+            i0 = cols.stop
+        u[top[:, None], back] = cur.T
+        # the stored degrees; a layer drops out at its last one
+        for t in range(-1, -int(count[0]), -1):
+            a = p + 2 * t - 1
+            n = n_top[:a] + 2.0 * t + 2.0
+            cur = ((n * n - msq[:a]) * xi2_b * cur[:, :a] - g_b[:, :a]
+                   + (n - 1.0) * h_b[:, :a]) / ((n - 1.0) ** 2 - msq[:a])
+            u[(top[:a] + t)[:, None], back] = cur.T
+    return {k: u[first[k] : first[k] + count[k]] for k in range(p - 1)}
 
 
 class RadialTable:
@@ -242,19 +255,16 @@ class RadialTable:
         xis = np.asarray(xis, dtype=float)
         if xis.ndim != 1:
             raise DomainError("xis must be one-dimensional")
-        if np.any(xis <= 0.0) or np.any(xis >= 1.0):
+        if not np.all((xis > 0.0) & (xis < 1.0)):
             raise DomainError("all xi must lie strictly inside (0, 1)")
         p = int(p)
         if p < 2:
             raise DomainError(f"truncation number must be >= 2, got {p}")
         self.xis = xis
         self.p = p
-        self.m_max_u = p - 2
-        kk, ee = _elliptic_ke_arrays(xis * xis)
-        self.w = _w_columns(xis, kk, ee, max(1, p - 2))
-        flat, first = _u_layers(xis, self.w, p)
-        self.layer_n = {m: np.arange(m + 1, p, 2) for m in range(p - 1)}
-        self.u = {m: flat[first[m] : first[m] + n.size] for m, n in self.layer_n.items()}
+        self.w = _w_columns(xis, max(1, p - 2))
+        self.u = _u_layers(xis, self.w, p)
+        self.layer_n = {m: np.arange(m + 1, p, 2) for m in self.u}
 
     @property
     def method(self) -> str:
@@ -269,18 +279,14 @@ class RadialTable:
         if (n + am) % 2 == 0:
             raise DomainError(f"u is tabulated only for odd n + m, got ({n}, {m})")
         k = (n - am - 1) // 2
-        if am > self.m_max_u or k < 0 or k >= self.layer_n[am].size:
+        if am not in self.layer_n or k < 0 or k >= self.layer_n[am].size:
             raise DomainError(f"(n, m) = ({n}, {m}) outside table for p = {self.p}")
         return self.u[am][k]
 
 
 def radial_table(xi: float, p: int) -> RadialTable:
-    """Build the radial tables at a single xi: a one-column
-    :class:`RadialTable`."""
-    xi = float(xi)
-    if not 0.0 < xi < 1.0:
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    return RadialTable(np.array([xi]), p)
+    """One-column :class:`RadialTable` at a single xi."""
+    return RadialTable(np.array([float(xi)]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +466,20 @@ def _phi_integral(fvals_fn, tol):
     grid or the doubling cap is reached without meeting the tolerance
     (happens only when the pair sits on the plane singular set or
     pathologically close to it)."""
+    def rule(theta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = fvals_fn(theta)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("integrand is singular on the integration domain")
+        return vals.mean() * 2.0 * math.pi
+
     n = 32
     theta = np.arange(n) * (2.0 * math.pi / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = fvals_fn(theta)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand is singular on the integration domain")
-    est = vals.mean() * 2.0 * math.pi
+    est = rule(theta)
     delta = math.inf
     while n < (1 << 18):
         shifted = theta + math.pi / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new_vals = fvals_fn(shifted)
-        if not np.all(np.isfinite(new_vals)):
-            raise QuadratureError("integrand is singular on the integration domain")
-        refined = 0.5 * (est + new_vals.mean() * 2.0 * math.pi)
+        refined = 0.5 * (est + rule(shifted))
         delta = abs(refined - est)
         if delta <= tol * (abs(refined) + 1e-300):
             return refined
@@ -529,16 +534,10 @@ def kernel_integral(y, x, config: KernelConfig = KernelConfig()) -> float:
     Valid for |y| < R and |x| < R (the closed-form integrand is smooth
     there); use :func:`kernel_integral_truncated` for points outside.
     """
-    yp = _as_point(y)
-    xp = _as_point(x)
     r = config.scale_radius
-    yt, xt = yp / r, xp / r
-    if np.linalg.norm(yt) >= 1.0 or np.linalg.norm(xt) >= 1.0:
+    if np.linalg.norm(_as_point(y) / r) >= 1.0 or np.linalg.norm(_as_point(x) / r) >= 1.0:
         raise DomainError("kernel_integral requires |y| < R and |x| < R")
-    if yt[2] == 0.0:
-        return 0.0
-    base = _kernel_quadrature(yt, xt, 0.0, config.integral_tolerance)
-    return -yt[2] / (8.0 * math.pi**2) * base / r
+    return kernel_integral_truncated(y, x, math.inf, config)
 
 
 # Default cutoff radius of the truncated integral; the analytic tail beyond
@@ -555,7 +554,7 @@ def kernel_integral_truncated(
     """Truncated kernel integral plus its analytic far-field tail.
 
     Valid for any pair above the plane (and as an oracle for interior
-    pairs).
+    pairs); an infinite ``tail_radius`` integrates the whole plane.
     """
     yp = _as_point(y)
     xp = _as_point(x)

@@ -73,12 +73,14 @@ def _elliptic_ke_arrays(mu):
     # Running sum of 2^(n-1) c_n^2, n = 0 term included up front.
     s = 0.5 * mu.copy()
     pow2 = 1.0
+    # Once c_n <= 1e-9 a_n the next c is below rounding; steps beyond
+    # that only feed 2^n-scaled rounding noise into s.
     for _ in range(60):
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), np.sqrt(a * b)
         s += pow2 * c * c
         pow2 *= 2.0
-        if np.max(np.abs(c)) <= 1e-17 * np.min(a):
+        if np.max(np.abs(c)) <= 1e-9 * np.min(a):
             break
     k = np.pi / (2.0 * a)
     e = k * (1.0 - s)
@@ -176,28 +178,24 @@ def build_spectral_constants(p: int) -> SpectralConstants:
     for nn in range(nmax + 1):
         parity[nn, : nn + 1] = (np.arange(nn + 1) + nn + 1) % 2
 
-    # norm[n, m] by running ratio in m at fixed n.
-    for nn in range(nmax + 1):
-        norm[nn, 0] = math.sqrt((2 * nn + 1) / (4.0 * math.pi))
-        for m in range(1, nn + 1):
-            norm[nn, m] = -norm[nn, m - 1] / math.sqrt((nn + m) * (nn - m + 1))
+    # norm[n, m] by running ratio in m at fixed n, all n at once.
+    norm[:, 0] = np.sqrt((2.0 * n + 1.0) / (4.0 * math.pi))
+    for m in range(1, nmax + 1):
+        nn = n[m:]
+        norm[m:, m] = -norm[m:, m - 1] / np.sqrt((nn + m) * (nn - m + 1.0))
 
     # big_l: diagonal seeds, then a two-term vertical ratio (parity zeros
-    # are kept exact by construction).
+    # are kept exact by construction), all m of one degree at once.
     big_l[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, nmax + 1):
         big_l[m, m] = big_l[m - 1, m - 1] * math.sqrt((2 * m + 1) / (2.0 * m))
-    for m in range(nmax + 1):
-        for nn in range(m + 2, nmax + 1):
-            if (nn + m) % 2 == 1:
-                continue
-            ratio = -math.sqrt(
-                (2 * nn + 1)
-                * (nn - m - 1)
-                * (nn + m - 1)
-                / ((2 * nn - 3) * (nn - m) * (nn + m))
-            )
-            big_l[nn, m] = ratio * big_l[nn - 2, m]
+    for nn in range(2, nmax + 1):
+        mm = np.arange(nn % 2, nn - 1, 2, dtype=float)
+        ratio = -np.sqrt(
+            (2.0 * nn + 1.0) * (nn - mm - 1.0) * (nn + mm - 1.0)
+            / ((2.0 * nn - 3.0) * (nn - mm) * (nn + mm))
+        )
+        big_l[nn, nn % 2 : nn - 1 : 2] = ratio * big_l[nn - 2, nn % 2 : nn - 1 : 2]
 
     # nu: diagonal seeds (-1)^m (2m-1)!!, vertical two-term products.  High
     # corners of the table may overflow to +-inf; every consumer restricts
@@ -207,11 +205,10 @@ def build_spectral_constants(p: int) -> SpectralConstants:
         nu[0, 0] = 1.0
         for m in range(1, nmax + 1):
             nu[m, m] = nu[m - 1, m - 1] * (-(2.0 * m - 1.0))
-        for m in range(nmax + 1):
-            for nn in range(m + 2, nmax + 1):
-                if (nn + m) % 2 == 1:
-                    continue
-                nu[nn, m] = -(nn - m - 1.0) * (nn + m - 1.0) * nu[nn - 2, m]
+        for nn in range(2, nmax + 1):
+            mm = np.arange(nn % 2, nn - 1, 2, dtype=float)
+            cols = slice(nn % 2, nn - 1, 2)
+            nu[nn, cols] = -(nn - mm - 1.0) * (nn + mm - 1.0) * nu[nn - 2, cols]
 
     return SpectralConstants(p=p, a=a, big_l=big_l, parity=parity, nu=nu, norm=norm)
 

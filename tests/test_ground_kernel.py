@@ -123,9 +123,27 @@ def test_u_parity_lookup_rejected():
 
 
 def test_radial_domain_errors():
-    for bad in (-0.5, 0.0, 1.0, 1.2):
+    for bad in (-0.5, 0.0, 1.0, 1.2, math.nan):
         with pytest.raises(DomainError):
             radial_table(bad, 6)
+    with pytest.raises(DomainError):
+        RadialTable(np.array([0.5, math.nan]), 6)
+
+
+@pytest.mark.parametrize("p", [8, 23, 104])
+def test_radial_table_columns_independent_of_batch(p):
+    # each column runs its own steps whatever else is in the batch: a
+    # batch (several column blocks of the u start sums at p = 104, columns
+    # next to both forward thresholds) equals its one-column tables bit
+    # for bit
+    edges = [math.exp(-f * t / (2.0 * (p - 1))) for t in (1.0, 6.0) for f in (0.98, 1.02)]
+    xis = np.concatenate((np.linspace(0.02, 0.999, 37), edges))
+    batch = RadialTable(xis, p)
+    for col, xi in enumerate(xis):
+        alone = radial_table(xi, p)
+        assert np.array_equal(_bits(batch.w[:, col]), _bits(alone.w[:, 0]))
+        for m in batch.u:
+            assert np.array_equal(_bits(batch.u[m][:, col]), _bits(alone.u[m][:, 0]))
 
 
 def test_radial_table_matches_series_oracle():
