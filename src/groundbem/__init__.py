@@ -9,12 +9,10 @@ from .errors import (
     SolveError,
 )
 from .harmonics import (
-    EllipticPair,
-    SolidHarmonicTable,
     SpectralConstants,
     build_spectral_constants,
     elliptic_ke,
-    solid_harmonics,
+    solid_harmonics_batch,
 )
 from .ground_kernel import (
     KernelConfig,

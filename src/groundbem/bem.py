@@ -41,7 +41,6 @@ __all__ = [
     "set_boundary_potential",
     "solve",
     "apply_ground_kernel",
-    "ground_kernel_matrix",
     "evaluate_field",
     "export_field_csv",
     "export_field_json",
@@ -235,7 +234,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
     constants = build_spectral_constants(p)
     active = _active_indices(p)
     if config.use_ground_kernel:
-        cap = interior_inner_cap(constants, p)
+        cap = interior_inner_cap(constants)
         if cap < 2 * p - 3:
             tail = (domain.r0 / domain.re) ** cap
             if tail > 0.1 * config.prescribed_eps:
@@ -316,20 +315,6 @@ def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     return system.free_matrix @ vec + apply_ground_kernel(system, vec)
 
 
-def ground_kernel_matrix(system: BemSystem) -> np.ndarray:
-    """Densified kernel matrix w_j K(y_i, x_j; re): the single-source
-    signature of every panel, contracted with the receiver harmonics over
-    all p^2 columns.  O(N^2) storage; diagnostics and small-system tests
-    only."""
-    mesh = system.mesh
-    re = system.domain.re
-    yt = mesh.centroids / re
-    if np.any(np.linalg.norm(yt, axis=1) >= 1.0):
-        raise DomainError("ground_kernel_matrix requires every centroid inside re")
-    sigs = np.stack([source_signature(x, system.constants).coeffs for x in yt])
-    return solid_harmonics_batch(yt, system.config.p) @ sigs.T * mesh.areas[None, :] / re
-
-
 # Relative residual the lgmres iteration aims for, and that every
 # solution must meet.
 _SOLVE_RTOL = 1e-10
@@ -405,16 +390,19 @@ class FieldGrid:
 
 
 def _below_ground_flags(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
+    """Points under the plane, inside a bump or under a dip's bowl, the
+    feature being a hemisphere of radius ``mesh.feature_radius``."""
     flags = points[:, 2] < -1e-12
     on_surface = mesh.tags == SURFACE
     if np.any(on_surface):
+        r2 = mesh.feature_radius ** 2
         bump = mesh.centroids[on_surface][:, 2].mean() > 0.0
         rho2 = points[:, 0] ** 2 + points[:, 1] ** 2
         if bump:
-            flags = flags | (rho2 + points[:, 2] ** 2 < 1.0)
+            flags = flags | (rho2 + points[:, 2] ** 2 < r2)
         else:
-            inside = rho2 < 1.0
-            zsurf = -np.sqrt(np.maximum(0.0, 1.0 - rho2))
+            inside = rho2 < r2
+            zsurf = -np.sqrt(np.maximum(0.0, r2 - rho2))
             flags = np.where(inside, points[:, 2] < zsurf, flags)
     return flags
 

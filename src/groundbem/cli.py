@@ -250,9 +250,7 @@ def _cmd_solve(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"--field expects nr,nth, got {args.field!r}") from exc
         stand = 2.0 * mesh.mean_diameter
-        pts = xp._half_disc_grid(
-            1.0 if np.any(mesh.tags == 0) else stand, domain.r0, stand, nr, nth
-        )
+        pts = xp._half_disc_grid(mesh.feature_radius or stand, domain.r0, stand, nr, nth)
         grid = evaluate_field(system, pts, source=source)
         export_field_csv(grid, prefix + "_field.csv")
         export_field_json(grid, prefix + "_field.json")

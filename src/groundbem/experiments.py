@@ -24,7 +24,7 @@ from .bem import (
     set_point_source_rhs,
     solve,
 )
-from .errors import DomainError
+from .errors import DomainError, GroundBemError
 from .ground_kernel import (
     KernelConfig,
     kernel_integral,
@@ -309,7 +309,7 @@ def accuracy_map(
             for b, x in enumerate(sources):
                 try:
                     ref[a, b] = kernel_integral(y, x, cfg)
-                except Exception as exc:  # record, keep the cell usable
+                except GroundBemError as exc:  # record, keep the cell usable
                     failures.append({"ratio": float(ratio), "pair": (a, b), "error": str(exc)})
                     ref[a, b] = np.nan
         ok = np.isfinite(ref)

@@ -9,9 +9,9 @@ hole of radius ``R``):
   adaptive quadrature (periodic trapezoid rule inside, Gauss-Kronrod
   outside), and
 * a factored series over real solid harmonics, whose source-side factor
-  is either an inner harmonic series (general interior sources) or a
-  closed recurrence form built from complete elliptic integrals (sources
-  on the plane itself).
+  is either an inner harmonic series (general interior sources) or, for
+  sources on the plane itself, radial functions run by recurrences seeded
+  with complete elliptic integrals.
 
 The Neumann kernel is obtained from the Dirichlet one by the exact swap
 ``KN(y, x) = -K(x, y)``.
@@ -31,8 +31,8 @@ from scipy import integrate
 from .errors import DomainError, QuadratureError
 from .harmonics import (
     SpectralConstants,
-    _elliptic_ke_arrays,
     build_spectral_constants,
+    elliptic_ke,
     sh_index,
     sh_size,
     solid_harmonics_batch,
@@ -123,7 +123,7 @@ def _w_columns(xis, m_top):
     from the large-m form r_N = xi (2N - 1)/(2N) (1 + xi^2/(4 (1 - xi^2) N^2))
     at each column's own start N, and w_m = 4K r_1 ... r_m.
     """
-    kk, ee = _elliptic_ke_arrays(xis * xis)
+    kk, ee = elliptic_ke(xis * xis)
     w = np.empty((m_top + 1, xis.size))
     w[0] = 4.0 * kk
     log_inv = -np.log(xis)
@@ -317,7 +317,7 @@ class SourceSignature:
 _PLANE_TOL = 1e-13
 
 
-def _interior_coupling(constants: SpectralConstants, p: int):
+def _interior_coupling(constants: SpectralConstants):
     """Per-|m| pieces of the inner harmonic series.
 
     The series is evaluated as (nu-scaled source harmonics) @ M_m with
@@ -331,6 +331,7 @@ def _interior_coupling(constants: SpectralConstants, p: int):
     Returns per m: (receiver degrees, source degrees, nu column scale,
     coupling matrix).
     """
+    p = constants.p
     out = {}
     for m in range(p):
         rows = np.arange(m, p)
@@ -349,12 +350,12 @@ def _interior_coupling(constants: SpectralConstants, p: int):
     return out
 
 
-def interior_inner_cap(constants: SpectralConstants, p: int) -> int:
+def interior_inner_cap(constants: SpectralConstants) -> int:
     """Smallest inner-series source degree retained across all m (the
     float64-overflow cap of :func:`_interior_coupling`); the inner
     truncation error behaves like |x|^cap."""
-    coupling = _interior_coupling(constants, p).values()
-    return min((int(cols[-1]) for _, cols, _, _ in coupling if cols.size), default=2 * p - 3)
+    caps = [int(cols[-1]) for _, cols, _, _ in _interior_coupling(constants).values() if cols.size]
+    return min(caps, default=2 * constants.p - 3)
 
 
 # Sources per block of the interior signatures: the degree-(2p - 2)
@@ -363,14 +364,15 @@ def interior_inner_cap(constants: SpectralConstants, p: int) -> int:
 _INTERIOR_BLOCK = 128
 
 
-def _signature_interior_batch(points, constants, p):
+def _signature_interior_batch(points, constants):
     """Inner-series signatures for general interior sources, summed to the
     n' <= 2p - 3 cap (the terms beyond are negligible at the radii where
     this branch is dispatched).  The source harmonics are built one block
     of sources at a time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    p = constants.p
     terms = []
-    for m, (rows, cols, nu_cols, cmat) in _interior_coupling(constants, p).items():
+    for m, (rows, cols, nu_cols, cmat) in _interior_coupling(constants).items():
         if rows.size and cols.size:
             for sm in ((m,) if m == 0 else (m, -m)):
                 terms.append((sh_index(rows, sm), sh_index(cols, sm), nu_cols, cmat.T))
@@ -383,11 +385,12 @@ def _signature_interior_batch(points, constants, p):
     return coeffs
 
 
-def _signature_ground_batch(points, constants, p):
+def _signature_ground_batch(points, constants):
     """Signatures for sources on the plane via the radial recurrences, one
     |m| at a time: the degrees n = m + 1, m + 3, ... < p read radial
     layer m."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    p = constants.p
     rho = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     table = RadialTable(rho, p)
@@ -402,35 +405,29 @@ def _signature_ground_batch(points, constants, p):
     return coeffs
 
 
-def source_signature(
-    x,
-    constants: SpectralConstants,
-    *,
-    method: str = "auto",
-) -> SourceSignature:
-    """Coefficient vector of the factored kernel for one source point.
+def _signatures(pts, constants: SpectralConstants) -> np.ndarray:
+    """Signature rows of the dimensionless sources ``pts`` (N, 3): plane
+    points (z = 0, off the axis) through the radial recurrences, the rest
+    through the inner harmonic series, in input order."""
+    r = np.linalg.norm(pts, axis=1)
+    if np.any(r >= 1.0):
+        raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
+    coeffs = np.zeros((pts.shape[0], sh_size(constants.p)))
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    on_plane = (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
+    if np.any(on_plane):
+        coeffs[on_plane] = _signature_ground_batch(pts[on_plane], constants)
+    if np.any(~on_plane):
+        coeffs[~on_plane] = _signature_interior_batch(pts[~on_plane], constants)
+    return coeffs
 
-    ``x`` is dimensionless with |x| < 1.  ``method`` selects the branch:
-    ``auto`` uses the plane recurrences (``ground``) when z = 0 and the
-    inner harmonic series (``interior``) otherwise.
-    """
+
+def source_signature(x, constants: SpectralConstants) -> SourceSignature:
+    """Coefficient vector of the factored kernel for one dimensionless
+    source point with |x| < 1; see :func:`source_signature_batch`."""
     pt = _as_point(x)
-    p = constants.p
-    r = float(np.linalg.norm(pt))
-    if r >= 1.0:
-        raise DomainError(f"|x| = {r} >= 1: the source series diverges")
-    on_plane = abs(pt[2]) <= _PLANE_TOL * max(1.0, r)
-    if method == "auto":
-        method = "ground" if (on_plane and math.hypot(pt[0], pt[1]) > 0.0) else "interior"
-    if method == "ground":
-        if not on_plane:
-            raise DomainError("ground branch requires z = 0")
-        coeffs = _signature_ground_batch(pt[None, :], constants, p)[0]
-    elif method == "interior":
-        coeffs = _signature_interior_batch(pt[None, :], constants, p)[0]
-    else:
-        raise DomainError(f"unknown signature method {method!r}")
-    return SourceSignature(source=pt, p=p, coeffs=coeffs)
+    coeffs = _signatures(pt[None, :], constants)[0]
+    return SourceSignature(source=pt, p=constants.p, coeffs=coeffs)
 
 
 def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
@@ -439,19 +436,7 @@ def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
     Plane points (z = 0) go through the radial recurrences, the rest
     through the inner harmonic series; rows are returned in input order.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r >= 1.0):
-        raise DomainError("all sources must satisfy |x| < 1")
-    p = constants.p
-    coeffs = np.zeros((pts.shape[0], sh_size(p)))
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    on_plane = (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
-    if np.any(on_plane):
-        coeffs[on_plane] = _signature_ground_batch(pts[on_plane], constants, p)
-    if np.any(~on_plane):
-        coeffs[~on_plane] = _signature_interior_batch(pts[~on_plane], constants, p)
-    return coeffs
+    return _signatures(np.atleast_2d(np.asarray(points, dtype=float)), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +583,6 @@ def kernel_value(
     x,
     config: KernelConfig = KernelConfig(),
     path: str = "auto",
-    constants: SpectralConstants | None = None,
 ) -> float:
     """K(y, x; R) by the requested path (``series``, ``integral`` or
     ``auto``: series where both scaled radii are at most 0.95, quadrature
@@ -613,9 +597,7 @@ def kernel_value(
     if path == "series":
         if max(ry, rx) >= 1.0:
             raise DomainError("series path requires |y| < R and |x| < R")
-        if constants is None:
-            constants = build_spectral_constants(config.p)
-        sig = source_signature(xp / r, constants)
+        sig = source_signature(xp / r, build_spectral_constants(config.p))
         return kernel_series(yp, sig, config)
     if path == "integral":
         if max(ry, rx) < 1.0:
@@ -629,7 +611,6 @@ def kernel_neumann(
     x,
     config: KernelConfig = KernelConfig(),
     path: str = "auto",
-    constants: SpectralConstants | None = None,
 ) -> float:
     """Neumann kernel via the exact swap KN(y, x) = -K(x, y)."""
-    return -kernel_value(x, y, config, path=path, constants=constants)
+    return -kernel_value(x, y, config, path=path)

@@ -1,5 +1,6 @@
-"""Special-function substrate: complete elliptic integrals, Legendre-derived
-constant tables, and recursively evaluated real solid harmonics.
+"""Special-function substrate: complete elliptic integrals, the ``nu``
+constant table of the factored kernel, and recursively evaluated real
+solid harmonics.
 
 Conventions used throughout the package:
 
@@ -14,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,13 +23,10 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "EllipticPair",
     "SpectralConstants",
-    "SolidHarmonicTable",
     "TruncationAccuracyWarning",
     "elliptic_ke",
     "build_spectral_constants",
-    "solid_harmonics",
     "solid_harmonics_batch",
     "sh_index",
     "sh_size",
@@ -54,19 +51,13 @@ class TruncationAccuracyWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllipticPair:
-    """Values K(mu), E(mu) of the complete elliptic integrals (parameter
-    convention) at a common parameter."""
-
-    k_value: float
-    e_value: float
-    parameter: float
-
-
-def _elliptic_ke_arrays(mu):
-    """Vectorized AGM evaluation of (K, E) for parameters in [0, 1)."""
+def elliptic_ke(mu):
+    """Complete elliptic integrals ``(K, E)`` at ``mu`` in [0, 1), a scalar
+    or an array, by arithmetic-geometric-mean iteration; both are accurate
+    to a few ulp away from the logarithmic blow-up of K at ``mu -> 1``."""
     mu = np.asarray(mu, dtype=float)
+    if not np.all((mu >= 0.0) & (mu < 1.0)):
+        raise DomainError(f"elliptic parameter must lie in [0, 1), got {mu}")
     a = np.ones_like(mu)
     b = np.sqrt(1.0 - mu)
     c = np.sqrt(mu)
@@ -87,64 +78,29 @@ def _elliptic_ke_arrays(mu):
     return k, e
 
 
-def elliptic_ke(parameter: float) -> EllipticPair:
-    """Complete elliptic integrals K and E at ``parameter`` in [0, 1).
-
-    Uses arithmetic-geometric-mean iteration; both values are accurate to a
-    relative error of a few ulp away from the logarithmic blow-up of K at
-    ``parameter -> 1``.
-    """
-    mu = float(parameter)
-    if not 0.0 <= mu < 1.0:
-        raise DomainError(f"elliptic parameter must lie in [0, 1), got {mu!r}")
-    k, e = _elliptic_ke_arrays(mu)
-    return EllipticPair(k_value=float(k), e_value=float(e), parameter=mu)
-
-
 # ---------------------------------------------------------------------------
-# Spectral constant tables
+# Spectral constant table
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SpectralConstants:
-    """Constant tables indexed ``[n, m]`` with ``m >= 0`` (all entries are
-    even in the sign of m).
+    """Constant table of the factored kernel for truncation number ``p``.
 
-    Tables are filled for ``0 <= m <= n <= 2p - 2``; one extra band beyond
-    the kernel truncation because the inner series of interior sources
-    consumes source degrees up to ``2p - 3``.
-
-    Fields
-    ------
-    p:      truncation number the table was built for.
-    a:      z-derivative coupling coefficients (zero for n < m).
-    big_l:  values of the orthonormal spherical harmonics on the equator,
-            zero whenever n + m is odd.
-    parity: 1 where n + m is even, else 0.
-    nu:     signed double-factorial products pairing with the real basis,
-            zero whenever n + m is odd.
-    norm:   orthonormal harmonic normalization factors.
+    ``nu[n, m]`` (m >= 0; even in the sign of m) is the signed
+    double-factorial product ``(-1)^((n+m)/2) (n-m-1)!! (n+m-1)!!`` pairing
+    with the real basis, zero where n + m is odd or m > n.  It is filled
+    for ``n, m <= 2p - 2``: the inner series of interior sources consumes
+    source degrees up to ``2p - 3``.
     """
 
     p: int
-    a: np.ndarray
-    big_l: np.ndarray
-    parity: np.ndarray
     nu: np.ndarray
-    norm: np.ndarray
-
-    @property
-    def nmax(self) -> int:
-        return self.a.shape[0] - 1
 
 
 def build_spectral_constants(p: int) -> SpectralConstants:
-    """Build all constant tables needed for truncation number ``p``.
-
-    Every table is produced by stable running products / two-term ratio
-    recurrences; no factorial of a large argument is ever formed.
-    """
+    """Build the ``nu`` table for truncation number ``p`` by running
+    products; no factorial of a large argument is ever formed."""
     p = int(p)
     if p < 1:
         raise DomainError(f"truncation number must be >= 1, got {p}")
@@ -160,57 +116,22 @@ def build_spectral_constants(p: int) -> SpectralConstants:
             stacklevel=2,
         )
 
-    nmax = max(2 * p - 2, 1)
-    shape = (nmax + 1, nmax + 1)
-    a = np.zeros(shape)
-    big_l = np.zeros(shape)
-    parity = np.zeros(shape, dtype=np.int64)
-    nu = np.zeros(shape)
-    norm = np.zeros(shape)
-
-    n = np.arange(nmax + 1, dtype=float)
-    for m in range(nmax + 1):
-        nn = n[m:]
-        a[m:, m] = np.sqrt(
-            (nn + 1.0 + m) * (nn + 1.0 - m) / ((2.0 * nn + 1.0) * (2.0 * nn + 3.0))
-        )
-
-    for nn in range(nmax + 1):
-        parity[nn, : nn + 1] = (np.arange(nn + 1) + nn + 1) % 2
-
-    # norm[n, m] by running ratio in m at fixed n, all n at once.
-    norm[:, 0] = np.sqrt((2.0 * n + 1.0) / (4.0 * math.pi))
-    for m in range(1, nmax + 1):
-        nn = n[m:]
-        norm[m:, m] = -norm[m:, m - 1] / np.sqrt((nn + m) * (nn - m + 1.0))
-
-    # big_l: diagonal seeds, then a two-term vertical ratio (parity zeros
-    # are kept exact by construction), all m of one degree at once.
-    big_l[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
-    for m in range(1, nmax + 1):
-        big_l[m, m] = big_l[m - 1, m - 1] * math.sqrt((2 * m + 1) / (2.0 * m))
-    for nn in range(2, nmax + 1):
-        mm = np.arange(nn % 2, nn - 1, 2, dtype=float)
-        ratio = -np.sqrt(
-            (2.0 * nn + 1.0) * (nn - mm - 1.0) * (nn + mm - 1.0)
-            / ((2.0 * nn - 3.0) * (nn - mm) * (nn + mm))
-        )
-        big_l[nn, nn % 2 : nn - 1 : 2] = ratio * big_l[nn - 2, nn % 2 : nn - 1 : 2]
-
-    # nu: diagonal seeds (-1)^m (2m-1)!!, vertical two-term products.  High
+    top = max(2 * p - 2, 1)
+    nu = np.zeros((top + 1, top + 1))
+    # Diagonal seeds (-1)^m (2m-1)!!, vertical two-term products.  High
     # corners of the table may overflow to +-inf; every consumer restricts
     # itself to the finite region (the overflowing entries pair with series
     # terms far below double precision).
     with np.errstate(over="ignore"):
         nu[0, 0] = 1.0
-        for m in range(1, nmax + 1):
+        for m in range(1, top + 1):
             nu[m, m] = nu[m - 1, m - 1] * (-(2.0 * m - 1.0))
-        for nn in range(2, nmax + 1):
+        for nn in range(2, top + 1):
             mm = np.arange(nn % 2, nn - 1, 2, dtype=float)
             cols = slice(nn % 2, nn - 1, 2)
             nu[nn, cols] = -(nn - mm - 1.0) * (nn + mm - 1.0) * nu[nn - 2, cols]
 
-    return SpectralConstants(p=p, a=a, big_l=big_l, parity=parity, nu=nu, norm=norm)
+    return SpectralConstants(p=p, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +199,3 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
         v[b1 + 2 * n + 2] = -(x * cp + y * cm) / (2.0 * (n + 1))
         v[b1] = (y * cp - x * cm) / (2.0 * (n + 1))
     return v.T
-
-
-@dataclass(frozen=True)
-class SolidHarmonicTable:
-    """All real solid harmonics with n < p at one point."""
-
-    point: np.ndarray
-    p: int
-    values: np.ndarray
-
-    def value(self, n: int, m: int) -> float:
-        if not (0 <= n < self.p and abs(m) <= n):
-            raise DomainError(f"(n, m) = ({n}, {m}) outside table for p = {self.p}")
-        return float(self.values[sh_index(n, m)])
-
-
-def solid_harmonics(point, p: int) -> SolidHarmonicTable:
-    """Real solid harmonics at a single point; see
-    :func:`solid_harmonics_batch` for the recursion."""
-    pt = np.asarray(point, dtype=float).reshape(3)
-    vals = solid_harmonics_batch(pt[None, :], p)[0]
-    return SolidHarmonicTable(point=pt, p=int(p), values=vals)

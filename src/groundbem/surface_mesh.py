@@ -162,6 +162,13 @@ class PanelMesh:
         """Mean of the longest edge over all panels."""
         return float(self.edge_lengths.max(axis=1).mean())
 
+    @property
+    def feature_radius(self) -> float:
+        """Largest vertex radius over the SURFACE faces (the bump or dip),
+        0 when the mesh has none."""
+        surface = self.faces[self.tags == SURFACE].ravel()
+        return float(np.linalg.norm(self.vertices[surface], axis=1).max(initial=0.0))
+
     def tag_counts(self) -> dict:
         return {int(t): int(np.sum(self.tags == t)) for t in np.unique(self.tags)}
 

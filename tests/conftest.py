@@ -4,13 +4,15 @@ Everything here is deliberately built from different primitives than the
 library paths it checks: associated Legendre values come from polynomial
 differentiation, solid harmonics and interior signatures from scalar
 per-(n, m) loops, plane-source signatures from the term-ratio inner series,
-the complex-basis coupling table from its closed form, the plane-source
-radial functions from their positive-term series and from a
-positive-integrand Legendre-function representation plus Gauss quadrature,
-the Neumann kernel from its own layer integral, the triangle self-term from
-a polar-coordinate ray integral, and the free-space block from a per-panel
-column loop.  The per-(n, m) plane-signature fill is frozen here as the
-reference that the library's layer-at-a-time fill must match bit for bit.
+the complex-basis coupling table from the closed forms of a_n^m and L_n^m,
+the plane-source radial functions from their positive-term series and from
+a positive-integrand Legendre-function representation plus Gauss
+quadrature, the Neumann kernel from its own layer integral, the triangle
+self-term from a polar-coordinate ray integral, the free-space block from a
+per-panel column loop, and the densified kernel matrix from one
+single-source signature per panel.  The per-(n, m) plane-signature fill is
+frozen here as the reference that the library's layer-at-a-time fill must
+match bit for bit.
 """
 
 import math
@@ -22,8 +24,15 @@ from scipy import integrate
 
 from groundbem.bem import _single_layer_bare
 from groundbem.errors import QuadratureError
-from groundbem.ground_kernel import _TAIL_RADIUS, KernelConfig, RadialTable, _cyl, _phi_integral
-from groundbem.harmonics import build_spectral_constants, sh_index
+from groundbem.ground_kernel import (
+    _TAIL_RADIUS,
+    KernelConfig,
+    RadialTable,
+    _cyl,
+    _phi_integral,
+    source_signature,
+)
+from groundbem.harmonics import sh_index, solid_harmonics_batch
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +255,39 @@ class SeriesCoefficients:
         return self.j_value(n, nprime, m) * radius ** (-(n + nprime + 1))
 
 
+def coupling_a(n, m):
+    """z-derivative coupling coefficient a_n^m, closed form."""
+    return math.sqrt((n + 1 + m) * (n + 1 - m) / ((2 * n + 1) * (2 * n + 3)))
+
+
+def equator_l(n, m):
+    """L_n^m: the orthonormal spherical harmonic's normalization times
+    P_n^m(0), zero whenever n + m is odd."""
+    norm = (-1) ** m * math.sqrt(
+        (2 * n + 1) / (4 * math.pi) * math.factorial(n - m) / math.factorial(n + m)
+    )
+    return norm * legendre_p(n, m, 0.0)
+
+
 def oracle_series_coefficients(p):
     """Tables of the double-series coupling coefficients for n < p and
-    n' <= 2p - 3, from the closed form in the spectral constants."""
-    constants = build_spectral_constants(p)
+    n' <= 2p - 3, from the closed forms of a_n^m and L_n^m."""
     j, row_n, col_n = {}, {}, {}
     for m in range(p):
         rows = np.arange(m, p)
         cols = np.arange(m, 2 * p - 2)
+        big_l_cols = np.array([equator_l(int(c), m) for c in cols])
         tab = np.zeros((rows.size, cols.size))
         for i, n in enumerate(rows):
-            lnp1 = constants.big_l[n + 1, m]
+            lnp1 = equator_l(int(n) + 1, m)
             if lnp1 == 0.0:
                 continue
             tab[i] = (
                 4.0
                 * math.pi
-                * constants.a[n, m]
+                * coupling_a(int(n), m)
                 * lnp1
-                * constants.big_l[cols, m]
+                * big_l_cols
                 / ((2.0 * cols + 1.0) * (n + cols + 1.0))
             )
         j[m], row_n[m], col_n[m] = tab, rows, cols
@@ -485,6 +508,18 @@ def oracle_free_block_loop(mesh, r_nf):
                 centroids[near],
             ) / (4.0 * math.pi)
     return a
+
+
+def oracle_ground_kernel_matrix(system):
+    """Densified kernel matrix w_j K(y_i, x_j; re): the single-source
+    signature of every panel, contracted with the receiver harmonics over
+    all p^2 columns."""
+    mesh = system.mesh
+    re = system.domain.re
+    yt = mesh.centroids / re
+    assert np.all(np.linalg.norm(yt, axis=1) < 1.0), "every centroid must lie inside re"
+    sigs = np.stack([source_signature(x, system.constants).coeffs for x in yt])
+    return solid_harmonics_batch(yt, system.config.p) @ sigs.T * mesh.areas[None, :] / re
 
 
 # ---------------------------------------------------------------------------

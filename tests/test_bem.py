@@ -15,7 +15,6 @@ from groundbem.bem import (
     evaluate_field,
     export_field_csv,
     export_field_json,
-    ground_kernel_matrix,
     set_boundary_potential,
     set_point_source_rhs,
     solve,
@@ -34,7 +33,12 @@ from groundbem.surface_mesh import (
     make_flat_disc_mesh,
 )
 
-from conftest import green, oracle_free_block_loop, oracle_triangle_self
+from conftest import (
+    green,
+    oracle_free_block_loop,
+    oracle_ground_kernel_matrix,
+    oracle_triangle_self,
+)
 
 
 def make_panel(vertices, tag=GROUND):
@@ -152,7 +156,7 @@ def test_near_entries_are_analytic(small_system, solved_disc):
 
 @pytest.fixture(scope="module")
 def densified(small_system):
-    return ground_kernel_matrix(small_system)
+    return oracle_ground_kernel_matrix(small_system)
 
 
 def test_factored_equals_densified(small_system, densified, rng):
@@ -358,6 +362,26 @@ def test_below_ground_flags(solved_disc):
     assert not grid.flags[0]
     assert grid.flags[1]
     assert np.all(np.isfinite(grid.values))
+
+
+def test_below_ground_flags_scaled_feature():
+    # the feature radius comes from the mesh, not a unit hemisphere: on a
+    # bump scaled by 1.5 the first two points lie inside it
+    base = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
+    mesh = PanelMesh(1.5 * base.vertices, base.faces, base.tags)
+    assert mesh.feature_radius == pytest.approx(1.5, rel=1e-12)
+    pts = np.array([[0.0, 0.0, 1.2], [1.3, 0.0, 0.3], [0.0, 0.0, 1.6], [1.7, 0.0, 0.1]])
+    assert bem._below_ground_flags(mesh, pts).tolist() == [True, True, False, False]
+    # under a dip scaled the same way only the last point is below ground
+    base = make_bump_dip_mesh(-1, r0=1.0, re=3.0, target_edge=0.5)
+    mesh = PanelMesh(1.5 * base.vertices, base.faces, base.tags)
+    pts = np.array([[1.2, 0.0, -0.5], [0.0, 0.0, -1.4], [0.0, 0.0, -1.6]])
+    assert bem._below_ground_flags(mesh, pts).tolist() == [False, False, True]
+    # without a SURFACE face the radius is 0 and only z < 0 counts
+    flat = base.tags != SURFACE
+    flat = PanelMesh(base.vertices, base.faces[flat], base.tags[flat])
+    assert flat.feature_radius == 0.0
+    assert bem._below_ground_flags(flat, pts[:1]).tolist() == [True]
 
 
 def test_field_outside_re_raises_with_ground_kernel():

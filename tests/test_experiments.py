@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from groundbem.errors import DomainError
+from groundbem import experiments
+from groundbem.errors import DomainError, QuadratureError
 from groundbem.experiments import (
     ALPHA_STAR,
     AccuracyMap,
@@ -219,6 +220,32 @@ def test_accuracy_map_deterministic():
     a = accuracy_map([2.0], [4, 6], n_receivers=4, n_sources=6, seed=9, tol=1e-7)
     b = accuracy_map([2.0], [4, 6], n_receivers=4, n_sources=6, seed=9, tol=1e-7)
     assert np.array_equal(a.eps2, b.eps2)
+
+
+def test_accuracy_map_records_only_package_errors(monkeypatch):
+    # a quadrature failure is recorded and its cell left out of eps2; a
+    # programming error propagates instead of passing for a failed cell
+    real = experiments.kernel_integral
+    calls = []
+
+    def one_failure(y, x, cfg):
+        calls.append(None)
+        if len(calls) == 2:
+            raise QuadratureError("periodic rule did not converge")
+        return real(y, x, cfg)
+
+    monkeypatch.setattr(experiments, "kernel_integral", one_failure)
+    got = accuracy_map([2.0], [4, 6], n_receivers=4, n_sources=6, seed=9, tol=1e-7)
+    assert [f["pair"] for f in got.failures] == [(0, 1)]
+    assert "did not converge" in got.failures[0]["error"]
+    assert np.all(np.isfinite(got.eps2))
+
+    def broken(y, x, cfg):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(experiments, "kernel_integral", broken)
+    with pytest.raises(TypeError):
+        accuracy_map([2.0], [4, 6], n_receivers=4, n_sources=6, seed=9, tol=1e-7)
 
 
 # ---------------------------------------------------------------------------

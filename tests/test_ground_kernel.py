@@ -60,11 +60,9 @@ def test_w_oracle_matches_raw_quadrature():
 
 def test_w_seeds_closed_forms():
     t = radial_table(0.5, 8)
-    pair = elliptic_ke(0.25)
-    assert t.w_value(0)[0] == pytest.approx(4.0 * pair.k_value, rel=1e-14)
-    assert t.w_value(1)[0] == pytest.approx(
-        4.0 / 0.5 * (pair.k_value - pair.e_value), rel=1e-13
-    )
+    k, e = elliptic_ke(0.25)
+    assert t.w_value(0)[0] == pytest.approx(4.0 * k, rel=1e-14)
+    assert t.w_value(1)[0] == pytest.approx(4.0 / 0.5 * (k - e), rel=1e-13)
     assert t.w_value(-1)[0] == t.w_value(1)[0]
 
 
@@ -87,8 +85,8 @@ def test_w_positive_and_decreasing_in_m():
 def test_u_seed_closed_form():
     xi = 0.5
     t = radial_table(xi, 6)
-    pair = elliptic_ke(xi * xi)
-    u10 = 4.0 / xi**2 * (pair.e_value - (1.0 - xi * xi) * pair.k_value)
+    k, e = elliptic_ke(xi * xi)
+    u10 = 4.0 / xi**2 * (e - (1.0 - xi * xi) * k)
     assert t.u_value(1, 0)[0] == pytest.approx(u10, rel=1e-13)
     # frozen value of the same quantity
     assert t.u_value(1, 0)[0] == pytest.approx(3.250391091679681, rel=1e-13)
@@ -182,7 +180,7 @@ def test_layerwise_radial_and_signature_bitwise_equal_loops(p):
     pts = np.stack([xis * np.cos(phi), xis * np.sin(phi), np.zeros(xis.size)], axis=1)
     constants = build_spectral_constants(p)
     want_sig = oracle_signature_ground_loop(pts, constants, p)
-    assert np.array_equal(_bits(_signature_ground_batch(pts, constants, p)), _bits(want_sig))
+    assert np.array_equal(_bits(_signature_ground_batch(pts, constants)), _bits(want_sig))
     assert np.array_equal(_bits(source_signature_batch(pts, constants)), _bits(want_sig))
 
 
@@ -366,11 +364,11 @@ def test_ground_branch_matches_converged_series():
     constants = build_spectral_constants(12)
     for rho, phi in [(0.5, 0.7), (0.9, -2.1)]:
         x = np.array([rho * math.cos(phi), rho * math.sin(phi), 0.0])
-        rec = source_signature(x, constants, method="ground")
+        rec = _signature_ground_batch(x[None, :], constants)[0]
         ser = oracle_signature_ground_series(x, constants, 12)
         nz = np.abs(ser) > 0.0
-        assert np.all(rec.coeffs[~nz] == 0.0)
-        assert np.max(np.abs(rec.coeffs[nz] - ser[nz]) / np.abs(ser[nz])) < 1e-8
+        assert np.all(rec[~nz] == 0.0)
+        assert np.max(np.abs(rec[nz] - ser[nz]) / np.abs(ser[nz])) < 1e-8
 
 
 def test_interior_branch_reaches_ground_limit():
@@ -399,7 +397,7 @@ def test_inner_cap_matches_overflow_filter():
                 kept = cols[np.isfinite(constants.nu[cols, m])]
                 if kept.size:
                     want = min(want, int(kept[-1]))
-            assert interior_inner_cap(constants, p) == want
+            assert interior_inner_cap(constants) == want
     # parity alone caps at 2p - 4; at p = 128 the nu overflow bites first
     assert want < 2 * 128 - 4
 
@@ -409,7 +407,7 @@ def test_signature_domain_errors():
     with pytest.raises(DomainError):
         source_signature(np.array([1.0, 0.2, 0.0]), constants)
     with pytest.raises(DomainError):
-        source_signature(np.array([0.2, 0.2,  0.3]), constants, method="ground")
+        source_signature_batch(np.array([[0.2, 0.2, 0.3], [0.0, 0.0, -1.0]]), constants)
 
 
 def test_signature_batch_matches_single(rng):
@@ -437,21 +435,21 @@ def test_signature_batch_matches_single(rng):
 
 def test_interior_signature_blocks_are_independent():
     # a call spanning several source blocks equals separate calls on each
-    # block bit for bit, and the single-source dispatch to rounding (a
-    # one-row product may take another BLAS kernel)
+    # block bit for bit, and one-source calls to rounding (a one-row
+    # product may take another BLAS kernel)
     constants = build_spectral_constants(9)
     n = 2 * _INTERIOR_BLOCK + 3
     pts = np.random.default_rng(7).uniform(-0.4, 0.4, (n, 3))
-    whole = _signature_interior_batch(pts, constants, 9)
+    whole = _signature_interior_batch(pts, constants)
     split = np.concatenate(
         [
-            _signature_interior_batch(pts[i0 : i0 + _INTERIOR_BLOCK], constants, 9)
+            _signature_interior_batch(pts[i0 : i0 + _INTERIOR_BLOCK], constants)
             for i0 in range(0, n, _INTERIOR_BLOCK)
         ]
     )
     assert np.array_equal(whole.view(np.int64), split.view(np.int64))
     for i in (0, _INTERIOR_BLOCK - 1, _INTERIOR_BLOCK, n - 1):
-        one = source_signature(pts[i], constants, method="interior").coeffs
+        one = _signature_interior_batch(pts[i][None, :], constants)[0]
         np.testing.assert_allclose(one, whole[i], rtol=1e-13, atol=0.0)
 
 

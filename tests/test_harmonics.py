@@ -12,11 +12,10 @@ from groundbem.harmonics import (
     build_spectral_constants,
     elliptic_ke,
     sh_index,
-    solid_harmonics,
     solid_harmonics_batch,
 )
 
-from conftest import legendre_p, oracle_solid_harmonic, oracle_solid_harmonics_loop
+from conftest import oracle_solid_harmonic, oracle_solid_harmonics_loop
 
 
 # ---------------------------------------------------------------------------
@@ -39,36 +38,34 @@ def quad_e(mu):
 
 
 def test_elliptic_at_zero():
-    pair = elliptic_ke(0.0)
-    assert pair.k_value == pytest.approx(math.pi / 2, abs=1e-15)
-    assert pair.e_value == pytest.approx(math.pi / 2, abs=1e-15)
+    k, e = elliptic_ke(0.0)
+    assert k == pytest.approx(math.pi / 2, abs=1e-15)
+    assert e == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_elliptic_frozen_half():
     # frozen from adaptive quadrature of the defining integrals
-    pair = elliptic_ke(0.5)
-    assert pair.k_value == pytest.approx(1.8540746773013719, rel=1e-13)
-    assert pair.e_value == pytest.approx(1.3506438810476755, rel=1e-13)
-    assert pair.k_value == pytest.approx(quad_k(0.5), rel=1e-12)
-    assert pair.e_value == pytest.approx(quad_e(0.5), rel=1e-12)
+    k, e = elliptic_ke(0.5)
+    assert k == pytest.approx(1.8540746773013719, rel=1e-13)
+    assert e == pytest.approx(1.3506438810476755, rel=1e-13)
+    assert k == pytest.approx(quad_k(0.5), rel=1e-12)
+    assert e == pytest.approx(quad_e(0.5), rel=1e-12)
 
 
 def test_elliptic_quadrature_grid():
     for mu in (0.1, 0.35, 0.72, 0.93):
-        pair = elliptic_ke(mu)
-        assert pair.k_value == pytest.approx(quad_k(mu), rel=1e-11)
-        assert pair.e_value == pytest.approx(quad_e(mu), rel=1e-11)
+        k, e = elliptic_ke(mu)
+        assert k == pytest.approx(quad_k(mu), rel=1e-11)
+        assert e == pytest.approx(quad_e(mu), rel=1e-11)
 
 
 def test_elliptic_landen_identity_grid():
     for mu in np.linspace(0.0, 0.99, 100):
         mu1 = 1.0 - mu
         mu2 = ((1.0 - math.sqrt(mu1)) / (1.0 + math.sqrt(mu1))) ** 2
-        k = elliptic_ke(mu).k_value
-        k2 = elliptic_ke(mu2).k_value
+        k, e = elliptic_ke(mu)
+        k2, e2 = elliptic_ke(mu2)
         assert abs(k - 2.0 / (1.0 + math.sqrt(mu1)) * k2) <= 1e-12 * k
-        e = elliptic_ke(mu).e_value
-        e2 = elliptic_ke(mu2).e_value
         rhs = (1.0 + math.sqrt(mu1)) * e2 - 2.0 * math.sqrt(mu1) / (
             1.0 + math.sqrt(mu1)
         ) * k2
@@ -77,8 +74,7 @@ def test_elliptic_landen_identity_grid():
 
 def test_elliptic_monotonicity():
     grid = np.linspace(0.0, 0.99, 100)
-    kvals = [elliptic_ke(m).k_value for m in grid]
-    evals = [elliptic_ke(m).e_value for m in grid]
+    kvals, evals = (v.tolist() for v in elliptic_ke(grid))
     assert all(b > a for a, b in zip(kvals, kvals[1:]))
     assert all(b < a for a, b in zip(evals, evals[1:]))
     assert all(k >= math.pi / 2 - 1e-15 for k in kvals)
@@ -89,37 +85,39 @@ def test_elliptic_monotonicity():
 def test_elliptic_domain_error(bad):
     with pytest.raises(DomainError):
         elliptic_ke(bad)
+    # one bad entry rejects the whole array
+    with pytest.raises(DomainError):
+        elliptic_ke(np.array([0.3, bad]))
+
+
+def test_elliptic_array_matches_scalar():
+    grid = np.linspace(0.0, 0.999, 37)
+    k, e = elliptic_ke(grid)
+    for i, mu in enumerate(grid):
+        ks, es = elliptic_ke(float(mu))
+        assert k[i] == pytest.approx(ks, rel=1e-15)
+        assert e[i] == pytest.approx(es, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# Spectral constant tables
+# Spectral constant table
 # ---------------------------------------------------------------------------
 
 
 def test_constant_table_seeds():
     c = build_spectral_constants(6)
-    assert c.a[0, 0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
-    assert c.big_l[1, 0] == 0.0
-    assert c.big_l[0, 0] == pytest.approx(0.28209479177387814, rel=1e-14)
+    assert c.p == 6
+    assert c.nu.shape == (11, 11)
+    assert c.nu[0, 0] == 1.0
+    assert c.nu[1, 0] == 0.0
+    assert c.nu[1, 1] == -1.0
+    assert c.nu[2, 0] == -1.0
 
 
 def test_tables_match_direct_factorial_formulas():
     c = build_spectral_constants(7)
-    for n in range(c.nmax + 1):
+    for n in range(c.nu.shape[0]):
         for m in range(n + 1):
-            a_direct = math.sqrt(
-                (n + 1 + m) * (n + 1 - m) / ((2 * n + 1) * (2 * n + 3))
-            )
-            assert c.a[n, m] == pytest.approx(a_direct, rel=1e-14)
-            norm_direct = (-1) ** m * math.sqrt(
-                (2 * n + 1)
-                / (4 * math.pi)
-                * math.factorial(n - m)
-                / math.factorial(n + m)
-            )
-            assert c.norm[n, m] == pytest.approx(norm_direct, rel=1e-13, abs=1e-300)
-            l_direct = norm_direct * legendre_p(n, m, 0.0)
-            assert c.big_l[n, m] == pytest.approx(l_direct, rel=1e-12, abs=1e-16)
             if (n + m) % 2 == 0:
                 def dfact(k):
                     out = 1.0
@@ -134,21 +132,19 @@ def test_tables_match_direct_factorial_formulas():
                 assert c.nu[n, m] == nu_direct
             else:
                 assert c.nu[n, m] == 0.0
-                assert c.big_l[n, m] == 0.0
-            assert c.parity[n, m] == (1 if (n + m) % 2 == 0 else 0)
 
 
 def test_null_product_property():
     c = build_spectral_constants(12)
-    assert np.all(c.big_l[:-1] * c.big_l[1:] == 0.0)
     assert np.all(c.nu[:-1] * c.nu[1:] == 0.0)
 
 
 def test_zero_below_diagonal():
     c = build_spectral_constants(5)
-    for n in range(c.nmax + 1):
-        for m in range(n + 1, c.nmax + 1):
-            assert c.a[n, m] == 0.0
+    top = c.nu.shape[0]
+    for n in range(top):
+        for m in range(n + 1, top):
+            assert c.nu[n, m] == 0.0
 
 
 def test_truncation_limits():
@@ -170,22 +166,22 @@ def test_truncation_limits():
 
 
 def test_solid_harmonics_seeds():
-    t = solid_harmonics((0.37, -1.2, 0.55), 3)
-    assert t.value(0, 0) == 1.0
-    t2 = solid_harmonics((1.0, 0.0, 0.0), 3)
-    assert t2.value(1, 1) == -0.5
-    assert t2.value(1, -1) == 0.0
-    assert t2.value(1, 0) == 0.0
+    t = solid_harmonics_batch(np.array([[0.37, -1.2, 0.55]]), 3)[0]
+    assert t[sh_index(0, 0)] == 1.0
+    t2 = solid_harmonics_batch(np.array([[1.0, 0.0, 0.0]]), 3)[0]
+    assert t2[sh_index(1, 1)] == -0.5
+    assert t2[sh_index(1, -1)] == 0.0
+    assert t2[sh_index(1, 0)] == 0.0
 
 
 def test_solid_harmonics_match_rodrigues_oracle(rng):
     for _ in range(4):
         pt = rng.uniform(-1.2, 1.2, 3)
-        table = solid_harmonics(pt, 9)
+        table = solid_harmonics_batch(pt[None, :], 9)[0]
         for n in range(9):
             for m in range(-n, n + 1):
                 want = oracle_solid_harmonic(pt, n, m)
-                got = table.value(n, m)
+                got = table[sh_index(n, m)]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -222,8 +218,8 @@ def test_batch_matches_single(rng):
     pts = rng.uniform(-1, 1, (5, 3))
     batch = solid_harmonics_batch(pts, 6)
     for i, pt in enumerate(pts):
-        single = solid_harmonics(pt, 6)
-        assert np.array_equal(batch[i], single.values)
+        single = solid_harmonics_batch(pt[None, :], 6)[0]
+        assert np.array_equal(batch[i], single)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 23, 104, 207])
@@ -241,4 +237,4 @@ def test_batch_bitwise_equals_loop_oracle(p, npts):
 
 def test_nonfinite_point_rejected():
     with pytest.raises(DomainError):
-        solid_harmonics((np.nan, 0.0, 0.0), 4)
+        solid_harmonics_batch(np.array([[np.nan, 0.0, 0.0]]), 4)

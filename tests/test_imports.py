@@ -1,6 +1,6 @@
 """Static checks on the package's imports and exports (stdlib only; no
-linter is installed): every imported name is used, and every name listed
-in ``__all__`` exists."""
+linter is installed): every imported name is used, every name listed in
+``__all__`` exists, and no module imports another's private names."""
 
 import ast
 import importlib
@@ -98,3 +98,17 @@ def test_no_dead_private_names():
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert not dead, f"unreferenced private names: {dead}"
+
+
+def test_no_private_imports_across_modules():
+    # a module uses another only through its public names; importing a
+    # private one ties the two together behind the module's interface
+    found = [
+        f"{path.name}: {alias.name} (line {node.lineno})"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"private names imported from sibling modules: {found}"
