@@ -7,12 +7,12 @@ collocation at panel centroids.  The system operator has two parts:
   within the near-field radius of a collocation point (always for the
   self term), centroid monopole approximation beyond it;
 * the ground-plane kernel term, kept in factored low-rank form -- an
-  (N x q) receiver-harmonic factor times a (q x N) source-signature
+  (S x q) receiver-harmonic factor times a (q x N) source-signature
   factor -- so applying it to a vector costs O(q N), never O(N^2).
 
-Rows collocated on the extension ring (z = 0) receive no kernel
-contribution: the receiver harmonics of odd n + m vanish identically on
-the plane and those are the only active columns of the factor.
+The q = p(p - 1)/2 columns are the harmonics with n + m odd, which vanish
+on the plane z = 0: rows collocated there receive no kernel term, and the
+receiver factor is stored only for the S panels off the plane.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from scipy import linalg as sla
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import DomainError, SolveError
-from .ground_kernel import interior_inner_cap, source_signature, source_signature_batch
-from .harmonics import build_spectral_constants, sh_index, solid_harmonics_batch
+from .ground_kernel import interior_inner_cap, receiver_harmonics
+from .ground_kernel import source_signature, source_signature_batch
+from .harmonics import build_spectral_constants
 from .surface_mesh import SURFACE, DomainSpec, Panel, PanelMesh
 
 __all__ = [
@@ -173,9 +174,9 @@ class BemSystem:
     """Assembled collocation system.
 
     ``free_matrix`` is the dense free-space block; the ground-kernel term
-    is stored only as the factor pair ``(rfac, sfac)`` with
-    ``kernel term = rfac @ sfac`` (source factor already includes panel
-    areas).  ``rhs`` and ``solution`` are per-panel vectors.
+    is ``rfac @ sfac`` on the rows ``kernel_rows`` (the panels off the
+    plane; none with the kernel off) and zero on all others, the source
+    factor including panel areas.  ``rhs`` and ``solution`` are per panel.
     """
 
     mesh: PanelMesh
@@ -184,7 +185,7 @@ class BemSystem:
     free_matrix: np.ndarray
     rfac: np.ndarray
     sfac: np.ndarray
-    active_idx: np.ndarray
+    kernel_rows: np.ndarray
     constants: object
     rhs: np.ndarray
     solution: np.ndarray | None = None
@@ -194,19 +195,6 @@ class BemSystem:
         return len(self.mesh)
 
 
-def _active_indices(p: int) -> np.ndarray:
-    """Flat harmonic indices with n + m odd: the only coefficients the
-    ground kernel couples (all others vanish by plane parity)."""
-    idx = [sh_index(n, m) for n in range(p) for m in range(-n, n + 1) if (n + m) % 2]
-    return np.asarray(idx, dtype=np.int64)
-
-
-def _receiver_factor(points: np.ndarray, re: float, p: int, active: np.ndarray) -> np.ndarray:
-    """Receiver-side factor: scaled solid harmonics at points / re,
-    restricted to the active parity columns."""
-    return solid_harmonics_batch(points / re, p)[:, active] / re
-
-
 def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSystem:
     """Assemble the collocation system for the given mesh and domain.
 
@@ -214,7 +202,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
     closer than the near-field radius and the centroid monopole otherwise.
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
-    series elsewhere.
+    series elsewhere; receiver factors only for the panels off the plane.
     """
     n = len(mesh)
     re = domain.re
@@ -232,7 +220,6 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
     a = _free_block(mesh, centroids)
 
     constants = build_spectral_constants(p)
-    active = _active_indices(p)
     if config.use_ground_kernel:
         cap = interior_inner_cap(constants)
         if cap < 2 * p - 3:
@@ -243,14 +230,12 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
                     f"implied tail ~{tail:.2e} vs prescribed {config.prescribed_eps:.2e}",
                     stacklevel=2,
                 )
-        rfac = _receiver_factor(centroids, re, p, active)
-        sfac = (
-            source_signature_batch(centroids / re, constants)[:, active]
-            * areas[:, None]
-        ).T
+        rows = np.flatnonzero(centroids[:, 2] != 0.0)
+        rfac = receiver_harmonics(centroids[rows] / re, p) / re
+        sfac = (source_signature_batch(centroids / re, constants) * areas[:, None]).T
     else:
-        rfac = np.zeros((n, 0))
-        sfac = np.zeros((0, n))
+        rows = np.zeros(0, dtype=np.intp)
+        rfac, sfac = np.zeros((0, 0)), np.zeros((0, n))
 
     return BemSystem(
         mesh=mesh,
@@ -259,7 +244,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
         free_matrix=a,
         rfac=rfac,
         sfac=sfac,
-        active_idx=active,
+        kernel_rows=rows,
         constants=constants,
         rhs=np.zeros(n),
     )
@@ -268,7 +253,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
 def set_point_source_rhs(system: BemSystem, source) -> None:
     """Right-hand side of the grounded benchmark: the boundary must cancel
     the incident potential of a unit monopole, free-space plus kernel part
-    (the kernel part vanishes on extension rows by plane parity)."""
+    (the kernel part vanishes on the rows on the plane)."""
     xs = np.asarray(source, dtype=float).reshape(3)
     g = np.einsum(
         "ij,ij->i", system.mesh.centroids - xs, system.mesh.centroids - xs
@@ -276,7 +261,7 @@ def set_point_source_rhs(system: BemSystem, source) -> None:
     rhs = -1.0 / (_FOUR_PI * np.sqrt(g))
     if system.config.use_ground_kernel:
         sig = source_signature(xs / system.domain.re, system.constants)
-        rhs = rhs - system.rfac @ sig.coeffs[system.active_idx]
+        rhs[system.kernel_rows] -= system.rfac @ sig.coeffs
     system.rhs = rhs
     system.solution = None
 
@@ -305,9 +290,9 @@ def set_boundary_potential(system: BemSystem, potential) -> None:
 
 def apply_ground_kernel(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     """Factored kernel term applied to a density vector, O(q N)."""
-    if system.sfac.shape[0] == 0:
-        return np.zeros(system.size)
-    return system.rfac @ (system.sfac @ vec)
+    out = np.zeros(system.size)
+    out[system.kernel_rows] = system.rfac @ (system.sfac @ vec)
+    return out
 
 
 def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
@@ -323,9 +308,9 @@ _SOLVE_RTOL = 1e-10
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` forms free + rfac sfac transiently (chunked, on the rows
-    where rfac is nonzero; the stored factors stay untouched) and
-    LU-solves; ``iterative`` runs lgmres on the factored operator.  The
+    ``direct`` forms free + rfac sfac transiently (chunked, on the
+    kernel rows; the stored factors stay untouched) and LU-solves it in
+    place; ``iterative`` runs lgmres on the factored operator.  The
     relative residual is verified against 1e-10 either way, else
     :class:`SolveError` is raised.
     """
@@ -335,15 +320,13 @@ def solve(system: BemSystem) -> np.ndarray:
         warnings.warn("solving with an all-zero right-hand side", stacklevel=2)
 
     if system.config.solver == "direct":
-        a = system.free_matrix.copy()
-        if system.sfac.shape[0]:
-            # Plane rows of rfac are exact zeros by parity; add the term
-            # only where a row carries it.
-            rows = np.flatnonzero(np.any(system.rfac, axis=1))
-            chunk = max(1, int(2e7) // max(n, 1))
-            for i0 in range(0, rows.size, chunk):
-                r = rows[i0 : i0 + chunk]
-                a[r] += system.rfac[r] @ system.sfac
+        # LAPACK overwrites only a Fortran-ordered matrix; SciPy copies
+        # any other before factoring it.
+        a = np.array(system.free_matrix, order="F")
+        rows = system.kernel_rows
+        chunk = max(1, int(2e7) // max(n, 1))
+        for i0 in range(0, rows.size, chunk):
+            a[rows[i0 : i0 + chunk]] += system.rfac[i0 : i0 + chunk] @ system.sfac
         try:
             sigma = sla.solve(a, rhs, overwrite_a=True, assume_a="gen")
         except sla.LinAlgError as exc:
@@ -432,7 +415,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     values = _free_block(mesh, pts) @ sigma
 
     if system.config.use_ground_kernel:
-        rfac_pts = _receiver_factor(pts, system.domain.re, system.config.p, system.active_idx)
+        rfac_pts = receiver_harmonics(pts / system.domain.re, system.config.p) / system.domain.re
         values = values + rfac_pts @ (system.sfac @ sigma)
 
     induced = values.copy()
@@ -442,7 +425,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         values = values + 1.0 / (_FOUR_PI * dist)
         if system.config.use_ground_kernel:
             sig = source_signature(xs / system.domain.re, system.constants)
-            ksrc = rfac_pts @ sig.coeffs[system.active_idx]
+            ksrc = rfac_pts @ sig.coeffs
             values = values + ksrc
             induced = induced + ksrc
 

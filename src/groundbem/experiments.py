@@ -28,9 +28,10 @@ from .errors import DomainError, GroundBemError
 from .ground_kernel import (
     KernelConfig,
     kernel_integral,
+    receiver_harmonics,
     source_signature_batch,
 )
-from .harmonics import build_spectral_constants, solid_harmonics_batch
+from .harmonics import build_spectral_constants
 from .surface_mesh import (
     EXTENSION,
     DomainSpec,
@@ -316,7 +317,7 @@ def accuracy_map(
         for j, p in enumerate(p_values):
             constants = build_spectral_constants(int(p))
             sig = source_signature_batch(sources / ratio, constants)
-            rec = solid_harmonics_batch(receivers / ratio, int(p)) / ratio
+            rec = receiver_harmonics(receivers / ratio, int(p)) / ratio
             ser = rec @ sig.T
             eps2[i, j] = relative_l2_error(ser[ok], ref[ok])
     return AccuracyMap(
@@ -593,7 +594,7 @@ def measure_cost_curve(
             ph = rng.uniform(0.0, 2.0 * math.pi, n_ext)
             ring = np.stack([rr * np.cos(ph), rr * np.sin(ph), np.zeros(n_ext)], axis=1)
             sig = source_signature_batch(np.vstack([sources, ring]) / ratio, constants)
-            rec = solid_harmonics_batch(receivers / ratio, p) / ratio
+            rec = receiver_harmonics(receivers / ratio, p) / ratio
             _ = rec @ sig.T
             best = min(best, time.perf_counter() - t0)
         secs[i] = best

@@ -34,7 +34,6 @@ from .harmonics import (
     build_spectral_constants,
     elliptic_ke,
     sh_index,
-    sh_size,
     solid_harmonics_batch,
 )
 
@@ -43,6 +42,7 @@ __all__ = [
     "RadialTable",
     "SourceSignature",
     "radial_table",
+    "receiver_harmonics",
     "source_signature",
     "source_signature_batch",
     "kernel_integral",
@@ -290,18 +290,36 @@ def radial_table(xi: float, p: int) -> RadialTable:
 
 
 # ---------------------------------------------------------------------------
-# Source signatures (the factored kernel's source-side coefficients)
+# The kernel's columns: receiver harmonics and source signatures
 # ---------------------------------------------------------------------------
+
+
+def _kernel_column(n, m):
+    """Column of the (n, m) harmonic among the p(p - 1)/2 with n < p and
+    n + m odd, degree-major with m ascending: the only ones the kernel
+    couples, as it vanishes on the plane z = 0."""
+    return n * (n - 1) // 2 + (n + m - 1) // 2
+
+
+def receiver_harmonics(points, p: int) -> np.ndarray:
+    """Real solid harmonics of degree n < p at ``points`` (N, 3) in the
+    kernel's columns, ``(N, p(p - 1)/2)``; zero at points on the plane.
+    The recursion steps through every (n, m), so it builds the full table
+    and the n + m odd columns, in table order, are taken from it."""
+    table = solid_harmonics_batch(points, p)
+    n = np.repeat(np.arange(p), 2 * np.arange(p) + 1)
+    m = np.arange(p * p) - n * (n + 1)
+    return table[:, (n + m) % 2 == 1]
 
 
 @dataclass(frozen=True)
 class SourceSignature:
     """Per-source coefficient vector of the factored kernel.
 
-    ``coeffs`` is flat-indexed like a solid-harmonic table; contracting it
-    with the receiver harmonics reproduces the truncated dimensionless
-    kernel.  The source point is dimensionless (pre-scaled by the domain
-    radius) and must satisfy |source| < 1.
+    ``coeffs`` holds the kernel's p(p - 1)/2 columns (n + m odd); its dot
+    product with :func:`receiver_harmonics` reproduces the truncated
+    dimensionless kernel.  The source point is dimensionless (pre-scaled
+    by the domain radius) and must satisfy |source| < 1.
     """
 
     source: np.ndarray
@@ -311,7 +329,7 @@ class SourceSignature:
     def value(self, n: int, m: int) -> float:
         if not (0 <= n < self.p and abs(m) <= n):
             raise DomainError(f"(n, m) = ({n}, {m}) outside table for p = {self.p}")
-        return float(self.coeffs[sh_index(n, m)])
+        return float(self.coeffs[_kernel_column(n, m)]) if (n + m) % 2 else 0.0
 
 
 _PLANE_TOL = 1e-13
@@ -368,15 +386,15 @@ def _signature_interior_batch(points, constants):
     """Inner-series signatures for general interior sources, summed to the
     n' <= 2p - 3 cap (the terms beyond are negligible at the radii where
     this branch is dispatched).  The source harmonics are built one block
-    of sources at a time."""
+    of sources at a time.  Returns ``(N, q)`` in the kernel's columns."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = constants.p
     terms = []
     for m, (rows, cols, nu_cols, cmat) in _interior_coupling(constants).items():
         if rows.size and cols.size:
             for sm in ((m,) if m == 0 else (m, -m)):
-                terms.append((sh_index(rows, sm), sh_index(cols, sm), nu_cols, cmat.T))
-    coeffs = np.zeros((pts.shape[0], sh_size(p)))
+                terms.append((_kernel_column(rows, sm), sh_index(cols, sm), nu_cols, cmat.T))
+    coeffs = np.zeros((pts.shape[0], p * (p - 1) // 2))
     for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
         block = slice(i0, i0 + _INTERIOR_BLOCK)
         harmonics = solid_harmonics_batch(pts[block], 2 * p - 1)
@@ -388,20 +406,20 @@ def _signature_interior_batch(points, constants):
 def _signature_ground_batch(points, constants):
     """Signatures for sources on the plane via the radial recurrences, one
     |m| at a time: the degrees n = m + 1, m + 3, ... < p read radial
-    layer m."""
+    layer m.  Returns ``(N, q)`` in the kernel's columns."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = constants.p
     rho = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     table = RadialTable(rho, p)
-    coeffs = np.zeros((pts.shape[0], sh_size(p)))
+    coeffs = np.zeros((pts.shape[0], p * (p - 1) // 2))
     for m in range(p - 1):
         pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
         ns = np.arange(m + 1, p, 2)
         base = (pref * constants.nu[ns + 1, m])[:, None] * table.u[m]
-        coeffs[:, sh_index(ns, m)] = (base * np.cos(m * phi)).T
+        coeffs[:, _kernel_column(ns, m)] = (base * np.cos(m * phi)).T
         if m > 0:
-            coeffs[:, sh_index(ns, -m)] = (base * np.sin(-m * phi)).T
+            coeffs[:, _kernel_column(ns, -m)] = (base * np.sin(-m * phi)).T
     return coeffs
 
 
@@ -412,7 +430,7 @@ def _signatures(pts, constants: SpectralConstants) -> np.ndarray:
     r = np.linalg.norm(pts, axis=1)
     if np.any(r >= 1.0):
         raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
-    coeffs = np.zeros((pts.shape[0], sh_size(constants.p)))
+    coeffs = np.zeros((pts.shape[0], constants.p * (constants.p - 1) // 2))
     rho = np.hypot(pts[:, 0], pts[:, 1])
     on_plane = (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
     if np.any(on_plane):
@@ -431,7 +449,8 @@ def source_signature(x, constants: SpectralConstants) -> SourceSignature:
 
 
 def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
-    """Signature coefficients for many dimensionless sources at once.
+    """Signature coefficients for many dimensionless sources at once,
+    ``(N, p(p - 1)/2)`` in the columns of :func:`receiver_harmonics`.
 
     Plane points (z = 0) go through the radial recurrences, the rest
     through the inner harmonic series; rows are returned in input order.
@@ -569,7 +588,7 @@ def kernel_series(y, signature: SourceSignature, config: KernelConfig = KernelCo
     yt = yp / r
     if np.linalg.norm(yt) >= 1.0:
         raise DomainError("kernel_series requires |y| < R")
-    harmonics = solid_harmonics_batch(yt[None, :], signature.p)[0]
+    harmonics = receiver_harmonics(yt[None, :], signature.p)[0]
     return float(harmonics @ signature.coeffs) / r
 
 

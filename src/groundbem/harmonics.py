@@ -29,7 +29,6 @@ __all__ = [
     "build_spectral_constants",
     "solid_harmonics_batch",
     "sh_index",
-    "sh_size",
 ]
 
 # Accuracy of the recursions is asserted by the test suite only up to this
@@ -142,11 +141,6 @@ def build_spectral_constants(p: int) -> SpectralConstants:
 def sh_index(n: int, m: int) -> int:
     """Flat index of the (n, m) entry in a degree-major table."""
     return n * n + n + m
-
-
-def sh_size(p: int) -> int:
-    """Number of (n, m) entries with n < p."""
-    return p * p
 
 
 def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:

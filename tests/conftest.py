@@ -510,16 +510,25 @@ def oracle_free_block_loop(mesh, r_nf):
     return a
 
 
+def oracle_kernel_columns(p):
+    """Flat harmonic indices with n + m odd, degree-major and m ascending:
+    the kernel's column layout, spelled out one (n, m) at a time."""
+    idx = [sh_index(n, m) for n in range(p) for m in range(-n, n + 1) if (n + m) % 2]
+    return np.asarray(idx, dtype=np.int64)
+
+
 def oracle_ground_kernel_matrix(system):
     """Densified kernel matrix w_j K(y_i, x_j; re): the single-source
-    signature of every panel, contracted with the receiver harmonics over
-    all p^2 columns."""
+    signature of every panel, scattered into all p^2 harmonic columns and
+    contracted with the receiver harmonics over all of them."""
     mesh = system.mesh
     re = system.domain.re
+    p = system.config.p
     yt = mesh.centroids / re
     assert np.all(np.linalg.norm(yt, axis=1) < 1.0), "every centroid must lie inside re"
-    sigs = np.stack([source_signature(x, system.constants).coeffs for x in yt])
-    return solid_harmonics_batch(yt, system.config.p) @ sigs.T * mesh.areas[None, :] / re
+    sigs = np.zeros((len(mesh), p * p))
+    sigs[:, oracle_kernel_columns(p)] = [source_signature(x, system.constants).coeffs for x in yt]
+    return solid_harmonics_batch(yt, p) @ sigs.T * mesh.areas[None, :] / re
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import math
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,19 +207,53 @@ def test_extension_rows_have_no_kernel(small_system, rng):
 
 
 def test_direct_solve_adds_kernel_on_surface_rows_only(small_system):
-    # rfac rows of panels on the plane (extension and ground) are exact
-    # zeros by parity, so the direct solve adds rfac @ sfac only on the
-    # SURFACE rows; the result must equal an LU of the fully densified
-    # operator
-    tags = small_system.mesh.tags
-    assert np.any(tags == EXTENSION)
-    assert np.all(small_system.rfac[tags != SURFACE] == 0.0)
-    assert np.all(np.any(small_system.rfac[tags == SURFACE] != 0.0, axis=1))
+    # the kernel rows of panels on the plane (extension and ground) are
+    # exact zeros by parity, so the receiver factor is stored only for the
+    # S panels off the plane, (S, q) against the (q, N) source factor; the
+    # direct solve must equal an LU of the free block plus the scattered
+    # kernel term
+    mesh = small_system.mesh
+    p = small_system.config.p
+    q = p * (p - 1) // 2
+    rows = small_system.kernel_rows
+    assert np.any(mesh.tags == EXTENSION)
+    assert np.array_equal(rows, np.flatnonzero(mesh.centroids[:, 2] != 0.0))
+    assert np.array_equal(rows, np.flatnonzero(mesh.tags == SURFACE))
+    assert small_system.rfac.shape == (rows.size, q)
+    assert small_system.sfac.shape == (q, small_system.size)
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
-    full = small_system.free_matrix + small_system.rfac @ small_system.sfac
+    full = small_system.free_matrix.copy()
+    full[rows] += small_system.rfac @ small_system.sfac
     want = sla.solve(full, small_system.rhs)
     got = solve(small_system)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
+    assert solved_disc.kernel_rows.size == 0
+    got = apply_ground_kernel(solved_disc, rng.standard_normal(solved_disc.size))
+    assert got.shape == (solved_disc.size,)
+    assert np.all(got == 0.0)
+
+
+def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
+    # SciPy overwrites the matrix it factors only if it is Fortran-ordered
+    # and copies any other, so a C-ordered copy would be copied twice
+    seen = []
+    real = bem.sla
+
+    class Proxy:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def solve(self, a, *args, **kwargs):
+            seen.append(a.flags.f_contiguous)
+            return real.solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(bem, "sla", Proxy())
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    solve(small_system)
+    assert seen == [True]
 
 
 def test_truncation_error_halves_twice_per_two_orders(rng):
@@ -427,3 +464,54 @@ def test_field_export_round_trip(solved_disc, tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["values"] == grid.values.tolist()
     assert payload["metadata"]["source"] == [0.0, 0.0, 0.5]
+
+
+# ---------------------------------------------------------------------------
+# Benchmark tooling (bench/ reads these systems; a change here must not
+# break it)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench_dir)
+    try:
+        import tracing
+        import worker
+    finally:
+        sys.path.remove(bench_dir)
+    return tracing, worker
+
+
+def test_bench_reads_solved_system(small_system, bench_modules):
+    _, worker = bench_modules
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    solve(small_system)
+    metrics = worker._system_metrics(small_system)
+    p = small_system.config.p
+    q = p * (p - 1) // 2
+    s = small_system.kernel_rows.size
+    assert metrics["bem.kernel_cols"] == q
+    assert metrics["bem.kernel_factor_mb"] == 8 * q * (s + small_system.size) / 1e6
+    assert metrics["bem.residual"] <= 1e-10
+
+
+def test_bench_tracer_self_times_add_up(small_system, bench_modules):
+    tracing, _ = bench_modules
+    tracer = tracing.Tracer()
+    source = (0.0, 0.0, 1.5)
+    pts = np.array([[1.5, 0.0, 0.5], [0.0, 1.2, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with tracer.installed(), tracer.span("bench", "operation") as root:
+            system = bem.assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
+            bem.set_point_source_rhs(system, source)
+            bem.solve(system)
+            bem.evaluate_field(system, pts, source=source)
+    assert bem.assemble is assemble
+    layers = tracing.span_metrics(tracer.spans, root)
+    reported = sum(layers[f"{layer}.self_s"] for layer in tracing.LAYERS)
+    reported += layers["trace.uncovered_s"]
+    assert math.isclose(reported, layers["trace.wall_s"], rel_tol=1e-9)
+    assert layers["ground_kernel.plane_sources"] > 0

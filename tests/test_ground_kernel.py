@@ -19,6 +19,7 @@ from groundbem.ground_kernel import (
     kernel_series,
     kernel_value,
     radial_table,
+    receiver_harmonics,
     source_signature,
     source_signature_batch,
 )
@@ -27,11 +28,13 @@ from groundbem.harmonics import (
     build_spectral_constants,
     elliptic_ke,
     sh_index,
+    solid_harmonics_batch,
 )
 
 from conftest import (
     RadialOracle,
     oracle_complex_harmonic,
+    oracle_kernel_columns,
     oracle_kernel_neumann_integral,
     oracle_radial_series,
     oracle_series_coefficients,
@@ -169,19 +172,43 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
+def _kernel_part(table, p):
+    """The oracle's n + m odd columns of a p^2-column table, after checking
+    that all its other columns are exact zeros."""
+    odd = oracle_kernel_columns(p)
+    assert np.all(np.delete(table, odd, axis=-1) == 0.0)
+    return table[..., odd]
+
+
 @pytest.mark.parametrize("p", [23, 104])
 def test_layerwise_radial_and_signature_bitwise_equal_loops(p):
     # the one-layer-per-|m| signature fill repeats the frozen per-(n, m)
     # loop's exact arithmetic on the same radial table, so the two must
-    # agree bit for bit
+    # agree bit for bit in the kernel's columns
     rng = np.random.default_rng(p)
     xis = np.sort(rng.uniform(0.3, 0.99, 64))
     phi = rng.uniform(-math.pi, math.pi, xis.size)
     pts = np.stack([xis * np.cos(phi), xis * np.sin(phi), np.zeros(xis.size)], axis=1)
     constants = build_spectral_constants(p)
-    want_sig = oracle_signature_ground_loop(pts, constants, p)
+    want_sig = _kernel_part(oracle_signature_ground_loop(pts, constants, p), p)
     assert np.array_equal(_bits(_signature_ground_batch(pts, constants)), _bits(want_sig))
     assert np.array_equal(_bits(source_signature_batch(pts, constants)), _bits(want_sig))
+
+
+@pytest.mark.parametrize("p", [2, 3, 23, 104])
+def test_receiver_harmonics_are_the_oracle_columns(p):
+    pts = np.random.default_rng(p).uniform(-0.6, 0.6, (50, 3))
+    want = solid_harmonics_batch(pts, p)[:, oracle_kernel_columns(p)]
+    got = receiver_harmonics(pts, p)
+    assert got.shape == (50, p * (p - 1) // 2)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_receiver_harmonics_vanish_on_the_plane():
+    pts = np.random.default_rng(3).uniform(-0.6, 0.6, (40, 3))
+    pts[:20, 2] = 0.0
+    pts[20:, 2] = -0.0
+    assert np.all(receiver_harmonics(pts, 23) == 0.0)
 
 
 def test_quadrature_error_on_singular_source():
@@ -365,7 +392,7 @@ def test_ground_branch_matches_converged_series():
     for rho, phi in [(0.5, 0.7), (0.9, -2.1)]:
         x = np.array([rho * math.cos(phi), rho * math.sin(phi), 0.0])
         rec = _signature_ground_batch(x[None, :], constants)[0]
-        ser = oracle_signature_ground_series(x, constants, 12)
+        ser = _kernel_part(oracle_signature_ground_series(x, constants, 12), 12)
         nz = np.abs(ser) > 0.0
         assert np.all(rec[~nz] == 0.0)
         assert np.max(np.abs(rec[nz] - ser[nz]) / np.abs(ser[nz])) < 1e-8
@@ -380,6 +407,7 @@ def test_interior_branch_reaches_ground_limit():
     x_near = np.array([0.25, 0.1, 1e-9])
     ground = source_signature(x_plane, constants).coeffs
     interior = source_signature(x_near, constants).coeffs
+    assert ground.shape == interior.shape == (8 * 7 // 2,)
     nz = np.abs(ground) > 1e-14
     assert np.max(np.abs(interior[nz] - ground[nz]) / np.abs(ground[nz])) < 1e-5
 
@@ -425,12 +453,12 @@ def test_signature_batch_matches_single(rng):
         # interior sources against the scalar inner series; plane sources
         # against the single-source dispatch of the recurrence branch
         if x[2] != 0.0:
-            single = oracle_signature_interior_single(x, constants, 9)
+            single = _kernel_part(oracle_signature_interior_single(x, constants, 9), 9)
         else:
             single = source_signature(x, constants).coeffs
         nz = np.abs(single) > 0
         assert np.allclose(batch[i][nz], single[nz], rtol=1e-10)
-        assert np.max(np.abs(batch[i][~nz])) == 0.0
+        assert np.all(batch[i][~nz] == 0.0)
 
 
 def test_interior_signature_blocks_are_independent():
