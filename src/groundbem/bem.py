@@ -13,11 +13,18 @@ collocation at panel centroids.  The system operator has two parts:
 The q = p(p - 1)/2 columns are the harmonics with n + m odd, which vanish
 on the plane z = 0: rows collocated there receive no kernel term, and the
 receiver factor is stored only for the S panels off the plane.
+
+The direct solve never forms the kernel term as a matrix.  It LU-factors
+the free block, captures the kernel term's range with a randomized range
+finder (its numerical rank l is far below q), solves with the rank-l
+correction through the Woodbury identity, and refines the result against
+the exact factored operator.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -48,6 +55,7 @@ __all__ = [
 ]
 
 _FOUR_PI = 4.0 * math.pi
+_LOG = logging.getLogger("groundbem")
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +312,90 @@ def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
 # solution must meet.
 _SOLVE_RTOL = 1e-10
 
+# The direct solve's randomized range finder (Halko, Martinsson & Tropp,
+# SIAM Rev. 53, 2011) draws Gaussian test blocks of _SKETCH_BLOCK columns
+# from a fixed seed, so a solve repeats bit for bit, and stops once a
+# block's largest column outside the basis is at most _SKETCH_TOL times the
+# first block's largest column.  What the basis leaves out is made up by at
+# most _REFINE_STEPS steps of refinement against the exact operator.
+_SKETCH_BLOCK = 32
+_SKETCH_TOL = 1e-5
+_SKETCH_SEED = 0
+_REFINE_STEPS = 3
+
+
+def _kernel_range(system: BemSystem) -> np.ndarray:
+    """Orthonormal basis of the range of ``rfac @ sfac``, as the rows of an
+    ``(l, S)`` array, found from products with the factors only; l is at
+    most min(S, q).  The test blocks are drawn as rows, so each block is a
+    row-major product (Omega^T sfac^T) rfac^T."""
+    rfac, sfac = system.rfac, system.sfac
+    top_rank = min(rfac.shape)
+    rng = np.random.default_rng(_SKETCH_SEED)
+    basis = np.zeros((0, rfac.shape[0]))
+    first = None
+    while basis.shape[0] < top_rank:
+        k = min(_SKETCH_BLOCK, top_rank - basis.shape[0])
+        y = (rng.standard_normal((k, sfac.shape[1])) @ sfac.T) @ rfac.T
+        # projected twice: once is not orthogonal enough after cancellation
+        y -= (y @ basis.T) @ basis
+        y -= (y @ basis.T) @ basis
+        largest = float(np.max(np.linalg.norm(y, axis=1)))
+        first = largest if first is None else first
+        if largest <= _SKETCH_TOL * first:
+            break
+        basis = np.vstack([basis, np.linalg.qr(y.T)[0].T])
+    return basis
+
+
+def _woodbury_inverse(system: BemSystem):
+    """Solver for the free block plus the range-projected kernel term.
+
+    With F the free block, P the scatter of the kernel rows into all N
+    rows, Q the kernel range basis and B = Q^T rfac sfac, the Woodbury
+    identity gives (F + P Q B)^-1 from one LU of F, the N x l block
+    Z = F^-1 P Q and an l x l capacitance LU of I + B Z.  Returns the
+    solver and l; a zero pivot in either LU raises :class:`SolveError`.
+    """
+    n = system.size
+    qt = _kernel_range(system)
+    rank = qt.shape[0]
+    b = (qt @ system.rfac) @ system.sfac
+    u = np.zeros((n, rank), order="F")
+    u[system.kernel_rows] = qt.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        try:
+            # LAPACK overwrites only a Fortran-ordered matrix; SciPy copies
+            # any other before factoring it.
+            free_lu = sla.lu_factor(
+                np.array(system.free_matrix, order="F"), overwrite_a=True, check_finite=False
+            )
+            z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
+            cap_lu = sla.lu_factor(np.eye(rank) + b @ z, overwrite_a=True, check_finite=False)
+        except sla.LinAlgWarning as exc:
+            cond = float(np.linalg.cond(system.free_matrix)) if n <= 2000 else None
+            raise SolveError(f"direct solve failed: {exc}", condition=cond) from exc
+
+    def inverse(r: np.ndarray) -> np.ndarray:
+        y = sla.lu_solve(free_lu, r, check_finite=False)
+        return y - z @ sla.lu_solve(cap_lu, b @ y, check_finite=False)
+
+    return inverse, rank
+
 
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` forms free + rfac sfac transiently (chunked, on the
-    kernel rows; the stored factors stay untouched) and LU-solves it in
-    place; ``iterative`` runs lgmres on the factored operator.  The
+    ``direct`` LU-factors a copy of the free block, adds the kernel term
+    through a Woodbury update of the rank l that a randomized range finder
+    keeps (the N x N kernel product is never formed; the stored factors
+    stay untouched), and refines the result against the exact factored
+    operator; ``iterative`` runs lgmres on the factored operator.  The
     relative residual is verified against 1e-10 either way, else
-    :class:`SolveError` is raised.
+    :class:`SolveError` is raised.  One DEBUG record on the ``groundbem``
+    logger reports the route, N, S, q, l, the refinement steps and the
+    residual.
     """
     n = system.size
     rhs = system.rhs
@@ -320,27 +403,29 @@ def solve(system: BemSystem) -> np.ndarray:
         warnings.warn("solving with an all-zero right-hand side", stacklevel=2)
 
     if system.config.solver == "direct":
-        # LAPACK overwrites only a Fortran-ordered matrix; SciPy copies
-        # any other before factoring it.
-        a = np.array(system.free_matrix, order="F")
-        rows = system.kernel_rows
-        chunk = max(1, int(2e7) // max(n, 1))
-        for i0 in range(0, rows.size, chunk):
-            a[rows[i0 : i0 + chunk]] += system.rfac[i0 : i0 + chunk] @ system.sfac
-        try:
-            sigma = sla.solve(a, rhs, overwrite_a=True, assume_a="gen")
-        except sla.LinAlgError as exc:
-            cond = float(np.linalg.cond(system.free_matrix)) if n <= 2000 else None
-            raise SolveError(f"direct solve failed: {exc}", condition=cond) from exc
-        del a
+        route = "lu-woodbury"
+        inverse, rank = _woodbury_inverse(system)
+        sigma = inverse(rhs)
     else:
+        route, inverse, rank = "lgmres", None, 0
         op = LinearOperator((n, n), matvec=lambda v: apply_operator(system, v))
         sigma, info = lgmres(op, rhs, rtol=_SOLVE_RTOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise SolveError(f"lgmres did not converge (info = {info})")
 
     rhs_norm = float(np.linalg.norm(rhs))
-    resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (rhs_norm or 1.0)
+    steps = 0
+    while True:
+        r = apply_operator(system, sigma) - rhs
+        resid = np.linalg.norm(r) / (rhs_norm or 1.0)
+        if resid <= _SOLVE_RTOL or inverse is None or steps == _REFINE_STEPS:
+            break
+        sigma = sigma - inverse(r)
+        steps += 1
+    _LOG.debug(
+        "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e",
+        route, n, system.rfac.shape[0], system.rfac.shape[1], rank, steps, resid,
+    )
     if not resid <= _SOLVE_RTOL:
         cond = float(np.linalg.cond(system.free_matrix)) if n <= 2000 else None
         raise SolveError(

@@ -376,9 +376,9 @@ def interior_inner_cap(constants: SpectralConstants) -> int:
     return min(caps, default=2 * constants.p - 3)
 
 
-# Sources per block of the interior signatures: the degree-(2p - 2)
-# harmonics of one block at p = 104 take 44 MB, where the whole
-# 1279-source surface of the bump anchor would take 438 MB.
+# Sources per block of the interior signatures: the source harmonics of
+# one block at p = 104 (degrees up to 171) take 30 MB, where the whole
+# 1279-source surface of the bump anchor would take 303 MB.
 _INTERIOR_BLOCK = 128
 
 
@@ -386,18 +386,21 @@ def _signature_interior_batch(points, constants):
     """Inner-series signatures for general interior sources, summed to the
     n' <= 2p - 3 cap (the terms beyond are negligible at the radii where
     this branch is dispatched).  The source harmonics are built one block
-    of sources at a time.  Returns ``(N, q)`` in the kernel's columns."""
+    of sources at a time, up to the highest source degree the series
+    keeps.  Returns ``(N, q)`` in the kernel's columns."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     p = constants.p
     terms = []
+    degree = 1
     for m, (rows, cols, nu_cols, cmat) in _interior_coupling(constants).items():
         if rows.size and cols.size:
+            degree = max(degree, int(cols[-1]) + 1)
             for sm in ((m,) if m == 0 else (m, -m)):
                 terms.append((_kernel_column(rows, sm), sh_index(cols, sm), nu_cols, cmat.T))
     coeffs = np.zeros((pts.shape[0], p * (p - 1) // 2))
     for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
         block = slice(i0, i0 + _INTERIOR_BLOCK)
-        harmonics = solid_harmonics_batch(pts[block], 2 * p - 1)
+        harmonics = solid_harmonics_batch(pts[block], degree)
         for out_idx, in_idx, nu_cols, cmat_t in terms:
             coeffs[block, out_idx] = (harmonics[:, in_idx] * nu_cols[None, :]) @ cmat_t
     return coeffs

@@ -9,8 +9,10 @@ the plane-source radial functions from their positive-term series and from
 a positive-integrand Legendre-function representation plus Gauss
 quadrature, the Neumann kernel from its own layer integral, the triangle
 self-term from a polar-coordinate ray integral, the free-space block from a
-per-panel column loop, and the densified kernel matrix from one
-single-source signature per panel.  The per-(n, m) plane-signature fill is
+per-panel column loop, the densified kernel matrix from one
+single-source signature per panel, and the direct solve from one dense LU
+of the free block plus the densified kernel term.  The per-(n, m)
+plane-signature fill is
 frozen here as the reference that the library's layer-at-a-time fill must
 match bit for bit.
 """
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 from scipy import integrate
+from scipy import linalg as sla
 
 from groundbem.bem import _single_layer_bare
 from groundbem.errors import QuadratureError
@@ -529,6 +532,19 @@ def oracle_ground_kernel_matrix(system):
     sigs = np.zeros((len(mesh), p * p))
     sigs[:, oracle_kernel_columns(p)] = [source_signature(x, system.constants).coeffs for x in yt]
     return solid_harmonics_batch(yt, p) @ sigs.T * mesh.areas[None, :] / re
+
+
+def oracle_direct_solve(system):
+    """The densify-then-LU direct solve: the free block plus ``rfac @ sfac``
+    added on the kernel rows in chunks of about 2e7 entries, then one LU
+    solve of that N x N matrix against ``system.rhs``."""
+    n = system.size
+    a = np.array(system.free_matrix, order="F")
+    rows = system.kernel_rows
+    chunk = max(1, int(2e7) // max(n, 1))
+    for i0 in range(0, rows.size, chunk):
+        a[rows[i0 : i0 + chunk]] += system.rfac[i0 : i0 + chunk] @ system.sfac
+    return sla.solve(a, system.rhs, overwrite_a=True, assume_a="gen")
 
 
 # ---------------------------------------------------------------------------

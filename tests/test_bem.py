@@ -1,3 +1,4 @@
+import logging
 import math
 import sys
 import time
@@ -38,6 +39,7 @@ from groundbem.surface_mesh import (
 
 from conftest import (
     green,
+    oracle_direct_solve,
     oracle_free_block_loop,
     oracle_ground_kernel_matrix,
     oracle_triangle_self,
@@ -222,9 +224,7 @@ def test_direct_solve_adds_kernel_on_surface_rows_only(small_system):
     assert small_system.rfac.shape == (rows.size, q)
     assert small_system.sfac.shape == (q, small_system.size)
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
-    full = small_system.free_matrix.copy()
-    full[rows] += small_system.rfac @ small_system.sfac
-    want = sla.solve(full, small_system.rhs)
+    want = oracle_direct_solve(small_system)
     got = solve(small_system)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -238,7 +238,11 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
 
 def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     # SciPy overwrites the matrix it factors only if it is Fortran-ordered
-    # and copies any other, so a C-ordered copy would be copied twice
+    # and copies any other, so the one N x N LU must get an F-ordered copy
+    # of the free block and factor it in place; the other LU is the l x l
+    # capacitance matrix
+    n = small_system.size
+    free = small_system.free_matrix.copy()
     seen = []
     real = bem.sla
 
@@ -246,14 +250,84 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
         def __getattr__(self, name):
             return getattr(real, name)
 
-        def solve(self, a, *args, **kwargs):
-            seen.append(a.flags.f_contiguous)
-            return real.solve(a, *args, **kwargs)
+        def lu_factor(self, a, *args, **kwargs):
+            lu, piv = real.lu_factor(a, *args, **kwargs)
+            seen.append(
+                (a.shape, a.flags.f_contiguous, np.shares_memory(lu, a),
+                 np.shares_memory(a, small_system.free_matrix))
+            )
+            return lu, piv
 
     monkeypatch.setattr(bem, "sla", Proxy())
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     solve(small_system)
-    assert seen == [True]
+    assert len(seen) == 2
+    assert seen[0] == ((n, n), True, True, False)
+    assert seen[1][0][0] < n
+    assert np.array_equal(small_system.free_matrix, free)
+
+
+@pytest.fixture(scope="module")
+def p4_system():
+    # q = 6 kernel columns, fewer than one test block of the range finder
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
+    with pytest.warns(UserWarning):
+        system = assemble(mesh, DomainSpec(r0=2.0, re=3.0), BemConfig(p=4))
+    set_point_source_rhs(system, (0.0, 0.0, 1.5))
+    return system
+
+
+@pytest.fixture(scope="module")
+def dip_system():
+    # the dip study's closest extension, ratio 1.1 with p = 97 for 1e-4:
+    # the kernel term's numerical rank spans several test blocks
+    mesh = make_bump_dip_mesh(-1, r0=1.0, re=1.1, target_edge=0.11)
+    system = assemble(mesh, DomainSpec(r0=1.0, re=1.1), BemConfig(p=97))
+    set_point_source_rhs(system, (0.0, 0.0, 0.5))
+    return system
+
+
+@pytest.mark.parametrize(
+    "name, rtol", [("p4_system", 1e-12), ("dip_system", 1e-10), ("solved_disc", 1e-12)]
+)
+def test_direct_solve_matches_densified_oracle(request, name, rtol):
+    # small_system is checked in test_direct_solve_adds_kernel_on_surface_rows_only;
+    # the dip's Woodbury solve leaves a residual of about 1e-13 after one
+    # refinement step, so it differs from the dense LU by more than round-off
+    system = request.getfixturevalue(name)
+    want = oracle_direct_solve(system)
+    got = solve(system)
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def test_direct_solve_is_deterministic(dip_system):
+    first = solve(dip_system)
+    assert np.array_equal(solve(dip_system), first)
+
+
+def test_solve_logs_route_rank_and_residual(small_system, dip_system, solved_disc, caplog):
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    systems = (small_system, dip_system, solved_disc)
+    for system in systems:
+        solve(system)
+    records = [r for r in caplog.records if r.name == "groundbem"]
+    assert len(records) == len(systems)
+    ranks = []
+    for system, record in zip(systems, records):
+        assert record.levelno == logging.DEBUG
+        words = record.getMessage().split()
+        assert words[0] == "solve"
+        fields = dict(w.split("=") for w in words[1:])
+        s, q = system.rfac.shape
+        assert fields["route"] == "lu-woodbury"
+        assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (system.size, s, q)
+        assert 0 <= int(fields["rank"]) <= min(s, q)
+        assert 0 <= int(fields["refine"]) <= 3
+        assert float(fields["residual"]) <= 1e-10
+        ranks.append(int(fields["rank"]))
+    # the dip needs more than two test blocks, the kernel-off disc none
+    assert ranks[1] > 64 and ranks[2] == 0
 
 
 def test_truncation_error_halves_twice_per_two_orders(rng):
@@ -321,8 +395,12 @@ def test_singular_system_raises_solve_error():
     mesh = PanelMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]), np.array([GROUND, GROUND]))
     system = assemble(mesh, DomainSpec(r0=2.0, re=2.0), BemConfig(p=2, use_ground_kernel=False))
     set_point_source_rhs(system, (0.3, 0.3, 1.0))
-    with pytest.raises(SolveError):
-        solve(system)
+    # a zero pivot must surface as SolveError, not as a LinAlgWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolveError):
+            solve(system)
+    assert not [w for w in caught if issubclass(w.category, sla.LinAlgWarning)]
 
 
 def test_zero_rhs_warns(small_system):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groundbem import ground_kernel
 from groundbem.errors import DomainError, QuadratureError
 from groundbem.ground_kernel import (
     _INTERIOR_BLOCK,
@@ -479,6 +480,36 @@ def test_interior_signature_blocks_are_independent():
     for i in (0, _INTERIOR_BLOCK - 1, _INTERIOR_BLOCK, n - 1):
         one = _signature_interior_batch(pts[i][None, :], constants)[0]
         np.testing.assert_allclose(one, whole[i], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [23, 104])
+def test_interior_harmonics_built_to_the_degree_read(p, monkeypatch):
+    # the inner series reads source degrees only up to its float64 cap
+    # (171 at p = 104); the harmonics recursion runs degree by degree, so
+    # building the table that far gives the signatures of the full 2p - 1
+    # build bit for bit
+    constants = build_spectral_constants(p)
+    rng = np.random.default_rng(p)
+    dirs = rng.standard_normal((2 * _INTERIOR_BLOCK + 3, 3))
+    pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(0.05, 0.95, (len(dirs), 1))
+    real = ground_kernel.solid_harmonics_batch
+    degrees = []
+
+    def capped(points, degree):
+        degrees.append(degree)
+        return real(points, degree)
+
+    monkeypatch.setattr(ground_kernel, "solid_harmonics_batch", capped)
+    got = _signature_interior_batch(pts, constants)
+    monkeypatch.setattr(
+        ground_kernel, "solid_harmonics_batch", lambda points, degree: real(points, 2 * p - 1)
+    )
+    want = _signature_interior_batch(pts, constants)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert degrees == [{23: 44, 104: 172}[p]] * 3
+    top = degrees[0]
+    full = real(pts, 2 * p - 1)
+    assert np.array_equal(real(pts, top).view(np.int64), full[:, : top * top].view(np.int64))
 
 
 def test_non_symmetry_witness():
