@@ -23,10 +23,14 @@ the exact factored operator.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import os
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,14 +116,47 @@ def triangle_single_layer(panel: Panel, y) -> float:
     return float(bare) / _FOUR_PI
 
 
-# Rows of the free-space block built at once: the 256 x N distance block
+# Rows of the free-space block built by one task: the 256 x N distance block
 # takes 13 MB at N = 6306, and every near pair of those rows goes into one
 # analytic-integral call.
 _ROW_BLOCK = 256
+# Rows of the free block one task multiplies in ``apply_operator``.
+_MATVEC_ROWS = 512
 
 
-def _free_block(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
-    """Single layer of every panel at every point, ``(len(points), N)``.
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The pool for the mesh-only work: one thread per CPU this process may
+    use.  Tasks split by rows at fixed sizes, so every result is bitwise
+    the same for any worker count; NumPy releases the GIL in all of it.
+    Created on first use, so importing the package starts no thread."""
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:  # not on macOS or Windows
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="groundbem")
+
+
+# A forked child inherits the pool but none of its threads.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _gather(tasks) -> list:
+    """Results of the tasks in order; if one fails or the wait is
+    interrupted, those not yet started are cancelled."""
+    try:
+        return [t.result() for t in tasks]
+    finally:
+        for t in tasks:
+            t.cancel()
+
+
+def _free_block(mesh: PanelMesh, points: np.ndarray):
+    """Single layer of every panel at every point, ``(len(points), N)``,
+    started on the pool, one task per ``_ROW_BLOCK`` rows.  Returns the
+    result, filled once every task is done, and the tasks, each of which
+    returns the ``time.perf_counter()`` at which it finished.
 
     Pairs closer than the near-field radius, 5 mean panel diameters, get
     the analytic triangle integral, all others the centroid monopole.  The
@@ -132,14 +169,24 @@ def _free_block(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
     csq = np.einsum("ij,ij->i", cents, cents)
     psq = np.einsum("ij,ij->i", points, points)
     out = np.empty((points.shape[0], len(mesh)))
-    for i0 in range(0, points.shape[0], _ROW_BLOCK):
+
+    def rows_task(i0):
         rows = slice(i0, i0 + _ROW_BLOCK)
-        d2 = psq[rows, None] + csq[None, :] - 2.0 * points[rows] @ cents.T
+        # The squared distances, then the monopole, in this task's rows of
+        # the result: the same operations in the same order as with a fresh
+        # temporary per step, so bitwise equal to that.
+        d2 = out[rows]
+        two_pc = 2.0 * points[rows] @ cents.T
+        np.add(psq[rows, None], csq[None, :], out=d2)
+        d2 -= two_pc
+        del two_pc
         np.maximum(d2, 0.0, out=d2)
-        with np.errstate(divide="ignore"):
-            out[rows] = mesh.areas[None, :] / (_FOUR_PI * np.sqrt(d2))
         i, j = np.nonzero(d2 < r_nf2)
-        out[i0 + i, j] = _single_layer_bare(
+        np.sqrt(d2, out=d2)
+        d2 *= _FOUR_PI
+        with np.errstate(divide="ignore"):
+            np.divide(mesh.areas[None, :], d2, out=d2)
+        d2[i, j] = _single_layer_bare(
             mesh.face_vertices[j],
             mesh.normals[j],
             mesh.edge_tangents[j],
@@ -147,7 +194,10 @@ def _free_block(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
             mesh.edge_normals[j],
             points[i0 + i],
         ) / _FOUR_PI
-    return out
+        return time.perf_counter()
+
+    pool = _pool()
+    return out, [pool.submit(rows_task, i0) for i0 in range(0, points.shape[0], _ROW_BLOCK)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +261,10 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
     series elsewhere; receiver factors only for the panels off the plane.
+    The free block is built on the worker pool while the calling thread
+    builds the kernel factors.  One DEBUG record on the ``groundbem``
+    logger reports N, S, q, the worker count and the seconds of the free
+    block and of the kernel factors.
     """
     n = len(mesh)
     re = domain.re
@@ -225,25 +279,38 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
 
     centroids = mesh.centroids
     areas = mesh.areas
-    a = _free_block(mesh, centroids)
-
-    constants = build_spectral_constants(p)
-    if config.use_ground_kernel:
-        cap = interior_inner_cap(constants)
-        if cap < 2 * p - 3:
-            tail = (domain.r0 / domain.re) ** cap
-            if tail > 0.1 * config.prescribed_eps:
-                warnings.warn(
-                    f"inner series capped at degree {cap} by float64 range; "
-                    f"implied tail ~{tail:.2e} vs prescribed {config.prescribed_eps:.2e}",
-                    stacklevel=2,
-                )
-        rows = np.flatnonzero(centroids[:, 2] != 0.0)
-        rfac = receiver_harmonics(centroids[rows] / re, p) / re
-        sfac = (source_signature_batch(centroids / re, constants) * areas[:, None]).T
-    else:
-        rows = np.zeros(0, dtype=np.intp)
-        rfac, sfac = np.zeros((0, 0)), np.zeros((0, n))
+    # The free block's row tasks run on the pool while this thread builds
+    # the kernel factors, which read nothing of it.
+    t_start = time.perf_counter()
+    a, free_tasks = _free_block(mesh, centroids)
+    try:
+        constants = build_spectral_constants(p)
+        if config.use_ground_kernel:
+            cap = interior_inner_cap(constants)
+            if cap < 2 * p - 3:
+                tail = (domain.r0 / domain.re) ** cap
+                if tail > 0.1 * config.prescribed_eps:
+                    warnings.warn(
+                        f"inner series capped at degree {cap} by float64 range; "
+                        f"implied tail ~{tail:.2e} vs prescribed {config.prescribed_eps:.2e}",
+                        stacklevel=2,
+                    )
+            rows = np.flatnonzero(centroids[:, 2] != 0.0)
+            rfac = receiver_harmonics(centroids[rows] / re, p) / re
+            sfac = (source_signature_batch(centroids / re, constants) * areas[:, None]).T
+        else:
+            rows = np.zeros(0, dtype=np.intp)
+            rfac, sfac = np.zeros((0, 0)), np.zeros((0, n))
+        kernel_s = time.perf_counter() - t_start
+    except BaseException:
+        for t in free_tasks:
+            t.cancel()
+        raise
+    free_s = max(_gather(free_tasks)) - t_start
+    _LOG.debug(
+        "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f",
+        n, rfac.shape[0], rfac.shape[1], _pool()._max_workers, free_s, kernel_s,
+    )
 
     return BemSystem(
         mesh=mesh,
@@ -305,7 +372,13 @@ def apply_ground_kernel(system: BemSystem, vec: np.ndarray) -> np.ndarray:
 
 def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     """Full system operator (free-space block plus factored kernel)."""
-    return system.free_matrix @ vec + apply_ground_kernel(system, vec)
+    free = np.empty(system.size)
+    pool = _pool()
+    _gather([
+        pool.submit(np.dot, system.free_matrix[i:i + _MATVEC_ROWS], vec, free[i:i + _MATVEC_ROWS])
+        for i in range(0, system.size, _MATVEC_ROWS)
+    ])
+    return free + apply_ground_kernel(system, vec)
 
 
 # Relative residual the lgmres iteration aims for, and that every
@@ -497,7 +570,9 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         )
     sigma = system.solution
     mesh = system.mesh
-    values = _free_block(mesh, pts) @ sigma
+    free, tasks = _free_block(mesh, pts)
+    _gather(tasks)
+    values = free @ sigma
 
     if system.config.use_ground_kernel:
         rfac_pts = receiver_harmonics(pts / system.domain.re, system.config.p) / system.domain.re

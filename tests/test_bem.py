@@ -1,8 +1,12 @@
 import logging
 import math
+import os
+import subprocess
 import sys
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -593,3 +597,125 @@ def test_bench_tracer_self_times_add_up(small_system, bench_modules):
     reported += layers["trace.uncovered_s"]
     assert math.isclose(reported, layers["trace.wall_s"], rel_tol=1e-9)
     assert layers["ground_kernel.plane_sources"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The worker pool (free block, kernel-factor overlap, matvec)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pooled_problem():
+    # rows for more than one free-block task and more than one matvec task
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.3)
+    assert len(mesh) > max(bem._ROW_BLOCK, bem._MATVEC_ROWS)
+    return mesh, DomainSpec(r0=2.0, re=3.0), BemConfig(p=8)
+
+
+def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
+    mesh, domain, config = pooled_problem
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble(mesh, domain, config)
+    records = [r for r in caplog.records if r.name == "groundbem"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    words = records[0].getMessage().split()
+    assert words[0] == "assemble"
+    fields = dict(w.split("=") for w in words[1:])
+    s, q = system.rfac.shape
+    assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (len(mesh), s, q)
+    assert int(fields["workers"]) == len(os.sched_getaffinity(0))
+    assert float(fields["free_s"]) > 0.0 and float(fields["kernel_s"]) > 0.0
+
+
+def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog):
+    mesh, domain, config = pooled_problem
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    source = (0.0, 0.0, 1.5)
+    pts = np.array([[1.5, 0.0, 0.5], [0.0, 1.2, 1.0], [0.3, -0.4, 2.0]])
+    v = np.sin(np.arange(len(mesh)))
+    runs = []
+    for workers in (1, 3):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(bem, "_pool", lambda pool=pool: pool)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                system = assemble(mesh, domain, config)
+            assert f" workers={workers} " in caplog.records[-1].getMessage()
+            set_point_source_rhs(system, source)
+            direct = solve(system)
+            field = evaluate_field(system, pts, source=source).values
+            system.config = BemConfig(p=config.p, solver="iterative")
+            iterative = solve(system)
+            runs.append((
+                system.free_matrix, system.rfac, system.sfac,
+                apply_operator(system, v), direct, iterative, field,
+            ))
+    for first, second in zip(*runs):
+        assert np.array_equal(first, second)
+
+
+def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, monkeypatch):
+    # bench/tracing.py keeps one span stack: a traced function running on a
+    # worker thread next to the caller would break the nesting
+    tracing, _ = bench_modules
+    tracer = tracing.Tracer()
+    opened_on = set()
+
+    def open_span(*args, _open=tracer._open):
+        opened_on.add(threading.get_ident())
+        return _open(*args)
+
+    monkeypatch.setattr(tracer, "_open", open_span)
+    source = (0.0, 0.0, 1.5)
+    pts = np.array([[1.5, 0.0, 0.5], [0.0, 1.2, 1.0]])
+    config = BemConfig(p=12, solver="iterative")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with tracer.installed(), tracer.span("bench", "operation"):
+            system = bem.assemble(small_system.mesh, small_system.domain, config)
+            bem.set_point_source_rhs(system, source)
+            bem.solve(system)
+            bem.evaluate_field(system, pts, source=source)
+    spans = tracer.spans
+    assert opened_on == {threading.get_ident()}
+    assert sum(s.name == "apply_operator" for s in spans) > 5
+    for span in spans:
+        assert span.end >= span.start and span.self_s >= 0.0
+        if span.parent is not None:
+            parent = spans[span.parent]
+            assert parent.start <= span.start and span.end <= parent.end
+
+
+_HYGIENE_SCRIPT = """
+import os, sys, threading, time, warnings
+import groundbem
+assert threading.active_count() == 1, threading.enumerate()
+from groundbem import bem
+from groundbem.surface_mesh import DomainSpec, make_bump_dip_mesh
+warnings.simplefilter("ignore")
+mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
+domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
+first = bem.assemble(mesh, domain, config).free_matrix
+assert threading.active_count() > 1
+pid = os.fork()
+if pid == 0:
+    # the child inherits the pool object but none of its threads
+    ok = bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
+    os._exit(0 if ok else 1)
+assert os.waitpid(pid, 0)[1] == 0
+print(time.time(), flush=True)
+"""
+
+
+def test_import_starts_no_thread_and_pool_does_not_delay_exit():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HYGIENE_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    exited = time.time()
+    assert proc.returncode == 0, proc.stderr
+    assert exited - float(proc.stdout.split()[-1]) < 5.0
