@@ -50,6 +50,7 @@ from .bem import (
     set_point_source_rhs,
     solve,
     triangle_single_layer,
+    truncated_system,
 )
 from .experiments import (
     ALPHA_STAR,

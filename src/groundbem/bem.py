@@ -3,22 +3,23 @@
 The boundary integral equation is discretized with constant panels and
 collocation at panel centroids.  The system operator has two parts:
 
-* a dense free-space block: analytic single-layer integrals for panels
-  within the near-field radius of a collocation point (always for the
-  self term), centroid monopole approximation beyond it;
-* the ground-plane kernel term, kept in factored low-rank form -- an
-  (S x q) receiver-harmonic factor times a (q x N) source-signature
-  factor -- so applying it to a vector costs O(q N), never O(N^2).
+* the mesh's free-space operator, shared by the systems on that mesh: a
+  dense block of analytic single-layer integrals for panels within the
+  near-field radius of a collocation point (always for the self term),
+  centroid monopole approximation beyond it, and the block's LU;
+* the ground-plane kernel term (absent in plain truncated BEM), kept in
+  factored low-rank form -- an (S x q) receiver-harmonic factor times a
+  (q x N) source-signature factor -- so applying it costs O(q N).
 
 The q = p(p - 1)/2 columns are the harmonics with n + m odd, which vanish
 on the plane z = 0: rows collocated there receive no kernel term, and the
 receiver factor is stored only for the S panels off the plane.
 
-The direct solve never forms the kernel term as a matrix.  It LU-factors
-the free block, captures the kernel term's range with a randomized range
-finder (its numerical rank l is far below q), solves with the rank-l
-correction through the Woodbury identity, and refines the result against
-the exact factored operator.
+The direct solve never forms the kernel term as a matrix.  It reuses the
+operator's LU, captures the kernel term's range with a randomized range
+finder (its numerical rank l is far below q; 0 without the term), solves
+with the rank-l correction through the Woodbury identity, and refines the
+result against the exact factored operator.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ __all__ = [
     "BemConfig",
     "BemSystem",
     "FieldGrid",
+    "FreeOperator",
     "triangle_single_layer",
     "assemble",
+    "truncated_system",
     "set_point_source_rhs",
     "set_boundary_potential",
     "solve",
@@ -104,15 +107,10 @@ def _single_layer_bare(fv, normals, tangents, lengths, enormals, points):
 def triangle_single_layer(panel: Panel, y) -> float:
     """Single-layer potential of a unit density over one panel,
     ``int_panel G(y, x) dS``, exact for any evaluation point."""
-    pt = np.asarray(y, dtype=float).reshape(3)
     bare = _single_layer_bare(
-        panel.vertices[None, :, :],
-        panel.normal[None, :],
-        panel.edge_tangents[None, :, :],
-        panel.edge_lengths[None, :],
-        panel.edge_normals[None, :, :],
-        pt[None, :],
-    )[0]
+        panel.vertices, panel.normal, panel.edge_tangents, panel.edge_lengths,
+        panel.edge_normals, np.asarray(y, dtype=float).reshape(3),
+    )
     return float(bare) / _FOUR_PI
 
 
@@ -210,13 +208,12 @@ class BemConfig:
     """Discretization and solver parameters.
 
     ``prescribed_eps`` is the target kernel accuracy used for sanity
-    warnings against the chosen truncation number.
+    warnings against the truncation ``p``; only a kernel term reads them.
     """
 
     p: int = 12
     solver: str = "direct"
     prescribed_eps: float = 1e-4
-    use_ground_kernel: bool = True
 
     def __post_init__(self):
         if self.p < 2:
@@ -227,33 +224,78 @@ class BemConfig:
             raise DomainError("prescribed_eps must lie in (0, 1)")
 
 
+@dataclass(eq=False)
+class FreeOperator:
+    """Free-space operator of one mesh: the dense block ``matrix`` and its
+    LU, made by the first direct solve and kept while the operator lives."""
+
+    mesh: PanelMesh
+    matrix: np.ndarray
+
+    @functools.cached_property
+    def lu(self) -> tuple:
+        # LAPACK overwrites only a Fortran-ordered matrix; SciPy copies any
+        # other before factoring it.
+        return sla.lu_factor(np.array(self.matrix, order="F"), overwrite_a=True, check_finite=False)
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """The block times ``vec``, on the pool in ``_MATVEC_ROWS`` row chunks."""
+        out = np.empty(len(self.mesh))
+        pool = _pool()
+        _gather([
+            pool.submit(np.dot, self.matrix[i:i + _MATVEC_ROWS], vec, out[i:i + _MATVEC_ROWS])
+            for i in range(0, out.size, _MATVEC_ROWS)
+        ])
+        return out
+
+    def condition(self) -> float | None:
+        """Condition number for a failure report; None above 2000 panels."""
+        return float(np.linalg.cond(self.matrix)) if len(self.mesh) <= 2000 else None
+
+
 @dataclass
 class BemSystem:
     """Assembled collocation system.
 
-    ``free_matrix`` is the dense free-space block; the ground-kernel term
-    is ``rfac @ sfac`` on the rows ``kernel_rows`` (the panels off the
-    plane; none with the kernel off) and zero on all others, the source
-    factor including panel areas.  ``rhs`` and ``solution`` are per panel.
+    ``operator`` is the mesh's free-space operator, which other systems may
+    share; ``free_matrix`` is its block.  With a ``domain`` the ground-kernel
+    term is ``rfac @ sfac`` on the rows ``kernel_rows`` (the panels off the
+    plane) and zero on all others, the source factor including panel areas;
+    with ``domain=None`` it is a rank-0 term: no rows, empty factors.
+    ``rhs`` (zero unless given) and ``solution`` are per panel.
     """
 
-    mesh: PanelMesh
-    domain: DomainSpec
+    operator: FreeOperator
+    domain: DomainSpec | None
     config: BemConfig
-    free_matrix: np.ndarray
-    rfac: np.ndarray
-    sfac: np.ndarray
-    kernel_rows: np.ndarray
-    constants: object
-    rhs: np.ndarray
+    kernel_rows: np.ndarray | None = None
+    rfac: np.ndarray | None = None
+    sfac: np.ndarray | None = None
+    constants: object = None
+    rhs: np.ndarray | None = None
     solution: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.domain is None:
+            self.kernel_rows = np.zeros(0, dtype=np.intp)
+            self.rfac, self.sfac = np.zeros((0, 0)), np.zeros((0, self.size))
+        if self.rhs is None:
+            self.rhs = np.zeros(self.size)
+
+    @property
+    def mesh(self) -> PanelMesh:
+        return self.operator.mesh
+
+    @property
+    def free_matrix(self) -> np.ndarray:
+        return self.operator.matrix
 
     @property
     def size(self) -> int:
         return len(self.mesh)
 
 
-def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSystem:
+def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> BemSystem:
     """Assemble the collocation system for the given mesh and domain.
 
     The free-space block uses the analytic triangle integral for pairs
@@ -261,68 +303,60 @@ def assemble(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> BemSyste
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
     series elsewhere; receiver factors only for the panels off the plane.
-    The free block is built on the worker pool while the calling thread
-    builds the kernel factors.  One DEBUG record on the ``groundbem``
-    logger reports N, S, q, the worker count and the seconds of the free
-    block and of the kernel factors.
+    ``domain=None`` builds no kernel term (plain truncated BEM).  The free
+    block is built on the worker pool while the calling thread builds the
+    kernel factors.  One DEBUG record on the ``groundbem`` logger reports
+    N, S, q, the worker count and the seconds of both.
     """
-    n = len(mesh)
-    re = domain.re
-    p = config.p
-    implied_eps = (domain.r0 / domain.re) ** p if domain.re > domain.r0 else 1.0
-    if config.use_ground_kernel and implied_eps > config.prescribed_eps:
-        warnings.warn(
-            f"truncation p = {p} gives kernel accuracy ~{implied_eps:.2e}, "
-            f"worse than the prescribed {config.prescribed_eps:.2e}",
-            stacklevel=2,
-        )
-
     centroids = mesh.centroids
-    areas = mesh.areas
     # The free block's row tasks run on the pool while this thread builds
     # the kernel factors, which read nothing of it.
     t_start = time.perf_counter()
     a, free_tasks = _free_block(mesh, centroids)
+    kernel = {}
     try:
-        constants = build_spectral_constants(p)
-        if config.use_ground_kernel:
+        if domain is not None:
+            p, eps, re = config.p, config.prescribed_eps, domain.re
+            ratio = domain.r0 / re
+            if ratio ** p > eps:
+                warnings.warn(
+                    f"truncation p = {p} gives kernel accuracy ~{ratio ** p:.2e}, "
+                    f"worse than the prescribed {eps:.2e}",
+                    stacklevel=2,
+                )
+            constants = build_spectral_constants(p)
             cap = interior_inner_cap(constants)
-            if cap < 2 * p - 3:
-                tail = (domain.r0 / domain.re) ** cap
-                if tail > 0.1 * config.prescribed_eps:
-                    warnings.warn(
-                        f"inner series capped at degree {cap} by float64 range; "
-                        f"implied tail ~{tail:.2e} vs prescribed {config.prescribed_eps:.2e}",
-                        stacklevel=2,
-                    )
+            if cap < 2 * p - 3 and ratio ** cap > 0.1 * eps:
+                warnings.warn(
+                    f"inner series capped at degree {cap} by float64 range; "
+                    f"implied tail ~{ratio ** cap:.2e} vs prescribed {eps:.2e}",
+                    stacklevel=2,
+                )
             rows = np.flatnonzero(centroids[:, 2] != 0.0)
-            rfac = receiver_harmonics(centroids[rows] / re, p) / re
-            sfac = (source_signature_batch(centroids / re, constants) * areas[:, None]).T
-        else:
-            rows = np.zeros(0, dtype=np.intp)
-            rfac, sfac = np.zeros((0, 0)), np.zeros((0, n))
+            kernel = dict(
+                kernel_rows=rows,
+                rfac=receiver_harmonics(centroids[rows] / re, p) / re,
+                sfac=(source_signature_batch(centroids / re, constants) * mesh.areas[:, None]).T,
+                constants=constants,
+            )
         kernel_s = time.perf_counter() - t_start
     except BaseException:
         for t in free_tasks:
             t.cancel()
         raise
     free_s = max(_gather(free_tasks)) - t_start
+    system = BemSystem(FreeOperator(mesh, a), domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f",
-        n, rfac.shape[0], rfac.shape[1], _pool()._max_workers, free_s, kernel_s,
+        len(mesh), *system.rfac.shape, _pool()._max_workers, free_s, kernel_s,
     )
+    return system
 
-    return BemSystem(
-        mesh=mesh,
-        domain=domain,
-        config=config,
-        free_matrix=a,
-        rfac=rfac,
-        sfac=sfac,
-        kernel_rows=rows,
-        constants=constants,
-        rhs=np.zeros(n),
-    )
+
+def truncated_system(system: BemSystem) -> BemSystem:
+    """Plain truncated BEM on the free-space operator (block and LU) of
+    ``system``: its config, no kernel term, a zero right-hand side."""
+    return BemSystem(system.operator, None, system.config)
 
 
 def set_point_source_rhs(system: BemSystem, source) -> None:
@@ -330,11 +364,9 @@ def set_point_source_rhs(system: BemSystem, source) -> None:
     the incident potential of a unit monopole, free-space plus kernel part
     (the kernel part vanishes on the rows on the plane)."""
     xs = np.asarray(source, dtype=float).reshape(3)
-    g = np.einsum(
-        "ij,ij->i", system.mesh.centroids - xs, system.mesh.centroids - xs
-    )
-    rhs = -1.0 / (_FOUR_PI * np.sqrt(g))
-    if system.config.use_ground_kernel:
+    d = system.mesh.centroids - xs
+    rhs = -1.0 / (_FOUR_PI * np.sqrt(np.einsum("ij,ij->i", d, d)))
+    if system.domain is not None:
         sig = source_signature(xs / system.domain.re, system.constants)
         rhs[system.kernel_rows] -= system.rfac @ sig.coeffs
     system.rhs = rhs
@@ -372,13 +404,7 @@ def apply_ground_kernel(system: BemSystem, vec: np.ndarray) -> np.ndarray:
 
 def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     """Full system operator (free-space block plus factored kernel)."""
-    free = np.empty(system.size)
-    pool = _pool()
-    _gather([
-        pool.submit(np.dot, system.free_matrix[i:i + _MATVEC_ROWS], vec, free[i:i + _MATVEC_ROWS])
-        for i in range(0, system.size, _MATVEC_ROWS)
-    ])
-    return free + apply_ground_kernel(system, vec)
+    return system.operator.matvec(vec) + apply_ground_kernel(system, vec)
 
 
 # Relative residual the lgmres iteration aims for, and that every
@@ -425,30 +451,27 @@ def _woodbury_inverse(system: BemSystem):
     """Solver for the free block plus the range-projected kernel term.
 
     With F the free block, P the scatter of the kernel rows into all N
-    rows, Q the kernel range basis and B = Q^T rfac sfac, the Woodbury
-    identity gives (F + P Q B)^-1 from one LU of F, the N x l block
-    Z = F^-1 P Q and an l x l capacitance LU of I + B Z.  Returns the
-    solver and l; a zero pivot in either LU raises :class:`SolveError`.
+    rows, Q the kernel range basis (l = 0 without a kernel term) and
+    B = Q^T rfac sfac, the Woodbury identity gives (F + P Q B)^-1 from the
+    operator's LU of F, the N x l block Z = F^-1 P Q and an l x l
+    capacitance LU of I + B Z.  Returns the solver and l; a zero pivot in
+    either LU raises :class:`SolveError`.
     """
-    n = system.size
     qt = _kernel_range(system)
     rank = qt.shape[0]
     b = (qt @ system.rfac) @ system.sfac
-    u = np.zeros((n, rank), order="F")
+    u = np.zeros((system.size, rank), order="F")
     u[system.kernel_rows] = qt.T
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
         try:
-            # LAPACK overwrites only a Fortran-ordered matrix; SciPy copies
-            # any other before factoring it.
-            free_lu = sla.lu_factor(
-                np.array(system.free_matrix, order="F"), overwrite_a=True, check_finite=False
-            )
+            free_lu = system.operator.lu
             z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
             cap_lu = sla.lu_factor(np.eye(rank) + b @ z, overwrite_a=True, check_finite=False)
         except sla.LinAlgWarning as exc:
-            cond = float(np.linalg.cond(system.free_matrix)) if n <= 2000 else None
-            raise SolveError(f"direct solve failed: {exc}", condition=cond) from exc
+            raise SolveError(
+                f"direct solve failed: {exc}", condition=system.operator.condition()
+            ) from exc
 
     def inverse(r: np.ndarray) -> np.ndarray:
         y = sla.lu_solve(free_lu, r, check_finite=False)
@@ -460,15 +483,15 @@ def _woodbury_inverse(system: BemSystem):
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` LU-factors a copy of the free block, adds the kernel term
-    through a Woodbury update of the rank l that a randomized range finder
-    keeps (the N x N kernel product is never formed; the stored factors
-    stay untouched), and refines the result against the exact factored
-    operator; ``iterative`` runs lgmres on the factored operator.  The
-    relative residual is verified against 1e-10 either way, else
-    :class:`SolveError` is raised.  One DEBUG record on the ``groundbem``
-    logger reports the route, N, S, q, l, the refinement steps and the
-    residual.
+    ``direct`` reuses the operator's LU of the free block (factored on its
+    first direct solve), adds the kernel term through a Woodbury update of
+    the rank l that a randomized range finder keeps (the N x N kernel
+    product is never formed; l = 0 without a kernel term), and refines the
+    result against the exact factored operator; ``iterative`` runs lgmres
+    on the factored operator.  The relative residual is verified against
+    1e-10 either way, else :class:`SolveError` is raised.  One DEBUG
+    record on the ``groundbem`` logger reports the route, N, S, q, l, the
+    refinement steps and the residual.
     """
     n = system.size
     rhs = system.rhs
@@ -497,13 +520,12 @@ def solve(system: BemSystem) -> np.ndarray:
         steps += 1
     _LOG.debug(
         "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e",
-        route, n, system.rfac.shape[0], system.rfac.shape[1], rank, steps, resid,
+        route, n, *system.rfac.shape, rank, steps, resid,
     )
     if not resid <= _SOLVE_RTOL:
-        cond = float(np.linalg.cond(system.free_matrix)) if n <= 2000 else None
         raise SolveError(
             f"solution residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e}",
-            condition=cond,
+            condition=system.operator.condition(),
         )
     system.solution = sigma
     return sigma
@@ -552,53 +574,48 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
     The panel sum is assembly's free-space block taken at these points;
-    the kernel part reuses the stored source factors.  With the ground
-    kernel on, every point must lie inside ``re`` (the receiver series
-    diverges outside), else :class:`DomainError` is raised.  With
-    ``source`` given, the incident monopole and its kernel image are added
-    and the induced part is reported separately.
+    the kernel part reuses the stored source factors.  With a kernel term,
+    every point must lie inside ``re`` (the receiver series diverges
+    outside), else :class:`DomainError` is raised; without one the
+    metadata's ``p``, ``re`` and ``r0`` are None.  With ``source`` given,
+    the incident monopole and its kernel image are added and the induced
+    part is reported separately.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if system.config.use_ground_kernel and np.any(
-        np.linalg.norm(pts, axis=1) >= system.domain.re
-    ):
-        raise DomainError(
-            f"field points must satisfy |y| < re = {system.domain.re}: the "
-            "receiver series of the ground kernel diverges outside"
-        )
     sigma = system.solution
-    mesh = system.mesh
-    free, tasks = _free_block(mesh, pts)
+    domain = system.domain
+    kernel = image = 0.0
+    if domain is not None:
+        if np.any(np.linalg.norm(pts, axis=1) >= domain.re):
+            raise DomainError(
+                f"field points must satisfy |y| < re = {domain.re}: the "
+                "receiver series of the ground kernel diverges outside"
+            )
+        rfac_pts = receiver_harmonics(pts / domain.re, system.config.p) / domain.re
+        kernel = rfac_pts @ (system.sfac @ sigma)
+        if source is not None:
+            sig = source_signature(np.reshape(source, 3) / domain.re, system.constants)
+            image = rfac_pts @ sig.coeffs
+    free, tasks = _free_block(system.mesh, pts)
     _gather(tasks)
-    values = free @ sigma
-
-    if system.config.use_ground_kernel:
-        rfac_pts = receiver_harmonics(pts / system.domain.re, system.config.p) / system.domain.re
-        values = values + rfac_pts @ (system.sfac @ sigma)
-
-    induced = values.copy()
+    values = free @ sigma + kernel
+    induced = values + image
     if source is not None:
-        xs = np.asarray(source, dtype=float).reshape(3)
-        dist = np.linalg.norm(pts - xs, axis=1)
-        values = values + 1.0 / (_FOUR_PI * dist)
-        if system.config.use_ground_kernel:
-            sig = source_signature(xs / system.domain.re, system.constants)
-            ksrc = rfac_pts @ sig.coeffs
-            values = values + ksrc
-            induced = induced + ksrc
+        dist = np.linalg.norm(pts - np.reshape(source, 3), axis=1)
+        values = values + 1.0 / (_FOUR_PI * dist) + image
 
     return FieldGrid(
         points=pts,
         values=values,
         induced=induced,
-        flags=_below_ground_flags(mesh, pts),
+        flags=_below_ground_flags(system.mesh, pts),
         metadata={
-            "p": system.config.p,
-            "re": system.domain.re,
-            "r0": system.domain.r0,
-            "use_ground_kernel": system.config.use_ground_kernel,
+            "p": None if domain is None else system.config.p,
+            "re": None if domain is None else domain.re,
+            "r0": None if domain is None else domain.r0,
+            "use_ground_kernel": domain is not None,
             "source": None if source is None else list(map(float, np.ravel(source))),
         },
     )

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--re", type=float, default=None, help="override extended radius")
     s.add_argument("--solver", choices=("direct", "iterative"), default="direct")
     s.add_argument("--no-kernel", action="store_true",
-                   help="plain truncated BEM: drop the ground-kernel term")
+                   help="plain truncated BEM: solve without the ground-kernel "
+                        "term (no truncation; p is null in the output)")
     s.add_argument("--field", default=None,
                    help="also evaluate the field on an nr,nth interior grid")
     s.add_argument("--out-prefix", default=None,
@@ -198,18 +199,15 @@ def _cmd_solve(args) -> int:
     mesh = load_mesh(args.mesh)
     domain, has_ext = _infer_domain(mesh, args.r0, args.re)
     use_kernel = has_ext and not args.no_kernel and domain.re > domain.r0
-    if args.p is not None:
-        p = args.p
-    elif use_kernel:
-        p = xp.choose_truncation(domain.r0, domain.re, args.eps)
-    else:
-        p = 2
     if not use_kernel and not args.no_kernel:
         print("note: mesh has no extension ring; solving without the ground kernel",
               file=sys.stderr)
-    cfg = BemConfig(p=p, solver=args.solver, prescribed_eps=args.eps,
-                    use_ground_kernel=use_kernel)
-    system = assemble(mesh, domain, cfg)
+    kernel = {}
+    if use_kernel:
+        kernel["p"] = (xp.choose_truncation(domain.r0, domain.re, args.eps)
+                       if args.p is None else args.p)
+    cfg = BemConfig(solver=args.solver, prescribed_eps=args.eps, **kernel)
+    system = assemble(mesh, domain if use_kernel else None, cfg)
     source = _parse_point(args.source)
     set_point_source_rhs(system, source)
     sigma = bem_solve(system)
@@ -233,7 +231,7 @@ def _cmd_solve(args) -> int:
         "panels": len(mesh),
         "r0": domain.r0,
         "re": domain.re,
-        "p": p,
+        "p": kernel.get("p"),
         "eps": args.eps,
         "solver": args.solver,
         "use_ground_kernel": use_kernel,

@@ -23,6 +23,7 @@ from .bem import (
     evaluate_field,
     set_point_source_rhs,
     solve,
+    truncated_system,
 )
 from .errors import DomainError, GroundBemError
 from .ground_kernel import (
@@ -349,6 +350,13 @@ def _dip_grid(r_outer, standoff, nr, nth):
     return np.asarray(pts)
 
 
+def _point_source_field(system, source, pts) -> np.ndarray:
+    """Field at ``pts`` of ``system`` solved under a unit monopole at ``source``."""
+    set_point_source_rhs(system, source)
+    solve(system)
+    return evaluate_field(system, pts, source=source).values
+
+
 @dataclass(frozen=True)
 class BumpReport:
     h: float
@@ -389,8 +397,8 @@ def run_bump_experiment(
 ) -> BumpReport:
     """Solve the bump problem four ways and compare on an interior grid:
     analytic images, BEM over the mirrored closed surface, plain truncated
-    BEM, and the ground-kernel BEM.  Errors are relative L2 against the
-    analytic solution."""
+    BEM, and the ground-kernel BEM.  The last two share one free-space
+    operator.  Errors are relative L2 against the analytic solution."""
     if not h > 1.0:
         raise DomainError("bump experiment requires h > 1")
     r0, re = h, h * (1.0 + delta)
@@ -398,38 +406,25 @@ def run_bump_experiment(
     p = choose_truncation(r0, re, eps)
     mesh = make_bump_dip_mesh(1, r0=r0, re=re, target_edge=target_edge)
 
-    standoff = 2.0 * mesh.mean_diameter
-    pts = _half_disc_grid(1.0, r0, standoff, *grid_shape)
+    pts = _half_disc_grid(1.0, r0, 2.0 * mesh.mean_diameter, *grid_shape)
     exact = np.asarray([analytic_bump_potential(y, h) for y in pts])
 
     source = (0.0, 0.0, h)
     sys_inf = assemble(mesh, domain, BemConfig(p=p, prescribed_eps=eps))
-    set_point_source_rhs(sys_inf, source)
-    solve(sys_inf)
-    f_inf = evaluate_field(sys_inf, pts, source=source).values
+    f_inf = _point_source_field(sys_inf, source, pts)
+    f_tr = _point_source_field(truncated_system(sys_inf), source, pts)
 
-    sys_tr = assemble(mesh, domain, BemConfig(p=p, use_ground_kernel=False))
-    set_point_source_rhs(sys_tr, source)
-    solve(sys_tr)
-    f_tr = evaluate_field(sys_tr, pts, source=source).values
-
-    sphere = mirror_surface_mesh(mesh)
-    sys_img = assemble(
-        sphere, DomainSpec(r0=1.0, re=1.0), BemConfig(p=2, use_ground_kernel=False)
-    )
-    c = sys_img.mesh.centroids
-    sys_img.rhs = -(
-        np.asarray([_g(cc, source) for cc in c])
-        - np.asarray([_g(cc, (0.0, 0.0, -h)) for cc in c])
+    sys_img = assemble(mirror_surface_mesh(mesh), None, BemConfig())
+    sys_img.rhs = -np.asarray(
+        [_g(c, source) - _g(c, (0.0, 0.0, -h)) for c in sys_img.mesh.centroids]
     )
     solve(sys_img)
     mirror = np.asarray([_g(y, source) - _g(y, (0.0, 0.0, -h)) for y in pts])
     f_img = evaluate_field(sys_img, pts).values + mirror
 
-    n_omega0 = int(np.sum(mesh.tags != EXTENSION))
     return BumpReport(
         h=h, delta=delta, target_edge=target_edge, eps=eps, p=p,
-        n_panels=len(mesh), n_omega0=n_omega0,
+        n_panels=len(mesh), n_omega0=int(np.sum(mesh.tags != EXTENSION)),
         eps2_inf=relative_l2_error(f_inf, exact),
         eps2_truncated=relative_l2_error(f_tr, exact),
         eps2_image=relative_l2_error(f_img, exact),
@@ -488,24 +483,20 @@ def run_dip_experiment(
 
     No analytic solution exists below the plane, so the reference is a
     self-converged ground-kernel solution on a finer mesh at a fixed
-    generous extension and a tighter prescribed accuracy."""
+    generous extension and a tighter prescribed accuracy.  At each ratio
+    the kernel and truncated systems share one free-space operator."""
     if not abs(h) < 1.0:
         raise DomainError("dip experiment requires |h| < 1")
     if reference_edge is None:
         reference_edge = 0.7 * target_edge
     source = (0.0, 0.0, h)
 
-    ref_re = reference_ratio
-    ref_mesh = make_bump_dip_mesh(-1, r0=1.0, re=ref_re, target_edge=reference_edge)
-    ref_dom = DomainSpec(r0=1.0, re=ref_re)
-    ref_p = choose_truncation(1.0, ref_re, reference_eps)
+    ref_mesh = make_bump_dip_mesh(-1, r0=1.0, re=reference_ratio, target_edge=reference_edge)
+    ref_dom = DomainSpec(r0=1.0, re=reference_ratio)
+    ref_p = choose_truncation(1.0, reference_ratio, reference_eps)
     sys_ref = assemble(ref_mesh, ref_dom, BemConfig(p=ref_p, prescribed_eps=reference_eps))
-    set_point_source_rhs(sys_ref, source)
-    solve(sys_ref)
-
-    standoff = 2.0 * ref_mesh.mean_diameter
-    pts = _dip_grid(1.0, standoff, *grid_shape)
-    reference = evaluate_field(sys_ref, pts, source=source).values
+    pts = _dip_grid(1.0, 2.0 * ref_mesh.mean_diameter, *grid_shape)
+    reference = _point_source_field(sys_ref, source, pts)
 
     ratios = np.asarray(sorted(ratios), dtype=float)
     e_inf = np.zeros(ratios.size)
@@ -516,20 +507,10 @@ def run_dip_experiment(
         dom = DomainSpec(r0=1.0, re=float(ratio))
         p = choose_truncation(1.0, float(ratio), eps)
         n_panels.append(len(mesh))
-
         s_inf = assemble(mesh, dom, BemConfig(p=p, prescribed_eps=eps))
-        set_point_source_rhs(s_inf, source)
-        solve(s_inf)
-        e_inf[i] = relative_l2_error(
-            evaluate_field(s_inf, pts, source=source).values, reference
-        )
-
-        s_tr = assemble(mesh, dom, BemConfig(p=p, use_ground_kernel=False))
-        set_point_source_rhs(s_tr, source)
-        solve(s_tr)
-        e_tr[i] = relative_l2_error(
-            evaluate_field(s_tr, pts, source=source).values, reference
-        )
+        e_inf[i] = relative_l2_error(_point_source_field(s_inf, source, pts), reference)
+        s_tr = truncated_system(s_inf)
+        e_tr[i] = relative_l2_error(_point_source_field(s_tr, source, pts), reference)
 
     return DipReport(
         h=h, eps=eps, target_edge=target_edge,

@@ -105,6 +105,8 @@ class PanelMesh:
         tags = np.asarray(tags, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshFormatError("vertices must have shape (V, 3)")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshFormatError("vertex coordinates must be finite")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshFormatError("faces must have shape (F, 3)")
         if tags.shape != (faces.shape[0],):

@@ -27,6 +27,7 @@ from groundbem.bem import (
     set_point_source_rhs,
     solve,
     triangle_single_layer,
+    truncated_system,
 )
 from groundbem.errors import DomainError, SolveError
 from groundbem.experiments import analytic_bump_potential
@@ -244,9 +245,12 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     # SciPy overwrites the matrix it factors only if it is Fortran-ordered
     # and copies any other, so the one N x N LU must get an F-ordered copy
     # of the free block and factor it in place; the other LU is the l x l
-    # capacitance matrix
-    n = small_system.size
-    free = small_system.free_matrix.copy()
+    # capacitance matrix.  The operator keeps its LU: a second solve and a
+    # kernel-off system on the same operator factor no N x N matrix.
+    with pytest.warns(UserWarning):
+        system = assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
+    n = system.size
+    free = system.free_matrix.copy()
     seen = []
     real = bem.sla
 
@@ -258,17 +262,26 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
             lu, piv = real.lu_factor(a, *args, **kwargs)
             seen.append(
                 (a.shape, a.flags.f_contiguous, np.shares_memory(lu, a),
-                 np.shares_memory(a, small_system.free_matrix))
+                 np.shares_memory(a, system.free_matrix))
             )
             return lu, piv
 
     monkeypatch.setattr(bem, "sla", Proxy())
-    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
-    solve(small_system)
+    set_point_source_rhs(system, (0.0, 0.0, 1.5))
+    first = solve(system)
     assert len(seen) == 2
     assert seen[0] == ((n, n), True, True, False)
     assert seen[1][0][0] < n
-    assert np.array_equal(small_system.free_matrix, free)
+    assert np.array_equal(system.free_matrix, free)
+
+    del seen[:]
+    assert np.array_equal(solve(system), first)
+    truncated = truncated_system(system)
+    assert truncated.operator is system.operator
+    set_point_source_rhs(truncated, (0.0, 0.0, 1.5))
+    solve(truncated)
+    assert len(seen) == 2 and all(shape[0] < n for shape, *_ in seen)
+    assert np.array_equal(system.free_matrix, free)
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +395,7 @@ def test_iterative_matches_direct(small_system):
 
 def test_flat_disc_matches_image_charge_density():
     mesh = make_flat_disc_mesh(3.0, 0.15)
-    system = assemble(mesh, DomainSpec(r0=3.0, re=3.0), BemConfig(p=2, use_ground_kernel=False))
+    system = assemble(mesh, None, BemConfig())
     h = 0.5
     set_point_source_rhs(system, (0.0, 0.0, h))
     sigma = solve(system)
@@ -397,7 +410,7 @@ def test_singular_system_raises_solve_error():
     # two coincident panels give identical collocation rows
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = PanelMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]), np.array([GROUND, GROUND]))
-    system = assemble(mesh, DomainSpec(r0=2.0, re=2.0), BemConfig(p=2, use_ground_kernel=False))
+    system = assemble(mesh, None, BemConfig())
     set_point_source_rhs(system, (0.3, 0.3, 1.0))
     # a zero pivot must surface as SolveError, not as a LinAlgWarning
     with warnings.catch_warnings(record=True) as caught:
@@ -433,7 +446,7 @@ def test_boundary_potential_rhs(small_system):
 @pytest.fixture(scope="module")
 def solved_disc():
     mesh = make_flat_disc_mesh(3.0, 0.18)
-    system = assemble(mesh, DomainSpec(r0=3.0, re=3.0), BemConfig(p=2, use_ground_kernel=False))
+    system = assemble(mesh, None, BemConfig())
     set_point_source_rhs(system, (0.0, 0.0, 0.5))
     solve(system)
     return system
@@ -524,7 +537,7 @@ def test_field_outside_re_raises_with_ground_kernel():
 
 def test_field_requires_solution():
     mesh = make_flat_disc_mesh(1.0, 0.4)
-    system = assemble(mesh, DomainSpec(r0=1.0, re=1.0), BemConfig(p=2, use_ground_kernel=False))
+    system = assemble(mesh, None, BemConfig())
     with pytest.raises(SolveError, match="no solution"):
         evaluate_field(system, np.array([[0.0, 0.0, 1.0]]))
 
@@ -646,11 +659,14 @@ def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog
             set_point_source_rhs(system, source)
             direct = solve(system)
             field = evaluate_field(system, pts, source=source).values
+            kernel_off = truncated_system(system)
+            set_point_source_rhs(kernel_off, source)
+            truncated = solve(kernel_off)
             system.config = BemConfig(p=config.p, solver="iterative")
             iterative = solve(system)
             runs.append((
                 system.free_matrix, system.rfac, system.sfac,
-                apply_operator(system, v), direct, iterative, field,
+                apply_operator(system, v), direct, iterative, field, truncated,
             ))
     for first, second in zip(*runs):
         assert np.array_equal(first, second)

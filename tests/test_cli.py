@@ -99,10 +99,16 @@ def test_solve_without_extension_drops_kernel(tmp_path, capsys):
                    "--out", mesh_path) == 0
     prefix = str(tmp_path / "d")
     assert run_cli("solve", "--mesh", mesh_path, "--source", "0,0,0.5",
-                   "--out-prefix", prefix) == 0
+                   "--field", "3,4", "--out-prefix", prefix) == 0
     capsys.readouterr()
     meta = json.loads((tmp_path / "d_solution.json").read_text())
     assert meta["use_ground_kernel"] is False
+    # no kernel term, so no truncation; r0 and re are the mesh's radii
+    assert meta["p"] is None
+    assert meta["r0"] == meta["re"] == pytest.approx(2.0, rel=1e-12)
+    field = json.loads((tmp_path / "d_field.json").read_text())["metadata"]
+    assert field["use_ground_kernel"] is False
+    assert field["p"] is None and field["re"] is None and field["r0"] is None
 
 
 def test_experiment_accuracy_map_deterministic_csv(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from groundbem import experiments
+from groundbem import bem, experiments
+from groundbem.bem import BemConfig, assemble, evaluate_field, set_point_source_rhs, solve
 from groundbem.errors import DomainError, QuadratureError
 from groundbem.experiments import (
     ALPHA_STAR,
@@ -301,6 +303,60 @@ def test_bump_error_decreases_under_refinement(tiny_bump):
     finer = run_bump_experiment(h=2.0, delta=0.25, target_edge=0.2, eps=1e-3,
                                 grid_shape=(6, 8))
     assert finer.eps2_inf < tiny_bump.eps2_inf
+
+
+@pytest.mark.parametrize("study, kwargs, meshes", [
+    # the bump mesh and the mirrored sphere
+    (run_bump_experiment,
+     dict(h=2.0, delta=0.25, target_edge=0.35, eps=1e-3, grid_shape=(6, 8)), 2),
+    # two dip ratios and the reference
+    (run_dip_experiment,
+     dict(h=0.5, ratios=(1.2, 1.6), target_edge=0.3, eps=1e-3, reference_ratio=1.5,
+          reference_eps=1e-4, reference_edge=0.22, grid_shape=(5, 8)), 3),
+], ids=["bump", "dip"])
+def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, monkeypatch):
+    # the kernel and truncated systems of one mesh share its free block and
+    # LU; the truncated field equals that of a separately assembled
+    # kernel-off system bit for bit
+    built, factored, truncated = [], [], []
+    real_block, real_sla, real_field = bem._free_block, bem.sla, experiments.evaluate_field
+
+    def free_block(mesh, points):
+        if points is mesh.centroids:
+            built.append(mesh)
+        return real_block(mesh, points)
+
+    class Sla:
+        def __getattr__(self, name):
+            return getattr(real_sla, name)
+
+        def lu_factor(self, a, *args, **kwargs):
+            factored.append(a.shape)
+            return real_sla.lu_factor(a, *args, **kwargs)
+
+    def field(system, points, source=None):
+        grid = real_field(system, points, source=source)
+        if system.domain is None and source is not None:
+            truncated.append((system.mesh, points, source, grid.values))
+        return grid
+
+    with monkeypatch.context() as m:
+        m.setattr(bem, "_free_block", free_block)
+        m.setattr(bem, "sla", Sla())
+        m.setattr(experiments, "evaluate_field", field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            study(**kwargs)
+    assert len(built) == meshes and len({id(mesh) for mesh in built}) == meshes
+    assert sorted(n for n, _ in factored if n in {len(mesh) for mesh in built}) == sorted(
+        len(mesh) for mesh in built
+    )
+    assert len(truncated) == meshes - 1
+    for mesh, points, source, values in truncated:
+        reference = assemble(mesh, None, BemConfig())
+        set_point_source_rhs(reference, source)
+        solve(reference)
+        assert np.array_equal(evaluate_field(reference, points, source=source).values, values)
 
 
 def test_power_law_fit():

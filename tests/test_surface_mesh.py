@@ -183,6 +183,13 @@ def test_load_rejects_malformed(tmp_path):
     p5.write_text("spline 0 0 0\n")
     with pytest.raises(MeshFormatError, match="unknown record"):
         load_mesh(p5)
+    # a non-finite coordinate would give a NaN area, which passes the
+    # zero-area check
+    for bad in ("nan", "inf", "-inf"):
+        p6 = tmp_path / f"f_{bad}.mesh"
+        p6.write_text(f"vertex {bad} 0 0\nvertex 1 0 0\nvertex 0 1 0\nface 0 1 2 0\n")
+        with pytest.raises(MeshFormatError, match="finite"):
+            load_mesh(p6)
 
 
 def test_mesh_arrays_immutable(bump):
