@@ -17,21 +17,19 @@ from .harmonics import (
 from .ground_kernel import (
     KernelConfig,
     RadialTable,
-    SourceSignature,
     kernel_integral,
     kernel_integral_truncated,
     kernel_neumann,
     kernel_series,
     kernel_value,
     radial_table,
-    source_signature,
+    source_signature_batch,
 )
 from .surface_mesh import (
     EXTENSION,
     GROUND,
     SURFACE,
     DomainSpec,
-    Panel,
     PanelMesh,
     load_mesh,
     make_bump_dip_mesh,

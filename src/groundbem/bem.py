@@ -39,10 +39,9 @@ from scipy import linalg as sla
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import DomainError, SolveError
-from .ground_kernel import interior_inner_cap, receiver_harmonics
-from .ground_kernel import source_signature, source_signature_batch
+from .ground_kernel import interior_inner_cap, receiver_harmonics, source_signature_batch
 from .harmonics import build_spectral_constants
-from .surface_mesh import SURFACE, DomainSpec, Panel, PanelMesh
+from .surface_mesh import SURFACE, DomainSpec, PanelMesh
 
 __all__ = [
     "BemConfig",
@@ -104,14 +103,15 @@ def _single_layer_bare(fv, normals, tangents, lengths, enormals, points):
     return total
 
 
-def triangle_single_layer(panel: Panel, y) -> float:
-    """Single-layer potential of a unit density over one panel,
-    ``int_panel G(y, x) dS``, exact for any evaluation point."""
+def triangle_single_layer(mesh: PanelMesh, y) -> np.ndarray:
+    """Single-layer potential of a unit density over each panel of
+    ``mesh``, ``int_panel G(y, x) dS``, at one point ``y``: ``(N,)``, exact
+    for any evaluation point."""
     bare = _single_layer_bare(
-        panel.vertices, panel.normal, panel.edge_tangents, panel.edge_lengths,
-        panel.edge_normals, np.asarray(y, dtype=float).reshape(3),
+        mesh.face_vertices, mesh.normals, mesh.edge_tangents, mesh.edge_lengths,
+        mesh.edge_normals, np.asarray(y, dtype=float).reshape(3),
     )
-    return float(bare) / _FOUR_PI
+    return bare / _FOUR_PI
 
 
 # Rows of the free-space block built by one task: the 256 x N distance block
@@ -333,10 +333,13 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
                     stacklevel=2,
                 )
             rows = np.flatnonzero(centroids[:, 2] != 0.0)
+            rfac = receiver_harmonics(centroids[rows] / re, p) / re
+            sfac = source_signature_batch(centroids / re, constants)
+            sfac *= mesh.areas[:, None]
             kernel = dict(
                 kernel_rows=rows,
-                rfac=receiver_harmonics(centroids[rows] / re, p) / re,
-                sfac=(source_signature_batch(centroids / re, constants) * mesh.areas[:, None]).T,
+                rfac=rfac,
+                sfac=sfac.T,
                 constants=constants,
             )
         kernel_s = time.perf_counter() - t_start
@@ -367,8 +370,8 @@ def set_point_source_rhs(system: BemSystem, source) -> None:
     d = system.mesh.centroids - xs
     rhs = -1.0 / (_FOUR_PI * np.sqrt(np.einsum("ij,ij->i", d, d)))
     if system.domain is not None:
-        sig = source_signature(xs / system.domain.re, system.constants)
-        rhs[system.kernel_rows] -= system.rfac @ sig.coeffs
+        sig = source_signature_batch(xs / system.domain.re, system.constants)[0]
+        rhs[system.kernel_rows] -= system.rfac @ sig
     system.rhs = rhs
     system.solution = None
 
@@ -579,11 +582,24 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     outside), else :class:`DomainError` is raised; without one the
     metadata's ``p``, ``re`` and ``r0`` are None.  With ``source`` given,
     the incident monopole and its kernel image are added and the induced
-    part is reported separately.
+    part is reported separately.  Points must be finite, of shape (M, 3)
+    or (3,), and none may coincide with ``source`` (one finite point),
+    else :class:`DomainError` is raised.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise DomainError(f"field points must have shape (M, 3), got {np.shape(points)}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("field point coordinates must be finite")
+    if source is not None:
+        xs = np.asarray(source, dtype=float).ravel()
+        if xs.shape != (3,) or not np.all(np.isfinite(xs)):
+            raise DomainError("the source must be one point with finite coordinates")
+        dist = np.linalg.norm(pts - xs, axis=1)
+        if np.any(dist == 0.0):
+            raise DomainError("a field point coincides with the source")
     sigma = system.solution
     domain = system.domain
     kernel = image = 0.0
@@ -596,14 +612,12 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         rfac_pts = receiver_harmonics(pts / domain.re, system.config.p) / domain.re
         kernel = rfac_pts @ (system.sfac @ sigma)
         if source is not None:
-            sig = source_signature(np.reshape(source, 3) / domain.re, system.constants)
-            image = rfac_pts @ sig.coeffs
+            image = rfac_pts @ source_signature_batch(xs / domain.re, system.constants)[0]
     free, tasks = _free_block(system.mesh, pts)
     _gather(tasks)
     values = free @ sigma + kernel
     induced = values + image
     if source is not None:
-        dist = np.linalg.norm(pts - np.reshape(source, 3), axis=1)
         values = values + 1.0 / (_FOUR_PI * dist) + image
 
     return FieldGrid(

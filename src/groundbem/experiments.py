@@ -154,15 +154,20 @@ def cost_bracket(p: float, eps: float) -> float:
     return (e2p - 1.0) - e2p * math.log(1.0 / eps) / p
 
 
+def _kernel_terms(m_size, n_size, rho_area, p, eps) -> tuple:
+    """The three factored-kernel cost terms that a, b and c multiply:
+    receivers m p^2, interior sources n p^3 and plane sources
+    rho_area (eps^(-2/p) - 1) p^2."""
+    p = float(p)
+    return m_size * p * p, n_size * p**3, rho_area * (eps ** (-2.0 / p) - 1.0) * p * p
+
+
 def kernel_cost(model: CostModel, m_size, n_size, rho_area, p, eps) -> float:
     """Factored-kernel cost: receivers, interior sources, plane sources."""
     if model.a is None or model.b is None or model.c is None:
         raise DomainError("kernel cost constants are not fitted")
-    return (
-        model.a * m_size * p * p
-        + model.b * n_size * p**3
-        + model.c * rho_area * (eps ** (-2.0 / p) - 1.0) * p * p
-    )
+    receivers, interior, plane = _kernel_terms(m_size, n_size, rho_area, p, eps)
+    return model.a * receivers + model.b * interior + model.c * plane
 
 
 def fit_cost_constants(model: CostModel, samples) -> CostModel:
@@ -172,18 +177,8 @@ def fit_cost_constants(model: CostModel, samples) -> CostModel:
     kernel_seconds and optionally n_total, bem_seconds for the backend
     constant.
     """
-    rows = []
-    times = []
-    for s in samples:
-        p = float(s["p"])
-        rows.append(
-            [
-                s["m"] * p * p,
-                s["n"] * p**3,
-                s["rho_area"] * (s["eps"] ** (-2.0 / p) - 1.0) * p * p,
-            ]
-        )
-        times.append(s["kernel_seconds"])
+    rows = [_kernel_terms(s["m"], s["n"], s["rho_area"], s["p"], s["eps"]) for s in samples]
+    times = [s["kernel_seconds"] for s in samples]
     coef, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(times), rcond=None)
     a, b, c = (max(float(v), 1e-12) for v in coef)
     d = model.d

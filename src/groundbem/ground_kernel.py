@@ -40,10 +40,8 @@ from .harmonics import (
 __all__ = [
     "KernelConfig",
     "RadialTable",
-    "SourceSignature",
     "radial_table",
     "receiver_harmonics",
-    "source_signature",
     "source_signature_batch",
     "kernel_integral",
     "kernel_integral_truncated",
@@ -152,15 +150,7 @@ def _w_columns(xis, m_top):
         c = (1.0 + x2) / x
         r = x * (2.0 * start - 1.0) / (2.0 * start) * (1.0 + x2 / (4.0 * (1.0 - x2) * start**2))
         ratios = np.empty((m_top, back.size))
-        # while the first column runs alone, plain floats beat 1-entry arrays
-        solo = int(np.count_nonzero(running == 1))
-        r0, c0 = float(r[0]), float(c[0])
-        for m in steps[:solo].tolist():
-            r0 = (2.0 * m - 3.0) / ((2.0 * m - 2.0) * c0 - (2.0 * m - 1.0) * r0)
-            if m <= m_top + 1:
-                ratios[m - 2, 0] = r0
-        r[0] = r0
-        for m, k in zip(steps[solo:].tolist(), running[solo:].tolist()):
+        for m, k in zip(steps.tolist(), running.tolist()):
             r[:k] = (2.0 * m - 3.0) / ((2.0 * m - 2.0) * c[:k] - (2.0 * m - 1.0) * r[:k])
             if m <= m_top + 1:
                 ratios[m - 2] = r
@@ -312,26 +302,6 @@ def receiver_harmonics(points, p: int) -> np.ndarray:
     return table[:, (n + m) % 2 == 1]
 
 
-@dataclass(frozen=True)
-class SourceSignature:
-    """Per-source coefficient vector of the factored kernel.
-
-    ``coeffs`` holds the kernel's p(p - 1)/2 columns (n + m odd); its dot
-    product with :func:`receiver_harmonics` reproduces the truncated
-    dimensionless kernel.  The source point is dimensionless (pre-scaled
-    by the domain radius) and must satisfy |source| < 1.
-    """
-
-    source: np.ndarray
-    p: int
-    coeffs: np.ndarray
-
-    def value(self, n: int, m: int) -> float:
-        if not (0 <= n < self.p and abs(m) <= n):
-            raise DomainError(f"(n, m) = ({n}, {m}) outside table for p = {self.p}")
-        return float(self.coeffs[_kernel_column(n, m)]) if (n + m) % 2 else 0.0
-
-
 _PLANE_TOL = 1e-13
 
 
@@ -382,54 +352,59 @@ def interior_inner_cap(constants: SpectralConstants) -> int:
 _INTERIOR_BLOCK = 128
 
 
-def _signature_interior_batch(points, constants):
-    """Inner-series signatures for general interior sources, summed to the
-    n' <= 2p - 3 cap (the terms beyond are negligible at the radii where
-    this branch is dispatched).  The source harmonics are built one block
-    of sources at a time, up to the highest source degree the series
-    keeps.  Returns ``(N, q)`` in the kernel's columns."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = constants.p
+def _signature_interior_batch(pts, rows, constants, out):
+    """Inner-series signatures of the general interior sources ``pts[rows]``
+    into the same rows of ``out``, summed to the n' <= 2p - 3 cap (the
+    terms beyond are negligible at the radii where this branch is
+    dispatched).  The source harmonics are built for ``_INTERIOR_BLOCK``
+    of these sources at a time, up to the highest source degree the
+    series keeps."""
     terms = []
     degree = 1
-    for m, (rows, cols, nu_cols, cmat) in _interior_coupling(constants).items():
-        if rows.size and cols.size:
+    for m, (n_rec, cols, nu_cols, cmat) in _interior_coupling(constants).items():
+        if n_rec.size and cols.size:
             degree = max(degree, int(cols[-1]) + 1)
             for sm in ((m,) if m == 0 else (m, -m)):
-                terms.append((_kernel_column(rows, sm), sh_index(cols, sm), nu_cols, cmat.T))
-    coeffs = np.zeros((pts.shape[0], p * (p - 1) // 2))
-    for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
-        block = slice(i0, i0 + _INTERIOR_BLOCK)
+                terms.append((_kernel_column(n_rec, sm), sh_index(cols, sm), nu_cols, cmat.T))
+    for i0 in range(0, rows.size, _INTERIOR_BLOCK):
+        block = rows[i0 : i0 + _INTERIOR_BLOCK]
         harmonics = solid_harmonics_batch(pts[block], degree)
         for out_idx, in_idx, nu_cols, cmat_t in terms:
-            coeffs[block, out_idx] = (harmonics[:, in_idx] * nu_cols[None, :]) @ cmat_t
-    return coeffs
+            out[block[:, None], out_idx] = (harmonics[:, in_idx] * nu_cols[None, :]) @ cmat_t
 
 
-def _signature_ground_batch(points, constants):
-    """Signatures for sources on the plane via the radial recurrences, one
-    |m| at a time: the degrees n = m + 1, m + 3, ... < p read radial
-    layer m.  Returns ``(N, q)`` in the kernel's columns."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _signature_ground_batch(pts, rows, constants, out):
+    """Signatures of the plane sources ``pts[rows]`` into the same rows of
+    ``out`` via the radial recurrences, one |m| at a time: the degrees
+    n = m + 1, m + 3, ... < p read radial layer m."""
     p = constants.p
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    rho = np.hypot(pts[rows, 0], pts[rows, 1])
+    phi = np.arctan2(pts[rows, 1], pts[rows, 0])
     table = RadialTable(rho, p)
-    coeffs = np.zeros((pts.shape[0], p * (p - 1) // 2))
+    block = rows[:, None]
     for m in range(p - 1):
         pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
         ns = np.arange(m + 1, p, 2)
         base = (pref * constants.nu[ns + 1, m])[:, None] * table.u[m]
-        coeffs[:, _kernel_column(ns, m)] = (base * np.cos(m * phi)).T
+        out[block, _kernel_column(ns, m)] = (base * np.cos(m * phi)).T
         if m > 0:
-            coeffs[:, _kernel_column(ns, -m)] = (base * np.sin(-m * phi)).T
-    return coeffs
+            out[block, _kernel_column(ns, -m)] = (base * np.sin(-m * phi)).T
 
 
-def _signatures(pts, constants: SpectralConstants) -> np.ndarray:
-    """Signature rows of the dimensionless sources ``pts`` (N, 3): plane
-    points (z = 0, off the axis) through the radial recurrences, the rest
-    through the inner harmonic series, in input order."""
+def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
+    """Signature coefficients of dimensionless sources with |x| < 1,
+    ``(N, p(p - 1)/2)`` in the columns of :func:`receiver_harmonics`; one
+    (3,) point is a one-row batch.
+
+    Plane points (z = 0, off the axis) go through the radial recurrences,
+    the rest through the inner harmonic series; each branch writes its
+    rows of the one result, so rows are returned in input order.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise DomainError(f"sources must have shape (N, 3), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("source coordinates must be finite")
     r = np.linalg.norm(pts, axis=1)
     if np.any(r >= 1.0):
         raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
@@ -437,28 +412,10 @@ def _signatures(pts, constants: SpectralConstants) -> np.ndarray:
     rho = np.hypot(pts[:, 0], pts[:, 1])
     on_plane = (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
     if np.any(on_plane):
-        coeffs[on_plane] = _signature_ground_batch(pts[on_plane], constants)
-    if np.any(~on_plane):
-        coeffs[~on_plane] = _signature_interior_batch(pts[~on_plane], constants)
+        _signature_ground_batch(pts, np.flatnonzero(on_plane), constants, coeffs)
+    if not np.all(on_plane):
+        _signature_interior_batch(pts, np.flatnonzero(~on_plane), constants, coeffs)
     return coeffs
-
-
-def source_signature(x, constants: SpectralConstants) -> SourceSignature:
-    """Coefficient vector of the factored kernel for one dimensionless
-    source point with |x| < 1; see :func:`source_signature_batch`."""
-    pt = _as_point(x)
-    coeffs = _signatures(pt[None, :], constants)[0]
-    return SourceSignature(source=pt, p=constants.p, coeffs=coeffs)
-
-
-def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
-    """Signature coefficients for many dimensionless sources at once,
-    ``(N, p(p - 1)/2)`` in the columns of :func:`receiver_harmonics`.
-
-    Plane points (z = 0) go through the radial recurrences, the rest
-    through the inner harmonic series; rows are returned in input order.
-    """
-    return _signatures(np.atleast_2d(np.asarray(points, dtype=float)), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +540,16 @@ def kernel_integral_truncated(
 # ---------------------------------------------------------------------------
 
 
-def kernel_series(y, signature: SourceSignature, config: KernelConfig = KernelConfig()) -> float:
-    """Dirichlet kernel from the factored series: contract the receiver
-    harmonics at y/R with a precomputed source signature."""
-    yp = _as_point(y)
+def kernel_series(y, x, config: KernelConfig = KernelConfig()) -> float:
+    """Dirichlet kernel K(y, x; R) from the factored series truncated at
+    ``config.p``: the receiver harmonics at y/R contracted with the source
+    signature of x/R.  Requires |y| < R and |x| < R."""
     r = config.scale_radius
-    yt = yp / r
-    if np.linalg.norm(yt) >= 1.0:
-        raise DomainError("kernel_series requires |y| < R")
-    harmonics = receiver_harmonics(yt[None, :], signature.p)[0]
-    return float(harmonics @ signature.coeffs) / r
+    yt, xt = _as_point(y) / r, _as_point(x) / r
+    if max(np.linalg.norm(yt), np.linalg.norm(xt)) >= 1.0:
+        raise DomainError("series path requires |y| < R and |x| < R")
+    signature = source_signature_batch(xt, build_spectral_constants(config.p))[0]
+    return float(receiver_harmonics(yt[None, :], config.p)[0] @ signature) / r
 
 
 # Dispatch threshold of ``kernel_value(path="auto")``: the series path is
@@ -617,10 +574,7 @@ def kernel_value(
     if path == "auto":
         path = "series" if max(ry, rx) <= _SERIES_FRACTION else "integral"
     if path == "series":
-        if max(ry, rx) >= 1.0:
-            raise DomainError("series path requires |y| < R and |x| < R")
-        sig = source_signature(xp / r, build_spectral_constants(config.p))
-        return kernel_series(yp, sig, config)
+        return kernel_series(yp, xp, config)
     if path == "integral":
         if max(ry, rx) < 1.0:
             return kernel_integral(yp, xp, config)

@@ -36,7 +36,6 @@ __all__ = [
     "GROUND",
     "EXTENSION",
     "DomainSpec",
-    "Panel",
     "PanelMesh",
     "make_bump_dip_mesh",
     "make_sphere_mesh",
@@ -73,30 +72,14 @@ class DomainSpec:
         return self.re / self.r0 - 1.0
 
 
-@dataclass(frozen=True)
-class Panel:
-    """Geometry of a single triangular panel.
-
-    ``edge_tangents[q]``, ``edge_lengths[q]`` and ``edge_normals[q]``
-    describe edge q running from vertex q to vertex (q + 1) mod 3; the
-    in-plane edge normal is tangent x normal.
-    """
-
-    vertices: np.ndarray
-    centroid: np.ndarray
-    area: float
-    normal: np.ndarray
-    edge_tangents: np.ndarray
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray
-    tag: int
-
-
 class PanelMesh:
     """Immutable triangle mesh with per-panel region tags.
 
     All per-panel quantities are precomputed as arrays (struct-of-arrays
-    layout) so the solver can vectorize over panels.
+    layout) so the solver can vectorize over panels.  ``edge_tangents[j, q]``,
+    ``edge_lengths[j, q]`` and ``edge_normals[j, q]`` describe edge q of
+    panel j, running from vertex q to vertex (q + 1) mod 3; the in-plane
+    edge normal is tangent x normal.
     """
 
     def __init__(self, vertices, faces, tags):
@@ -146,18 +129,6 @@ class PanelMesh:
 
     def __len__(self) -> int:
         return len(self.faces)
-
-    def panel(self, j: int) -> Panel:
-        return Panel(
-            vertices=self.face_vertices[j],
-            centroid=self.centroids[j],
-            area=float(self.areas[j]),
-            normal=self.normals[j],
-            edge_tangents=self.edge_tangents[j],
-            edge_lengths=self.edge_lengths[j],
-            edge_normals=self.edge_normals[j],
-            tag=int(self.tags[j]),
-        )
 
     @property
     def mean_diameter(self) -> float:

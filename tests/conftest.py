@@ -33,7 +33,7 @@ from groundbem.ground_kernel import (
     RadialTable,
     _cyl,
     _phi_integral,
-    source_signature,
+    source_signature_batch,
 )
 from groundbem.harmonics import sh_index, solid_harmonics_batch
 
@@ -530,7 +530,7 @@ def oracle_ground_kernel_matrix(system):
     yt = mesh.centroids / re
     assert np.all(np.linalg.norm(yt, axis=1) < 1.0), "every centroid must lie inside re"
     sigs = np.zeros((len(mesh), p * p))
-    sigs[:, oracle_kernel_columns(p)] = [source_signature(x, system.constants).coeffs for x in yt]
+    sigs[:, oracle_kernel_columns(p)] = [source_signature_batch(x, system.constants)[0] for x in yt]
     return solid_harmonics_batch(yt, p) @ sigs.T * mesh.areas[None, :] / re
 
 

@@ -37,9 +37,8 @@ from groundbem.ground_kernel import (
     kernel_integral_truncated,
     kernel_series,
     radial_table,
-    source_signature,
 )
-from groundbem.harmonics import build_spectral_constants, elliptic_ke
+from groundbem.harmonics import elliptic_ke
 from groundbem.surface_mesh import DomainSpec, make_bump_dip_mesh
 
 from conftest import (
@@ -78,7 +77,6 @@ def test_criterion_1_kernel_cross_path_agreement():
     radius = 0.7
     eps = 1e-5
     p = choose_truncation(radius, 1.0, eps)
-    constants = build_spectral_constants(p)
     cfg = KernelConfig(p=p, integral_tolerance=1e-9)
     ys = _upper_ball_points(rng, radius, 200)
     xs = _upper_ball_points(rng, radius, 200)
@@ -86,7 +84,7 @@ def test_criterion_1_kernel_cross_path_agreement():
     val = np.empty(200)
     for i in range(200):
         ref[i] = kernel_integral(ys[i], xs[i], cfg)
-        val[i] = kernel_series(ys[i], source_signature(xs[i], constants), cfg)
+        val[i] = kernel_series(ys[i], xs[i], cfg)
     eps2 = relative_l2_error(val, ref)
     elapsed = time.time() - t0
     print(f"\nCRITERION 1 {'PASS' if eps2 <= 3e-5 else 'FAIL'}: "
@@ -99,7 +97,6 @@ def test_criterion_2_plane_vanishing_and_antisymmetry():
     quadrature path is exactly odd in the evaluation height."""
     rng = np.random.default_rng(102)
     cfg = KernelConfig(p=10, integral_tolerance=1e-10)
-    constants = build_spectral_constants(10)
     worst_plane = 0.0
     worst_flip = 0.0
     for _ in range(50):
@@ -109,7 +106,7 @@ def test_criterion_2_plane_vanishing_and_antisymmetry():
         y_plane[2] = 0.0
         scale = abs(kernel_integral(y_plane + [0, 0, 0.3], x, cfg)) + 1e-30
         k_int = kernel_integral(y_plane, x, cfg)
-        k_ser = kernel_series(y_plane, source_signature(x, constants), cfg)
+        k_ser = kernel_series(y_plane, x, cfg)
         worst_plane = max(worst_plane, abs(k_int) / scale, abs(k_ser) / scale)
         y = _upper_ball_points(rng, 0.8, 1)[0]
         y[2] = abs(y[2]) + 0.05

@@ -51,10 +51,9 @@ from conftest import (
 )
 
 
-def make_panel(vertices, tag=GROUND):
-    verts = np.asarray(vertices, dtype=float)
-    mesh = PanelMesh(verts, np.array([[0, 1, 2]]), np.array([tag]))
-    return mesh.panel(0)
+def one_panel(vertices, tag=GROUND):
+    """The mesh of one triangle."""
+    return PanelMesh(np.asarray(vertices, dtype=float), np.array([[0, 1, 2]]), np.array([tag]))
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +62,21 @@ def make_panel(vertices, tag=GROUND):
 
 
 def test_far_field_matches_monopole():
-    panel = make_panel([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
-    y = panel.centroid + np.array([3.0, -5.0, 8.0])
-    want = panel.area * green(y, panel.centroid)
-    assert triangle_single_layer(panel, y) == pytest.approx(want, rel=1e-4)
+    panel = one_panel([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]])
+    y = panel.centroids[0] + np.array([3.0, -5.0, 8.0])
+    want = panel.areas[0] * green(y, panel.centroids[0])
+    assert triangle_single_layer(panel, y)[0] == pytest.approx(want, rel=1e-4)
 
 
 def test_self_term_matches_polar_oracle():
     v2 = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    panel = make_panel([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    panel = one_panel([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     c2 = np.mean(v2, axis=0)
     want = oracle_triangle_self(v2, c2)
-    assert triangle_single_layer(panel, panel.centroid) == pytest.approx(want, rel=1e-8)
+    assert triangle_single_layer(panel, panel.centroids[0])[0] == pytest.approx(want, rel=1e-8)
     # off-center in-plane point as well
     pt = np.array([0.3, 0.2])
-    assert triangle_single_layer(panel, (0.3, 0.2, 0.0)) == pytest.approx(
+    assert triangle_single_layer(panel, (0.3, 0.2, 0.0))[0] == pytest.approx(
         oracle_triangle_self(v2, pt), rel=1e-8
     )
 
@@ -89,17 +88,31 @@ def test_rigid_motion_invariance(rng):
     y = rng.uniform(-2, 2, 3)
     rot = Rotation.from_rotvec([0.4, -0.9, 0.6]).as_matrix()
     shift = np.array([3.0, -2.0, 1.5])
-    a = triangle_single_layer(make_panel(verts), y)
-    b = triangle_single_layer(make_panel(verts @ rot.T + shift), rot @ y + shift)
+    a = triangle_single_layer(one_panel(verts), y)[0]
+    b = triangle_single_layer(one_panel(verts @ rot.T + shift), rot @ y + shift)[0]
     assert b == pytest.approx(a, rel=1e-13)
 
 
 def test_vertex_and_edge_points_finite():
-    panel = make_panel([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    panel = one_panel([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     for pt in [(0, 0, 0), (0.5, 0, 0), (2.5, 0, 0), (-1.0, 0.0, 0.0)]:
-        val = triangle_single_layer(panel, pt)
+        val = triangle_single_layer(panel, pt)[0]
         assert math.isfinite(val)
         assert val >= 0.0
+
+
+def test_single_layer_of_a_mesh_is_each_panel_alone():
+    # the (N,) result broadcasts one point against the mesh arrays; each
+    # entry equals the panel's own one-panel mesh bit for bit
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
+    for y in (mesh.centroids[5], (0.4, -0.3, 1.2), (2.1, 0.2, 0.0)):
+        got = triangle_single_layer(mesh, y)
+        assert got.shape == (len(mesh),)
+        alone = [
+            triangle_single_layer(PanelMesh(mesh.vertices, mesh.faces[j : j + 1], mesh.tags[j : j + 1]), y)
+            for j in range(len(mesh))
+        ]
+        assert np.array_equal(got, np.concatenate(alone))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +163,12 @@ def test_near_entries_are_analytic(small_system, solved_disc):
         a = system.free_matrix
         assert np.array_equal(a, oracle_free_block_loop(mesh, r_nf))
         hits = 0
-        for j in range(0, len(mesh), 11):
-            panel = mesh.panel(j)
-            for i in range(0, len(mesh), 13):
+        for i in range(0, len(mesh), 13):
+            layer = triangle_single_layer(mesh, mesh.centroids[i])
+            for j in range(0, len(mesh), 11):
                 d = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j])
                 want = (
-                    triangle_single_layer(panel, mesh.centroids[i])
+                    layer[j]
                     if d < r_nf
                     else mesh.areas[j] * green(mesh.centroids[i], mesh.centroids[j])
                 )
@@ -350,8 +363,7 @@ def test_solve_logs_route_rank_and_residual(small_system, dip_system, solved_dis
 def test_truncation_error_halves_twice_per_two_orders(rng):
     # at ratio 2, raising p by 2 cuts the series-vs-integral discrepancy
     # by about (1/2)^2
-    from groundbem.ground_kernel import kernel_series, source_signature
-    from groundbem.harmonics import build_spectral_constants
+    from groundbem.ground_kernel import kernel_series
 
     y = np.array([0.9, 0.2, 0.35])
     x = np.array([0.3, -0.8, 0.45])
@@ -359,11 +371,7 @@ def test_truncation_error_halves_twice_per_two_orders(rng):
     ref = kernel_integral(y, x, cfg)
     errs = []
     for p in (8, 10, 12):
-        constants = build_spectral_constants(p)
-        val = kernel_series(
-            y, source_signature(x / 2.0, constants), KernelConfig(scale_radius=2.0, p=p)
-        )
-        errs.append(abs(val - ref))
+        errs.append(abs(kernel_series(y, x, KernelConfig(scale_radius=2.0, p=p)) - ref))
     for e1, e2 in zip(errs, errs[1:]):
         assert 2.0 <= e1 / e2 <= 8.0  # nominal 4, within a factor 2
 
@@ -469,6 +477,22 @@ def test_field_matches_image_solution(solved_disc):
     assert np.allclose(
         grid.induced, grid.values - [green(p, (0, 0, 0.5)) for p in pts]
     )
+
+
+def test_field_rejects_bad_points(solved_disc):
+    # a NaN point, a point at the source and points of the wrong shape
+    # raise before any panel sum runs, with no warning on the way
+    for points in (
+        [[0.3, 0.2, math.nan]],
+        [[0.3, 0.2, 0.4], [0.0, 0.0, 0.5]],
+        np.zeros((4, 2)),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                evaluate_field(solved_disc, points, source=(0.0, 0.0, 0.5))
+    with pytest.raises(DomainError):
+        evaluate_field(solved_disc, [[0.3, 0.2, 0.4]], source=(0.0, math.inf, 0.5))
 
 
 def test_field_at_centroids_is_the_free_matvec(solved_disc):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,6 @@ from groundbem.ground_kernel import (
     _INTERIOR_BLOCK,
     KernelConfig,
     RadialTable,
-    _signature_ground_batch,
-    _signature_interior_batch,
     interior_inner_cap,
     kernel_integral,
     kernel_integral_truncated,
@@ -21,7 +20,6 @@ from groundbem.ground_kernel import (
     kernel_value,
     radial_table,
     receiver_harmonics,
-    source_signature,
     source_signature_batch,
 )
 from groundbem.harmonics import (
@@ -192,7 +190,6 @@ def test_layerwise_radial_and_signature_bitwise_equal_loops(p):
     pts = np.stack([xis * np.cos(phi), xis * np.sin(phi), np.zeros(xis.size)], axis=1)
     constants = build_spectral_constants(p)
     want_sig = _kernel_part(oracle_signature_ground_loop(pts, constants, p), p)
-    assert np.array_equal(_bits(_signature_ground_batch(pts, constants)), _bits(want_sig))
     assert np.array_equal(_bits(source_signature_batch(pts, constants)), _bits(want_sig))
 
 
@@ -335,14 +332,26 @@ def test_scaling_law_integral():
 @settings(max_examples=15, deadline=None)
 @given(s=st.floats(0.2, 4.0))
 def test_scaling_law_series(s):
-    constants = build_spectral_constants(10)
     y = np.array([0.3, -0.2, 0.25])
     x = np.array([0.1, 0.2, 0.35])
-    base = kernel_series(y, source_signature(x, constants), KernelConfig(p=10))
-    cfg = KernelConfig(scale_radius=s, p=10)
-    sig = source_signature(x * s / s / 1.0, constants)  # same dimensionless source
-    val = kernel_series(y * s, source_signature((x * s) / s, constants), cfg) * s
+    base = kernel_series(y, x, KernelConfig(p=10))
+    val = kernel_series(y * s, x * s, KernelConfig(scale_radius=s, p=10)) * s
     assert val == pytest.approx(base, rel=1e-12)
+
+
+def test_series_truncation_comes_from_config():
+    # the series reads p from the config alone: each p gives the sum of
+    # its own q = p(p - 1)/2 columns, and the values approach the integral
+    y = np.array([0.3, -0.2, 0.25])
+    x = np.array([0.1, 0.2, 0.35])
+    ref = kernel_integral(y, x, CFG)
+    errs = []
+    for p in (4, 8, 12):
+        cfg = KernelConfig(p=p)
+        want = receiver_harmonics(y, p)[0] @ source_signature_batch(x, build_spectral_constants(p))[0]
+        assert kernel_series(y, x, cfg) == want
+        errs.append(abs(kernel_series(y, x, cfg) - ref))
+    assert errs[0] > errs[1] > errs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +360,6 @@ def test_scaling_law_series(s):
 
 
 def test_series_vs_integral_small_radii(rng):
-    constants = build_spectral_constants(12)
     for _ in range(4):
         y = rng.uniform(-0.3, 0.3, 3)
         x = rng.uniform(-0.3, 0.3, 3)
@@ -359,40 +367,50 @@ def test_series_vs_integral_small_radii(rng):
         if max(np.linalg.norm(y), np.linalg.norm(x)) > 0.4:
             continue
         ref = kernel_integral(y, x, CFG)
-        val = kernel_series(y, source_signature(x, constants), CFG)
+        val = kernel_series(y, x, CFG)
         assert val == pytest.approx(ref, rel=(0.4) ** 12 * 30)
 
 
 def test_series_plane_vanishing_exact():
-    constants = build_spectral_constants(12)
-    sig = source_signature(np.array([0.1, 0.2, 0.3]), constants)
-    assert kernel_series((0.5, -0.3, 0.0), sig, CFG) == 0.0
+    assert kernel_series((0.5, -0.3, 0.0), (0.1, 0.2, 0.3), CFG) == 0.0
+
+
+def _signature_table(x, p):
+    """One source's signature in all p^2 harmonic columns: the kernel's
+    columns placed by the oracle layout, every other column zero."""
+    table = np.zeros(p * p)
+    table[oracle_kernel_columns(p)] = source_signature_batch(x, build_spectral_constants(p))[0]
+    return table
 
 
 def test_signature_parity_zeros():
-    constants = build_spectral_constants(10)
-    sig = source_signature(np.array([0.2, 0.1, 0.25]), constants)
+    # the inner series couples only the n + m odd harmonics: the scalar
+    # oracle's full table is exactly zero on all others, so the kernel's
+    # columns hold the whole signature
+    x = np.array([0.2, 0.1, 0.25])
+    full = oracle_signature_interior_single(x, build_spectral_constants(10), 10)
+    table = _signature_table(x, 10)
     for n in range(10):
         for m in range(-n, n + 1):
             if (n + m) % 2 == 0:
-                assert sig.value(n, m) == 0.0
+                assert full[sh_index(n, m)] == 0.0 == table[sh_index(n, m)]
+    np.testing.assert_allclose(table, full, rtol=1e-10, atol=0.0)
 
 
 def test_signature_axisymmetric_source():
-    constants = build_spectral_constants(10)
-    sig = source_signature(np.array([0.0, 0.0, 0.5]), constants)
+    table = _signature_table(np.array([0.0, 0.0, 0.5]), 10)
     for n in range(10):
         for m in range(-n, n + 1):
             if m != 0:
-                assert sig.value(n, m) == 0.0
-    assert any(sig.value(n, 0) != 0.0 for n in range(1, 10))
+                assert table[sh_index(n, m)] == 0.0
+    assert any(table[sh_index(n, 0)] != 0.0 for n in range(1, 10))
 
 
 def test_ground_branch_matches_converged_series():
     constants = build_spectral_constants(12)
     for rho, phi in [(0.5, 0.7), (0.9, -2.1)]:
         x = np.array([rho * math.cos(phi), rho * math.sin(phi), 0.0])
-        rec = _signature_ground_batch(x[None, :], constants)[0]
+        rec = source_signature_batch(x, constants)[0]
         ser = _kernel_part(oracle_signature_ground_series(x, constants, 12), 12)
         nz = np.abs(ser) > 0.0
         assert np.all(rec[~nz] == 0.0)
@@ -406,8 +424,7 @@ def test_interior_branch_reaches_ground_limit():
     constants = build_spectral_constants(8)
     x_plane = np.array([0.25, 0.1, 0.0])
     x_near = np.array([0.25, 0.1, 1e-9])
-    ground = source_signature(x_plane, constants).coeffs
-    interior = source_signature(x_near, constants).coeffs
+    ground, interior = source_signature_batch(np.stack([x_plane, x_near]), constants)
     assert ground.shape == interior.shape == (8 * 7 // 2,)
     nz = np.abs(ground) > 1e-14
     assert np.max(np.abs(interior[nz] - ground[nz]) / np.abs(ground[nz])) < 1e-5
@@ -433,10 +450,14 @@ def test_inner_cap_matches_overflow_filter():
 
 def test_signature_domain_errors():
     constants = build_spectral_constants(6)
-    with pytest.raises(DomainError):
-        source_signature(np.array([1.0, 0.2, 0.0]), constants)
-    with pytest.raises(DomainError):
-        source_signature_batch(np.array([[0.2, 0.2, 0.3], [0.0, 0.0, -1.0]]), constants)
+    for bad in (
+        [1.0, 0.2, 0.0],
+        [[0.2, 0.2, 0.3], [0.0, 0.0, -1.0]],
+        [0.2, math.nan, 0.1],
+        [[0.2, 0.1], [0.3, 0.0]],
+    ):
+        with pytest.raises(DomainError):
+            source_signature_batch(np.array(bad), constants)
 
 
 def test_signature_batch_matches_single(rng):
@@ -452,11 +473,11 @@ def test_signature_batch_matches_single(rng):
     batch = source_signature_batch(pts, constants)
     for i, x in enumerate(pts):
         # interior sources against the scalar inner series; plane sources
-        # against the single-source dispatch of the recurrence branch
+        # against a one-source call of the recurrence branch
         if x[2] != 0.0:
             single = _kernel_part(oracle_signature_interior_single(x, constants, 9), 9)
         else:
-            single = source_signature(x, constants).coeffs
+            single = source_signature_batch(x, constants)[0]
         nz = np.abs(single) > 0
         assert np.allclose(batch[i][nz], single[nz], rtol=1e-10)
         assert np.all(batch[i][~nz] == 0.0)
@@ -469,17 +490,60 @@ def test_interior_signature_blocks_are_independent():
     constants = build_spectral_constants(9)
     n = 2 * _INTERIOR_BLOCK + 3
     pts = np.random.default_rng(7).uniform(-0.4, 0.4, (n, 3))
-    whole = _signature_interior_batch(pts, constants)
+    whole = source_signature_batch(pts, constants)
     split = np.concatenate(
         [
-            _signature_interior_batch(pts[i0 : i0 + _INTERIOR_BLOCK], constants)
+            source_signature_batch(pts[i0 : i0 + _INTERIOR_BLOCK], constants)
             for i0 in range(0, n, _INTERIOR_BLOCK)
         ]
     )
     assert np.array_equal(whole.view(np.int64), split.view(np.int64))
     for i in (0, _INTERIOR_BLOCK - 1, _INTERIOR_BLOCK, n - 1):
-        one = _signature_interior_batch(pts[i][None, :], constants)[0]
+        one = source_signature_batch(pts[i], constants)[0]
         np.testing.assert_allclose(one, whole[i], rtol=1e-13, atol=0.0)
+
+
+def _ring_and_ball(rng, n_plane, n_interior):
+    """Plane sources on the unit disc and interior sources in the upper
+    unit ball, shuffled together."""
+    rr = np.sqrt(rng.uniform(0.05, 0.95, n_plane))
+    ph = rng.uniform(0.0, 2.0 * math.pi, n_plane)
+    plane = np.stack([rr * np.cos(ph), rr * np.sin(ph), np.zeros(n_plane)], axis=1)
+    d = rng.standard_normal((n_interior, 3))
+    d[:, 2] = np.abs(d[:, 2])
+    interior = d / np.linalg.norm(d, axis=1)[:, None] * rng.uniform(0.1, 0.9, (n_interior, 1))
+    return np.vstack([plane, interior])[rng.permutation(n_plane + n_interior)]
+
+
+def test_mixed_batch_rows_equal_the_branch_calls():
+    # each branch writes its own rows of the one result, the interior
+    # sources in blocks of consecutive interior sources, so a shuffled
+    # batch equals the plane-only and interior-only calls bit for bit
+    constants = build_spectral_constants(14)
+    pts = _ring_and_ball(np.random.default_rng(3), 150, 2 * _INTERIOR_BLOCK + 5)
+    on_plane = pts[:, 2] == 0.0
+    mixed = source_signature_batch(pts, constants)
+    assert np.array_equal(_bits(mixed[on_plane]), _bits(source_signature_batch(pts[on_plane], constants)))
+    assert np.array_equal(_bits(mixed[~on_plane]), _bits(source_signature_batch(pts[~on_plane], constants)))
+
+
+def test_signatures_hold_no_second_branch_table():
+    # the branches fill the one (N, q) result in place: what the call
+    # allocates above its result stays below the (n, q) table the plane
+    # branch would build on its own (the radial table it reads is about
+    # half that size)
+    constants = build_spectral_constants(104)
+    n_plane = 2400
+    pts = _ring_and_ball(np.random.default_rng(104), n_plane, 300)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = source_signature_batch(pts, constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane_table = n_plane * out.shape[1] * out.itemsize
+    assert peak - base - out.nbytes < plane_table
 
 
 @pytest.mark.parametrize("p", [23, 104])
@@ -500,11 +564,11 @@ def test_interior_harmonics_built_to_the_degree_read(p, monkeypatch):
         return real(points, degree)
 
     monkeypatch.setattr(ground_kernel, "solid_harmonics_batch", capped)
-    got = _signature_interior_batch(pts, constants)
+    got = source_signature_batch(pts, constants)
     monkeypatch.setattr(
         ground_kernel, "solid_harmonics_batch", lambda points, degree: real(points, 2 * p - 1)
     )
-    want = _signature_interior_batch(pts, constants)
+    want = source_signature_batch(pts, constants)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert degrees == [{23: 44, 104: 172}[p]] * 3
     top = degrees[0]
@@ -593,7 +657,6 @@ def test_complex_series_matches_real_factorization():
     # and the orthonormal harmonics; it must agree with the real-basis path
     p = 6
     sc = oracle_series_coefficients(p)
-    constants = build_spectral_constants(p)
     y = np.array([0.25, 0.1, 0.2])
     x = np.array([0.1, -0.15, 0.3])
     total = 0.0 + 0.0j
@@ -609,7 +672,7 @@ def test_complex_series_matches_real_factorization():
                     * oracle_complex_harmonic(x, int(npr), -m)
                     * oracle_complex_harmonic(y, int(n), m)
                 )
-    ref = kernel_series(y, source_signature(x, constants), KernelConfig(p=p))
+    ref = kernel_series(y, x, KernelConfig(p=p))
     assert abs(total.imag) < 1e-14
     assert total.real == pytest.approx(ref, rel=1e-10)
 
@@ -625,7 +688,6 @@ def test_cross_path_error_model(rng, eps):
 
     radius = 0.7
     p = choose_truncation(radius, 1.0, eps)
-    constants = build_spectral_constants(p)
     cfg = KernelConfig(p=p, integral_tolerance=1e-9)
     ref, vals = [], []
     for _ in range(20):
@@ -636,7 +698,7 @@ def test_cross_path_error_model(rng, eps):
         x = radius * v ** (1 / 3) * dx / np.linalg.norm(dx)
         y[2], x[2] = abs(y[2]), abs(x[2])
         ref.append(kernel_integral(y, x, cfg))
-        vals.append(kernel_series(y, source_signature(x, constants), cfg))
+        vals.append(kernel_series(y, x, cfg))
     ref = np.asarray(ref)
     vals = np.asarray(vals)
     eps2 = np.linalg.norm(vals - ref) / np.linalg.norm(ref)
