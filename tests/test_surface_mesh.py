@@ -92,15 +92,9 @@ def test_dip_has_empty_ground_ring(dip):
 
 
 def test_edge_frames(bump):
-    # edge q runs from vertex q to vertex (q + 1) mod 3: its unit tangent
-    # times its length is that edge, and its in-plane normal is
-    # tangent x normal, a unit vector in the panel plane
-    edges = np.roll(bump.face_vertices, -1, axis=1) - bump.face_vertices
-    assert np.abs(bump.edge_tangents * bump.edge_lengths[:, :, None] - edges).max() < 1e-14
     want = np.cross(bump.edge_tangents, bump.normals[:, None, :])
     assert np.abs(want - bump.edge_normals).max() < 1e-14
     assert np.abs(np.linalg.norm(bump.edge_tangents, axis=2) - 1.0).max() < 1e-14
-    assert np.abs(np.einsum("fqk,fk->fq", bump.edge_normals, bump.normals)).max() < 1e-14
     assert np.all(bump.areas > 0.0)
     assert np.abs(
         bump.centroids - bump.face_vertices.mean(axis=1)
@@ -201,3 +195,20 @@ def test_load_rejects_malformed(tmp_path):
 def test_mesh_arrays_immutable(bump):
     with pytest.raises(ValueError):
         bump.vertices[0, 0] = 99.0
+
+
+def test_panel_accessor(bump):
+    # a panel's data are one row of each mesh array: edge q runs from vertex
+    # q to vertex (q + 1) mod 3, its unit tangent times its length is that
+    # edge, and its in-plane normal is tangent x normal, orthogonal to the
+    # panel normal
+    edges = np.roll(bump.face_vertices, -1, axis=1) - bump.face_vertices
+    assert np.abs(bump.edge_tangents * bump.edge_lengths[:, :, None] - edges).max() < 1e-14
+    assert np.abs(np.einsum("fqk,fk->fq", bump.edge_normals, bump.normals)).max() < 1e-14
+    assert np.allclose(
+        np.cross(bump.edge_tangents[0, 0], bump.normals[0]), bump.edge_normals[0, 0]
+    )
+    assert bump.areas[0] == pytest.approx(
+        0.5 * np.linalg.norm(np.cross(edges[0, 0], edges[0, 1]))
+    )
+    assert bump.tags.shape == bump.areas.shape == (len(bump),)
