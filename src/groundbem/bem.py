@@ -25,7 +25,6 @@ result against the exact factored operator.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 import os
@@ -56,8 +55,6 @@ __all__ = [
     "solve",
     "apply_ground_kernel",
     "evaluate_field",
-    "export_field_csv",
-    "export_field_json",
 ]
 
 _FOUR_PI = 4.0 * math.pi
@@ -362,11 +359,19 @@ def truncated_system(system: BemSystem) -> BemSystem:
     return BemSystem(system.operator, None, system.config)
 
 
+def _source_point(source) -> np.ndarray:
+    xs = np.asarray(source, dtype=float).ravel()
+    if xs.shape != (3,) or not np.all(np.isfinite(xs)):
+        raise DomainError("the source must be one point with finite coordinates")
+    return xs
+
+
 def set_point_source_rhs(system: BemSystem, source) -> None:
     """Right-hand side of the grounded benchmark: the boundary must cancel
     the incident potential of a unit monopole, free-space plus kernel part
-    (the kernel part vanishes on the rows on the plane)."""
-    xs = np.asarray(source, dtype=float).reshape(3)
+    (the kernel part vanishes on the rows on the plane).  ``source`` must
+    be one finite point, else :class:`DomainError` is raised."""
+    xs = _source_point(source)
     d = system.mesh.centroids - xs
     rhs = -1.0 / (_FOUR_PI * np.sqrt(np.einsum("ij,ij->i", d, d)))
     if system.domain is not None:
@@ -559,12 +564,10 @@ def _below_ground_flags(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
     """Points under the plane, inside a bump or under a dip's bowl, the
     feature being a hemisphere of radius ``mesh.feature_radius``."""
     flags = points[:, 2] < -1e-12
-    on_surface = mesh.tags == SURFACE
-    if np.any(on_surface):
+    if mesh.feature_sign:
         r2 = mesh.feature_radius ** 2
-        bump = mesh.centroids[on_surface][:, 2].mean() > 0.0
         rho2 = points[:, 0] ** 2 + points[:, 1] ** 2
-        if bump:
+        if mesh.feature_sign > 0:
             flags = flags | (rho2 + points[:, 2] ** 2 < r2)
         else:
             inside = rho2 < r2
@@ -594,9 +597,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     if not np.all(np.isfinite(pts)):
         raise DomainError("field point coordinates must be finite")
     if source is not None:
-        xs = np.asarray(source, dtype=float).ravel()
-        if xs.shape != (3,) or not np.all(np.isfinite(xs)):
-            raise DomainError("the source must be one point with finite coordinates")
+        xs = _source_point(source)
         dist = np.linalg.norm(pts - xs, axis=1)
         if np.any(dist == 0.0):
             raise DomainError("a field point coincides with the source")
@@ -630,36 +631,6 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
             "re": None if domain is None else domain.re,
             "r0": None if domain is None else domain.r0,
             "use_ground_kernel": domain is not None,
-            "source": None if source is None else list(map(float, np.ravel(source))),
+            "source": None if source is None else xs.tolist(),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def export_field_csv(grid: FieldGrid, path) -> None:
-    """Write ``x,y,z,value,induced,below_ground`` rows (repr floats, so the
-    output is byte-stable for identical inputs)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,z,value,induced,below_ground\n")
-        for p, v, ind, fl in zip(grid.points, grid.values, grid.induced, grid.flags):
-            fh.write(
-                f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r},"
-                f"{float(v)!r},{float(ind)!r},{int(fl)}\n"
-            )
-
-
-def export_field_json(grid: FieldGrid, path) -> None:
-    payload = {
-        "metadata": grid.metadata,
-        "points": grid.points.tolist(),
-        "values": grid.values.tolist(),
-        "induced": grid.induced.tolist(),
-        "below_ground": grid.flags.astype(int).tolist(),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import sys
@@ -28,8 +29,6 @@ from .bem import (
     BemConfig,
     assemble,
     evaluate_field,
-    export_field_csv,
-    export_field_json,
     set_point_source_rhs,
     solve as bem_solve,
 )
@@ -70,6 +69,14 @@ def _parse_point(text):
         raise _UsageError(f"bad coordinate in {text!r}: {exc}") from exc
 
 
+def _number_list(kind):
+    """argparse ``type=`` for a comma-separated list of ``kind`` values."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
+
+
 def _default_outdir():
     return os.environ.get("GROUNDBEM_OUTDIR", ".")
 
@@ -86,6 +93,19 @@ def _limit_threads(n):
             print("note: no OpenBLAS library loaded; --threads has no effect",
                   file=sys.stderr)
         yield
+
+
+_STUDIES = {
+    "bump": xp.run_bump_experiment,
+    "dip": xp.run_dip_experiment,
+    "accuracy-map": xp.accuracy_map,
+    "cost-curve": xp.measure_cost_curve,
+}
+# experiment flag (argparse dest) -> study keyword
+_STUDY_FLAGS = {
+    "h": "h", "eps": "eps", "edge": "target_edge", "delta": "delta",
+    "ratios": "ratios", "p_values": "p_values", "seed": "seed",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,23 +147,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-kernel", action="store_true",
                    help="plain truncated BEM: solve without the ground-kernel "
                         "term (no truncation; p is null in the output)")
-    s.add_argument("--field", default=None,
+    s.add_argument("--field", type=_number_list(int),
                    help="also evaluate the field on an nr,nth interior grid")
     s.add_argument("--out-prefix", default=None,
                    help="output prefix (default: mesh name in the output dir)")
 
-    e = sub.add_parser("experiment", help="run a named validation study")
-    e.add_argument("name", choices=("bump", "dip", "accuracy-map", "cost-curve"))
-    e.add_argument("--h", type=float, default=None, help="source height")
-    e.add_argument("--eps", type=float, default=1e-4, help="prescribed accuracy")
-    e.add_argument("--edge", type=float, default=None, help="target edge length")
-    e.add_argument("--delta", type=float, default=0.0935,
-                   help="extension size for the bump study")
-    e.add_argument("--ratios", default=None,
+    e = sub.add_parser("experiment", help="run a named validation study; "
+                       "unset flags take the study's own defaults")
+    e.add_argument("name", choices=tuple(_STUDIES))
+    e.add_argument("--h", type=float, help="source height")
+    e.add_argument("--eps", type=float, help="prescribed accuracy")
+    e.add_argument("--edge", type=float, help="target edge length")
+    e.add_argument("--delta", type=float, help="extension size for the bump study")
+    e.add_argument("--ratios", type=_number_list(float),
                    help="comma-separated extension ratios (dip sweep / maps)")
-    e.add_argument("--p-values", default=None,
+    e.add_argument("--p-values", type=_number_list(int),
                    help="comma-separated truncation numbers (accuracy map)")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int)
     e.add_argument("--out", default=None, help="output directory")
     return ap
 
@@ -154,8 +174,7 @@ def _cmd_kernel(args) -> int:
     val = fn(_parse_point(args.y), _parse_point(args.x), cfg, path=args.path)
     print(repr(float(val)))
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(repr(float(val)) + "\n")
+        xp.write_json(args.out, float(val))
     return 0
 
 
@@ -196,6 +215,8 @@ def _infer_domain(mesh, r0, re):
 
 
 def _cmd_solve(args) -> int:
+    if args.field and len(args.field) != 2:
+        raise _UsageError(f"--field expects nr,nth, got {len(args.field)} values")
     mesh = load_mesh(args.mesh)
     domain, has_ext = _infer_domain(mesh, args.r0, args.re)
     use_kernel = has_ext and not args.no_kernel and domain.re > domain.r0
@@ -218,86 +239,69 @@ def _cmd_solve(args) -> int:
         prefix = os.path.join(_default_outdir(), stem)
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
 
-    sigma_path = prefix + "_sigma.csv"
-    with open(sigma_path, "w", encoding="ascii") as fh:
-        fh.write("x,y,z,area,tag,sigma\n")
-        for c, w, t, sg in zip(mesh.centroids, mesh.areas, mesh.tags, sigma):
-            fh.write(
-                f"{float(c[0])!r},{float(c[1])!r},{float(c[2])!r},"
-                f"{float(w)!r},{int(t)},{float(sg)!r}\n"
-            )
-    meta = {
-        "mesh": args.mesh,
-        "panels": len(mesh),
-        "r0": domain.r0,
-        "re": domain.re,
-        "p": kernel.get("p"),
-        "eps": args.eps,
-        "solver": args.solver,
-        "use_ground_kernel": use_kernel,
-        "source": list(source),
-    }
-    with open(prefix + "_solution.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    written = [sigma_path, prefix + "_solution.json"]
+    written = [
+        xp.write_csv(prefix + "_sigma.csv", ("x", "y", "z", "area", "tag", "sigma"),
+                     (*mesh.centroids.T, mesh.areas, mesh.tags, sigma)),
+        xp.write_json(prefix + "_solution.json", {
+            "mesh": args.mesh,
+            "panels": len(mesh),
+            "r0": domain.r0,
+            "re": domain.re,
+            "p": kernel.get("p"),
+            "eps": args.eps,
+            "solver": args.solver,
+            "use_ground_kernel": use_kernel,
+            "source": list(source),
+        }),
+    ]
 
     if args.field:
-        try:
-            nr, nth = (int(v) for v in args.field.split(","))
-        except ValueError as exc:
-            raise _UsageError(f"--field expects nr,nth, got {args.field!r}") from exc
+        nr, nth = args.field
         stand = 2.0 * mesh.mean_diameter
-        pts = xp._half_disc_grid(mesh.feature_radius or stand, domain.r0, stand, nr, nth)
+        if mesh.feature_sign < 0:
+            pts = xp._dip_grid(domain.r0, stand, nr, nth)
+        else:
+            pts = xp._half_disc_grid(mesh.feature_radius or stand, domain.r0, stand, nr, nth)
         grid = evaluate_field(system, pts, source=source)
-        export_field_csv(grid, prefix + "_field.csv")
-        export_field_json(grid, prefix + "_field.json")
-        written += [prefix + "_field.csv", prefix + "_field.json"]
+        written += [
+            xp.write_csv(prefix + "_field.csv",
+                         ("x", "y", "z", "value", "induced", "below_ground"),
+                         (*grid.points.T, grid.values, grid.induced, grid.flags)),
+            xp.write_json(prefix + "_field.json", {
+                "metadata": grid.metadata,
+                "points": grid.points.tolist(),
+                "values": grid.values.tolist(),
+                "induced": grid.induced.tolist(),
+                "below_ground": grid.flags.astype(int).tolist(),
+            }),
+        ]
     for w in written:
         print(f"wrote {w}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    outdir = args.out or _default_outdir()
-    ratios = None
-    if args.ratios:
-        ratios = [float(v) for v in args.ratios.split(",")]
-    if args.name == "bump":
-        rep = xp.run_bump_experiment(
-            h=2.0 if args.h is None else args.h,
-            delta=args.delta,
-            target_edge=args.edge or 0.09,
-            eps=args.eps,
-            seed=args.seed,
-        )
-        print(json.dumps(rep.summary(), indent=1, sort_keys=True))
-    elif args.name == "dip":
-        rep = xp.run_dip_experiment(
-            h=0.5 if args.h is None else args.h,
-            ratios=ratios or (1.1, 1.124, 1.25, 1.4, 1.6, 1.8, 2.0),
-            target_edge=args.edge or 0.11,
-            eps=args.eps,
-            seed=args.seed,
-        )
-        print(json.dumps(rep.summary(), indent=1, sort_keys=True))
-    elif args.name == "accuracy-map":
-        pv = [int(v) for v in args.p_values.split(",")] if args.p_values else [4, 8, 12, 16]
-        rep = xp.accuracy_map(
-            ratios or [1.5, 2.0, 2.5, 3.0],
-            pv,
-            seed=args.seed,
-        )
+    study = _STUDIES[args.name]
+    takes = inspect.signature(study).parameters
+    kwargs = {}
+    for flag, keyword in _STUDY_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if keyword not in takes:
+            raise _UsageError(
+                f"experiment {args.name} takes no --{flag.replace('_', '-')}"
+            )
+        kwargs[keyword] = value
+    rep = study(**kwargs)
+    if args.name == "accuracy-map":
         print(f"accuracy map over {rep.ratios.size} ratios x {rep.p_values.size} truncations")
-    else:
-        rep = xp.measure_cost_curve(
-            ratios=ratios or (1.15, 1.35, 1.6, 2.0, 2.5, 3.0, 3.7),
-            eps=args.eps,
-            seed=args.seed,
-        )
+    elif args.name == "cost-curve":
         best = int(np.argmin(rep.seconds))
         print(f"measured minimum at ratio {rep.ratios[best]} (p = {rep.p_values[best]})")
-    for path in xp.write_report(rep, outdir):
+    else:
+        print(json.dumps(rep.summary(), indent=1, sort_keys=True))
+    for path in xp.write_report(rep, args.out or _default_outdir()):
         print(f"wrote {path}")
     return 0
 

@@ -2,16 +2,19 @@
 benchmarks against a method-of-images oracle.
 
 All experiments are deterministic for a fixed seed and return plain
-report dataclasses; ``write_*`` helpers dump them as JSON plus one CSV
-table per figure-style dataset.  Wall-clock measurements appear only in
-the cost-curve study and are inherently machine-dependent; everything
-else is byte-reproducible.
+report dataclasses.  Each report describes itself: ``summary()`` is its
+JSON payload and ``table()`` its one figure-style CSV table, which
+``write_report`` dumps.  ``write_json`` and ``write_csv`` are the
+package's one output format.  Wall-clock measurements appear only in the
+cost-curve study and are inherently machine-dependent; everything else
+is byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -58,6 +61,8 @@ __all__ = [
     "run_bump_experiment",
     "run_dip_experiment",
     "measure_cost_curve",
+    "write_csv",
+    "write_json",
     "write_report",
 ]
 
@@ -281,10 +286,21 @@ class AccuracyMap:
     seed: int
     failures: list
 
+    def summary(self) -> dict:
+        return _summary(self, "accuracy-map", "ratios", "p_values", "n_receivers",
+                        "n_sources", "seed", "failures")
+
+    def table(self) -> tuple:
+        return "table", ("ratio", "p", "eps2"), (
+            np.repeat(self.ratios, self.p_values.size),
+            np.tile(self.p_values, self.ratios.size),
+            self.eps2.ravel(),
+        )
+
 
 def accuracy_map(
-    ratios,
-    p_values,
+    ratios=(1.5, 2.0, 2.5, 3.0),
+    p_values=(4, 8, 12, 16),
     n_receivers: int = 16,
     n_sources: int = 32,
     seed: int = 0,
@@ -370,22 +386,21 @@ class BumpReport:
     seed: int = 0
 
     def summary(self) -> dict:
-        return {
-            "experiment": "bump",
-            "h": self.h, "delta": self.delta, "edge": self.target_edge,
-            "eps": self.eps, "p": self.p,
-            "n_panels": self.n_panels, "n_omega0": self.n_omega0,
-            "eps2_inf": self.eps2_inf,
-            "eps2_truncated": self.eps2_truncated,
-            "eps2_image": self.eps2_image,
-            "seed": self.seed,
-        }
+        return _summary(self, "bump", "h", "delta", "eps", "p", "n_panels", "n_omega0",
+                        "eps2_inf", "eps2_truncated", "eps2_image", "seed",
+                        edge=self.target_edge)
+
+    def table(self) -> tuple:
+        return "fields", ("x", "y", "z", "analytic", "inf", "truncated", "image"), (
+            *self.points.T, self.analytic,
+            self.fields["inf"], self.fields["truncated"], self.fields["image"],
+        )
 
 
 def run_bump_experiment(
     h: float = 2.0,
     delta: float = 0.0935,
-    target_edge: float = 0.075,
+    target_edge: float = 0.09,
     eps: float = 1e-4,
     grid_shape=(16, 18),
     seed: int = 0,
@@ -450,17 +465,14 @@ class DipReport:
     seed: int = 0
 
     def summary(self) -> dict:
-        return {
-            "experiment": "dip",
-            "h": self.h, "eps": self.eps, "edge": self.target_edge,
-            "reference_ratio": self.reference_ratio,
-            "reference_eps": self.reference_eps,
-            "ratios": self.ratios.tolist(),
-            "eps2_inf": self.eps2_inf.tolist(),
-            "eps2_truncated": self.eps2_truncated.tolist(),
-            "n_panels": self.n_panels,
-            "seed": self.seed,
-        }
+        return _summary(self, "dip", "h", "eps", "reference_ratio", "reference_eps",
+                        "ratios", "eps2_inf", "eps2_truncated", "n_panels", "seed",
+                        edge=self.target_edge)
+
+    def table(self) -> tuple:
+        return "sweep", ("ratio", "eps2_inf", "eps2_truncated", "n_panels"), (
+            self.ratios, self.eps2_inf, self.eps2_truncated, self.n_panels,
+        )
 
 
 def run_dip_experiment(
@@ -538,6 +550,12 @@ class CostCurve:
     n_sources: int
     seed: int
 
+    def summary(self) -> dict:
+        return _summary(self, "cost-curve", "eps", "n_receivers", "n_sources", "seed")
+
+    def table(self) -> tuple:
+        return "curve", ("ratio", "p", "seconds"), (self.ratios, self.p_values, self.seconds)
+
 
 def measure_cost_curve(
     ratios=(1.15, 1.35, 1.6, 2.0, 2.5, 3.0, 3.7),
@@ -581,118 +599,57 @@ def measure_cost_curve(
 
 
 # ---------------------------------------------------------------------------
-# Report output
+# Output: every file the package writes, the mesh format aside
 # ---------------------------------------------------------------------------
 
 
-def _csv_lines(header, rows):
-    out = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+def _summary(report, experiment, *names, **values) -> dict:
+    """A report's JSON payload: its experiment id, the named fields (arrays
+    as lists) and ``values``."""
+    fields = {name: getattr(report, name) for name in names}
+    fields = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    return {"experiment": experiment, **fields, **values}
+
+
+def write_json(path, payload) -> str:
+    """Write ``payload`` as sorted JSON, indent 1, newline-terminated;
+    numpy scalars are written as floats.  Returns ``path``."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True, default=float)
+        fh.write("\n")
+    return path
+
+
+def write_csv(path, header, columns) -> str:
+    """Write equal-length ``columns`` under ``header`` as CSV.  Integer and
+    boolean columns are written as integers, every other value as
+    ``repr(float(v))``, so identical inputs give identical bytes.
+    Returns ``path``."""
+    cells = []
+    for col in map(np.asarray, columns):
+        as_int = col.dtype.kind in "biu"
+        cells.append([str(int(v)) if as_int else repr(float(v)) for v in col.tolist()])
+    if len(cells) != len(header):
+        raise DomainError(f"{len(header)} header names for {len(cells)} columns")
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def write_report(report, outdir, name=None) -> list:
-    """Write a report as JSON (config + metrics) plus CSV tables.
+    """Write a report's ``summary()`` as JSON and its ``table()`` as CSV.
 
     Returns the list of written paths; names embed the experiment id and
     seed so repeated runs with different seeds do not collide.
     """
-    import os
-
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    def dump_json(stem, payload):
-        path = os.path.join(outdir, f"{stem}.json")
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True, default=float)
-            fh.write("\n")
-        written.append(path)
-
-    def dump_csv(stem, header, rows):
-        path = os.path.join(outdir, f"{stem}.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(_csv_lines(header, rows))
-        written.append(path)
-
-    if isinstance(report, BumpReport):
-        stem = name or f"bump_seed{report.seed}"
-        dump_json(stem, report.summary())
-        rows = [
-            (
-                float(p[0]), float(p[1]), float(p[2]), float(a),
-                float(report.fields["inf"][i]),
-                float(report.fields["truncated"][i]),
-                float(report.fields["image"][i]),
-            )
-            for i, (p, a) in enumerate(zip(report.points, report.analytic))
-        ]
-        dump_csv(
-            f"{stem}_fields",
-            ["x", "y", "z", "analytic", "inf", "truncated", "image"],
-            rows,
-        )
-    elif isinstance(report, DipReport):
-        stem = name or f"dip_seed{report.seed}"
-        dump_json(stem, report.summary())
-        dump_csv(
-            f"{stem}_sweep",
-            ["ratio", "eps2_inf", "eps2_truncated", "n_panels"],
-            [
-                (float(r), float(a), float(b), n)
-                for r, a, b, n in zip(
-                    report.ratios, report.eps2_inf, report.eps2_truncated,
-                    report.n_panels,
-                )
-            ],
-        )
-    elif isinstance(report, AccuracyMap):
-        stem = name or f"accuracy_map_seed{report.seed}"
-        dump_json(
-            stem,
-            {
-                "experiment": "accuracy-map",
-                "ratios": report.ratios.tolist(),
-                "p_values": report.p_values.tolist(),
-                "n_receivers": report.n_receivers,
-                "n_sources": report.n_sources,
-                "seed": report.seed,
-                "failures": report.failures,
-            },
-        )
-        rows = [
-            (float(r), int(p), float(report.eps2[i, j]))
-            for i, r in enumerate(report.ratios)
-            for j, p in enumerate(report.p_values)
-        ]
-        dump_csv(f"{stem}_table", ["ratio", "p", "eps2"], rows)
-    elif isinstance(report, CostCurve):
-        stem = name or f"cost_curve_seed{report.seed}"
-        dump_json(
-            stem,
-            {
-                "experiment": "cost-curve",
-                "eps": report.eps,
-                "n_receivers": report.n_receivers,
-                "n_sources": report.n_sources,
-                "seed": report.seed,
-            },
-        )
-        dump_csv(
-            f"{stem}_curve",
-            ["ratio", "p", "seconds"],
-            [
-                (float(r), int(p), float(s))
-                for r, p, s in zip(report.ratios, report.p_values, report.seconds)
-            ],
-        )
-    else:
-        raise DomainError(f"unknown report type {type(report).__name__}")
-    return written
+    payload = report.summary()
+    stem = os.path.join(
+        outdir, name or f"{payload['experiment'].replace('-', '_')}_seed{report.seed}"
+    )
+    suffix, header, columns = report.table()
+    return [
+        write_json(f"{stem}.json", payload),
+        write_csv(f"{stem}_{suffix}.csv", header, columns),
+    ]

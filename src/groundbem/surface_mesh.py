@@ -142,6 +142,13 @@ class PanelMesh:
         surface = self.faces[self.tags == SURFACE].ravel()
         return float(np.linalg.norm(self.vertices[surface], axis=1).max(initial=0.0))
 
+    @property
+    def feature_sign(self) -> int:
+        """+1 for a raised feature (bump), -1 for a sunken one (dip), 0 when
+        the mesh has no SURFACE faces: the sign of their mean centroid z."""
+        z = self.centroids[self.tags == SURFACE, 2]
+        return 0 if not z.size else 1 if z.mean() > 0.0 else -1
+
     def tag_counts(self) -> dict:
         return {int(t): int(np.sum(self.tags == t)) for t in np.unique(self.tags)}
 

@@ -349,7 +349,7 @@ def test_criterion_9_cost_curve_minimum():
         f"{r:.2f}:{s*1e3:.0f}ms" for r, s in zip(curve.ratios, curve.seconds)
     )
     print(f"\nCRITERION 9 {'PASS' if ok else 'FAIL'}: measured cost minimum at "
-          f"ratio {curve.ratios[k]:.2f} (interior), curve [{pairs}] "
+          f"ratio {curve.ratios[k]:.2f} ({'interior' if interior else 'edge'}), curve [{pairs}] "
           f"({time.time()-t0:.0f}s)")
     assert interior
     assert curve.seconds[k] < curve.seconds[0]

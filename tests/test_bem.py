@@ -21,8 +21,6 @@ from groundbem.bem import (
     apply_operator,
     assemble,
     evaluate_field,
-    export_field_csv,
-    export_field_json,
     set_boundary_potential,
     set_point_source_rhs,
     solve,
@@ -495,6 +493,19 @@ def test_field_rejects_bad_points(solved_disc):
         evaluate_field(solved_disc, [[0.3, 0.2, 0.4]], source=(0.0, math.inf, 0.5))
 
 
+def test_point_source_rhs_rejects_bad_source():
+    # a kernel-off system has no signature call to catch a bad source, so
+    # the check sits in set_point_source_rhs itself; the right-hand side
+    # stays zero
+    system = assemble(make_flat_disc_mesh(1.0, 0.4), None, BemConfig())
+    for source in ((0.0, math.nan, 0.5), (0.0, 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="one point with finite coordinates"):
+                set_point_source_rhs(system, source)
+    assert not np.any(system.rhs)
+
+
 def test_field_at_centroids_is_the_free_matvec(solved_disc):
     # with the kernel off and no source, the field at the collocation
     # points is the same panel sum as the assembled block
@@ -564,25 +575,6 @@ def test_field_requires_solution():
     system = assemble(mesh, None, BemConfig())
     with pytest.raises(SolveError, match="no solution"):
         evaluate_field(system, np.array([[0.0, 0.0, 1.0]]))
-
-
-def test_field_export_round_trip(solved_disc, tmp_path):
-    import json
-
-    pts = np.array([[0.3, 0.2, 0.4], [0.1, -0.2, 0.8]])
-    grid = evaluate_field(solved_disc, pts, source=(0.0, 0.0, 0.5))
-    csv_path = tmp_path / "field.csv"
-    json_path = tmp_path / "field.json"
-    export_field_csv(grid, csv_path)
-    export_field_json(grid, json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,value,induced,below_ground"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[3]) == grid.values[0]
-    payload = json.loads(json_path.read_text())
-    assert payload["values"] == grid.values.tolist()
-    assert payload["metadata"]["source"] == [0.0, 0.0, 0.5]
 
 
 # ---------------------------------------------------------------------------

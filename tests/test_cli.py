@@ -1,6 +1,6 @@
+import functools
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,6 +10,7 @@ import pytest
 from groundbem import cli
 from groundbem.blas import blas_thread_counts, blas_threads
 from groundbem.cli import main
+from groundbem.errors import GroundBemError
 
 
 def run_cli(*args):
@@ -38,10 +39,13 @@ def test_kernel_plane_point_is_zero(capsys):
     assert float(capsys.readouterr().out.strip()) == 0.0
 
 
-def test_kernel_paths_agree(capsys):
+def test_kernel_paths_agree(capsys, tmp_path):
     args = ("--y", "0.2,0.1,0.25", "--x", "0.1,-0.2,0.3", "--r", "1", "--p", "16")
-    assert run_cli("kernel", *args, "--path", "series") == 0
-    series = float(capsys.readouterr().out.strip())
+    out = tmp_path / "k.txt"
+    assert run_cli("kernel", *args, "--path", "series", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    series = float(printed.strip())
     assert run_cli("kernel", *args, "--path", "integral") == 0
     integral = float(capsys.readouterr().out.strip())
     assert series == pytest.approx(integral, rel=(0.41) ** 16 * 50)
@@ -109,6 +113,85 @@ def test_solve_without_extension_drops_kernel(tmp_path, capsys):
     field = json.loads((tmp_path / "d_field.json").read_text())["metadata"]
     assert field["use_ground_kernel"] is False
     assert field["p"] is None and field["re"] is None and field["r0"] is None
+
+
+@pytest.fixture(scope="module")
+def disc_mesh(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("disc") / "disc.mesh")
+    assert main(["mesh", "--kind", "disc", "--radius", "2.0", "--edge", "0.35",
+                 "--out", path]) == 0
+    return path
+
+
+def test_field_export_round_trip(disc_mesh, tmp_path, capsys):
+    prefix = str(tmp_path / "d")
+    assert run_cli("solve", "--mesh", disc_mesh, "--source", "0,0,0.5",
+                   "--field", "3,4", "--out-prefix", prefix) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "d_field.csv").read_text().splitlines()
+    assert lines[0] == "x,y,z,value,induced,below_ground"
+    assert len(lines) == 1 + 3 * 4
+    payload = json.loads((tmp_path / "d_field.json").read_text())
+    rows = [line.split(",") for line in lines[1:]]
+    assert [[float(c) for c in row[:3]] for row in rows] == payload["points"]
+    assert [float(row[3]) for row in rows] == payload["values"]
+    assert [float(row[4]) for row in rows] == payload["induced"]
+    assert [int(row[5]) for row in rows] == payload["below_ground"]
+    assert payload["metadata"]["source"] == [0.0, 0.0, 0.5]
+
+
+def test_solve_field_files_are_byte_identical(disc_mesh, tmp_path, capsys):
+    for run in ("a", "b"):
+        assert run_cli("solve", "--mesh", disc_mesh, "--source", "0,0,0.5",
+                       "--field", "3,4", "--out-prefix", str(tmp_path / run)) == 0
+    capsys.readouterr()
+    for suffix in ("_sigma.csv", "_field.csv"):
+        first = (tmp_path / f"a{suffix}").read_bytes()
+        assert first == (tmp_path / f"b{suffix}").read_bytes()
+        assert b"np." not in first
+
+
+def test_solve_field_on_a_dip_mesh(tmp_path, capsys):
+    # a sunken feature takes the dip study's grid: inside re and above the
+    # bowl (the bump's half-disc grid crossed re here)
+    mesh_path = str(tmp_path / "dip.mesh")
+    assert run_cli("mesh", "--kind", "dip", "--re", "1.124", "--edge", "0.3",
+                   "--out", mesh_path) == 0
+    prefix = str(tmp_path / "run")
+    assert run_cli("solve", "--mesh", mesh_path, "--source", "0,0,0.5",
+                   "--eps", "1e-3", "--field", "3,4", "--out-prefix", prefix) == 0
+    capsys.readouterr()
+    field = json.loads((tmp_path / "run_field.json").read_text())
+    assert len(field["points"]) == 3 * 4
+    assert np.all(np.linalg.norm(field["points"], axis=1) < field["metadata"]["re"])
+    assert field["below_ground"] == [0] * 12
+
+
+def test_experiment_passes_only_the_flags_set(monkeypatch):
+    # unset flags take the study's signature defaults
+    seen = []
+    real = cli._STUDIES["bump"]
+
+    @functools.wraps(real)
+    def spy(**kwargs):
+        seen.append(kwargs)
+        raise GroundBemError("stop")
+
+    monkeypatch.setitem(cli._STUDIES, "bump", spy)
+    assert run_cli("experiment", "bump", "--edge", "0.4", "--seed", "3") == 2
+    assert seen == [{"target_edge": 0.4, "seed": 3}]
+
+
+@pytest.mark.parametrize("args", [
+    ("dip", "--ratios", "1.2,x"),
+    ("accuracy-map", "--p-values", "4,6.5"),
+    ("accuracy-map", "--delta", "0.3"),
+    ("cost-curve", "--edge", "0.2"),
+])
+def test_experiment_bad_flags_are_usage_errors(args, tmp_path, capsys):
+    assert run_cli("experiment", *args, "--out", str(tmp_path)) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_experiment_accuracy_map_deterministic_csv(tmp_path, capsys):

@@ -20,9 +20,11 @@ from groundbem.experiments import (
     fit_cost_constants,
     fit_power_law,
     kernel_cost,
+    measure_cost_curve,
     relative_l2_error,
     run_bump_experiment,
     run_dip_experiment,
+    write_csv,
     write_report,
 )
 
@@ -280,8 +282,9 @@ def test_bump_report_files(tiny_bump, tmp_path):
     assert len(lines) == 1 + len(tiny_bump.points)
 
 
-def test_dip_experiment_smoke(tmp_path):
-    rep = run_dip_experiment(
+@pytest.fixture(scope="module")
+def tiny_dip():
+    return run_dip_experiment(
         h=0.5,
         ratios=(1.2, 1.6),
         target_edge=0.3,
@@ -291,12 +294,65 @@ def test_dip_experiment_smoke(tmp_path):
         reference_edge=0.22,
         grid_shape=(5, 8),
     )
+
+
+def test_dip_experiment_smoke(tiny_dip, tmp_path):
+    rep = tiny_dip
     assert np.all(rep.eps2_inf < rep.eps2_truncated)
     paths = write_report(rep, tmp_path)
     assert any(p.endswith("dip_seed0_sweep.csv") for p in paths)
     sweep = (tmp_path / "dip_seed0_sweep.csv").read_text().splitlines()
     assert sweep[0] == "ratio,eps2_inf,eps2_truncated,n_panels"
     assert len(sweep) == 3
+
+
+@pytest.fixture(scope="module")
+def tiny_curve():
+    return measure_cost_curve(ratios=(2.0, 3.0), n_receivers=4, n_sources=8, repeats=1)
+
+
+@pytest.mark.parametrize("fixture, files, header, int_columns, rows", [
+    ("tiny_bump", ("bump_seed0.json", "bump_seed0_fields.csv"),
+     "x,y,z,analytic,inf,truncated,image", (),
+     lambda r: np.column_stack([r.points, r.analytic, r.fields["inf"],
+                                r.fields["truncated"], r.fields["image"]])),
+    ("tiny_dip", ("dip_seed0.json", "dip_seed0_sweep.csv"),
+     "ratio,eps2_inf,eps2_truncated,n_panels", (3,),
+     lambda r: np.column_stack([r.ratios, r.eps2_inf, r.eps2_truncated, r.n_panels])),
+    ("small_map", ("accuracy_map_seed3.json", "accuracy_map_seed3_table.csv"),
+     "ratio,p,eps2", (1,),
+     lambda r: np.asarray([(ratio, p, r.eps2[i, j]) for i, ratio in enumerate(r.ratios)
+                           for j, p in enumerate(r.p_values)])),
+    ("tiny_curve", ("cost_curve_seed0.json", "cost_curve_seed0_curve.csv"),
+     "ratio,p,seconds", (1,),
+     lambda r: np.column_stack([r.ratios, r.p_values, r.seconds])),
+], ids=["bump", "dip", "accuracy-map", "cost-curve"])
+def test_write_report_on_every_report_type(fixture, files, header, int_columns, rows,
+                                           request, tmp_path):
+    # one generic writer: the summary as JSON, the table as CSV with repr
+    # floats that read back exactly and integer columns as integers
+    report = request.getfixturevalue(fixture)
+    paths = write_report(report, tmp_path)
+    assert paths == [str(tmp_path / f) for f in files]
+    payload = json.loads((tmp_path / files[0]).read_text())
+    assert payload == json.loads(json.dumps(report.summary(), default=float))
+    text = (tmp_path / files[1]).read_text()
+    assert "np." not in text
+    lines = text.splitlines()
+    assert lines[0] == header
+    cells = [line.split(",") for line in lines[1:]]
+    for k in int_columns:
+        assert all(str(int(row[k])) == row[k] for row in cells)
+    assert np.array_equal(np.asarray(cells, dtype=float), rows(report))
+
+
+def test_write_csv_formats_numpy_scalars(tmp_path):
+    path = tmp_path / "t.csv"
+    assert write_csv(path, ("a", "b", "c"),
+                     ([np.float64(0.1), 2.0], [True, False], [np.int32(3), 4])) == path
+    assert path.read_text() == "a,b,c\n0.1,1,3\n2.0,0,4\n"
+    with pytest.raises(DomainError, match="2 header names for 3 columns"):
+        write_csv(path, ("a", "b"), ([1.0], [2.0], [3.0]))
 
 
 def test_bump_error_decreases_under_refinement(tiny_bump):

@@ -112,3 +112,40 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_")
     ]
     assert not found, f"private names imported from sibling modules: {found}"
+
+
+# The package's one output path: JSON and CSV through experiments'
+# writers, meshes through their own text format.
+WRITERS = {"write_json", "write_csv", "save_mesh"}
+
+
+def _write_calls(node, func=None):
+    """(enclosing function, line) of every call that opens a file for
+    writing: ``open`` or ``.open`` with a mode other than a constant
+    read mode, and ``.write_text`` / ``.write_bytes``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _write_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            if name == "open":
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), ast.Constant("r")
+                )
+                reads = isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+                if not reads:
+                    yield func, child.lineno
+            elif name in ("write_text", "write_bytes"):
+                yield func, child.lineno
+        yield from _write_calls(child, func)
+
+
+def test_files_are_written_only_by_the_writers():
+    found = [
+        f"{path.name}: {func} (line {line})"
+        for path in MODULES
+        for func, line in _write_calls(ast.parse(path.read_text()))
+        if func not in WRITERS
+    ]
+    assert not found, f"files opened for writing outside {sorted(WRITERS)}: {found}"
