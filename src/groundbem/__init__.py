@@ -18,7 +18,6 @@ from .ground_kernel import (
     KernelConfig,
     RadialTable,
     kernel_integral,
-    kernel_integral_truncated,
     kernel_neumann,
     kernel_series,
     kernel_value,

@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--r", type=float, default=1.0, help="hole radius R")
     k.add_argument("--p", type=int, default=12, help="series truncation")
     k.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    k.add_argument("--path", choices=("auto", "series", "integral"), default="auto")
     k.add_argument("--neumann", action="store_true",
                    help="evaluate the Neumann kernel instead of the Dirichlet one")
     k.add_argument("--out", default=None, help="also write the value to this file")
@@ -140,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--source", required=True, help="monopole location as x,y,z")
     s.add_argument("--eps", type=float, default=1e-4,
                    help="prescribed kernel accuracy (sets the truncation)")
-    s.add_argument("--p", type=int, default=None, help="override truncation number")
-    s.add_argument("--r0", type=float, default=None, help="override detail radius")
-    s.add_argument("--re", type=float, default=None, help="override extended radius")
     s.add_argument("--solver", choices=("direct", "iterative"), default="direct")
     s.add_argument("--no-kernel", action="store_true",
                    help="plain truncated BEM: solve without the ground-kernel "
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_kernel(args) -> int:
     cfg = KernelConfig(scale_radius=args.r, p=args.p, integral_tolerance=args.tol)
     fn = kernel_neumann if args.neumann else kernel_value
-    val = fn(_parse_point(args.y), _parse_point(args.x), cfg, path=args.path)
+    val = fn(_parse_point(args.y), _parse_point(args.x), cfg)
     print(repr(float(val)))
     if args.out:
         xp.write_json(args.out, float(val))
@@ -196,37 +192,28 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-def _infer_domain(mesh, r0, re):
+def _infer_domain(mesh):
+    """Radii from the tags: r0 reaches the farthest vertex of the faces off
+    the extension ring, re the ring's outer rim (r0 when it has none)."""
     rho = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    has_ext = bool(np.any(mesh.tags == EXTENSION))
-    if r0 is None:
-        inner = mesh.faces[mesh.tags != EXTENSION]
-        if inner.size:
-            r0 = float(np.linalg.norm(mesh.vertices[np.unique(inner)], axis=1).max())
-        else:
-            r0 = float(rho.max())
-    if re is None:
-        if has_ext:
-            ext_v = np.unique(mesh.faces[mesh.tags == EXTENSION])
-            re = float(rho[ext_v].max())
-        else:
-            re = r0
-    return DomainSpec(r0=r0, re=re), has_ext
+    inner = mesh.faces[mesh.tags != EXTENSION]
+    ext = mesh.faces[mesh.tags == EXTENSION]
+    r0 = float(np.linalg.norm(mesh.vertices[inner], axis=-1).max() if inner.size else rho.max())
+    return DomainSpec(r0=r0, re=float(rho[ext].max()) if ext.size else r0)
 
 
 def _cmd_solve(args) -> int:
     if args.field and len(args.field) != 2:
         raise _UsageError(f"--field expects nr,nth, got {len(args.field)} values")
     mesh = load_mesh(args.mesh)
-    domain, has_ext = _infer_domain(mesh, args.r0, args.re)
-    use_kernel = has_ext and not args.no_kernel and domain.re > domain.r0
+    domain = _infer_domain(mesh)
+    use_kernel = not args.no_kernel and domain.re > domain.r0
     if not use_kernel and not args.no_kernel:
         print("note: mesh has no extension ring; solving without the ground kernel",
               file=sys.stderr)
     kernel = {}
     if use_kernel:
-        kernel["p"] = (xp.choose_truncation(domain.r0, domain.re, args.eps)
-                       if args.p is None else args.p)
+        kernel["p"] = xp.choose_truncation(domain.r0, domain.re, args.eps)
     cfg = BemConfig(solver=args.solver, prescribed_eps=args.eps, **kernel)
     system = assemble(mesh, domain if use_kernel else None, cfg)
     source = _parse_point(args.source)
@@ -256,13 +243,8 @@ def _cmd_solve(args) -> int:
     ]
 
     if args.field:
-        nr, nth = args.field
-        stand = 2.0 * mesh.mean_diameter
-        if mesh.feature_sign < 0:
-            pts = xp._dip_grid(domain.r0, stand, nr, nth)
-        else:
-            pts = xp._half_disc_grid(mesh.feature_radius or stand, domain.r0, stand, nr, nth)
-        grid = evaluate_field(system, pts, source=source)
+        grid = evaluate_field(system, xp.field_grid(mesh, domain.r0, *args.field),
+                              source=source)
         written += [
             xp.write_csv(prefix + "_field.csv",
                          ("x", "y", "z", "value", "induced", "below_ground"),

@@ -54,6 +54,7 @@ __all__ = [
     "analytic_bump_potential",
     "relative_l2_error",
     "choose_truncation",
+    "field_grid",
     "cost_bracket",
     "fit_cost_constants",
     "cost_optimizer",
@@ -353,9 +354,15 @@ def _half_disc_grid(r_inner, r_outer, standoff, nr, nth):
     return np.asarray(pts)
 
 
-def _dip_grid(r_outer, standoff, nr, nth):
+def field_grid(mesh, r0: float, nr: int, nth: int) -> np.ndarray:
+    """The studies' nr x nth field grid in the half-plane y = 0 inside the
+    detail radius r0, two mean panel diameters off the mesh: above the bowl
+    of a sunken feature (dip), between the feature and r0 otherwise."""
+    standoff = 2.0 * mesh.mean_diameter
+    if mesh.feature_sign >= 0:
+        return _half_disc_grid(mesh.feature_radius or standoff, r0, standoff, nr, nth)
     pts = []
-    for r in np.linspace(0.15, r_outer - standoff, nr):
+    for r in np.linspace(0.15, r0 - standoff, nr):
         for t in np.linspace(-math.pi / 2 + 0.05, math.pi / 2 - 0.05, nth):
             pts.append([r * math.cos(t), 0.0, r * math.sin(t)])
     return np.asarray(pts)
@@ -502,7 +509,7 @@ def run_dip_experiment(
     ref_dom = DomainSpec(r0=1.0, re=reference_ratio)
     ref_p = choose_truncation(1.0, reference_ratio, reference_eps)
     sys_ref = assemble(ref_mesh, ref_dom, BemConfig(p=ref_p, prescribed_eps=reference_eps))
-    pts = _dip_grid(1.0, 2.0 * ref_mesh.mean_diameter, *grid_shape)
+    pts = field_grid(ref_mesh, 1.0, *grid_shape)
     reference = _point_source_field(sys_ref, source, pts)
 
     ratios = np.asarray(sorted(ratios), dtype=float)

@@ -44,7 +44,6 @@ __all__ = [
     "receiver_harmonics",
     "source_signature_batch",
     "kernel_integral",
-    "kernel_integral_truncated",
     "kernel_series",
     "kernel_neumann",
     "kernel_value",
@@ -492,41 +491,33 @@ def _kernel_quadrature(yt, xt, eta_min, tol):
     return val
 
 
-def kernel_integral(y, x, config: KernelConfig = KernelConfig()) -> float:
-    """Dirichlet kernel K(y, x; R) by the reference double integral.
-
-    Valid for |y| < R and |x| < R (the closed-form integrand is smooth
-    there); use :func:`kernel_integral_truncated` for points outside.
-    """
-    r = config.scale_radius
-    if np.linalg.norm(_as_point(y) / r) >= 1.0 or np.linalg.norm(_as_point(x) / r) >= 1.0:
-        raise DomainError("kernel_integral requires |y| < R and |x| < R")
-    return kernel_integral_truncated(y, x, math.inf, config)
-
-
-# Default cutoff radius of the truncated integral; the analytic tail beyond
-# it is added in closed form.
+# Tail radius, in units of R, of the integral route beyond the hole: the
+# analytic tail past it is added in closed form.
 _TAIL_RADIUS = 1e3
 
 
-def kernel_integral_truncated(
+def kernel_integral(
     y,
     x,
-    tail_radius: float = _TAIL_RADIUS,
     config: KernelConfig = KernelConfig(),
+    tail_radius: float = math.inf,
 ) -> float:
-    """Truncated kernel integral plus its analytic far-field tail.
+    """Dirichlet kernel K(y, x; R) by the reference double integral over the
+    plane outside the hole.
 
-    Valid for any pair above the plane (and as an oracle for interior
-    pairs); an infinite ``tail_radius`` integrates the whole plane.
+    The infinite default integrates the whole plane and requires |y| < R
+    and |x| < R (the closed-form integrand is smooth there).  A finite
+    ``tail_radius`` truncates the integral there and adds its analytic
+    far-field tail, valid for any pair above the plane.
     """
-    yp = _as_point(y)
-    xp = _as_point(x)
     r = config.scale_radius
+    yt, xt = _as_point(y) / r, _as_point(x) / r
     rinf = float(tail_radius)
     if rinf <= r:
         raise DomainError("tail radius must exceed the scale radius")
-    yt, xt = yp / r, xp / r
+    if rinf == math.inf and max(np.linalg.norm(yt), np.linalg.norm(xt)) >= 1.0:
+        raise DomainError("kernel_integral requires |y| < R and |x| < R "
+                          "unless tail_radius is finite")
     if yt[2] == 0.0:
         return 0.0
     eta_min = r / rinf
@@ -552,41 +543,26 @@ def kernel_series(y, x, config: KernelConfig = KernelConfig()) -> float:
     return float(receiver_harmonics(yt[None, :], config.p)[0] @ signature) / r
 
 
-# Dispatch threshold of ``kernel_value(path="auto")``: the series path is
-# used when both scaled radii are at most this fraction.
+# The route of ``kernel_value``: the series where both scaled radii are at
+# most this fraction, the integral beyond.
 _SERIES_FRACTION = 0.95
 
 
-def kernel_value(
-    y,
-    x,
-    config: KernelConfig = KernelConfig(),
-    path: str = "auto",
-) -> float:
-    """K(y, x; R) by the requested path (``series``, ``integral`` or
-    ``auto``: series where both scaled radii are at most 0.95, quadrature
-    otherwise)."""
+def kernel_value(y, x, config: KernelConfig = KernelConfig()) -> float:
+    """K(y, x; R) by the route the pair needs: the series where both scaled
+    radii are at most 0.95, the whole-plane integral where both are below 1,
+    and the integral truncated at 1e3 R plus its tail beyond."""
     yp = _as_point(y)
     xp = _as_point(x)
     r = config.scale_radius
-    ry = float(np.linalg.norm(yp)) / r
-    rx = float(np.linalg.norm(xp)) / r
-    if path == "auto":
-        path = "series" if max(ry, rx) <= _SERIES_FRACTION else "integral"
-    if path == "series":
+    reach = max(float(np.linalg.norm(yp)) / r, float(np.linalg.norm(xp)) / r)
+    if reach <= _SERIES_FRACTION:
         return kernel_series(yp, xp, config)
-    if path == "integral":
-        if max(ry, rx) < 1.0:
-            return kernel_integral(yp, xp, config)
-        return kernel_integral_truncated(yp, xp, config=config)
-    raise DomainError(f"unknown kernel path {path!r}")
+    if reach < 1.0:
+        return kernel_integral(yp, xp, config)
+    return kernel_integral(yp, xp, config, tail_radius=_TAIL_RADIUS * r)
 
 
-def kernel_neumann(
-    y,
-    x,
-    config: KernelConfig = KernelConfig(),
-    path: str = "auto",
-) -> float:
+def kernel_neumann(y, x, config: KernelConfig = KernelConfig()) -> float:
     """Neumann kernel via the exact swap KN(y, x) = -K(x, y)."""
-    return -kernel_value(x, y, config, path=path)
+    return -kernel_value(x, y, config)

@@ -230,11 +230,11 @@ class _Builder:
         return PanelMesh(vertices, faces, tags)
 
 
-def _hemisphere_rings(builder, edge, z_sign):
-    """Latitude rings of the unit hemisphere from the pole to the equator.
+def _add_hemisphere(builder, edge, z_sign):
+    """SURFACE panels of the unit hemisphere on the side ``z_sign`` of the
+    plane, in latitude bands from the pole to the equator.
 
-    Returns (pole id, list of (ids, angles)); the last ring lies exactly at
-    z = 0 and is shared with the flat part of the mesh.
+    Returns the equator ring (ids, angles), which lies exactly at z = 0.
     """
     nbands = max(2, int(round(0.5 * math.pi / edge)))
     pole = builder.add_vertex(0.0, 0.0, z_sign * 1.0)
@@ -248,7 +248,10 @@ def _hemisphere_rings(builder, edge, z_sign):
         count = _ring_count(radius, edge)
         offset = 0.5 * (i % 2) * 2.0 * math.pi / count
         rings.append(builder.add_ring(radius, z, count, offset))
-    return pole, rings
+    builder.add_cap(pole, rings[0], SURFACE)
+    for ra, rb in zip(rings, rings[1:]):
+        builder.add_band(ra, rb, SURFACE)
+    return rings[-1]
 
 
 def _flat_rings(builder, r_start, r_end, edge, start_ring):
@@ -289,12 +292,7 @@ def make_bump_dip_mesh(sign: int, r0: float, re: float, target_edge: float) -> P
         raise DomainError("dip geometry requires r0 = 1")
 
     b = _Builder()
-    pole, rings = _hemisphere_rings(b, target_edge, z_sign=sign)
-    b.add_cap(pole, rings[0], SURFACE)
-    for ra, rb in zip(rings, rings[1:]):
-        b.add_band(ra, rb, SURFACE)
-
-    equator = rings[-1]
+    equator = _add_hemisphere(b, target_edge, z_sign=sign)
     ground_rings = _flat_rings(b, 1.0, r0, target_edge, equator)
     for ra, rb in zip(ground_rings, ground_rings[1:]):
         b.add_band(ra, rb, GROUND)
@@ -313,31 +311,15 @@ def make_bump_dip_mesh(sign: int, r0: float, re: float, target_edge: float) -> P
 
 
 def make_sphere_mesh(target_edge: float, radius: float = 1.0) -> PanelMesh:
-    """Full sphere (two stitched hemispheres), outward normals, tag
-    SURFACE.  Used by the image-method benchmark."""
+    """Full sphere, tag SURFACE, outward normals: the upper hemisphere
+    joined to its mirror image by :func:`mirror_surface_mesh`, then scaled
+    to ``radius``."""
     if target_edge <= 0 or radius <= 0:
         raise DomainError("target_edge and radius must be positive")
     b = _Builder()
-    pole_n, rings_n = _hemisphere_rings(b, target_edge / radius, z_sign=1)
-    b.add_cap(pole_n, rings_n[0], SURFACE)
-    for ra, rb in zip(rings_n, rings_n[1:]):
-        b.add_band(ra, rb, SURFACE)
-    # Southern bands reuse the shared equator ring.
-    pole_s, rings_s = _hemisphere_rings(b, target_edge / radius, z_sign=-1)
-    # drop the southern equator ring in favor of the northern one
-    rings_s = rings_s[:-1] + [rings_n[-1]]
-    b.add_cap(pole_s, rings_s[0], SURFACE)
-    for ra, rb in zip(rings_s, rings_s[1:]):
-        b.add_band(ra, rb, SURFACE)
-
-    vertices = np.asarray(b.vertices) * radius
-
-    def orient(centroids, tags):
-        return centroids
-
-    builder = b
-    builder.vertices = [tuple(v) for v in vertices]
-    return builder.build(orient)
+    _add_hemisphere(b, target_edge / radius, z_sign=1)
+    sphere = mirror_surface_mesh(b.build(lambda centroids, tags: centroids))
+    return PanelMesh(sphere.vertices * radius, sphere.faces, sphere.tags)
 
 
 def mirror_surface_mesh(mesh: PanelMesh) -> PanelMesh:

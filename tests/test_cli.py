@@ -11,6 +11,7 @@ from groundbem import cli
 from groundbem.blas import blas_thread_counts, blas_threads
 from groundbem.cli import main
 from groundbem.errors import GroundBemError
+from groundbem.ground_kernel import KernelConfig, kernel_series
 
 
 def run_cli(*args):
@@ -40,25 +41,25 @@ def test_kernel_plane_point_is_zero(capsys):
 
 
 def test_kernel_paths_agree(capsys, tmp_path):
+    # a pair inside 0.95 R takes the series route
     args = ("--y", "0.2,0.1,0.25", "--x", "0.1,-0.2,0.3", "--r", "1", "--p", "16")
     out = tmp_path / "k.txt"
-    assert run_cli("kernel", *args, "--path", "series", "--out", str(out)) == 0
+    assert run_cli("kernel", *args, "--out", str(out)) == 0
     printed = capsys.readouterr().out
     assert out.read_text() == printed
-    series = float(printed.strip())
-    assert run_cli("kernel", *args, "--path", "integral") == 0
-    integral = float(capsys.readouterr().out.strip())
-    assert series == pytest.approx(integral, rel=(0.41) ** 16 * 50)
+    want = kernel_series((0.2, 0.1, 0.25), (0.1, -0.2, 0.3), KernelConfig(p=16))
+    assert float(printed.strip()) == want
 
 
 def test_kernel_neumann_duality(capsys):
-    assert run_cli("kernel", "--y", "0.2,0.1,0.25", "--x", "0.1,-0.2,0.3",
-                   "--neumann", "--path", "integral") == 0
+    # |y| = 0.995 R: the integral route
+    assert run_cli("kernel", "--y", "0.2,0.1,0.97", "--x", "0.1,-0.2,0.3",
+                   "--neumann") == 0
     kn = float(capsys.readouterr().out.strip())
-    assert run_cli("kernel", "--y", "0.1,-0.2,0.3", "--x", "0.2,0.1,0.25",
-                   "--path", "integral") == 0
+    assert run_cli("kernel", "--y", "0.1,-0.2,0.3", "--x", "0.2,0.1,0.97") == 0
     kd = float(capsys.readouterr().out.strip())
     assert kn == -kd
+    assert kn != 0.0
 
 
 def test_malformed_coordinates_exit_usage():
@@ -67,9 +68,11 @@ def test_malformed_coordinates_exit_usage():
 
 
 def test_numeric_failure_exit_code():
-    # series path outside the convergence ball is a numeric/domain failure
-    assert run_cli("kernel", "--y", "0,0,0.5", "--x", "0,0,1.5", "--r", "1",
-                   "--path", "series") == 2
+    # a truncation past the float64-safe limit, and a source on the plane
+    # outside the hole, where the quadrature meets the singular set
+    assert run_cli("kernel", "--y", "0.2,0.1,0.25", "--x", "0.1,-0.2,0.3",
+                   "--p", "200") == 2
+    assert run_cli("kernel", "--y", "0.2,0.1,0.25", "--x", "1.5,0,0") == 2
 
 
 def test_missing_mesh_file_is_usage_error(tmp_path):
@@ -183,13 +186,22 @@ def test_experiment_passes_only_the_flags_set(monkeypatch):
 
 
 @pytest.mark.parametrize("args", [
-    ("dip", "--ratios", "1.2,x"),
-    ("accuracy-map", "--p-values", "4,6.5"),
-    ("accuracy-map", "--delta", "0.3"),
-    ("cost-curve", "--edge", "0.2"),
+    ("experiment", "dip", "--ratios", "1.2,x"),
+    ("experiment", "accuracy-map", "--p-values", "4,6.5"),
+    ("experiment", "accuracy-map", "--delta", "0.3"),
+    ("experiment", "cost-curve", "--edge", "0.2"),
+    # the kernel picks its route from the pair, the solve its radii and
+    # truncation from the mesh and --eps
+    ("kernel", "--y", "0.2,0.1,0.25", "--x", "0.1,-0.2,0.3", "--path", "series"),
+    ("solve", "--mesh", "DISC", "--source", "0,0,0.5", "--re", "3.5"),
+    ("solve", "--mesh", "DISC", "--source", "0,0,0.5", "--r0", "1.5"),
+    ("solve", "--mesh", "DISC", "--source", "0,0,0.5", "--p", "8"),
 ])
-def test_experiment_bad_flags_are_usage_errors(args, tmp_path, capsys):
-    assert run_cli("experiment", *args, "--out", str(tmp_path)) == 1
+def test_experiment_bad_flags_are_usage_errors(args, disc_mesh, tmp_path, capsys):
+    # --out is each command's output (solve's --out-prefix, abbreviated),
+    # so a command that ran would leave files in tmp_path
+    args = [disc_mesh if a == "DISC" else a for a in args]
+    assert run_cli(*args, "--out", str(tmp_path / "run")) == 1
     assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 

@@ -14,7 +14,6 @@ from groundbem.ground_kernel import (
     RadialTable,
     interior_inner_cap,
     kernel_integral,
-    kernel_integral_truncated,
     kernel_neumann,
     kernel_series,
     kernel_value,
@@ -214,9 +213,7 @@ def test_quadrature_error_on_singular_source():
     # surface; the quadrature must flag it instead of guessing
     cfg = KernelConfig(p=8, integral_tolerance=1e-10)
     with pytest.raises(QuadratureError):
-        kernel_integral_truncated(
-            (0.3, 0.0, 0.4), (1.5, 0.0, 0.0), tail_radius=50.0, config=cfg
-        )
+        kernel_integral((0.3, 0.0, 0.4), (1.5, 0.0, 0.0), cfg, tail_radius=50.0)
 
 
 def test_appendix_integration_by_parts_identity():
@@ -278,19 +275,19 @@ def test_odd_z_antisymmetry():
 def test_axis_pair_against_truncated_oracle():
     y, x = (0.0, 0.0, 0.3), (0.0, 0.0, 0.5)
     full = kernel_integral(y, x, CFG)
-    trunc = kernel_integral_truncated(y, x, tail_radius=1e3, config=CFG)
+    trunc = kernel_integral(y, x, CFG, tail_radius=1e3)
     assert trunc == pytest.approx(full, rel=1e-8)
 
 
 def test_general_pair_cross_path():
     y, x = (0.5, 0.0, 0.4), (0.2, 0.1, 0.3)
     full = kernel_integral(y, x, CFG)
-    trunc = kernel_integral_truncated(y, x, tail_radius=2e3, config=CFG)
+    trunc = kernel_integral(y, x, CFG, tail_radius=2e3)
     assert trunc == pytest.approx(full, rel=1e-7)
 
 
 def test_truncated_tail_vanishes_on_plane():
-    assert kernel_integral_truncated((0.4, 0.0, 0.0), (0.1, 0.0, 0.2), config=CFG) == 0.0
+    assert kernel_integral((0.4, 0.0, 0.0), (0.1, 0.0, 0.2), CFG, tail_radius=1e3) == 0.0
 
 
 def test_tail_convergence_order():
@@ -299,7 +296,7 @@ def test_tail_convergence_order():
     # stay far above quadrature noise
     y, x = (0.5, 0.1, 0.45), (0.25, -0.2, 0.4)
     vals = [
-        kernel_integral_truncated(y, x, tail_radius=r, config=CFG)
+        kernel_integral(y, x, CFG, tail_radius=r)
         for r in (25.0, 50.0, 100.0)
     ]
     d1 = vals[1] - vals[0]
@@ -312,7 +309,7 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         kernel_integral((1.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG)
     with pytest.raises(DomainError):
-        kernel_integral_truncated((0.2, 0.0, 0.1), (0.1, 0.0, 0.1), tail_radius=0.5, config=CFG)
+        kernel_integral((0.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG, tail_radius=0.5)
     with pytest.raises(DomainError):
         KernelConfig(scale_radius=-1.0)
     with pytest.raises(DomainError):
@@ -587,17 +584,16 @@ def test_non_symmetry_witness():
 def test_kernel_value_dispatch():
     y = np.array([0.3, 0.0, 0.2])
     x = np.array([0.1, 0.2, 0.4])
-    auto = kernel_value(y, x, CFG, path="auto")
-    ser = kernel_value(y, x, CFG, path="series")
-    integ = kernel_value(y, x, CFG, path="integral")
-    assert auto == ser  # both radii under the dispatch fraction
-    assert ser == pytest.approx(integ, rel=1e-6)
+    # both radii under the dispatch fraction: the series, bit for bit
+    ser = kernel_value(y, x, CFG)
+    assert ser == kernel_series(y, x, CFG)
+    assert ser == pytest.approx(kernel_integral(y, x, CFG), rel=1e-6)
+    # beyond 0.95 R but inside the hole: the whole-plane integral
+    near = np.array([0.96, 0.0, 0.1])
+    assert kernel_value(near, x, CFG) == kernel_integral(near, x, CFG)
+    # outside the hole: the integral truncated at 1e3 R plus its tail
     far = np.array([0.99, 0.0, 0.3])
-    assert kernel_value(far, x, CFG, path="auto") == pytest.approx(
-        kernel_integral_truncated(far, x, config=CFG), rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        kernel_value(y, x, CFG, path="bogus")
+    assert kernel_value(far, x, CFG) == kernel_integral(far, x, CFG, tail_radius=1e3)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +615,7 @@ def test_neumann_duality_by_independent_quadratures():
     y = np.array([0.3, -0.2, 0.25])
     x = np.array([0.1, 0.2, 0.35])
     kn = oracle_kernel_neumann_integral(y, x, tail_radius=200.0, config=CFG)
-    kd = kernel_integral_truncated(x, y, tail_radius=200.0, config=CFG)
+    kd = kernel_integral(x, y, CFG, tail_radius=200.0)
     assert kn == pytest.approx(-kd, rel=1e-7)
     assert kn != 0.0
 

@@ -1,6 +1,6 @@
 """Static checks on the package's imports and exports (stdlib only; no
 linter is installed): every imported name is used, every name listed in
-``__all__`` exists, and no module imports another's private names."""
+``__all__`` exists, and no module reads another's private names."""
 
 import ast
 import importlib
@@ -100,18 +100,32 @@ def test_no_dead_private_names():
     assert not dead, f"unreferenced private names: {dead}"
 
 
+def _private_sibling_reads(tree):
+    """(name, line) of every private name a module takes from a sibling:
+    imported from it, or read as an attribute of it after ``from . import``."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield alias.name, node.lineno
+                if not node.module:
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}", node.lineno
+
+
 def test_no_private_imports_across_modules():
-    # a module uses another only through its public names; importing a
+    # a module uses another only through its public names; reading a
     # private one ties the two together behind the module's interface
     found = [
-        f"{path.name}: {alias.name} (line {node.lineno})"
+        f"{path.name}: {name} (line {line})"
         for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.level > 0
-        for alias in node.names
-        if alias.name.startswith("_")
+        for name, line in _private_sibling_reads(ast.parse(path.read_text()))
     ]
-    assert not found, f"private names imported from sibling modules: {found}"
+    assert not found, f"private names read from sibling modules: {found}"
 
 
 # The package's one output path: JSON and CSV through experiments'

@@ -123,6 +123,19 @@ def test_sphere_and_mirror_closed(bump):
     assert np.all(dots > 0.0)
 
 
+def test_generators_use_every_vertex(bump, dip):
+    meshes = (
+        bump,
+        dip,
+        make_sphere_mesh(0.25),
+        make_sphere_mesh(0.3, radius=2.5),
+        make_flat_disc_mesh(3.0, 0.3),
+        mirror_surface_mesh(bump),
+    )
+    for mesh in meshes:
+        assert np.unique(mesh.faces).size == len(mesh.vertices)
+
+
 def test_disc_mesh():
     disc = make_flat_disc_mesh(3.0, 0.3)
     assert abs(disc.areas.sum() - math.pi * 9.0) / (math.pi * 9.0) < 0.03
