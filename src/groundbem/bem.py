@@ -6,7 +6,9 @@ collocation at panel centroids.  The system operator has two parts:
 * the mesh's free-space operator, shared by the systems on that mesh: a
   dense block of analytic single-layer integrals for panels within the
   near-field radius of a collocation point (always for the self term),
-  centroid monopole approximation beyond it, and the block's LU;
+  centroid monopole approximation beyond it, and the block's LU, which
+  ``assemble`` starts on the worker pool for the direct route and the
+  operator holds from then on;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -15,8 +17,9 @@ The q = p(p - 1)/2 columns are the harmonics with n + m odd, which vanish
 on the plane z = 0: rows collocated there receive no kernel term, and the
 receiver factor is stored only for the S panels off the plane.
 
-The direct solve never forms the kernel term as a matrix.  It reuses the
-operator's LU, captures the kernel term's range with a randomized range
+The direct solve never forms the kernel term as a matrix.  It waits for
+the operator's LU (normally done while ``assemble`` built the kernel
+factors), captures the kernel term's range with a randomized range
 finder (its numerical rank l is far below q; 0 without the term), solves
 with the rank-l correction through the Woodbury identity, and refines the
 result against the exact factored operator.
@@ -30,13 +33,14 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.sparse.linalg import LinearOperator, lgmres
 
+from .blas import blas_threads
 from .errors import DomainError, SolveError
 from .ground_kernel import interior_inner_cap, receiver_harmonics, source_signature_batch
 from .harmonics import build_spectral_constants
@@ -221,19 +225,62 @@ class BemConfig:
             raise DomainError("prescribed_eps must lie in (0, 1)")
 
 
+def _lu(a: np.ndarray) -> tuple:
+    """``((lu, piv), info)`` by LAPACK ``getrf``, the routine
+    ``sla.lu_factor`` calls; ``a`` is factored in place if it is
+    Fortran-ordered (any other is copied first).  A zero pivot comes back
+    as ``info > 0`` where ``lu_factor`` would warn: a warning raised on a
+    worker thread reaches no caller's warning filter."""
+    getrf, = sla.get_lapack_funcs(("getrf",), (a,))
+    lu, piv, info = getrf(a, overwrite_a=True)
+    return (lu, piv), info
+
+
 @dataclass(eq=False)
 class FreeOperator:
-    """Free-space operator of one mesh: the dense block ``matrix`` and its
-    LU, made by the first direct solve and kept while the operator lives."""
+    """Free-space operator of one mesh: the dense block ``matrix``, the
+    task that factors it, and the matvec.
+
+    ``assemble`` starts the LU task for a direct system on the pool, queued
+    after the block's row tasks, so it runs beside the kernel factors; the
+    first read of ``lu`` starts it otherwise (an iterative system switched
+    to direct, or a forked child, which has none of its parent's threads).
+    The operator holds the result, an LU as large as the block (109 MB at
+    N = 3691), as long as it lives.
+    """
 
     mesh: PanelMesh
     matrix: np.ndarray
+    _lu_task: Future | None = field(default=None, init=False, repr=False)
+    _lu_pid: int | None = field(default=None, init=False, repr=False)
 
-    @functools.cached_property
+    def _start_lu(self, after=()) -> Future:
+        """The LU task, started once in this process; it first waits for
+        the tasks ``after`` (the block's rows), which must be queued before
+        it on the pool."""
+        if self._lu_pid != os.getpid():
+            self._lu_pid = os.getpid()
+            self._lu_task = _pool().submit(self._factor, after)
+        return self._lu_task
+
+    def _factor(self, after) -> tuple:
+        # Runs on a worker, so it calls no public function of the layer
+        # modules: a tracer wraps those in spans kept on one stack (``blas``
+        # is not a layer).  One BLAS thread, as the pool has a worker per
+        # CPU, and so the LU is bitwise the same whenever the task runs:
+        # OpenBLAS's threaded getrf rounds differently.
+        _gather(after)
+        with blas_threads(1):
+            t0 = time.perf_counter()
+            # LAPACK overwrites only a Fortran-ordered matrix.
+            factors, info = _lu(np.array(self.matrix, order="F"))
+            return factors, info, time.perf_counter() - t0
+
+    @property
     def lu(self) -> tuple:
-        # LAPACK overwrites only a Fortran-ordered matrix; SciPy copies any
-        # other before factoring it.
-        return sla.lu_factor(np.array(self.matrix, order="F"), overwrite_a=True, check_finite=False)
+        """``((lu, piv), info, seconds)`` of the block's LU once the task is
+        done; ``info > 0`` marks a zero pivot."""
+        return self._start_lu().result()
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """The block times ``vec``, on the pool in ``_MATVEC_ROWS`` row chunks."""
@@ -292,6 +339,34 @@ class BemSystem:
         return len(self.mesh)
 
 
+def _kernel_factors(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> dict:
+    """The kernel term's fields of a ``BemSystem``; warns (at the caller of
+    ``assemble``) when the truncation or the inner-series cap falls short
+    of ``config.prescribed_eps``."""
+    p, eps, re = config.p, config.prescribed_eps, domain.re
+    ratio = domain.r0 / re
+    if ratio ** p > eps:
+        warnings.warn(
+            f"truncation p = {p} gives kernel accuracy ~{ratio ** p:.2e}, "
+            f"worse than the prescribed {eps:.2e}",
+            stacklevel=3,
+        )
+    constants = build_spectral_constants(p)
+    cap = interior_inner_cap(constants)
+    if cap < 2 * p - 3 and ratio ** cap > 0.1 * eps:
+        warnings.warn(
+            f"inner series capped at degree {cap} by float64 range; "
+            f"implied tail ~{ratio ** cap:.2e} vs prescribed {eps:.2e}",
+            stacklevel=3,
+        )
+    centroids = mesh.centroids
+    rows = np.flatnonzero(centroids[:, 2] != 0.0)
+    rfac = receiver_harmonics(centroids[rows] / re, p) / re
+    sfac = source_signature_batch(centroids / re, constants)
+    sfac *= mesh.areas[:, None]
+    return dict(kernel_rows=rows, rfac=rfac, sfac=sfac.T, constants=constants)
+
+
 def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> BemSystem:
     """Assemble the collocation system for the given mesh and domain.
 
@@ -302,53 +377,39 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     series elsewhere; receiver factors only for the panels off the plane.
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
     block is built on the worker pool while the calling thread builds the
-    kernel factors.  One DEBUG record on the ``groundbem`` logger reports
-    N, S, q, the worker count and the seconds of both.
+    kernel factors, all with one BLAS thread, as the pool has a worker per
+    CPU.  For ``config.solver == "direct"`` the block's LU is started on
+    the pool after its rows and is not waited for: ``solve`` takes it, and
+    an exit right after ``assemble`` waits for it.  One DEBUG record on the
+    ``groundbem`` logger reports N, S, q, the worker count, the seconds of
+    the free block and of the kernel factors, and ``lu=started`` or
+    ``lu=none``.
     """
     centroids = mesh.centroids
-    # The free block's row tasks run on the pool while this thread builds
-    # the kernel factors, which read nothing of it.
-    t_start = time.perf_counter()
-    a, free_tasks = _free_block(mesh, centroids)
-    kernel = {}
-    try:
-        if domain is not None:
-            p, eps, re = config.p, config.prescribed_eps, domain.re
-            ratio = domain.r0 / re
-            if ratio ** p > eps:
-                warnings.warn(
-                    f"truncation p = {p} gives kernel accuracy ~{ratio ** p:.2e}, "
-                    f"worse than the prescribed {eps:.2e}",
-                    stacklevel=2,
-                )
-            constants = build_spectral_constants(p)
-            cap = interior_inner_cap(constants)
-            if cap < 2 * p - 3 and ratio ** cap > 0.1 * eps:
-                warnings.warn(
-                    f"inner series capped at degree {cap} by float64 range; "
-                    f"implied tail ~{ratio ** cap:.2e} vs prescribed {eps:.2e}",
-                    stacklevel=2,
-                )
-            rows = np.flatnonzero(centroids[:, 2] != 0.0)
-            rfac = receiver_harmonics(centroids[rows] / re, p) / re
-            sfac = source_signature_batch(centroids / re, constants)
-            sfac *= mesh.areas[:, None]
-            kernel = dict(
-                kernel_rows=rows,
-                rfac=rfac,
-                sfac=sfac.T,
-                constants=constants,
-            )
-        kernel_s = time.perf_counter() - t_start
-    except BaseException:
-        for t in free_tasks:
-            t.cancel()
-        raise
-    free_s = max(_gather(free_tasks)) - t_start
-    system = BemSystem(FreeOperator(mesh, a), domain, config, **kernel)
+    with blas_threads(1):
+        # The free block's row tasks, then for a direct system the LU task,
+        # run on the pool while this thread builds the kernel factors,
+        # which read nothing of them.
+        t_start = time.perf_counter()
+        a, free_tasks = _free_block(mesh, centroids)
+        operator = FreeOperator(mesh, a)
+        direct = config.solver == "direct"
+        tasks = [*free_tasks, operator._start_lu(free_tasks)] if direct else free_tasks
+        kernel = {}
+        try:
+            if domain is not None:
+                kernel = _kernel_factors(mesh, domain, config)
+            kernel_s = time.perf_counter() - t_start
+            free_s = max(_gather(free_tasks)) - t_start
+        except BaseException:
+            for t in tasks:
+                t.cancel()
+            raise
+    system = BemSystem(operator, domain, config, **kernel)
     _LOG.debug(
-        "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f",
+        "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f lu=%s",
         len(mesh), *system.rfac.shape, _pool()._max_workers, free_s, kernel_s,
+        "started" if direct else "none",
     )
     return system
 
@@ -462,44 +523,50 @@ def _woodbury_inverse(system: BemSystem):
     rows, Q the kernel range basis (l = 0 without a kernel term) and
     B = Q^T rfac sfac, the Woodbury identity gives (F + P Q B)^-1 from the
     operator's LU of F, the N x l block Z = F^-1 P Q and an l x l
-    capacitance LU of I + B Z.  Returns the solver and l; a zero pivot in
-    either LU raises :class:`SolveError`.
+    capacitance LU of I + B Z.  Returns the solver, l, and the seconds of
+    the LU of F and of the wait for it; a zero pivot in either LU raises
+    :class:`SolveError`.
     """
     qt = _kernel_range(system)
     rank = qt.shape[0]
     b = (qt @ system.rfac) @ system.sfac
     u = np.zeros((system.size, rank), order="F")
     u[system.kernel_rows] = qt.T
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sla.LinAlgWarning)
-        try:
-            free_lu = system.operator.lu
-            z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
-            cap_lu = sla.lu_factor(np.eye(rank) + b @ z, overwrite_a=True, check_finite=False)
-        except sla.LinAlgWarning as exc:
-            raise SolveError(
-                f"direct solve failed: {exc}", condition=system.operator.condition()
-            ) from exc
+    t_wait = time.perf_counter()
+    free_lu, info, lu_s = system.operator.lu
+    lu_wait_s = time.perf_counter() - t_wait
+    if not info:
+        z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
+        cap_lu, info = _lu(np.eye(rank) + b @ z) if rank else (None, 0)
+    if info:
+        raise SolveError(
+            f"direct solve failed: diagonal number {info} of an LU factor is "
+            "exactly zero; singular matrix",
+            condition=system.operator.condition(),
+        )
 
     def inverse(r: np.ndarray) -> np.ndarray:
         y = sla.lu_solve(free_lu, r, check_finite=False)
-        return y - z @ sla.lu_solve(cap_lu, b @ y, check_finite=False)
+        return y - z @ sla.lu_solve(cap_lu, b @ y, check_finite=False) if rank else y
 
-    return inverse, rank
+    return inverse, rank, lu_s, lu_wait_s
 
 
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` reuses the operator's LU of the free block (factored on its
-    first direct solve), adds the kernel term through a Woodbury update of
-    the rank l that a randomized range finder keeps (the N x N kernel
-    product is never formed; l = 0 without a kernel term), and refines the
-    result against the exact factored operator; ``iterative`` runs lgmres
-    on the factored operator.  The relative residual is verified against
+    ``direct`` takes the operator's LU of the free block (started on the
+    pool by ``assemble``, or here if the system was not assembled for the
+    direct route, and waited for), adds the kernel term through a Woodbury
+    update of the rank l that a randomized range finder keeps (the N x N
+    kernel product is never formed; l = 0 without a kernel term), and
+    refines the result against the exact factored operator; ``iterative``
+    runs lgmres on the factored operator, with one BLAS thread as the
+    matvec runs on the pool.  The relative residual is verified against
     1e-10 either way, else :class:`SolveError` is raised.  One DEBUG
     record on the ``groundbem`` logger reports the route, N, S, q, l, the
-    refinement steps and the residual.
+    refinement steps, the residual, and the seconds of the LU (timed in
+    its task) and of the wait for it (0 on the iterative route).
     """
     n = system.size
     rhs = system.rhs
@@ -508,12 +575,13 @@ def solve(system: BemSystem) -> np.ndarray:
 
     if system.config.solver == "direct":
         route = "lu-woodbury"
-        inverse, rank = _woodbury_inverse(system)
+        inverse, rank, lu_s, lu_wait_s = _woodbury_inverse(system)
         sigma = inverse(rhs)
     else:
-        route, inverse, rank = "lgmres", None, 0
+        route, inverse, rank, lu_s, lu_wait_s = "lgmres", None, 0, 0.0, 0.0
         op = LinearOperator((n, n), matvec=lambda v: apply_operator(system, v))
-        sigma, info = lgmres(op, rhs, rtol=_SOLVE_RTOL, atol=0.0, maxiter=2000)
+        with blas_threads(1):
+            sigma, info = lgmres(op, rhs, rtol=_SOLVE_RTOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise SolveError(f"lgmres did not converge (info = {info})")
 
@@ -527,8 +595,9 @@ def solve(system: BemSystem) -> np.ndarray:
         sigma = sigma - inverse(r)
         steps += 1
     _LOG.debug(
-        "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e",
-        route, n, *system.rfac.shape, rank, steps, resid,
+        "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e "
+        "lu_s=%.3f lu_wait_s=%.3f",
+        route, n, *system.rfac.shape, rank, steps, resid, lu_s, lu_wait_s,
     )
     if not resid <= _SOLVE_RTOL:
         raise SolveError(

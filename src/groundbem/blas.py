@@ -1,11 +1,16 @@
 """Thread cap for the OpenBLAS libraries loaded into this process.
 
 NumPy and SciPy wheels each ship their own OpenBLAS (NumPy's serves ``@``,
-SciPy's the LU in ``bem.solve``).  OpenBLAS reads ``OPENBLAS_NUM_THREADS``
+SciPy's the LU in ``bem``).  OpenBLAS reads ``OPENBLAS_NUM_THREADS``
 only when it is loaded, so once numpy is imported the thread count can be
 changed only through the library's own ``openblas_set_num_threads``.  This
 module finds every loaded OpenBLAS through the process's memory map and
 calls that entry point directly.
+
+The count is one setting for the whole process, so caps held at the same
+time (a worker's next to the calling thread's, which need not end in the
+order they began) combine: the smallest is in force, and the counts from
+before the first are restored when the last ends.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
+import os
+import threading
 
 # Symbol spellings: the scipy-openblas wheels prefix ``scipy_``, and the
 # ILP64 build (NumPy's) appends ``64_``.
@@ -62,20 +69,58 @@ def blas_thread_counts() -> dict[str, int]:
     return _counts(_controls())
 
 
+class _Caps:
+    """The caps in force, as ``(thread id, n)`` entries keyed by a token,
+    and the counts from before the first."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.held: dict[object, tuple[int, int]] = {}
+        self.before: dict[str, int] = {}
+
+    def apply(self, controls) -> None:
+        for path, (_, set_) in controls.items():
+            if self.held:
+                set_(min(n for _, n in self.held.values()))
+            elif path in self.before:
+                set_(self.before[path])
+
+
+_CAPS = _Caps()
+
+
+def _forget_other_threads() -> None:
+    # A forked child runs only the thread that forked: the caps of the
+    # others never end there, and their lock may have been held.
+    me = threading.get_ident()
+    _CAPS.lock = threading.Lock()
+    _CAPS.held = {k: v for k, v in _CAPS.held.items() if v[0] == me}
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_other_threads)
+
+
 @contextlib.contextmanager
 def blas_threads(n: int):
     """Cap every loaded OpenBLAS at ``n`` threads; restore on exit.
 
+    Safe to hold from several threads at once (see the module docstring).
     Yields the counts read back after the cap, so a caller can check that
     it took effect (an empty dict means there was nothing to cap)."""
     if n < 1:
         raise ValueError(f"thread count must be at least 1, got {n}")
     controls = _controls()
-    previous = _counts(controls)
+    token = object()
+    with _CAPS.lock:
+        if not _CAPS.held:
+            _CAPS.before = _counts(controls)
+        _CAPS.held[token] = (threading.get_ident(), int(n))
+        _CAPS.apply(controls)
+        counts = _counts(controls)
     try:
-        for _, set_ in controls.values():
-            set_(int(n))
-        yield _counts(controls)
+        yield counts
     finally:
-        for path, (_, set_) in controls.items():
-            set_(previous[path])
+        with _CAPS.lock:
+            _CAPS.held.pop(token, None)
+            _CAPS.apply(controls)

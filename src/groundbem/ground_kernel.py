@@ -30,6 +30,7 @@ from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 from .harmonics import (
+    P_HARD_LIMIT,
     SpectralConstants,
     build_spectral_constants,
     elliptic_ke,
@@ -60,7 +61,7 @@ class KernelConfig:
     """Evaluation parameters for the ground kernel.
 
     scale_radius:       hole radius R parameterizing K(y, x; R).
-    p:                  series truncation number.
+    p:                  series truncation number, 2 to ``P_HARD_LIMIT`` (128).
     integral_tolerance: relative tolerance for the quadrature path.
     """
 
@@ -73,6 +74,10 @@ class KernelConfig:
             raise DomainError(f"scale_radius must be > 0, got {self.scale_radius}")
         if self.p < 2:
             raise DomainError(f"truncation number must be >= 2, got {self.p}")
+        if self.p > P_HARD_LIMIT:
+            raise DomainError(
+                f"truncation number {self.p} exceeds the float64-safe limit {P_HARD_LIMIT}"
+            )
         if not 0 < self.integral_tolerance < 1:
             raise DomainError("integral_tolerance must lie in (0, 1)")
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
+    "P_HARD_LIMIT",
     "SpectralConstants",
     "TruncationAccuracyWarning",
     "elliptic_ke",
@@ -33,12 +34,12 @@ __all__ = [
 
 # Accuracy of the recursions is asserted by the test suite only up to this
 # truncation (the bump anchor's p = 104); beyond it we warn.  Past
-# _P_HARD_LIMIT the double-factorial products consumed by the kernel series
+# P_HARD_LIMIT the double-factorial products consumed by the kernel series
 # overflow float64, so we refuse.
 # (Between the two, unused corners of the sign-product table may reach inf;
 # consumers restrict themselves to the finite region.)
 _P_SOFT_LIMIT = 104
-_P_HARD_LIMIT = 128
+P_HARD_LIMIT = 128
 
 
 class TruncationAccuracyWarning(UserWarning):
@@ -103,9 +104,9 @@ def build_spectral_constants(p: int) -> SpectralConstants:
     p = int(p)
     if p < 1:
         raise DomainError(f"truncation number must be >= 1, got {p}")
-    if p > _P_HARD_LIMIT:
+    if p > P_HARD_LIMIT:
         raise DomainError(
-            f"truncation number {p} exceeds the float64-safe limit {_P_HARD_LIMIT}"
+            f"truncation number {p} exceeds the float64-safe limit {P_HARD_LIMIT}"
         )
     if p > _P_SOFT_LIMIT:
         warnings.warn(

@@ -41,6 +41,7 @@ from groundbem.surface_mesh import (
 )
 
 from conftest import (
+    LapackSpy,
     green,
     oracle_direct_solve,
     oracle_free_block_loop,
@@ -253,46 +254,65 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
 
 
 def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
-    # SciPy overwrites the matrix it factors only if it is Fortran-ordered
-    # and copies any other, so the one N x N LU must get an F-ordered copy
-    # of the free block and factor it in place; the other LU is the l x l
-    # capacitance matrix.  The operator keeps its LU: a second solve and a
-    # kernel-off system on the same operator factor no N x N matrix.
+    # LAPACK overwrites only a Fortran-ordered matrix (any other is copied
+    # first), so the one N x N LU, which assemble starts on the pool, must
+    # get an F-ordered copy of the free block and factor it in place, with
+    # one BLAS thread; the other LU is the l x l capacitance matrix.  The
+    # operator keeps its LU: a second solve and a kernel-off system on the
+    # same operator factor no N x N matrix.
+    small_system.operator.lu  # the fixture's LU task, done before the spy
+    spy = LapackSpy(bem.sla)
+    monkeypatch.setattr(bem, "sla", spy)
     with pytest.warns(UserWarning):
         system = assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
     n = system.size
     free = system.free_matrix.copy()
-    seen = []
-    real = bem.sla
-
-    class Proxy:
-        def __getattr__(self, name):
-            return getattr(real, name)
-
-        def lu_factor(self, a, *args, **kwargs):
-            lu, piv = real.lu_factor(a, *args, **kwargs)
-            seen.append(
-                (a.shape, a.flags.f_contiguous, np.shares_memory(lu, a),
-                 np.shares_memory(a, system.free_matrix))
-            )
-            return lu, piv
-
-    monkeypatch.setattr(bem, "sla", Proxy())
     set_point_source_rhs(system, (0.0, 0.0, 1.5))
     first = solve(system)
-    assert len(seen) == 2
-    assert seen[0] == ((n, n), True, True, False)
-    assert seen[1][0][0] < n
+    assert len(spy.calls) == 2
+    (shape, f_ordered, in_place, lu, counts), capacitance = spy.calls
+    assert (shape, f_ordered, in_place) == ((n, n), True, True)
+    assert not np.shares_memory(lu, system.free_matrix)
+    assert counts and set(counts.values()) == {1}
+    assert capacitance[0][0] < n
     assert np.array_equal(system.free_matrix, free)
 
-    del seen[:]
+    del spy.calls[:]
     assert np.array_equal(solve(system), first)
     truncated = truncated_system(system)
     assert truncated.operator is system.operator
     set_point_source_rhs(truncated, (0.0, 0.0, 1.5))
     solve(truncated)
-    assert len(seen) == 2 and all(shape[0] < n for shape, *_ in seen)
+    assert len(spy.calls) == 1 and spy.calls[0][0][0] < n
     assert np.array_equal(system.free_matrix, free)
+
+
+def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch, caplog):
+    # an iterative system starts no LU; switched to direct, its first solve
+    # starts the same task assemble would have, so it matches a system
+    # assembled for the direct route bit for bit
+    small_system.operator.lu  # the fixture's LU task, done before the spy
+    spy = LapackSpy(bem.sla)
+    monkeypatch.setattr(bem, "sla", spy)
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    mesh, domain, source = small_system.mesh, small_system.domain, (0.0, 0.0, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble(mesh, domain, BemConfig(p=12, solver="iterative"))
+        direct = assemble(mesh, domain, BemConfig(p=12))
+    direct.operator.lu  # wait for the LU assemble started
+    records = [r.getMessage() for r in caplog.records if r.name == "groundbem"]
+    assert records[0].endswith(" lu=none") and records[1].endswith(" lu=started")
+    assert len(spy.calls) == 1
+    del spy.calls[:]
+    set_point_source_rhs(system, source)
+    solve(system)
+    assert spy.calls == []
+    system.config = BemConfig(p=12)
+    lazy = solve(system)
+    assert len(spy.calls) == 2 and spy.calls[0][0] == (system.size, system.size)
+    set_point_source_rhs(direct, source)
+    assert np.array_equal(solve(direct), lazy)
 
 
 @pytest.fixture(scope="module")
@@ -416,12 +436,13 @@ def test_singular_system_raises_solve_error():
     # two coincident panels give identical collocation rows
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = PanelMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]), np.array([GROUND, GROUND]))
-    system = assemble(mesh, None, BemConfig())
-    set_point_source_rhs(system, (0.3, 0.3, 1.0))
-    # a zero pivot must surface as SolveError, not as a LinAlgWarning
+    # a zero pivot must surface as SolveError, not as a LinAlgWarning, also
+    # from the LU that assemble starts on the pool
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(SolveError):
+        system = assemble(mesh, None, BemConfig())
+        set_point_source_rhs(system, (0.3, 0.3, 1.0))
+        with pytest.raises(SolveError, match="exactly zero"):
             solve(system)
     assert not [w for w in caught if issubclass(w.category, sla.LinAlgWarning)]
 
@@ -656,6 +677,30 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
     assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (len(mesh), s, q)
     assert int(fields["workers"]) == len(os.sched_getaffinity(0))
     assert float(fields["free_s"]) > 0.0 and float(fields["kernel_s"]) > 0.0
+    assert fields["lu"] == "started"
+
+
+def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
+    # lu_s is timed in the LU task; lu_wait_s is what solve blocked on it,
+    # 0 once the task is done; the iterative route has no LU
+    mesh, domain, config = pooled_problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble(mesh, domain, config)
+    system.operator.lu
+    set_point_source_rhs(system, (0.0, 0.0, 1.5))
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    solve(system)
+    system.config = BemConfig(p=config.p, solver="iterative")
+    solve(system)
+    fields = [
+        dict(w.split("=") for w in r.getMessage().split()[1:])
+        for r in caplog.records if r.name == "groundbem"
+    ]
+    assert [f["route"] for f in fields] == ["lu-woodbury", "lgmres"]
+    direct, iterative = fields
+    assert float(direct["lu_s"]) > 0.0 and float(direct["lu_wait_s"]) == 0.0
+    assert float(iterative["lu_s"]) == 0.0 and float(iterative["lu_wait_s"]) == 0.0
 
 
 def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog):
@@ -702,17 +747,20 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
     monkeypatch.setattr(tracer, "_open", open_span)
     source = (0.0, 0.0, 1.5)
     pts = np.array([[1.5, 0.0, 0.5], [0.0, 1.2, 1.0]])
-    config = BemConfig(p=12, solver="iterative")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with tracer.installed(), tracer.span("bench", "operation"):
-            system = bem.assemble(small_system.mesh, small_system.domain, config)
-            bem.set_point_source_rhs(system, source)
-            bem.solve(system)
-            bem.evaluate_field(system, pts, source=source)
+            # the direct route's LU runs on the pool next to the kernel factors
+            for solver in ("iterative", "direct"):
+                config = BemConfig(p=12, solver=solver)
+                system = bem.assemble(small_system.mesh, small_system.domain, config)
+                bem.set_point_source_rhs(system, source)
+                bem.solve(system)
+                bem.evaluate_field(system, pts, source=source)
     spans = tracer.spans
     assert opened_on == {threading.get_ident()}
     assert sum(s.name == "apply_operator" for s in spans) > 5
+    assert sum(s.name == "assemble" for s in spans) == 2
     for span in spans:
         assert span.end >= span.start and span.self_s >= 0.0
         if span.parent is not None:
@@ -731,10 +779,18 @@ mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
 first = bem.assemble(mesh, domain, config).free_matrix
 assert threading.active_count() > 1
+# the LU this assemble starts on the pool is still pending at the fork
+lu = bem._lu
+bem._lu = lambda a: (time.sleep(0.5), lu(a))[1]
+system = bem.assemble(mesh, domain, config)
+bem.set_point_source_rhs(system, (0.0, 0.0, 1.5))
+assert not system.operator._lu_task.done()
 pid = os.fork()
 if pid == 0:
-    # the child inherits the pool object but none of its threads
+    # the child inherits the pool object and the pending LU task but none
+    # of the threads, so it factors again on a pool of its own
     ok = bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
+    ok = ok and bem.solve(system).shape == (len(mesh),)
     os._exit(0 if ok else 1)
 assert os.waitpid(pid, 0)[1] == 0
 print(time.time(), flush=True)

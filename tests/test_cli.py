@@ -68,10 +68,11 @@ def test_malformed_coordinates_exit_usage():
 
 
 def test_numeric_failure_exit_code():
-    # a truncation past the float64-safe limit, and a source on the plane
-    # outside the hole, where the quadrature meets the singular set
-    assert run_cli("kernel", "--y", "0.2,0.1,0.25", "--x", "0.1,-0.2,0.3",
-                   "--p", "200") == 2
+    # a truncation past the float64-safe limit on either route (the series
+    # at 0.25, the integral at 0.97), and a source on the plane outside the
+    # hole, where the quadrature meets the singular set
+    for y in ("0.2,0.1,0.25", "0.2,0.1,0.97"):
+        assert run_cli("kernel", "--y", y, "--x", "0.1,-0.2,0.3", "--p", "200") == 2
     assert run_cli("kernel", "--y", "0.2,0.1,0.25", "--x", "1.5,0,0") == 2
 
 
@@ -250,6 +251,21 @@ def test_threads_caps_every_openblas_and_restores(monkeypatch, capsys):
     assert before
     assert seen == [dict.fromkeys(before, 1)]
     assert after == before
+
+
+def test_caps_held_at_once_combine_and_restore_out_of_order():
+    # caps need not end in the order they began (a worker's may outlive
+    # the calling thread's): the smallest in force applies, and the last
+    # to end restores the counts from before the first
+    before = blas_thread_counts()
+    outer = blas_threads(3)
+    inner = blas_threads(1)
+    assert dict.fromkeys(before, 3) == outer.__enter__()
+    assert dict.fromkeys(before, 1) == inner.__enter__()
+    outer.__exit__(None, None, None)
+    assert blas_thread_counts() == dict.fromkeys(before, 1)
+    inner.__exit__(None, None, None)
+    assert blas_thread_counts() == before
 
 
 def test_threads_below_one_is_usage_error():

@@ -28,7 +28,7 @@ from groundbem.experiments import (
     write_report,
 )
 
-from conftest import green
+from conftest import LapackSpy, green
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +374,14 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
     # the kernel and truncated systems of one mesh share its free block and
     # LU; the truncated field equals that of a separately assembled
     # kernel-off system bit for bit
-    built, factored, truncated = [], [], []
-    real_block, real_sla, real_field = bem._free_block, bem.sla, experiments.evaluate_field
+    built, truncated = [], []
+    real_block, real_field = bem._free_block, experiments.evaluate_field
+    sla = LapackSpy(bem.sla)
 
     def free_block(mesh, points):
         if points is mesh.centroids:
             built.append(mesh)
         return real_block(mesh, points)
-
-    class Sla:
-        def __getattr__(self, name):
-            return getattr(real_sla, name)
-
-        def lu_factor(self, a, *args, **kwargs):
-            factored.append(a.shape)
-            return real_sla.lu_factor(a, *args, **kwargs)
 
     def field(system, points, source=None):
         grid = real_field(system, points, source=source)
@@ -398,12 +391,13 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
 
     with monkeypatch.context() as m:
         m.setattr(bem, "_free_block", free_block)
-        m.setattr(bem, "sla", Sla())
+        m.setattr(bem, "sla", sla)
         m.setattr(experiments, "evaluate_field", field)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             study(**kwargs)
     assert len(built) == meshes and len({id(mesh) for mesh in built}) == meshes
+    factored = [shape for shape, *_ in sla.calls]
     assert sorted(n for n, _ in factored if n in {len(mesh) for mesh in built}) == sorted(
         len(mesh) for mesh in built
     )
