@@ -6,8 +6,8 @@ collocation at panel centroids.  The system operator has two parts:
 * the mesh's free-space operator, shared by the systems on that mesh: a
   dense block of analytic single-layer integrals for panels within the
   near-field radius of a collocation point (always for the self term),
-  centroid monopole approximation beyond it, and the block's LU, which
-  ``assemble`` starts on the worker pool for the direct route and the
+  centroid monopole approximation beyond it, and, for the direct route,
+  the block's LU, which ``assemble`` makes on the worker pool and the
   operator holds from then on;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
@@ -17,9 +17,8 @@ The q = p(p - 1)/2 columns are the harmonics with n + m odd, which vanish
 on the plane z = 0: rows collocated there receive no kernel term, and the
 receiver factor is stored only for the S panels off the plane.
 
-The direct solve never forms the kernel term as a matrix.  It waits for
-the operator's LU (normally done while ``assemble`` built the kernel
-factors), captures the kernel term's range with a randomized range
+The direct solve never forms the kernel term as a matrix.  It takes the
+operator's LU, captures the kernel term's range with a randomized range
 finder (its numerical rank l is far below q; 0 without the term), solves
 with the rank-l correction through the Woodbury identity, and refines the
 result against the exact factored operator.
@@ -33,7 +32,7 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .blas import blas_threads
 from .errors import DomainError, SolveError
 from .ground_kernel import interior_inner_cap, receiver_harmonics, source_signature_batch
-from .harmonics import build_spectral_constants
+from .harmonics import P_HARD_LIMIT, build_spectral_constants
 from .surface_mesh import SURFACE, DomainSpec, PanelMesh
 
 __all__ = [
@@ -128,7 +127,8 @@ def _pool() -> ThreadPoolExecutor:
     """The pool for the mesh-only work: one thread per CPU this process may
     use.  Tasks split by rows at fixed sizes, so every result is bitwise
     the same for any worker count; NumPy releases the GIL in all of it.
-    Created on first use, so importing the package starts no thread."""
+    Every task is gathered before the public call that submitted it
+    returns.  Created on first use, so importing starts no thread."""
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:  # not on macOS or Windows
@@ -217,8 +217,8 @@ class BemConfig:
     prescribed_eps: float = 1e-4
 
     def __post_init__(self):
-        if self.p < 2:
-            raise DomainError(f"truncation number must be >= 2, got {self.p}")
+        if not 2 <= self.p <= P_HARD_LIMIT:
+            raise DomainError(f"truncation number must lie in 2..{P_HARD_LIMIT}, got {self.p}")
         if self.solver not in ("direct", "iterative"):
             raise DomainError(f"unknown solver {self.solver!r}")
         if not 0.0 < self.prescribed_eps < 1.0:
@@ -236,51 +236,32 @@ def _lu(a: np.ndarray) -> tuple:
     return (lu, piv), info
 
 
+def _factor(matrix: np.ndarray) -> tuple:
+    """``((lu, piv), info, seconds)`` of an F-ordered copy of ``matrix``
+    (LAPACK overwrites only a Fortran-ordered matrix).  Callers hold one
+    BLAS thread, as OpenBLAS's threaded getrf rounds differently, so the LU
+    is bitwise the same on the pool and on the calling thread.  Calls no
+    public layer function: a tracer keeps those spans on one stack."""
+    t0 = time.perf_counter()
+    factors, info = _lu(np.array(matrix, order="F"))
+    return factors, info, time.perf_counter() - t0
+
+
 @dataclass(eq=False)
 class FreeOperator:
-    """Free-space operator of one mesh: the dense block ``matrix``, the
-    task that factors it, and the matvec.
+    """Free-space operator of one mesh: the dense block ``matrix``, its LU
+    and the matvec.
 
-    ``assemble`` starts the LU task for a direct system on the pool, queued
-    after the block's row tasks, so it runs beside the kernel factors; the
-    first read of ``lu`` starts it otherwise (an iterative system switched
-    to direct, or a forked child, which has none of its parent's threads).
-    The operator holds the result, an LU as large as the block (109 MB at
-    N = 3691), as long as it lives.
+    ``lu`` is ``((lu, piv), info, seconds)``, ``info > 0`` marking a zero
+    pivot, made by ``assemble`` for a direct system and by the first
+    direct solve of one assembled for lgmres (None until then).  The
+    operator holds it, as large as the block (109 MB at N = 3691), as long
+    as it lives.
     """
 
     mesh: PanelMesh
     matrix: np.ndarray
-    _lu_task: Future | None = field(default=None, init=False, repr=False)
-    _lu_pid: int | None = field(default=None, init=False, repr=False)
-
-    def _start_lu(self, after=()) -> Future:
-        """The LU task, started once in this process; it first waits for
-        the tasks ``after`` (the block's rows), which must be queued before
-        it on the pool."""
-        if self._lu_pid != os.getpid():
-            self._lu_pid = os.getpid()
-            self._lu_task = _pool().submit(self._factor, after)
-        return self._lu_task
-
-    def _factor(self, after) -> tuple:
-        # Runs on a worker, so it calls no public function of the layer
-        # modules: a tracer wraps those in spans kept on one stack (``blas``
-        # is not a layer).  One BLAS thread, as the pool has a worker per
-        # CPU, and so the LU is bitwise the same whenever the task runs:
-        # OpenBLAS's threaded getrf rounds differently.
-        _gather(after)
-        with blas_threads(1):
-            t0 = time.perf_counter()
-            # LAPACK overwrites only a Fortran-ordered matrix.
-            factors, info = _lu(np.array(self.matrix, order="F"))
-            return factors, info, time.perf_counter() - t0
-
-    @property
-    def lu(self) -> tuple:
-        """``((lu, piv), info, seconds)`` of the block's LU once the task is
-        done; ``info > 0`` marks a zero pivot."""
-        return self._start_lu().result()
+    lu: tuple | None = field(default=None, init=False, repr=False)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """The block times ``vec``, on the pool in ``_MATVEC_ROWS`` row chunks."""
@@ -378,12 +359,12 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
     block is built on the worker pool while the calling thread builds the
     kernel factors, all with one BLAS thread, as the pool has a worker per
-    CPU.  For ``config.solver == "direct"`` the block's LU is started on
-    the pool after its rows and is not waited for: ``solve`` takes it, and
-    an exit right after ``assemble`` waits for it.  One DEBUG record on the
-    ``groundbem`` logger reports N, S, q, the worker count, the seconds of
-    the free block and of the kernel factors, and ``lu=started`` or
-    ``lu=none``.
+    CPU.  For ``config.solver == "direct"`` the block's LU is one more pool
+    task, queued after its rows, and ``assemble`` returns once it is done.
+    One DEBUG record on the ``groundbem`` logger reports N, S, q, the
+    worker count, the seconds of the free block, of the kernel factors and
+    of the LU (0 without one), and ``wait_s``, the seconds ``assemble``
+    blocked on the pool after the kernel factors.
     """
     centroids = mesh.centroids
     with blas_threads(1):
@@ -391,25 +372,38 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
         # run on the pool while this thread builds the kernel factors,
         # which read nothing of them.
         t_start = time.perf_counter()
-        a, free_tasks = _free_block(mesh, centroids)
-        operator = FreeOperator(mesh, a)
+        a, tasks = _free_block(mesh, centroids)
         direct = config.solver == "direct"
-        tasks = [*free_tasks, operator._start_lu(free_tasks)] if direct else free_tasks
+        if direct:
+            rows = list(tasks)
+
+            def factor_task():
+                # Queued after the rows, so on the FIFO pool they have all
+                # started when it waits for them.
+                _gather(rows)
+                return _factor(a)
+
+            tasks.append(_pool().submit(factor_task))
         kernel = {}
         try:
             if domain is not None:
                 kernel = _kernel_factors(mesh, domain, config)
             kernel_s = time.perf_counter() - t_start
-            free_s = max(_gather(free_tasks)) - t_start
+            done = _gather(tasks)
+            wait_s = time.perf_counter() - t_start - kernel_s
         except BaseException:
             for t in tasks:
                 t.cancel()
             raise
+    operator = FreeOperator(mesh, a)
+    if direct:
+        operator.lu = done.pop()
     system = BemSystem(operator, domain, config, **kernel)
     _LOG.debug(
-        "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f lu=%s",
-        len(mesh), *system.rfac.shape, _pool()._max_workers, free_s, kernel_s,
-        "started" if direct else "none",
+        "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f "
+        "lu_s=%.3f wait_s=%.3f",
+        len(mesh), *system.rfac.shape, _pool()._max_workers, max(done) - t_start,
+        kernel_s, operator.lu[2] if direct else 0.0, wait_s,
     )
     return system
 
@@ -523,8 +517,10 @@ def _woodbury_inverse(system: BemSystem):
     rows, Q the kernel range basis (l = 0 without a kernel term) and
     B = Q^T rfac sfac, the Woodbury identity gives (F + P Q B)^-1 from the
     operator's LU of F, the N x l block Z = F^-1 P Q and an l x l
-    capacitance LU of I + B Z.  Returns the solver, l, and the seconds of
-    the LU of F and of the wait for it; a zero pivot in either LU raises
+    capacitance LU of I + B Z.  The LU of F is the operator's, made here
+    (under one BLAS thread, bitwise as ``assemble`` makes it) if the system
+    was assembled for lgmres.  Returns the solver, l, and the seconds spent
+    here on the LU of F; a zero pivot in either LU raises
     :class:`SolveError`.
     """
     qt = _kernel_range(system)
@@ -532,9 +528,12 @@ def _woodbury_inverse(system: BemSystem):
     b = (qt @ system.rfac) @ system.sfac
     u = np.zeros((system.size, rank), order="F")
     u[system.kernel_rows] = qt.T
-    t_wait = time.perf_counter()
-    free_lu, info, lu_s = system.operator.lu
-    lu_wait_s = time.perf_counter() - t_wait
+    operator, lu_s = system.operator, 0.0
+    if operator.lu is None:
+        with blas_threads(1):
+            operator.lu = _factor(operator.matrix)
+        lu_s = operator.lu[2]
+    free_lu, info, _ = operator.lu
     if not info:
         z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
         cap_lu, info = _lu(np.eye(rank) + b @ z) if rank else (None, 0)
@@ -542,31 +541,31 @@ def _woodbury_inverse(system: BemSystem):
         raise SolveError(
             f"direct solve failed: diagonal number {info} of an LU factor is "
             "exactly zero; singular matrix",
-            condition=system.operator.condition(),
+            condition=operator.condition(),
         )
 
     def inverse(r: np.ndarray) -> np.ndarray:
         y = sla.lu_solve(free_lu, r, check_finite=False)
         return y - z @ sla.lu_solve(cap_lu, b @ y, check_finite=False) if rank else y
 
-    return inverse, rank, lu_s, lu_wait_s
+    return inverse, rank, lu_s
 
 
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` takes the operator's LU of the free block (started on the
-    pool by ``assemble``, or here if the system was not assembled for the
-    direct route, and waited for), adds the kernel term through a Woodbury
-    update of the rank l that a randomized range finder keeps (the N x N
-    kernel product is never formed; l = 0 without a kernel term), and
-    refines the result against the exact factored operator; ``iterative``
-    runs lgmres on the factored operator, with one BLAS thread as the
-    matvec runs on the pool.  The relative residual is verified against
-    1e-10 either way, else :class:`SolveError` is raised.  One DEBUG
-    record on the ``groundbem`` logger reports the route, N, S, q, l, the
-    refinement steps, the residual, and the seconds of the LU (timed in
-    its task) and of the wait for it (0 on the iterative route).
+    ``direct`` takes the operator's LU of the free block (made by
+    ``assemble``, or here if the system was assembled for lgmres), adds the
+    kernel term through a Woodbury update of the rank l that a randomized
+    range finder keeps (the N x N kernel product is never formed; l = 0
+    without a kernel term), and refines the result against the exact
+    factored operator; ``iterative`` runs lgmres on the factored operator,
+    with one BLAS thread as the matvec runs on the pool.  The relative
+    residual is verified against 1e-10 either way, else
+    :class:`SolveError` is raised.  One DEBUG record on the ``groundbem``
+    logger reports the route, N, S, q, l, the refinement steps, the
+    residual, and ``lu_s``, the seconds this call spent factoring the free
+    block (0 unless a system assembled for lgmres is solved directly).
     """
     n = system.size
     rhs = system.rhs
@@ -575,10 +574,10 @@ def solve(system: BemSystem) -> np.ndarray:
 
     if system.config.solver == "direct":
         route = "lu-woodbury"
-        inverse, rank, lu_s, lu_wait_s = _woodbury_inverse(system)
+        inverse, rank, lu_s = _woodbury_inverse(system)
         sigma = inverse(rhs)
     else:
-        route, inverse, rank, lu_s, lu_wait_s = "lgmres", None, 0, 0.0, 0.0
+        route, inverse, rank, lu_s = "lgmres", None, 0, 0.0
         op = LinearOperator((n, n), matvec=lambda v: apply_operator(system, v))
         with blas_threads(1):
             sigma, info = lgmres(op, rhs, rtol=_SOLVE_RTOL, atol=0.0, maxiter=2000)
@@ -595,9 +594,8 @@ def solve(system: BemSystem) -> np.ndarray:
         sigma = sigma - inverse(r)
         steps += 1
     _LOG.debug(
-        "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e "
-        "lu_s=%.3f lu_wait_s=%.3f",
-        route, n, *system.rfac.shape, rank, steps, resid, lu_s, lu_wait_s,
+        "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e lu_s=%.3f",
+        route, n, *system.rfac.shape, rank, steps, resid, lu_s,
     )
     if not resid <= _SOLVE_RTOL:
         raise SolveError(

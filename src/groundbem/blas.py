@@ -8,9 +8,9 @@ module finds every loaded OpenBLAS through the process's memory map and
 calls that entry point directly.
 
 The count is one setting for the whole process, so caps held at the same
-time (a worker's next to the calling thread's, which need not end in the
-order they began) combine: the smallest is in force, and the counts from
-before the first are restored when the last ends.
+time by callers on several threads, which need not end in the order they
+began, combine: the smallest is in force, and the counts from before the
+first are restored when the last ends.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,17 +129,20 @@ def choose_truncation(r0: float, re: float, eps: float) -> int:
 class CostModel:
     """Asymptotic cost constants of the factored-kernel BEM.
 
-    ``alpha_star`` and ``beta = exp(alpha_star)`` are universal; the
-    fitted constants (a, b, c for the kernel cost, d for the BEM backend
-    of exponent ``cost_exponent``) are per-machine.
+    ``alpha_star`` (``ALPHA_STAR``) and ``beta = exp(alpha_star)`` are
+    universal; the fitted constants (a, b, c for the kernel cost, d for the
+    BEM backend of exponent ``cost_exponent``) are per-machine.
     """
 
-    alpha_star: float = ALPHA_STAR
     cost_exponent: float = 3.0
     a: float | None = None
     b: float | None = None
     c: float | None = None
     d: float | None = None
+
+    @property
+    def alpha_star(self) -> float:
+        return ALPHA_STAR
 
     @property
     def beta(self) -> float:
@@ -193,11 +196,7 @@ def fit_cost_constants(model: CostModel, samples) -> CostModel:
         d = float(
             np.mean([t / nt**model.cost_exponent for nt, t in bem])
         )
-    return CostModel(
-        alpha_star=model.alpha_star,
-        cost_exponent=model.cost_exponent,
-        a=a, b=b, c=c, d=d,
-    )
+    return replace(model, a=a, b=b, c=c, d=d)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ from groundbem.bem import (
     truncated_system,
 )
 from groundbem.errors import DomainError, SolveError
-from groundbem.experiments import analytic_bump_potential
+from groundbem.experiments import analytic_bump_potential, choose_truncation
 from groundbem.ground_kernel import KernelConfig, kernel_integral
+from groundbem.harmonics import P_HARD_LIMIT
 from groundbem.surface_mesh import (
     EXTENSION,
     GROUND,
@@ -255,12 +256,11 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
 
 def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     # LAPACK overwrites only a Fortran-ordered matrix (any other is copied
-    # first), so the one N x N LU, which assemble starts on the pool, must
+    # first), so the one N x N LU, which assemble makes on the pool, must
     # get an F-ordered copy of the free block and factor it in place, with
     # one BLAS thread; the other LU is the l x l capacitance matrix.  The
     # operator keeps its LU: a second solve and a kernel-off system on the
     # same operator factor no N x N matrix.
-    small_system.operator.lu  # the fixture's LU task, done before the spy
     spy = LapackSpy(bem.sla)
     monkeypatch.setattr(bem, "sla", spy)
     with pytest.warns(UserWarning):
@@ -287,22 +287,17 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     assert np.array_equal(system.free_matrix, free)
 
 
-def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch, caplog):
-    # an iterative system starts no LU; switched to direct, its first solve
-    # starts the same task assemble would have, so it matches a system
-    # assembled for the direct route bit for bit
-    small_system.operator.lu  # the fixture's LU task, done before the spy
+def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
+    # an iterative system makes no LU; switched to direct, its first solve
+    # makes the one assemble would have, so it matches a system assembled
+    # for the direct route bit for bit
     spy = LapackSpy(bem.sla)
     monkeypatch.setattr(bem, "sla", spy)
-    caplog.set_level(logging.DEBUG, logger="groundbem")
     mesh, domain, source = small_system.mesh, small_system.domain, (0.0, 0.0, 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = assemble(mesh, domain, BemConfig(p=12, solver="iterative"))
         direct = assemble(mesh, domain, BemConfig(p=12))
-    direct.operator.lu  # wait for the LU assemble started
-    records = [r.getMessage() for r in caplog.records if r.name == "groundbem"]
-    assert records[0].endswith(" lu=none") and records[1].endswith(" lu=started")
     assert len(spy.calls) == 1
     del spy.calls[:]
     set_point_source_rhs(system, source)
@@ -454,6 +449,15 @@ def test_zero_rhs_warns(small_system):
     assert np.all(sigma == 0.0)
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     solve(small_system)
+
+
+def test_config_refuses_a_truncation_past_the_safe_limit():
+    # as KernelConfig does: the spectral constants overflow past 128, and
+    # re = 1.05 r0 at eps = 1e-4 asks for p = 189
+    assert BemConfig(p=P_HARD_LIMIT).p == P_HARD_LIMIT
+    for p in (1, P_HARD_LIMIT + 1, choose_truncation(1.0, 1.05, 1e-4)):
+        with pytest.raises(DomainError, match="truncation number"):
+            BemConfig(p=p)
 
 
 def test_boundary_potential_rhs(small_system):
@@ -677,30 +681,71 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
     assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (len(mesh), s, q)
     assert int(fields["workers"]) == len(os.sched_getaffinity(0))
     assert float(fields["free_s"]) > 0.0 and float(fields["kernel_s"]) > 0.0
-    assert fields["lu"] == "started"
+    # the LU, timed in its task, and the time assemble blocked on the pool
+    assert fields["lu_s"] == f"{system.operator.lu[2]:.3f}" and system.operator.lu[2] > 0.0
+    assert float(fields["wait_s"]) >= 0.0
+    assert set(fields) == {"n", "s", "q", "workers", "free_s", "kernel_s", "lu_s", "wait_s"}
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A pool that keeps every task submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = []
+
+    def submit(self, *args, **kwargs):
+        task = super().submit(*args, **kwargs)
+        self.tasks.append(task)
+        return task
+
+
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, monkeypatch, caplog):
+    # a direct assemble returns with its LU made; an iterative one makes
+    # none; neither leaves a task queued or running on the pool
+    mesh, domain, config = pooled_problem
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    with CountingPool(2) as pool:
+        monkeypatch.setattr(bem, "_pool", lambda: pool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+        pending = [t for t in pool.tasks if not t.done()]
+    rows = -(-len(mesh) // bem._ROW_BLOCK)
+    assert pending == [] and len(pool.tasks) == rows + (solver == "direct")
+    if solver == "direct":
+        (lu, piv), info, seconds = system.operator.lu
+        assert lu.shape == (len(mesh), len(mesh)) and info == 0 and seconds > 0.0
+    else:
+        assert system.operator.lu is None
+        assert " lu_s=0.000 " in caplog.records[-1].getMessage()
 
 
 def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
-    # lu_s is timed in the LU task; lu_wait_s is what solve blocked on it,
-    # 0 once the task is done; the iterative route has no LU
+    # lu_s is what solve itself spent factoring the free block: nothing
+    # after a direct assemble, which waited for its LU, nor on the lgmres
+    # route; the whole LU for a system assembled for lgmres and switched
     mesh, domain, config = pooled_problem
+    source = (0.0, 0.0, 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        system = assemble(mesh, domain, config)
-    system.operator.lu
-    set_point_source_rhs(system, (0.0, 0.0, 1.5))
+        direct = assemble(mesh, domain, config)
+        switched = assemble(mesh, domain, BemConfig(p=config.p, solver="iterative"))
+    set_point_source_rhs(direct, source)
+    set_point_source_rhs(switched, source)
     caplog.set_level(logging.DEBUG, logger="groundbem")
-    solve(system)
-    system.config = BemConfig(p=config.p, solver="iterative")
-    solve(system)
+    solve(direct)
+    solve(switched)
+    switched.config = config
+    solve(switched)
     fields = [
         dict(w.split("=") for w in r.getMessage().split()[1:])
         for r in caplog.records if r.name == "groundbem"
     ]
-    assert [f["route"] for f in fields] == ["lu-woodbury", "lgmres"]
-    direct, iterative = fields
-    assert float(direct["lu_s"]) > 0.0 and float(direct["lu_wait_s"]) == 0.0
-    assert float(iterative["lu_s"]) == 0.0 and float(iterative["lu_wait_s"]) == 0.0
+    assert [f["route"] for f in fields] == ["lu-woodbury", "lgmres", "lu-woodbury"]
+    assert [float(f["lu_s"]) for f in fields[:2]] == [0.0, 0.0]
+    assert float(fields[2]["lu_s"]) > 0.0
 
 
 def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog):
@@ -779,18 +824,19 @@ mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
 first = bem.assemble(mesh, domain, config).free_matrix
 assert threading.active_count() > 1
-# the LU this assemble starts on the pool is still pending at the fork
-lu = bem._lu
-bem._lu = lambda a: (time.sleep(0.5), lu(a))[1]
+# fork right after a direct assemble, which returned with its LU made
 system = bem.assemble(mesh, domain, config)
 bem.set_point_source_rhs(system, (0.0, 0.0, 1.5))
-assert not system.operator._lu_task.done()
 pid = os.fork()
 if pid == 0:
-    # the child inherits the pool object and the pending LU task but none
-    # of the threads, so it factors again on a pool of its own
-    ok = bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
-    ok = ok and bem.solve(system).shape == (len(mesh),)
+    # the child inherits the LU and the pool object but none of the
+    # threads: it solves without a new N x N LU, and assembles on a pool
+    # of its own
+    shapes, lu = [], bem._lu
+    bem._lu = lambda a: (shapes.append(a.shape), lu(a))[1]
+    ok = bem.solve(system).shape == (len(mesh),)
+    ok = ok and (len(mesh), len(mesh)) not in shapes
+    ok = ok and bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
     os._exit(0 if ok else 1)
 assert os.waitpid(pid, 0)[1] == 0
 print(time.time(), flush=True)

@@ -1,8 +1,10 @@
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,19 @@ def test_numeric_failure_exit_code():
     for y in ("0.2,0.1,0.25", "0.2,0.1,0.97"):
         assert run_cli("kernel", "--y", y, "--x", "0.1,-0.2,0.3", "--p", "200") == 2
     assert run_cli("kernel", "--y", "0.2,0.1,0.25", "--x", "1.5,0,0") == 2
+
+
+def test_solve_refuses_a_truncation_past_the_limit_before_assembling(tmp_path, monkeypatch):
+    # re = 1.05 r0 at eps = 1e-4 needs p = 189, past the float64-safe 128:
+    # the config refuses it before the free block is queued
+    mesh_path = str(tmp_path / "dip.mesh")
+    assert run_cli("mesh", "--kind", "dip", "--re", "1.05", "--edge", "0.3",
+                   "--out", mesh_path) == 0
+    assembled = []
+    monkeypatch.setattr(cli, "assemble", lambda *args: assembled.append(args))
+    assert run_cli("solve", "--mesh", mesh_path, "--source", "0,0,0.5",
+                   "--out-prefix", str(tmp_path / "run")) == 2
+    assert assembled == [] and not list(tmp_path.glob("run*"))
 
 
 def test_missing_mesh_file_is_usage_error(tmp_path):
@@ -254,8 +269,8 @@ def test_threads_caps_every_openblas_and_restores(monkeypatch, capsys):
 
 
 def test_caps_held_at_once_combine_and_restore_out_of_order():
-    # caps need not end in the order they began (a worker's may outlive
-    # the calling thread's): the smallest in force applies, and the last
+    # callers on several threads may hold caps at once, which need not end
+    # in the order they began: the smallest in force applies, and the last
     # to end restores the counts from before the first
     before = blas_thread_counts()
     outer = blas_threads(3)
@@ -274,10 +289,11 @@ def test_threads_below_one_is_usage_error():
 
 
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "groundbem.cli", "kernel",
          "--y", "0,0,0", "--x", "0.2,0,0.3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == 0.0
