@@ -15,7 +15,15 @@ collocation at panel centroids.  The system operator has two parts:
 
 The q = p(p - 1)/2 columns are the harmonics with n + m odd, which vanish
 on the plane z = 0: rows collocated there receive no kernel term, and the
-receiver factor is stored only for the S panels off the plane.
+receiver factor is stored only for the S panels off the plane.  The
+columns are degree-major, so a lower degree's columns are a prefix.
+
+``BemConfig.p`` is a cap.  Each product takes the degree its receivers
+need: the paper's law (``choose_truncation``) at their largest radius.
+The factors take it at the kernel rows, raised while their top two degree
+blocks hold more than ``prescribed_eps`` of the term; the field takes it
+at its own points.  A point the caller gives keeps its signature at the
+cap and contributes its first q columns.
 
 The direct solve never forms the kernel term as a matrix.  It takes the
 operator's LU, captures the kernel term's range with a randomized range
@@ -33,6 +41,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +59,7 @@ __all__ = [
     "BemSystem",
     "FieldGrid",
     "FreeOperator",
+    "choose_truncation",
     "triangle_single_layer",
     "assemble",
     "truncated_system",
@@ -204,12 +214,27 @@ def _free_block(mesh: PanelMesh, points: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def choose_truncation(r0: float, re: float, eps: float) -> int:
+    """Truncation number from the geometric error law: the smallest p with
+    (r0/re)^p below eps, never less than 2, for receivers within ``r0``
+    (0 <= r0 < re) of the origin."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    if not re > r0 >= 0.0:
+        raise DomainError(f"need re > r0 >= 0, got r0={r0}, re={re}")
+    if r0 == 0.0:
+        return 2
+    return max(2, math.ceil(math.log(eps) / math.log(r0 / re)))
+
+
 @dataclass(frozen=True)
 class BemConfig:
     """Discretization and solver parameters.
 
-    ``prescribed_eps`` is the target kernel accuracy used for sanity
-    warnings against the truncation ``p``; only a kernel term reads them.
+    ``p`` caps the truncation of the kernel term: the paper's choice for
+    receivers out to ``r0``.  The degrees used follow from the receivers'
+    radii and ``prescribed_eps``, the target kernel accuracy, which also
+    sets the warnings; only a kernel term reads either.
     """
 
     p: int = 12
@@ -285,9 +310,11 @@ class BemSystem:
     ``operator`` is the mesh's free-space operator, which other systems may
     share; ``free_matrix`` is its block.  With a ``domain`` the ground-kernel
     term is ``rfac @ sfac`` on the rows ``kernel_rows`` (the panels off the
-    plane) and zero on all others, the source factor including panel areas;
-    with ``domain=None`` it is a rank-0 term: no rows, empty factors.
-    ``rhs`` (zero unless given) and ``solution`` are per panel.
+    plane) and zero on all others, the source factor including panel areas,
+    both at ``degree`` (at most ``config.p``); ``constants`` are the cap's,
+    for points the caller gives.  With ``domain=None`` it is a rank-0 term:
+    no rows, empty factors.  ``rhs`` (zero unless given) and ``solution``
+    are per panel.
     """
 
     operator: FreeOperator
@@ -319,33 +346,92 @@ class BemSystem:
     def size(self) -> int:
         return len(self.mesh)
 
+    @property
+    def degree(self) -> int | None:
+        """Truncation of the kernel factors; None without a kernel term."""
+        return None if self.domain is None else _truncation_of(self.rfac.shape[1])
 
-def _kernel_factors(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> dict:
-    """The kernel term's fields of a ``BemSystem``; warns (at the caller of
-    ``assemble``) when the truncation or the inner-series cap falls short
-    of ``config.prescribed_eps``."""
+
+def _truncation_of(q: int) -> int:
+    """The p of q = p(p - 1)/2 kernel columns."""
+    return (1 + math.isqrt(1 + 8 * q)) // 2
+
+
+def _tail_estimate(rfac: np.ndarray, sfac: np.ndarray) -> float:
+    """The kernel term's two top degree blocks (one of each parity) against
+    the whole, in Frobenius norms; the whole is taken as the root sum of
+    squares of all degree blocks.  The blocks decay geometrically, so this
+    estimates what the degrees above them would add.
+
+    A block's norm comes from the Gram products of its columns, each side
+    divided by its largest entry first: source entries reach 1e187 at
+    p = 104, where an unscaled Gram product overflows."""
+    norms = np.zeros(_truncation_of(rfac.shape[1]) - 1)
+    for n in range(1, norms.size + 1):
+        cols = slice(n * (n - 1) // 2, n * (n + 1) // 2)
+        r, s = rfac[:, cols], sfac[cols]
+        r_top, s_top = np.max(np.abs(r), initial=0.0), np.max(np.abs(s), initial=0.0)
+        if r_top and s_top:
+            r, s = r / r_top, s / s_top
+            norms[n - 1] = r_top * s_top * math.sqrt(max(float(np.sum((r.T @ r) * (s @ s.T))), 0.0))
+    whole = math.sqrt(float(np.sum(norms * norms)))
+    top = norms[-2:]
+    return math.sqrt(float(np.sum(top * top))) / whole if whole else 0.0
+
+
+def _factors(mesh: PanelMesh, rows: np.ndarray, re: float, p: int) -> tuple:
+    """``(rfac, sfac)`` of the kernel term at truncation p."""
+    centroids = mesh.centroids
+    rfac = receiver_harmonics(centroids[rows] / re, p) / re
+    sfac = source_signature_batch(centroids / re, build_spectral_constants(p))
+    sfac *= mesh.areas[:, None]
+    return rfac, sfac.T
+
+
+def _kernel_factors(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> tuple:
+    """The kernel term's fields of a ``BemSystem``, and its tail estimate.
+
+    The factors take the law at the largest kernel-row radius, capped by
+    ``config.p``, and one degree more while ``_tail_estimate`` exceeds
+    ``config.prescribed_eps``, up to the cap.  The kernel rows are the only
+    interior sources, so the law at their radius also bounds their inner
+    series.  Warns (at the caller of ``assemble``) when the cap falls short
+    of ``prescribed_eps`` at ``r0``, when the tail still exceeds it at the
+    cap, and when the float64 range caps the inner series of a point the
+    caller gives, whose signature is taken at the cap."""
     p, eps, re = config.p, config.prescribed_eps, domain.re
     ratio = domain.r0 / re
     if ratio ** p > eps:
         warnings.warn(
-            f"truncation p = {p} gives kernel accuracy ~{ratio ** p:.2e}, "
-            f"worse than the prescribed {eps:.2e}",
+            f"truncation cap p = {p} gives kernel accuracy ~{ratio ** p:.2e} "
+            f"at r0, worse than the prescribed {eps:.2e}",
             stacklevel=3,
         )
     constants = build_spectral_constants(p)
-    cap = interior_inner_cap(constants)
-    if cap < 2 * p - 3 and ratio ** cap > 0.1 * eps:
+    inner_cap = interior_inner_cap(constants)
+    if inner_cap < 2 * p - 3 and ratio ** inner_cap > 0.1 * eps:
         warnings.warn(
-            f"inner series capped at degree {cap} by float64 range; "
-            f"implied tail ~{ratio ** cap:.2e} vs prescribed {eps:.2e}",
+            f"inner series capped at degree {inner_cap} by float64 range; "
+            f"implied tail ~{ratio ** inner_cap:.2e} vs prescribed {eps:.2e}",
             stacklevel=3,
         )
     centroids = mesh.centroids
     rows = np.flatnonzero(centroids[:, 2] != 0.0)
-    rfac = receiver_harmonics(centroids[rows] / re, p) / re
-    sfac = source_signature_batch(centroids / re, constants)
-    sfac *= mesh.areas[:, None]
-    return dict(kernel_rows=rows, rfac=rfac, sfac=sfac.T, constants=constants)
+    radius = float(np.max(np.linalg.norm(centroids[rows], axis=1), initial=0.0))
+    degree = min(p, choose_truncation(radius, re, eps))
+    while True:
+        rfac, sfac = _factors(mesh, rows, re, degree)
+        tail = _tail_estimate(rfac, sfac)
+        if tail <= eps or degree == p:
+            break
+        degree += 1
+    if tail > eps:
+        warnings.warn(
+            f"kernel term's top degrees hold ~{tail:.2e} of it at the cap "
+            f"p = {p}, worse than the prescribed {eps:.2e}",
+            stacklevel=3,
+        )
+    return dict(kernel_rows=rows, rfac=rfac, sfac=sfac, constants=constants), tail
 
 
 def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> BemSystem:
@@ -356,15 +442,20 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
     series elsewhere; receiver factors only for the panels off the plane.
+    Both are truncated at the degree the kernel rows need (see
+    ``_kernel_factors``), at most ``config.p``.
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
     block is built on the worker pool while the calling thread builds the
     kernel factors, all with one BLAS thread, as the pool has a worker per
     CPU.  For ``config.solver == "direct"`` the block's LU is one more pool
     task, queued after its rows, and ``assemble`` returns once it is done.
-    One DEBUG record on the ``groundbem`` logger reports N, S, q, the
-    worker count, the seconds of the free block, of the kernel factors and
-    of the LU (0 without one), and ``wait_s``, the seconds ``assemble``
-    blocked on the pool after the kernel factors.
+    If anything raises, the queued tasks are cancelled and the running
+    ones waited for before it propagates.  One DEBUG record on the
+    ``groundbem`` logger reports N, S, q, the factors' degree ``p`` (0
+    without a kernel term), the cap, the tail estimate, the worker count,
+    the seconds of the free block, of the kernel factors and of the LU (0
+    without one), and ``wait_s``, the seconds ``assemble`` blocked on the
+    pool after the kernel factors.
     """
     centroids = mesh.centroids
     with blas_threads(1):
@@ -384,26 +475,28 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
                 return _factor(a)
 
             tasks.append(_pool().submit(factor_task))
-        kernel = {}
+        kernel, tail = {}, 0.0
         try:
             if domain is not None:
-                kernel = _kernel_factors(mesh, domain, config)
+                kernel, tail = _kernel_factors(mesh, domain, config)
             kernel_s = time.perf_counter() - t_start
             done = _gather(tasks)
             wait_s = time.perf_counter() - t_start - kernel_s
         except BaseException:
             for t in tasks:
                 t.cancel()
+            futures_wait(tasks)
             raise
     operator = FreeOperator(mesh, a)
     if direct:
         operator.lu = done.pop()
     system = BemSystem(operator, domain, config, **kernel)
     _LOG.debug(
-        "assemble n=%d s=%d q=%d workers=%d free_s=%.3f kernel_s=%.3f "
-        "lu_s=%.3f wait_s=%.3f",
-        len(mesh), *system.rfac.shape, _pool()._max_workers, max(done) - t_start,
-        kernel_s, operator.lu[2] if direct else 0.0, wait_s,
+        "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
+        "kernel_s=%.3f lu_s=%.3f wait_s=%.3f",
+        len(mesh), *system.rfac.shape, system.degree or 0, config.p, tail,
+        _pool()._max_workers, max(done) - t_start, kernel_s,
+        operator.lu[2] if direct else 0.0, wait_s,
     )
     return system
 
@@ -424,14 +517,17 @@ def _source_point(source) -> np.ndarray:
 def set_point_source_rhs(system: BemSystem, source) -> None:
     """Right-hand side of the grounded benchmark: the boundary must cancel
     the incident potential of a unit monopole, free-space plus kernel part
-    (the kernel part vanishes on the rows on the plane).  ``source`` must
-    be one finite point, else :class:`DomainError` is raised."""
+    (the kernel part vanishes on the rows on the plane).  The source's
+    signature is taken at the cap, whose inner series reaches sources
+    near ``re``, and its first q columns meet the receiver factor.
+    ``source`` must be one finite point, else :class:`DomainError` is
+    raised."""
     xs = _source_point(source)
     d = system.mesh.centroids - xs
     rhs = -1.0 / (_FOUR_PI * np.sqrt(np.einsum("ij,ij->i", d, d)))
     if system.domain is not None:
         sig = source_signature_batch(xs / system.domain.re, system.constants)[0]
-        rhs[system.kernel_rows] -= system.rfac @ sig
+        rhs[system.kernel_rows] -= system.rfac @ sig[: system.rfac.shape[1]]
     system.rhs = rhs
     system.solution = None
 
@@ -643,18 +739,41 @@ def _below_ground_flags(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
     return flags
 
 
+# Sources per block of the field's own signature pass: 7 MB of
+# signatures at p = 42.
+_FIELD_BLOCK = 1024
+
+
+def _signature_sum(mesh: PanelMesh, re: float, p: int, sigma: np.ndarray) -> np.ndarray:
+    """``sfac @ sigma`` at truncation p, ``(p(p - 1)/2,)``, from one
+    signature pass over ``_FIELD_BLOCK`` sources at a time on the calling
+    thread, so no (N, q) table is held."""
+    constants = build_spectral_constants(p)
+    weights = mesh.areas * sigma
+    out = np.zeros(p * (p - 1) // 2)
+    for i0 in range(0, len(mesh), _FIELD_BLOCK):
+        block = slice(i0, i0 + _FIELD_BLOCK)
+        out += weights[block] @ source_signature_batch(mesh.centroids[block] / re, constants)
+    return out
+
+
 def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
-    The panel sum is assembly's free-space block taken at these points;
-    the kernel part reuses the stored source factors.  With a kernel term,
-    every point must lie inside ``re`` (the receiver series diverges
-    outside), else :class:`DomainError` is raised; without one the
-    metadata's ``p``, ``re`` and ``r0`` are None.  With ``source`` given,
-    the incident monopole and its kernel image are added and the induced
-    part is reported separately.  Points must be finite, of shape (M, 3)
-    or (3,), and none may coincide with ``source`` (one finite point),
-    else :class:`DomainError` is raised.
+    The panel sum is assembly's free-space block taken at these points.
+    The kernel part is truncated at its own degree: the law at the
+    points' largest radius, at most ``config.p`` (warned when the cap falls
+    short of ``prescribed_eps`` there).  At or below the factors' degree
+    it takes a prefix of ``sfac @ solution``; above it, one signature pass
+    at that degree.  With a kernel term, every point must lie inside
+    ``re`` (the receiver series diverges outside), else
+    :class:`DomainError` is raised; the metadata gives the degree used
+    (``degree``) and the cap (``p``), which, with ``re`` and ``r0``, are
+    None without one.  With ``source`` given, the incident monopole and
+    its kernel image are added and the induced part is reported
+    separately.  Points must be finite, of shape (M, 3) or (3,), and none
+    may coincide with ``source`` (one finite point), else
+    :class:`DomainError` is raised.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
@@ -669,18 +788,35 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         if np.any(dist == 0.0):
             raise DomainError("a field point coincides with the source")
     sigma = system.solution
-    domain = system.domain
+    domain, config = system.domain, system.config
     kernel = image = 0.0
+    degree = None
     if domain is not None:
-        if np.any(np.linalg.norm(pts, axis=1) >= domain.re):
+        re = domain.re
+        radius = float(np.max(np.linalg.norm(pts, axis=1)))
+        if radius >= re:
             raise DomainError(
-                f"field points must satisfy |y| < re = {domain.re}: the "
+                f"field points must satisfy |y| < re = {re}: the "
                 "receiver series of the ground kernel diverges outside"
             )
-        rfac_pts = receiver_harmonics(pts / domain.re, system.config.p) / domain.re
-        kernel = rfac_pts @ (system.sfac @ sigma)
+        degree = choose_truncation(radius, re, config.prescribed_eps)
+        if degree > config.p:
+            degree = config.p
+            warnings.warn(
+                f"field points reach |y| = {radius:.4g}, where the truncation cap "
+                f"p = {degree} gives kernel accuracy ~{(radius / re) ** degree:.2e}, "
+                f"worse than the prescribed {config.prescribed_eps:.2e}",
+                stacklevel=2,
+            )
+        q = degree * (degree - 1) // 2
+        if degree <= system.degree:
+            weights = system.sfac[:q] @ sigma
+        else:
+            weights = _signature_sum(system.mesh, re, degree, sigma)
+        rfac_pts = receiver_harmonics(pts / re, degree) / re
+        kernel = rfac_pts @ weights
         if source is not None:
-            image = rfac_pts @ source_signature_batch(xs / domain.re, system.constants)[0]
+            image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
     free, tasks = _free_block(system.mesh, pts)
     _gather(tasks)
     values = free @ sigma + kernel
@@ -694,7 +830,8 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
         induced=induced,
         flags=_below_ground_flags(system.mesh, pts),
         metadata={
-            "p": None if domain is None else system.config.p,
+            "p": None if domain is None else config.p,
+            "degree": degree,
             "re": None if domain is None else domain.re,
             "r0": None if domain is None else domain.r0,
             "use_ground_kernel": domain is not None,

@@ -235,6 +235,7 @@ def _cmd_solve(args) -> int:
             "r0": domain.r0,
             "re": domain.re,
             "p": kernel.get("p"),
+            "degree": system.degree,
             "eps": args.eps,
             "solver": args.solver,
             "use_ground_kernel": use_kernel,

@@ -23,6 +23,7 @@ import numpy as np
 from .bem import (
     BemConfig,
     assemble,
+    choose_truncation,
     evaluate_field,
     set_point_source_rhs,
     solve,
@@ -108,16 +109,6 @@ def relative_l2_error(values, reference) -> float:
     if nref == 0.0:
         raise DomainError("reference field has zero norm")
     return float(np.linalg.norm(f - ref)) / nref
-
-
-def choose_truncation(r0: float, re: float, eps: float) -> int:
-    """Truncation number from the geometric error law: the smallest p with
-    (r0/re)^p below eps, never less than 2."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not re > r0 > 0.0:
-        raise DomainError(f"need re > r0 > 0, got r0={r0}, re={re}")
-    return max(2, math.ceil(math.log(eps) / math.log(r0 / re)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from groundbem.ground_kernel import (
     _phi_integral,
     source_signature_batch,
 )
-from groundbem.harmonics import sh_index, solid_harmonics_batch
+from groundbem.harmonics import build_spectral_constants, sh_index, solid_harmonics_batch
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +522,18 @@ def oracle_kernel_columns(p):
 
 
 def oracle_ground_kernel_matrix(system):
-    """Densified kernel matrix w_j K(y_i, x_j; re): the single-source
-    signature of every panel, scattered into all p^2 harmonic columns and
-    contracted with the receiver harmonics over all of them."""
+    """Densified kernel matrix w_j K(y_i, x_j; re) at the truncation of the
+    system's factors: the single-source signature of every panel,
+    scattered into all p^2 harmonic columns and contracted with the
+    receiver harmonics over all of them."""
     mesh = system.mesh
     re = system.domain.re
-    p = system.config.p
+    p = system.degree
+    constants = build_spectral_constants(p)
     yt = mesh.centroids / re
     assert np.all(np.linalg.norm(yt, axis=1) < 1.0), "every centroid must lie inside re"
     sigs = np.zeros((len(mesh), p * p))
-    sigs[:, oracle_kernel_columns(p)] = [source_signature_batch(x, system.constants)[0] for x in yt]
+    sigs[:, oracle_kernel_columns(p)] = [source_signature_batch(x, constants)[0] for x in yt]
     return solid_harmonics_batch(yt, p) @ sigs.T * mesh.areas[None, :] / re
 
 

@@ -200,15 +200,18 @@ def test_criterion_5_factored_assembly_equivalence_and_scaling():
     # is flushed before every timed application so both sizes stream their
     # factor pair from memory (in-cache residency would otherwise skew the
     # ratio either way), so the flush buffer is twice the last-level cache
-    # and never under 128 MB; single BLAS thread for stable numbers.
+    # and never under 128 MB; single BLAS thread for stable numbers.  The
+    # kernel rows (|y| <= 1) need p = 22 for 1e-8, so the factors take the
+    # cap, q = 190 columns: a product large enough to time.
     def build(edge):
         m = make_bump_dip_mesh(1, r0=2.0, re=2.4, target_edge=edge)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return assemble(m, DomainSpec(r0=2.0, re=2.4), BemConfig(p=20))
+            return assemble(m, DomainSpec(r0=2.0, re=2.4), BemConfig(p=20, prescribed_eps=1e-8))
 
     small = build(0.15)
     big = build(0.075)
+    assert small.degree == big.degree == 20
     panel_ratio = big.size / small.size
     flusher = np.zeros(max(16_000_000, 2 * _last_level_cache_bytes() // 8))
 

@@ -28,8 +28,8 @@ from groundbem.bem import (
     truncated_system,
 )
 from groundbem.errors import DomainError, SolveError
-from groundbem.experiments import analytic_bump_potential, choose_truncation
-from groundbem.ground_kernel import KernelConfig, kernel_integral
+from groundbem.experiments import analytic_bump_potential, choose_truncation, field_grid
+from groundbem.ground_kernel import KernelConfig, kernel_integral, receiver_harmonics
 from groundbem.harmonics import P_HARD_LIMIT
 from groundbem.surface_mesh import (
     EXTENSION,
@@ -229,12 +229,13 @@ def test_extension_rows_have_no_kernel(small_system, rng):
 def test_direct_solve_adds_kernel_on_surface_rows_only(small_system):
     # the kernel rows of panels on the plane (extension and ground) are
     # exact zeros by parity, so the receiver factor is stored only for the
-    # S panels off the plane, (S, q) against the (q, N) source factor; the
-    # direct solve must equal an LU of the free block plus the scattered
-    # kernel term
+    # S panels off the plane, (S, q) against the (q, N) source factor, q
+    # from the factors' own degree; the direct solve must equal an LU of
+    # the free block plus the scattered kernel term
     mesh = small_system.mesh
-    p = small_system.config.p
+    p = small_system.degree
     q = p * (p - 1) // 2
+    assert 2 <= p <= small_system.config.p
     rows = small_system.kernel_rows
     assert np.any(mesh.tags == EXTENSION)
     assert np.array_equal(rows, np.flatnonzero(mesh.centroids[:, 2] != 0.0))
@@ -387,6 +388,106 @@ def test_truncation_error_halves_twice_per_two_orders(rng):
         errs.append(abs(kernel_series(y, x, KernelConfig(scale_radius=2.0, p=p)) - ref))
     for e1, e2 in zip(errs, errs[1:]):
         assert 2.0 <= e1 / e2 <= 8.0  # nominal 4, within a factor 2
+
+
+# ---------------------------------------------------------------------------
+# Kernel truncation degrees
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def anchor_bump():
+    # the paper's bump anchor, re/r0 = 1.0935 so the cap is p = 104, on a
+    # coarse mesh; kernel rows within |y| <= 1, field points out to 1.8
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=2.187, target_edge=0.2)
+    config = BemConfig(p=choose_truncation(2.0, 2.187, 1e-4), prescribed_eps=1e-4)
+    return mesh, DomainSpec(r0=2.0, re=2.187), config, field_grid(mesh, 2.0, 8, 9)
+
+
+def _solved_field(mesh, domain, config, pts, source=(0.0, 0.0, 2.0)):
+    system = assemble(mesh, domain, config)
+    set_point_source_rhs(system, source)
+    solve(system)
+    return system, evaluate_field(system, pts, source=source)
+
+
+def test_degrees_from_the_receivers_match_a_solve_held_at_the_cap(anchor_bump, monkeypatch):
+    # the factors take the rows' degree and the field its points' degree,
+    # both far below the cap; held at the cap (the law patched to return
+    # it), sigma and the field move by at most prescribed_eps
+    mesh, domain, config, pts = anchor_bump
+    system, grid = _solved_field(mesh, domain, config, pts)
+    law = bem.choose_truncation
+    monkeypatch.setattr(bem, "choose_truncation", lambda r0, re, eps: config.p)
+    held, held_grid = _solved_field(mesh, domain, config, pts)
+    monkeypatch.setattr(bem, "choose_truncation", law)
+    assert config.p == held.degree == held_grid.metadata["degree"] == 104
+    radius = np.linalg.norm(mesh.centroids[system.kernel_rows], axis=1).max()
+    assert law(radius, 2.187, 1e-4) <= system.degree <= 16
+    field_degree = law(np.linalg.norm(pts, axis=1).max(), 2.187, 1e-4)
+    assert system.degree < grid.metadata["degree"] == field_degree < config.p
+    assert grid.metadata["p"] == config.p
+    eps = config.prescribed_eps
+    sigma, held_sigma = system.solution, held.solution
+    assert np.linalg.norm(sigma - held_sigma) <= eps * np.linalg.norm(held_sigma)
+    assert np.linalg.norm(grid.values - held_grid.values) <= eps * np.linalg.norm(held_grid.values)
+    # the receiver factor is the cap's first q columns, bit for bit
+    q = system.rfac.shape[1]
+    assert q == system.degree * (system.degree - 1) // 2
+    assert np.array_equal(system.rfac, held.rfac[:, :q])
+    # a field within the rows' degree (here inside the bump, where the
+    # values are still given) takes the prefix of sfac @ sigma
+    near = np.array([[0.3, 0.0, 0.8], [0.0, 0.5, 0.6]])
+    inner = evaluate_field(system, near)
+    degree = inner.metadata["degree"]
+    assert degree <= system.degree
+    rfac_pts = receiver_harmonics(near / 2.187, degree) / 2.187
+    kernel = rfac_pts @ (system.sfac @ sigma)[: degree * (degree - 1) // 2]
+    free, tasks = bem._free_block(mesh, near)
+    bem._gather(tasks)
+    np.testing.assert_allclose(inner.values, free @ sigma + kernel, rtol=1e-12)
+
+
+def test_tail_check_raises_the_degree_the_law_leaves_short(caplog, monkeypatch):
+    # the law patched to a third of the rows' radius predicts faster decay
+    # than the degree blocks show; the tail check raises the degree until
+    # the top two blocks hold at most prescribed_eps of the term, and no
+    # further
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
+    domain = DomainSpec(r0=2.0, re=3.0)
+    law = bem.choose_truncation
+    monkeypatch.setattr(bem, "choose_truncation", lambda r0, re, eps: law(r0 / 3.0, re, eps))
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    system = assemble(mesh, domain, BemConfig(p=30))
+    rows = system.kernel_rows
+    short = law(np.linalg.norm(mesh.centroids[rows], axis=1).max() / 3.0, 3.0, 1e-4)
+    assert short + 2 <= system.degree < 30
+    fields = dict(w.split("=") for w in caplog.records[-1].getMessage().split()[1:])
+    assert int(fields["p"]) == system.degree and int(fields["cap"]) == 30
+    assert float(fields["tail"]) <= 1e-4
+    below = bem._tail_estimate(*bem._factors(mesh, rows, 3.0, system.degree - 1))
+    assert below > 1e-4
+
+
+def test_tail_estimate_is_scaled_per_degree_block(rng):
+    # rank-one degree blocks of known Frobenius norms 0.3^n, their source
+    # side scaled up by 1e180 and receiver side down by as much, as the
+    # factors are at high degree: an unscaled Gram product overflows
+    p, s_rows, n_cols = 9, 7, 11
+    q = p * (p - 1) // 2
+    rfac, sfac = np.zeros((s_rows, q)), np.zeros((q, n_cols))
+    norms = []
+    for n in range(1, p):
+        col = n * (n - 1) // 2 + (n - 1) // 2
+        u, v = rng.standard_normal(s_rows), rng.standard_normal(n_cols)
+        scale = 0.3 ** n / (np.linalg.norm(u) * np.linalg.norm(v))
+        rfac[:, col] = u * scale * 1e-180
+        sfac[col] = v * 1e180
+        norms.append(0.3 ** n)
+    with np.errstate(over="raise"):
+        got = bem._tail_estimate(rfac, sfac)
+    want = math.hypot(norms[-1], norms[-2]) / math.sqrt(sum(b * b for b in norms))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +726,7 @@ def test_bench_reads_solved_system(small_system, bench_modules):
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     solve(small_system)
     metrics = worker._system_metrics(small_system)
-    p = small_system.config.p
+    p = small_system.degree
     q = p * (p - 1) // 2
     s = small_system.kernel_rows.size
     assert metrics["bem.kernel_cols"] == q
@@ -684,7 +785,15 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
     # the LU, timed in its task, and the time assemble blocked on the pool
     assert fields["lu_s"] == f"{system.operator.lu[2]:.3f}" and system.operator.lu[2] > 0.0
     assert float(fields["wait_s"]) >= 0.0
-    assert set(fields) == {"n", "s", "q", "workers", "free_s", "kernel_s", "lu_s", "wait_s"}
+    # the factors' degree, the cap it is held under and its tail estimate
+    assert (int(fields["p"]), int(fields["cap"])) == (system.degree, config.p)
+    assert q == system.degree * (system.degree - 1) // 2
+    assert float(fields["tail"]) == pytest.approx(
+        bem._tail_estimate(system.rfac, system.sfac), rel=1e-2
+    )
+    assert set(fields) == {
+        "n", "s", "q", "p", "cap", "tail", "workers", "free_s", "kernel_s", "lu_s", "wait_s",
+    }
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -720,6 +829,26 @@ def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, monkeypatc
     else:
         assert system.operator.lu is None
         assert " lu_s=0.000 " in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, monkeypatch):
+    # the kernel factors raise while the free block's rows (and the LU)
+    # are queued and running: assemble cancels the queued tasks and waits
+    # for the running ones before the error reaches its caller
+    mesh, domain, config = pooled_problem
+
+    def fail(*args):
+        raise RuntimeError("kernel factors failed")
+
+    monkeypatch.setattr(bem, "_kernel_factors", fail)
+    with CountingPool(2) as pool:
+        monkeypatch.setattr(bem, "_pool", lambda: pool)
+        with pytest.raises(RuntimeError, match="kernel factors failed"):
+            assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+        running = [t for t in pool.tasks if not t.done()]
+    rows = -(-len(mesh) // bem._ROW_BLOCK)
+    assert running == [] and len(pool.tasks) == rows + (solver == "direct")
 
 
 def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
@@ -791,6 +920,8 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
 
     monkeypatch.setattr(tracer, "_open", open_span)
     source = (0.0, 0.0, 1.5)
+    # points beyond the kernel rows' degree: the field makes its own
+    # signature pass, on the calling thread while its panel sum runs on the pool
     pts = np.array([[1.5, 0.0, 0.5], [0.0, 1.2, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -801,11 +932,17 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
                 system = bem.assemble(small_system.mesh, small_system.domain, config)
                 bem.set_point_source_rhs(system, source)
                 bem.solve(system)
-                bem.evaluate_field(system, pts, source=source)
+                grid = bem.evaluate_field(system, pts, source=source)
+                assert grid.metadata["degree"] > system.degree
     spans = tracer.spans
     assert opened_on == {threading.get_ident()}
     assert sum(s.name == "apply_operator" for s in spans) > 5
     assert sum(s.name == "assemble" for s in spans) == 2
+    fields = [s.id for s in spans if s.name == "evaluate_field"]
+    passes = [s for s in spans if s.name == "source_signature_batch" and s.parent in fields]
+    # one pass of all panels a field, and the image source
+    assert len(passes) == 2 * 2
+    assert sum(s.counts["plane"] + s.counts["interior"] for s in passes) == 2 * (system.size + 1)
     for span in spans:
         assert span.end >= span.start and span.self_s >= 0.0
         if span.parent is not None:

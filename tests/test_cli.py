@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 import math
 import os
 import subprocess
@@ -96,12 +97,13 @@ def test_missing_mesh_file_is_usage_error(tmp_path):
                    "--source", "0,0,2") == 1
 
 
-def test_mesh_solve_round_trip(tmp_path, capsys):
+def test_mesh_solve_round_trip(tmp_path, capsys, caplog):
     mesh_path = str(tmp_path / "dip.mesh")
     assert run_cli("mesh", "--kind", "dip", "--re", "1.124", "--edge", "0.3",
                    "--out", mesh_path) == 0
     capsys.readouterr()
     prefix = str(tmp_path / "run")
+    caplog.set_level(logging.DEBUG, logger="groundbem")
     assert run_cli("solve", "--mesh", mesh_path, "--source", "0,0,0.5",
                    "--eps", "1e-3", "--out-prefix", prefix) == 0
     capsys.readouterr()
@@ -111,6 +113,10 @@ def test_mesh_solve_round_trip(tmp_path, capsys):
     assert meta["r0"] == pytest.approx(1.0, rel=1e-12)
     assert meta["use_ground_kernel"] is True
     assert meta["p"] == math.ceil(math.log(1e-3) / math.log(1.0 / 1.124))
+    # next to the cap p, the degree the kernel factors took, as assemble logged it
+    assembled = [r.getMessage() for r in caplog.records if r.getMessage().startswith("assemble ")]
+    fields = dict(w.split("=") for w in assembled[0].split()[1:])
+    assert meta["degree"] == int(fields["p"]) < meta["p"]
     sigma_lines = (tmp_path / "run_sigma.csv").read_text().splitlines()
     assert sigma_lines[0] == "x,y,z,area,tag,sigma"
     assert len(sigma_lines) == 1 + meta["panels"]
@@ -127,11 +133,12 @@ def test_solve_without_extension_drops_kernel(tmp_path, capsys):
     meta = json.loads((tmp_path / "d_solution.json").read_text())
     assert meta["use_ground_kernel"] is False
     # no kernel term, so no truncation; r0 and re are the mesh's radii
-    assert meta["p"] is None
+    assert meta["p"] is None and meta["degree"] is None
     assert meta["r0"] == meta["re"] == pytest.approx(2.0, rel=1e-12)
     field = json.loads((tmp_path / "d_field.json").read_text())["metadata"]
     assert field["use_ground_kernel"] is False
     assert field["p"] is None and field["re"] is None and field["r0"] is None
+    assert field["degree"] is None
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +191,10 @@ def test_solve_field_on_a_dip_mesh(tmp_path, capsys):
     assert len(field["points"]) == 3 * 4
     assert np.all(np.linalg.norm(field["points"], axis=1) < field["metadata"]["re"])
     assert field["below_ground"] == [0] * 12
+    # the field's own degree, under the cap the solution reports
+    meta = json.loads((tmp_path / "run_solution.json").read_text())
+    assert field["metadata"]["p"] == meta["p"]
+    assert 2 <= field["metadata"]["degree"] <= meta["p"]
 
 
 def test_experiment_passes_only_the_flags_set(monkeypatch):
