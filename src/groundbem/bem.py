@@ -6,9 +6,9 @@ collocation at panel centroids.  The system operator has two parts:
 * the mesh's free-space operator, shared by the systems on that mesh: a
   dense block of analytic single-layer integrals for panels within the
   near-field radius of a collocation point (always for the self term),
-  centroid monopole approximation beyond it, and, for the direct route,
-  the block's LU, which ``assemble`` makes on the worker pool and the
-  operator holds from then on;
+  centroid monopole approximation beyond it, and the block's LU, which
+  the first direct solve of a system on the mesh makes and the operator
+  holds from then on;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -254,22 +254,11 @@ def _lu(a: np.ndarray) -> tuple:
     """``((lu, piv), info)`` by LAPACK ``getrf``, the routine
     ``sla.lu_factor`` calls; ``a`` is factored in place if it is
     Fortran-ordered (any other is copied first).  A zero pivot comes back
-    as ``info > 0`` where ``lu_factor`` would warn: a warning raised on a
-    worker thread reaches no caller's warning filter."""
+    as ``info > 0`` where ``lu_factor`` would warn, so that the solve can
+    raise :class:`SolveError` instead."""
     getrf, = sla.get_lapack_funcs(("getrf",), (a,))
     lu, piv, info = getrf(a, overwrite_a=True)
     return (lu, piv), info
-
-
-def _factor(matrix: np.ndarray) -> tuple:
-    """``((lu, piv), info, seconds)`` of an F-ordered copy of ``matrix``
-    (LAPACK overwrites only a Fortran-ordered matrix).  Callers hold one
-    BLAS thread, as OpenBLAS's threaded getrf rounds differently, so the LU
-    is bitwise the same on the pool and on the calling thread.  Calls no
-    public layer function: a tracer keeps those spans on one stack."""
-    t0 = time.perf_counter()
-    factors, info = _lu(np.array(matrix, order="F"))
-    return factors, info, time.perf_counter() - t0
 
 
 @dataclass(eq=False)
@@ -277,11 +266,10 @@ class FreeOperator:
     """Free-space operator of one mesh: the dense block ``matrix``, its LU
     and the matvec.
 
-    ``lu`` is ``((lu, piv), info, seconds)``, ``info > 0`` marking a zero
-    pivot, made by ``assemble`` for a direct system and by the first
-    direct solve of one assembled for lgmres (None until then).  The
-    operator holds it, as large as the block (109 MB at N = 3691), as long
-    as it lives.
+    ``lu`` is ``((lu, piv), info)``, ``info > 0`` marking a zero pivot,
+    made by the first direct solve of any system on the mesh (None until
+    then).  The operator holds it, as large as the block (109 MB at
+    N = 3691), as long as it lives.
     """
 
     mesh: PanelMesh
@@ -447,34 +435,20 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
     block is built on the worker pool while the calling thread builds the
     kernel factors, all with one BLAS thread, as the pool has a worker per
-    CPU.  For ``config.solver == "direct"`` the block's LU is one more pool
-    task, queued after its rows, and ``assemble`` returns once it is done.
-    If anything raises, the queued tasks are cancelled and the running
-    ones waited for before it propagates.  One DEBUG record on the
-    ``groundbem`` logger reports N, S, q, the factors' degree ``p`` (0
-    without a kernel term), the cap, the tail estimate, the worker count,
-    the seconds of the free block, of the kernel factors and of the LU (0
-    without one), and ``wait_s``, the seconds ``assemble`` blocked on the
-    pool after the kernel factors.
+    CPU; its LU is left to the first direct solve.  If anything raises,
+    the queued tasks are cancelled and the running ones waited for before
+    it propagates.  One DEBUG record on the ``groundbem`` logger reports
+    N, S, q, the factors' degree ``p`` (0 without a kernel term), the cap,
+    the tail estimate, the worker count, the seconds of the free block and
+    of the kernel factors, and ``wait_s``, the seconds ``assemble`` blocked
+    on the pool after the kernel factors.
     """
     centroids = mesh.centroids
     with blas_threads(1):
-        # The free block's row tasks, then for a direct system the LU task,
-        # run on the pool while this thread builds the kernel factors,
-        # which read nothing of them.
+        # The free block's row tasks run on the pool while this thread
+        # builds the kernel factors, which read nothing of them.
         t_start = time.perf_counter()
         a, tasks = _free_block(mesh, centroids)
-        direct = config.solver == "direct"
-        if direct:
-            rows = list(tasks)
-
-            def factor_task():
-                # Queued after the rows, so on the FIFO pool they have all
-                # started when it waits for them.
-                _gather(rows)
-                return _factor(a)
-
-            tasks.append(_pool().submit(factor_task))
         kernel, tail = {}, 0.0
         try:
             if domain is not None:
@@ -487,16 +461,12 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
                 t.cancel()
             futures_wait(tasks)
             raise
-    operator = FreeOperator(mesh, a)
-    if direct:
-        operator.lu = done.pop()
-    system = BemSystem(operator, domain, config, **kernel)
+    system = BemSystem(FreeOperator(mesh, a), domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
-        "kernel_s=%.3f lu_s=%.3f wait_s=%.3f",
+        "kernel_s=%.3f wait_s=%.3f",
         len(mesh), *system.rfac.shape, system.degree or 0, config.p, tail,
-        _pool()._max_workers, max(done) - t_start, kernel_s,
-        operator.lu[2] if direct else 0.0, wait_s,
+        _pool()._max_workers, max(done) - t_start, kernel_s, wait_s,
     )
     return system
 
@@ -614,10 +584,11 @@ def _woodbury_inverse(system: BemSystem):
     B = Q^T rfac sfac, the Woodbury identity gives (F + P Q B)^-1 from the
     operator's LU of F, the N x l block Z = F^-1 P Q and an l x l
     capacitance LU of I + B Z.  The LU of F is the operator's, made here
-    (under one BLAS thread, bitwise as ``assemble`` makes it) if the system
-    was assembled for lgmres.  Returns the solver, l, and the seconds spent
-    here on the LU of F; a zero pivot in either LU raises
-    :class:`SolveError`.
+    if no direct solve on the mesh has made it yet: an F-ordered copy of F
+    factored in place under one BLAS thread, as OpenBLAS's threaded getrf
+    rounds differently, so the LU is bitwise the same for any thread
+    count.  Returns the solver, l, and the seconds spent here on the LU
+    of F; a zero pivot in either LU raises :class:`SolveError`.
     """
     qt = _kernel_range(system)
     rank = qt.shape[0]
@@ -626,10 +597,11 @@ def _woodbury_inverse(system: BemSystem):
     u[system.kernel_rows] = qt.T
     operator, lu_s = system.operator, 0.0
     if operator.lu is None:
+        t0 = time.perf_counter()
         with blas_threads(1):
-            operator.lu = _factor(operator.matrix)
-        lu_s = operator.lu[2]
-    free_lu, info, _ = operator.lu
+            operator.lu = _lu(np.array(operator.matrix, order="F"))
+        lu_s = time.perf_counter() - t0
+    free_lu, info = operator.lu
     if not info:
         z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
         cap_lu, info = _lu(np.eye(rank) + b @ z) if rank else (None, 0)
@@ -650,18 +622,18 @@ def _woodbury_inverse(system: BemSystem):
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` takes the operator's LU of the free block (made by
-    ``assemble``, or here if the system was assembled for lgmres), adds the
-    kernel term through a Woodbury update of the rank l that a randomized
-    range finder keeps (the N x N kernel product is never formed; l = 0
-    without a kernel term), and refines the result against the exact
-    factored operator; ``iterative`` runs lgmres on the factored operator,
+    ``direct`` takes the operator's LU of the free block (made by the first
+    direct solve of any system on the mesh and kept), adds the kernel term
+    through a Woodbury update of the rank l that a randomized range finder
+    keeps (the N x N kernel product is never formed; l = 0 without a
+    kernel term), and refines the result against the exact factored
+    operator; ``iterative`` runs lgmres on the factored operator,
     with one BLAS thread as the matvec runs on the pool.  The relative
     residual is verified against 1e-10 either way, else
     :class:`SolveError` is raised.  One DEBUG record on the ``groundbem``
     logger reports the route, N, S, q, l, the refinement steps, the
     residual, and ``lu_s``, the seconds this call spent factoring the free
-    block (0 unless a system assembled for lgmres is solved directly).
+    block (0 unless it is the first direct solve on the mesh).
     """
     n = system.size
     rhs = system.rhs
@@ -760,11 +732,12 @@ def _signature_sum(mesh: PanelMesh, re: float, p: int, sigma: np.ndarray) -> np.
 def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
-    The panel sum is assembly's free-space block taken at these points.
-    The kernel part is truncated at its own degree: the law at the
-    points' largest radius, at most ``config.p`` (warned when the cap falls
-    short of ``prescribed_eps`` there).  At or below the factors' degree
-    it takes a prefix of ``sfac @ solution``; above it, one signature pass
+    The panel sum is assembly's free-space block taken at these points,
+    built on the pool while the calling thread takes the kernel part,
+    which is truncated at its own degree: the law at the points' largest
+    radius, at most ``config.p`` (warned when the cap falls short of
+    ``prescribed_eps`` there).  At or below the factors' degree it takes a
+    prefix of ``sfac @ solution``; above it, one signature pass
     at that degree.  With a kernel term, every point must lie inside
     ``re`` (the receiver series diverges outside), else
     :class:`DomainError` is raised; the metadata gives the degree used
@@ -799,26 +772,30 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
                 f"field points must satisfy |y| < re = {re}: the "
                 "receiver series of the ground kernel diverges outside"
             )
-        degree = choose_truncation(radius, re, config.prescribed_eps)
-        if degree > config.p:
-            degree = config.p
-            warnings.warn(
-                f"field points reach |y| = {radius:.4g}, where the truncation cap "
-                f"p = {degree} gives kernel accuracy ~{(radius / re) ** degree:.2e}, "
-                f"worse than the prescribed {config.prescribed_eps:.2e}",
-                stacklevel=2,
-            )
-        q = degree * (degree - 1) // 2
-        if degree <= system.degree:
-            weights = system.sfac[:q] @ sigma
-        else:
-            weights = _signature_sum(system.mesh, re, degree, sigma)
-        rfac_pts = receiver_harmonics(pts / re, degree) / re
-        kernel = rfac_pts @ weights
-        if source is not None:
-            image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
+    # The panel sum runs on the pool while this thread takes the kernel part.
     free, tasks = _free_block(system.mesh, pts)
-    _gather(tasks)
+    try:
+        if domain is not None:
+            degree = choose_truncation(radius, re, config.prescribed_eps)
+            if degree > config.p:
+                degree = config.p
+                warnings.warn(
+                    f"field points reach |y| = {radius:.4g}, where the truncation cap "
+                    f"p = {degree} gives kernel accuracy ~{(radius / re) ** degree:.2e}, "
+                    f"worse than the prescribed {config.prescribed_eps:.2e}",
+                    stacklevel=2,
+                )
+            q = degree * (degree - 1) // 2
+            if degree <= system.degree:
+                weights = system.sfac[:q] @ sigma
+            else:
+                weights = _signature_sum(system.mesh, re, degree, sigma)
+            rfac_pts = receiver_harmonics(pts / re, degree) / re
+            kernel = rfac_pts @ weights
+            if source is not None:
+                image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
+    finally:
+        _gather(tasks)
     values = free @ sigma + kernel
     induced = values + image
     if source is not None:

@@ -257,7 +257,7 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
 
 def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     # LAPACK overwrites only a Fortran-ordered matrix (any other is copied
-    # first), so the one N x N LU, which assemble makes on the pool, must
+    # first), so the one N x N LU, which the first direct solve makes, must
     # get an F-ordered copy of the free block and factor it in place, with
     # one BLAS thread; the other LU is the l x l capacitance matrix.  The
     # operator keeps its LU: a second solve and a kernel-off system on the
@@ -289,9 +289,9 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
 
 
 def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
-    # an iterative system makes no LU; switched to direct, its first solve
-    # makes the one assemble would have, so it matches a system assembled
-    # for the direct route bit for bit
+    # assemble makes no LU for either solver and builds the same system;
+    # the first direct solve makes the LU, so an iterative system switched
+    # to the direct route matches one assembled for it bit for bit
     spy = LapackSpy(bem.sla)
     monkeypatch.setattr(bem, "sla", spy)
     mesh, domain, source = small_system.mesh, small_system.domain, (0.0, 0.0, 1.5)
@@ -299,8 +299,10 @@ def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
         warnings.simplefilter("ignore")
         system = assemble(mesh, domain, BemConfig(p=12, solver="iterative"))
         direct = assemble(mesh, domain, BemConfig(p=12))
-    assert len(spy.calls) == 1
-    del spy.calls[:]
+    assert spy.calls == []
+    for name in ("free_matrix", "rfac", "sfac"):
+        assert np.array_equal(getattr(system, name), getattr(direct, name))
+    assert system.operator.lu is None and direct.operator.lu is None
     set_point_source_rhs(system, source)
     solve(system)
     assert spy.calls == []
@@ -782,8 +784,7 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
     assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (len(mesh), s, q)
     assert int(fields["workers"]) == len(os.sched_getaffinity(0))
     assert float(fields["free_s"]) > 0.0 and float(fields["kernel_s"]) > 0.0
-    # the LU, timed in its task, and the time assemble blocked on the pool
-    assert fields["lu_s"] == f"{system.operator.lu[2]:.3f}" and system.operator.lu[2] > 0.0
+    # the time assemble blocked on the pool
     assert float(fields["wait_s"]) >= 0.0
     # the factors' degree, the cap it is held under and its tail estimate
     assert (int(fields["p"]), int(fields["cap"])) == (system.degree, config.p)
@@ -792,7 +793,7 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
         bem._tail_estimate(system.rfac, system.sfac), rel=1e-2
     )
     assert set(fields) == {
-        "n", "s", "q", "p", "cap", "tail", "workers", "free_s", "kernel_s", "lu_s", "wait_s",
+        "n", "s", "q", "p", "cap", "tail", "workers", "free_s", "kernel_s", "wait_s",
     }
 
 
@@ -809,33 +810,24 @@ class CountingPool(ThreadPoolExecutor):
         return task
 
 
-@pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, monkeypatch, caplog):
-    # a direct assemble returns with its LU made; an iterative one makes
-    # none; neither leaves a task queued or running on the pool
+def test_assemble_leaves_no_pool_task_pending(pooled_problem, monkeypatch):
+    # assemble submits the free block's row tasks only, makes no LU, and
+    # leaves no task queued or running on the pool
     mesh, domain, config = pooled_problem
-    caplog.set_level(logging.DEBUG, logger="groundbem")
     with CountingPool(2) as pool:
         monkeypatch.setattr(bem, "_pool", lambda: pool)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+            system = assemble(mesh, domain, config)
         pending = [t for t in pool.tasks if not t.done()]
-    rows = -(-len(mesh) // bem._ROW_BLOCK)
-    assert pending == [] and len(pool.tasks) == rows + (solver == "direct")
-    if solver == "direct":
-        (lu, piv), info, seconds = system.operator.lu
-        assert lu.shape == (len(mesh), len(mesh)) and info == 0 and seconds > 0.0
-    else:
-        assert system.operator.lu is None
-        assert " lu_s=0.000 " in caplog.records[-1].getMessage()
+    assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
+    assert system.operator.lu is None
 
 
-@pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, monkeypatch):
-    # the kernel factors raise while the free block's rows (and the LU)
-    # are queued and running: assemble cancels the queued tasks and waits
-    # for the running ones before the error reaches its caller
+def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, monkeypatch):
+    # the kernel factors raise while the free block's rows are queued and
+    # running: assemble cancels the queued tasks and waits for the running
+    # ones before the error reaches its caller
     mesh, domain, config = pooled_problem
 
     def fail(*args):
@@ -845,36 +837,87 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, mon
     with CountingPool(2) as pool:
         monkeypatch.setattr(bem, "_pool", lambda: pool)
         with pytest.raises(RuntimeError, match="kernel factors failed"):
-            assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+            assemble(mesh, domain, config)
         running = [t for t in pool.tasks if not t.done()]
-    rows = -(-len(mesh) // bem._ROW_BLOCK)
-    assert running == [] and len(pool.tasks) == rows + (solver == "direct")
+    assert running == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
 
 
 def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
-    # lu_s is what solve itself spent factoring the free block: nothing
-    # after a direct assemble, which waited for its LU, nor on the lgmres
-    # route; the whole LU for a system assembled for lgmres and switched
+    # lu_s is what solve itself spent factoring the free block: the whole
+    # LU in the first direct solve on the mesh; nothing in a second solve,
+    # in the truncated system on the same operator, nor on the lgmres route
     mesh, domain, config = pooled_problem
     source = (0.0, 0.0, 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        direct = assemble(mesh, domain, config)
-        switched = assemble(mesh, domain, BemConfig(p=config.p, solver="iterative"))
-    set_point_source_rhs(direct, source)
-    set_point_source_rhs(switched, source)
+        system = assemble(mesh, domain, config)
+    set_point_source_rhs(system, source)
+    truncated = truncated_system(system)
+    set_point_source_rhs(truncated, source)
     caplog.set_level(logging.DEBUG, logger="groundbem")
-    solve(direct)
-    solve(switched)
-    switched.config = config
-    solve(switched)
+    solve(system)
+    solve(system)
+    solve(truncated)
+    system.config = BemConfig(p=config.p, solver="iterative")
+    solve(system)
     fields = [
         dict(w.split("=") for w in r.getMessage().split()[1:])
         for r in caplog.records if r.name == "groundbem"
     ]
-    assert [f["route"] for f in fields] == ["lu-woodbury", "lgmres", "lu-woodbury"]
-    assert [float(f["lu_s"]) for f in fields[:2]] == [0.0, 0.0]
-    assert float(fields[2]["lu_s"]) > 0.0
+    assert [f["route"] for f in fields] == ["lu-woodbury"] * 3 + ["lgmres"]
+    assert float(fields[0]["lu_s"]) > 0.0
+    assert [float(f["lu_s"]) for f in fields[1:]] == [0.0, 0.0, 0.0]
+
+
+@pytest.fixture(scope="module")
+def field_problem(small_system):
+    # a solved system and field points beyond its rows' degree, enough of
+    # them for several row tasks of the panel sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
+    set_point_source_rhs(system, (0.0, 0.0, 1.5))
+    solve(system)
+    angle = np.linspace(0.0, 2.0 * math.pi, 2 * bem._ROW_BLOCK + 1)
+    pts = np.column_stack([1.1 * np.cos(angle), 1.1 * np.sin(angle), np.full(angle.size, 0.5)])
+    return system, pts
+
+
+def test_field_panel_sum_runs_beside_its_signature_pass(field_problem, monkeypatch):
+    # the panel sum's row tasks are on the pool before the calling thread
+    # starts the field's own signature pass, and all are done on return
+    system, pts = field_problem
+    want = evaluate_field(system, pts).values
+    seen = []
+
+    def signature_sum(*args, _real=bem._signature_sum):
+        seen.append(len(pool.tasks))
+        return _real(*args)
+
+    monkeypatch.setattr(bem, "_signature_sum", signature_sum)
+    with CountingPool(2) as pool:
+        monkeypatch.setattr(bem, "_pool", lambda: pool)
+        grid = evaluate_field(system, pts)
+        pending = [t for t in pool.tasks if not t.done()]
+    rows = -(-len(pts) // bem._ROW_BLOCK)
+    assert rows > 1 and seen == [rows]
+    assert grid.metadata["degree"] > system.degree
+    assert pending == [] and np.array_equal(grid.values, want)
+
+
+def test_failed_field_leaves_no_pool_task_running(field_problem, monkeypatch):
+    system, pts = field_problem
+
+    def fail(*args):
+        raise RuntimeError("signature pass failed")
+
+    monkeypatch.setattr(bem, "_signature_sum", fail)
+    with CountingPool(2) as pool:
+        monkeypatch.setattr(bem, "_pool", lambda: pool)
+        with pytest.raises(RuntimeError, match="signature pass failed"):
+            evaluate_field(system, pts)
+        running = [t for t in pool.tasks if not t.done()]
+    assert running == [] and len(pool.tasks) == -(-len(pts) // bem._ROW_BLOCK)
 
 
 def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog):
@@ -926,7 +969,7 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with tracer.installed(), tracer.span("bench", "operation"):
-            # the direct route's LU runs on the pool next to the kernel factors
+            # the direct route's LU is made by its solve on the calling thread
             for solver in ("iterative", "direct"):
                 config = BemConfig(p=12, solver=solver)
                 system = bem.assemble(small_system.mesh, small_system.domain, config)
@@ -961,9 +1004,10 @@ mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
 first = bem.assemble(mesh, domain, config).free_matrix
 assert threading.active_count() > 1
-# fork right after a direct assemble, which returned with its LU made
+# fork right after a direct solve, which made the operator's LU
 system = bem.assemble(mesh, domain, config)
 bem.set_point_source_rhs(system, (0.0, 0.0, 1.5))
+bem.solve(system)
 pid = os.fork()
 if pid == 0:
     # the child inherits the LU and the pool object but none of the
