@@ -810,24 +810,26 @@ class CountingPool(ThreadPoolExecutor):
         return task
 
 
-def test_assemble_leaves_no_pool_task_pending(pooled_problem, monkeypatch):
-    # assemble submits the free block's row tasks only, makes no LU, and
-    # leaves no task queued or running on the pool
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, monkeypatch):
+    # for either solver assemble submits the free block's row tasks only,
+    # makes no LU, and leaves no task queued or running on the pool
     mesh, domain, config = pooled_problem
     with CountingPool(2) as pool:
         monkeypatch.setattr(bem, "_pool", lambda: pool)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            system = assemble(mesh, domain, config)
+            system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
         pending = [t for t in pool.tasks if not t.done()]
     assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
     assert system.operator.lu is None
 
 
-def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, monkeypatch):
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, monkeypatch):
     # the kernel factors raise while the free block's rows are queued and
-    # running: assemble cancels the queued tasks and waits for the running
-    # ones before the error reaches its caller
+    # running, for either solver: assemble cancels the queued tasks and
+    # waits for the running ones before the error reaches its caller
     mesh, domain, config = pooled_problem
 
     def fail(*args):
@@ -837,7 +839,7 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, monkeypatch
     with CountingPool(2) as pool:
         monkeypatch.setattr(bem, "_pool", lambda: pool)
         with pytest.raises(RuntimeError, match="kernel factors failed"):
-            assemble(mesh, domain, config)
+            assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
         running = [t for t in pool.tasks if not t.done()]
     assert running == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
 
