@@ -25,11 +25,9 @@ blocks hold more than ``prescribed_eps`` of the term; the field takes it
 at its own points.  A point the caller gives keeps its signature at the
 cap and contributes its first q columns.
 
-The direct solve never forms the kernel term as a matrix.  It takes the
-operator's LU, captures the kernel term's range with a randomized range
-finder (its numerical rank l is far below q; 0 without the term), solves
-with the rank-l correction through the Woodbury identity, and refines the
-result against the exact factored operator.
+The solve never forms the kernel term as a matrix: both solvers run lgmres
+on the factored operator, the direct one preconditioned by the operator's
+LU of the free block.
 """
 
 from __future__ import annotations
@@ -235,6 +233,10 @@ class BemConfig:
     receivers out to ``r0``.  The degrees used follow from the receivers'
     radii and ``prescribed_eps``, the target kernel accuracy, which also
     sets the warnings; only a kernel term reads either.
+
+    ``solver`` sets the preconditioner of :func:`solve`'s lgmres:
+    ``direct`` the free block's LU (N^2 more doubles, few matvecs),
+    ``iterative`` none (no LU, more matvecs).
     """
 
     p: int = 12
@@ -250,17 +252,6 @@ class BemConfig:
             raise DomainError("prescribed_eps must lie in (0, 1)")
 
 
-def _lu(a: np.ndarray) -> tuple:
-    """``((lu, piv), info)`` by LAPACK ``getrf``, the routine
-    ``sla.lu_factor`` calls; ``a`` is factored in place if it is
-    Fortran-ordered (any other is copied first).  A zero pivot comes back
-    as ``info > 0`` where ``lu_factor`` would warn, so that the solve can
-    raise :class:`SolveError` instead."""
-    getrf, = sla.get_lapack_funcs(("getrf",), (a,))
-    lu, piv, info = getrf(a, overwrite_a=True)
-    return (lu, piv), info
-
-
 @dataclass(eq=False)
 class FreeOperator:
     """Free-space operator of one mesh: the dense block ``matrix``, its LU
@@ -268,8 +259,10 @@ class FreeOperator:
 
     ``lu`` is ``((lu, piv), info)``, ``info > 0`` marking a zero pivot,
     made by the first direct solve of any system on the mesh (None until
-    then).  The operator holds it, as large as the block (109 MB at
-    N = 3691), as long as it lives.
+    then), of the block's transpose: a plain copy of the block, seen
+    transposed, is Fortran-ordered, so LAPACK factors it in place, and
+    ``lu_solve(..., trans=1)`` solves with the block.  The operator holds
+    it, as large as the block (109 MB at N = 3691), as long as it lives.
     """
 
     mesh: PanelMesh
@@ -477,10 +470,12 @@ def truncated_system(system: BemSystem) -> BemSystem:
     return BemSystem(system.operator, None, system.config)
 
 
-def _source_point(source) -> np.ndarray:
+def _source_point(source, domain: DomainSpec | None) -> np.ndarray:
     xs = np.asarray(source, dtype=float).ravel()
     if xs.shape != (3,) or not np.all(np.isfinite(xs)):
         raise DomainError("the source must be one point with finite coordinates")
+    if domain is not None and np.linalg.norm(xs / domain.re) >= 1.0:
+        raise DomainError(f"the source must satisfy |x| < re = {domain.re}: its series diverges")
     return xs
 
 
@@ -490,9 +485,9 @@ def set_point_source_rhs(system: BemSystem, source) -> None:
     (the kernel part vanishes on the rows on the plane).  The source's
     signature is taken at the cap, whose inner series reaches sources
     near ``re``, and its first q columns meet the receiver factor.
-    ``source`` must be one finite point, else :class:`DomainError` is
-    raised."""
-    xs = _source_point(source)
+    ``source`` must be one finite point, with a kernel term inside ``re``,
+    else :class:`DomainError` is raised."""
+    xs = _source_point(source, system.domain)
     d = system.mesh.centroids - xs
     rhs = -1.0 / (_FOUR_PI * np.sqrt(np.einsum("ij,ij->i", d, d)))
     if system.domain is not None:
@@ -536,134 +531,81 @@ def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     return system.operator.matvec(vec) + apply_ground_kernel(system, vec)
 
 
-# Relative residual the lgmres iteration aims for, and that every
-# solution must meet.
+# Relative residual every solution must meet, and lgmres's stop without a
+# preconditioner.
 _SOLVE_RTOL = 1e-10
-
-# The direct solve's randomized range finder (Halko, Martinsson & Tropp,
-# SIAM Rev. 53, 2011) draws Gaussian test blocks of _SKETCH_BLOCK columns
-# from a fixed seed, so a solve repeats bit for bit, and stops once a
-# block's largest column outside the basis is at most _SKETCH_TOL times the
-# first block's largest column.  What the basis leaves out is made up by at
-# most _REFINE_STEPS steps of refinement against the exact operator.
-_SKETCH_BLOCK = 32
-_SKETCH_TOL = 1e-5
-_SKETCH_SEED = 0
-_REFINE_STEPS = 3
+# lgmres's stop with the free block's LU as preconditioner.  Stopped at
+# _SOLVE_RTOL its answer is about 5e-12 (relative) from a dense LU of the
+# whole operator; stopped here, within round-off, for at most one more matvec.
+_LU_RTOL = 1e-12
 
 
-def _kernel_range(system: BemSystem) -> np.ndarray:
-    """Orthonormal basis of the range of ``rfac @ sfac``, as the rows of an
-    ``(l, S)`` array, found from products with the factors only; l is at
-    most min(S, q).  The test blocks are drawn as rows, so each block is a
-    row-major product (Omega^T sfac^T) rfac^T."""
-    rfac, sfac = system.rfac, system.sfac
-    top_rank = min(rfac.shape)
-    rng = np.random.default_rng(_SKETCH_SEED)
-    basis = np.zeros((0, rfac.shape[0]))
-    first = None
-    while basis.shape[0] < top_rank:
-        k = min(_SKETCH_BLOCK, top_rank - basis.shape[0])
-        y = (rng.standard_normal((k, sfac.shape[1])) @ sfac.T) @ rfac.T
-        # projected twice: once is not orthogonal enough after cancellation
-        y -= (y @ basis.T) @ basis
-        y -= (y @ basis.T) @ basis
-        largest = float(np.max(np.linalg.norm(y, axis=1)))
-        first = largest if first is None else first
-        if largest <= _SKETCH_TOL * first:
-            break
-        basis = np.vstack([basis, np.linalg.qr(y.T)[0].T])
-    return basis
-
-
-def _woodbury_inverse(system: BemSystem):
-    """Solver for the free block plus the range-projected kernel term.
-
-    With F the free block, P the scatter of the kernel rows into all N
-    rows, Q the kernel range basis (l = 0 without a kernel term) and
-    B = Q^T rfac sfac, the Woodbury identity gives (F + P Q B)^-1 from the
-    operator's LU of F, the N x l block Z = F^-1 P Q and an l x l
-    capacitance LU of I + B Z.  The LU of F is the operator's, made here
-    if no direct solve on the mesh has made it yet: an F-ordered copy of F
-    factored in place under one BLAS thread, as OpenBLAS's threaded getrf
-    rounds differently, so the LU is bitwise the same for any thread
-    count.  Returns the solver, l, and the seconds spent here on the LU
-    of F; a zero pivot in either LU raises :class:`SolveError`.
-    """
-    qt = _kernel_range(system)
-    rank = qt.shape[0]
-    b = (qt @ system.rfac) @ system.sfac
-    u = np.zeros((system.size, rank), order="F")
-    u[system.kernel_rows] = qt.T
+def _free_lu(system: BemSystem) -> tuple:
+    """The operator's LU of the free block, ``(lu, piv)``, and the seconds
+    this call spent making it: LAPACK ``getrf`` on the mesh's first direct
+    solve (see :class:`FreeOperator`), at one BLAS thread, as OpenBLAS's
+    threaded getrf rounds differently.  A zero pivot, which ``getrf``
+    returns where ``lu_factor`` would warn, raises :class:`SolveError`."""
     operator, lu_s = system.operator, 0.0
     if operator.lu is None:
         t0 = time.perf_counter()
+        block_t = operator.matrix.copy().T
+        getrf, = sla.get_lapack_funcs(("getrf",), (block_t,))
         with blas_threads(1):
-            operator.lu = _lu(np.array(operator.matrix, order="F"))
+            lu, piv, info = getrf(block_t, overwrite_a=True)
+        operator.lu = (lu, piv), info
         lu_s = time.perf_counter() - t0
     free_lu, info = operator.lu
-    if not info:
-        z = sla.lu_solve(free_lu, u, overwrite_b=True, check_finite=False)
-        cap_lu, info = _lu(np.eye(rank) + b @ z) if rank else (None, 0)
     if info:
         raise SolveError(
             f"direct solve failed: diagonal number {info} of an LU factor is "
             "exactly zero; singular matrix",
             condition=operator.condition(),
         )
-
-    def inverse(r: np.ndarray) -> np.ndarray:
-        y = sla.lu_solve(free_lu, r, check_finite=False)
-        return y - z @ sla.lu_solve(cap_lu, b @ y, check_finite=False) if rank else y
-
-    return inverse, rank, lu_s
+    return free_lu, lu_s
 
 
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    ``direct`` takes the operator's LU of the free block (made by the first
-    direct solve of any system on the mesh and kept), adds the kernel term
-    through a Woodbury update of the rank l that a randomized range finder
-    keeps (the N x N kernel product is never formed; l = 0 without a
-    kernel term), and refines the result against the exact factored
-    operator; ``iterative`` runs lgmres on the factored operator,
-    with one BLAS thread as the matvec runs on the pool.  The relative
-    residual is verified against 1e-10 either way, else
-    :class:`SolveError` is raised.  One DEBUG record on the ``groundbem``
-    logger reports the route, N, S, q, l, the refinement steps, the
-    residual, and ``lu_s``, the seconds this call spent factoring the free
-    block (0 unless it is the first direct solve on the mesh).
+    Both solvers run lgmres on the factored operator (the N x N kernel
+    product is never formed) with one BLAS thread, as the matvec runs on
+    the pool.  ``direct`` preconditions it with the operator's LU of the
+    free block, made by the first direct solve on the mesh and kept;
+    ``iterative`` has none.  If lgmres does not converge, or the relative
+    residual exceeds 1e-10, :class:`SolveError` is raised.  One DEBUG
+    record on the ``groundbem`` logger reports the route, N, S, q, the
+    matvecs lgmres took, the residual, and ``lu_s``, the seconds this call
+    spent factoring the free block (0 unless it made the LU).
     """
     n = system.size
     rhs = system.rhs
     if not np.any(rhs):
         warnings.warn("solving with an all-zero right-hand side", stacklevel=2)
+    matvecs = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return apply_operator(system, v)
 
     if system.config.solver == "direct":
-        route = "lu-woodbury"
-        inverse, rank, lu_s = _woodbury_inverse(system)
-        sigma = inverse(rhs)
+        free_lu, lu_s = _free_lu(system)
+        route, rtol = "lgmres-lu", _LU_RTOL
+        apply_lu = functools.partial(sla.lu_solve, free_lu, trans=1, check_finite=False)
+        precond = LinearOperator((n, n), matvec=apply_lu, dtype=float)
     else:
-        route, inverse, rank, lu_s = "lgmres", None, 0, 0.0
-        op = LinearOperator((n, n), matvec=lambda v: apply_operator(system, v))
-        with blas_threads(1):
-            sigma, info = lgmres(op, rhs, rtol=_SOLVE_RTOL, atol=0.0, maxiter=2000)
-        if info != 0:
-            raise SolveError(f"lgmres did not converge (info = {info})")
-
-    rhs_norm = float(np.linalg.norm(rhs))
-    steps = 0
-    while True:
-        r = apply_operator(system, sigma) - rhs
-        resid = np.linalg.norm(r) / (rhs_norm or 1.0)
-        if resid <= _SOLVE_RTOL or inverse is None or steps == _REFINE_STEPS:
-            break
-        sigma = sigma - inverse(r)
-        steps += 1
+        lu_s, route, rtol, precond = 0.0, "lgmres", _SOLVE_RTOL, None
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    with blas_threads(1):
+        # a copy, as lgmres hands back a zero right-hand side itself
+        sigma, info = lgmres(op, rhs.copy(), rtol=rtol, atol=0.0, maxiter=2000, M=precond)
+    if info != 0:
+        raise SolveError(f"lgmres did not converge (info = {info})")
+    resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (np.linalg.norm(rhs) or 1.0)
     _LOG.debug(
-        "solve route=%s n=%d s=%d q=%d rank=%d refine=%d residual=%.3e lu_s=%.3f",
-        route, n, *system.rfac.shape, rank, steps, resid, lu_s,
+        "solve route=%s n=%d s=%d q=%d matvecs=%d residual=%.3e lu_s=%.3f",
+        route, n, *system.rfac.shape, matvecs, resid, lu_s,
     )
     if not resid <= _SOLVE_RTOL:
         raise SolveError(
@@ -745,8 +687,8 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     None without one.  With ``source`` given, the incident monopole and
     its kernel image are added and the induced part is reported
     separately.  Points must be finite, of shape (M, 3) or (3,), and none
-    may coincide with ``source`` (one finite point), else
-    :class:`DomainError` is raised.
+    may coincide with ``source`` (one finite point, with a kernel term
+    inside ``re``), else :class:`DomainError` is raised.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
@@ -756,7 +698,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     if not np.all(np.isfinite(pts)):
         raise DomainError("field point coordinates must be finite")
     if source is not None:
-        xs = _source_point(source)
+        xs = _source_point(source, system.domain)
         dist = np.linalg.norm(pts - xs, axis=1)
         if np.any(dist == 0.0):
             raise DomainError("a field point coincides with the source")

@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--source", required=True, help="monopole location as x,y,z")
     s.add_argument("--eps", type=float, default=1e-4,
                    help="prescribed kernel accuracy (sets the truncation)")
-    s.add_argument("--solver", choices=("direct", "iterative"), default="direct")
+    s.add_argument("--solver", choices=("direct", "iterative"), default="direct",
+                   help="lgmres preconditioned by the free block's LU (direct: "
+                        "N^2 more doubles, few matvecs) or by nothing (iterative)")
     s.add_argument("--no-kernel", action="store_true",
                    help="plain truncated BEM: solve without the ground-kernel "
                         "term (no truncation; p is null in the output)")

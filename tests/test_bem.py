@@ -257,11 +257,10 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
 
 def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     # LAPACK overwrites only a Fortran-ordered matrix (any other is copied
-    # first), so the one N x N LU, which the first direct solve makes, must
-    # get an F-ordered copy of the free block and factor it in place, with
-    # one BLAS thread; the other LU is the l x l capacitance matrix.  The
-    # operator keeps its LU: a second solve and a kernel-off system on the
-    # same operator factor no N x N matrix.
+    # first), so the one LU, which the first direct solve makes, must get an
+    # F-ordered copy of the free block (its transpose) and factor it in
+    # place, with one BLAS thread.  The operator keeps its LU: a second
+    # solve and a kernel-off system on the same operator factor nothing.
     spy = LapackSpy(bem.sla)
     monkeypatch.setattr(bem, "sla", spy)
     with pytest.warns(UserWarning):
@@ -270,12 +269,11 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     free = system.free_matrix.copy()
     set_point_source_rhs(system, (0.0, 0.0, 1.5))
     first = solve(system)
-    assert len(spy.calls) == 2
-    (shape, f_ordered, in_place, lu, counts), capacitance = spy.calls
+    assert len(spy.calls) == 1
+    (shape, f_ordered, in_place, lu, counts), = spy.calls
     assert (shape, f_ordered, in_place) == ((n, n), True, True)
     assert not np.shares_memory(lu, system.free_matrix)
     assert counts and set(counts.values()) == {1}
-    assert capacitance[0][0] < n
     assert np.array_equal(system.free_matrix, free)
 
     del spy.calls[:]
@@ -284,7 +282,7 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
     assert truncated.operator is system.operator
     set_point_source_rhs(truncated, (0.0, 0.0, 1.5))
     solve(truncated)
-    assert len(spy.calls) == 1 and spy.calls[0][0][0] < n
+    assert spy.calls == []
     assert np.array_equal(system.free_matrix, free)
 
 
@@ -308,14 +306,14 @@ def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
     assert spy.calls == []
     system.config = BemConfig(p=12)
     lazy = solve(system)
-    assert len(spy.calls) == 2 and spy.calls[0][0] == (system.size, system.size)
+    assert len(spy.calls) == 1 and spy.calls[0][0] == (system.size, system.size)
     set_point_source_rhs(direct, source)
     assert np.array_equal(solve(direct), lazy)
 
 
 @pytest.fixture(scope="module")
 def p4_system():
-    # q = 6 kernel columns, fewer than one test block of the range finder
+    # q = 6 kernel columns, the fewest of the oracle cases
     mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
     with pytest.warns(UserWarning):
         system = assemble(mesh, DomainSpec(r0=2.0, re=3.0), BemConfig(p=4))
@@ -326,7 +324,8 @@ def p4_system():
 @pytest.fixture(scope="module")
 def dip_system():
     # the dip study's closest extension, ratio 1.1 with p = 97 for 1e-4:
-    # the kernel term's numerical rank spans several test blocks
+    # thousands of kernel columns, the most the LU-preconditioned lgmres
+    # has to make up for
     mesh = make_bump_dip_mesh(-1, r0=1.0, re=1.1, target_edge=0.11)
     system = assemble(mesh, DomainSpec(r0=1.0, re=1.1), BemConfig(p=97))
     set_point_source_rhs(system, (0.0, 0.0, 0.5))
@@ -338,8 +337,8 @@ def dip_system():
 )
 def test_direct_solve_matches_densified_oracle(request, name, rtol):
     # small_system is checked in test_direct_solve_adds_kernel_on_surface_rows_only;
-    # the dip's Woodbury solve leaves a residual of about 1e-13 after one
-    # refinement step, so it differs from the dense LU by more than round-off
+    # the dip's 4465 kernel columns enter the oracle's dense matrix and the
+    # solve's matvecs in different orders (3.5e-14 apart when measured)
     system = request.getfixturevalue(name)
     want = oracle_direct_solve(system)
     got = solve(system)
@@ -351,7 +350,10 @@ def test_direct_solve_is_deterministic(dip_system):
     assert np.array_equal(solve(dip_system), first)
 
 
-def test_solve_logs_route_rank_and_residual(small_system, dip_system, solved_disc, caplog):
+def test_solve_logs_route_matvecs_and_residual(small_system, dip_system, solved_disc, caplog):
+    # preconditioned by the free block's LU, lgmres makes up the kernel
+    # term in a few matvecs, even the dip's thousands of columns (6, 9 and
+    # 3 when measured)
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     caplog.set_level(logging.DEBUG, logger="groundbem")
     systems = (small_system, dip_system, solved_disc)
@@ -359,21 +361,45 @@ def test_solve_logs_route_rank_and_residual(small_system, dip_system, solved_dis
         solve(system)
     records = [r for r in caplog.records if r.name == "groundbem"]
     assert len(records) == len(systems)
-    ranks = []
     for system, record in zip(systems, records):
         assert record.levelno == logging.DEBUG
         words = record.getMessage().split()
         assert words[0] == "solve"
         fields = dict(w.split("=") for w in words[1:])
         s, q = system.rfac.shape
-        assert fields["route"] == "lu-woodbury"
+        assert fields["route"] == "lgmres-lu"
         assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (system.size, s, q)
-        assert 0 <= int(fields["rank"]) <= min(s, q)
-        assert 0 <= int(fields["refine"]) <= 3
+        assert 1 <= int(fields["matvecs"]) <= 12
         assert float(fields["residual"]) <= 1e-10
-        ranks.append(int(fields["rank"]))
-    # the dip needs more than two test blocks, the kernel-off disc none
-    assert ranks[1] > 64 and ranks[2] == 0
+
+
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_solve_applies_the_operator_once_per_logged_matvec(
+    small_system, solver, monkeypatch, caplog
+):
+    # lgmres's operator states its dtype, so scipy applies it to no probe
+    # vector before lgmres starts: the operator is applied once per matvec
+    # lgmres logs, and once more for the final residual check
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    calls, before_lgmres = [], []
+
+    def counted(*args, _real=bem.apply_operator):
+        calls.append(None)
+        return _real(*args)
+
+    def entered(*args, _real=bem.lgmres, **kwargs):
+        before_lgmres.append(len(calls))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(bem, "apply_operator", counted)
+    monkeypatch.setattr(bem, "lgmres", entered)
+    monkeypatch.setattr(small_system, "config", BemConfig(p=12, solver=solver))
+    caplog.set_level(logging.DEBUG, logger="groundbem")
+    solve(small_system)
+    (record,) = [r for r in caplog.records if r.name == "groundbem"]
+    fields = dict(w.split("=") for w in record.getMessage().split()[1:])
+    assert before_lgmres == [0]
+    assert len(calls) == int(fields["matvecs"]) + 1
 
 
 def test_truncation_error_halves_twice_per_two_orders(rng):
@@ -550,6 +576,7 @@ def test_zero_rhs_warns(small_system):
     with pytest.warns(UserWarning, match="zero right-hand side"):
         sigma = solve(small_system)
     assert np.all(sigma == 0.0)
+    assert not np.shares_memory(sigma, small_system.rhs)
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     solve(small_system)
 
@@ -632,6 +659,21 @@ def test_point_source_rhs_rejects_bad_source():
             with pytest.raises(DomainError, match="one point with finite coordinates"):
                 set_point_source_rhs(system, source)
     assert not np.any(system.rhs)
+
+
+def test_point_source_outside_re_names_re(small_system):
+    # the source series diverges for |x| >= re; both the right-hand side
+    # and the field refuse such a source with re in the mesh's units, not
+    # with the dimensionless bound of the signatures
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    solve(small_system)
+    rhs = small_system.rhs
+    for source in ((0.0, 0.0, 3.0), (2.5, 0.0, 2.0), (0.0, 0.0, 4.0)):
+        with pytest.raises(DomainError, match=r"\|x\| < re = 3\.0"):
+            set_point_source_rhs(small_system, source)
+        with pytest.raises(DomainError, match=r"\|x\| < re = 3\.0"):
+            evaluate_field(small_system, [[0.0, 0.0, 1.0]], source=source)
+    assert small_system.rhs is rhs
 
 
 def test_field_at_centroids_is_the_free_matvec(solved_disc):
@@ -866,7 +908,7 @@ def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
         dict(w.split("=") for w in r.getMessage().split()[1:])
         for r in caplog.records if r.name == "groundbem"
     ]
-    assert [f["route"] for f in fields] == ["lu-woodbury"] * 3 + ["lgmres"]
+    assert [f["route"] for f in fields] == ["lgmres-lu"] * 3 + ["lgmres"]
     assert float(fields[0]["lu_s"]) > 0.0
     assert [float(f["lu_s"]) for f in fields[1:]] == [0.0, 0.0, 0.0]
 
@@ -1013,12 +1055,12 @@ bem.solve(system)
 pid = os.fork()
 if pid == 0:
     # the child inherits the LU and the pool object but none of the
-    # threads: it solves without a new N x N LU, and assembles on a pool
-    # of its own
-    shapes, lu = [], bem._lu
-    bem._lu = lambda a: (shapes.append(a.shape), lu(a))[1]
+    # threads: it solves without a new LU, and assembles on a pool of its
+    # own
+    names, funcs = [], bem.sla.get_lapack_funcs
+    bem.sla.get_lapack_funcs = lambda n, *a, **k: (names.extend(n), funcs(n, *a, **k))[1]
     ok = bem.solve(system).shape == (len(mesh),)
-    ok = ok and (len(mesh), len(mesh)) not in shapes
+    ok = ok and "getrf" not in names
     ok = ok and bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
     os._exit(0 if ok else 1)
 assert os.waitpid(pid, 0)[1] == 0
