@@ -27,11 +27,14 @@ cap and contributes its first q columns.
 
 The solve never forms the kernel term as a matrix: both solvers run lgmres
 on the factored operator, the direct one preconditioned by the operator's
-LU of the free block.
+LU of the free block.  The free block's rows and its matvec run on a pool
+that each public call makes for itself (``_pool``), and ``assemble`` and
+``solve`` each hold one cap of one BLAS thread for the whole call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -39,14 +42,13 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .blas import blas_threads
+from .blas import one_blas_thread
 from .errors import DomainError, SolveError
 from .ground_kernel import interior_inner_cap, receiver_harmonics, source_signature_batch
 from .harmonics import P_HARD_LIMIT, build_spectral_constants
@@ -130,38 +132,27 @@ _ROW_BLOCK = 256
 _MATVEC_ROWS = 512
 
 
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The pool for the mesh-only work: one thread per CPU this process may
-    use.  Tasks split by rows at fixed sizes, so every result is bitwise
-    the same for any worker count; NumPy releases the GIL in all of it.
-    Every task is gathered before the public call that submitted it
-    returns.  Created on first use, so importing starts no thread."""
+@contextlib.contextmanager
+def _pool():
+    """``(pool, workers)`` for one public call: one worker per CPU this
+    process may use now.  Tasks split by rows at fixed sizes, so every
+    result is bitwise the same for any worker count; NumPy releases the GIL
+    in all of it.  However the block is left, queued tasks are cancelled
+    and running ones waited for, so no task or thread outlives the call."""
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:  # not on macOS or Windows
         workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, thread_name_prefix="groundbem")
-
-
-# A forked child inherits the pool but none of its threads.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _gather(tasks) -> list:
-    """Results of the tasks in order; if one fails or the wait is
-    interrupted, those not yet started are cancelled."""
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="groundbem")
     try:
-        return [t.result() for t in tasks]
+        yield pool, workers
     finally:
-        for t in tasks:
-            t.cancel()
+        pool.shutdown(cancel_futures=True)
 
 
-def _free_block(mesh: PanelMesh, points: np.ndarray):
+def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor):
     """Single layer of every panel at every point, ``(len(points), N)``,
-    started on the pool, one task per ``_ROW_BLOCK`` rows.  Returns the
+    started on ``pool``, one task per ``_ROW_BLOCK`` rows.  Returns the
     result, filled once every task is done, and the tasks, each of which
     returns the ``time.perf_counter()`` at which it finished.
 
@@ -203,7 +194,6 @@ def _free_block(mesh: PanelMesh, points: np.ndarray):
         ) / _FOUR_PI
         return time.perf_counter()
 
-    pool = _pool()
     return out, [pool.submit(rows_task, i0) for i0 in range(0, points.shape[0], _ROW_BLOCK)]
 
 
@@ -270,13 +260,15 @@ class FreeOperator:
     lu: tuple | None = field(default=None, init=False, repr=False)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """The block times ``vec``, on the pool in ``_MATVEC_ROWS`` row chunks."""
+        """The block times ``vec``, on a pool in ``_MATVEC_ROWS`` row chunks."""
         out = np.empty(len(self.mesh))
-        pool = _pool()
-        _gather([
-            pool.submit(np.dot, self.matrix[i:i + _MATVEC_ROWS], vec, out[i:i + _MATVEC_ROWS])
-            for i in range(0, out.size, _MATVEC_ROWS)
-        ])
+        with _pool() as (pool, _):
+            tasks = [
+                pool.submit(np.dot, self.matrix[i:i + _MATVEC_ROWS], vec, out[i:i + _MATVEC_ROWS])
+                for i in range(0, out.size, _MATVEC_ROWS)
+            ]
+            for t in tasks:
+                t.result()
         return out
 
     def condition(self) -> float | None:
@@ -426,40 +418,33 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     Both are truncated at the degree the kernel rows need (see
     ``_kernel_factors``), at most ``config.p``.
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
-    block is built on the worker pool while the calling thread builds the
-    kernel factors, all with one BLAS thread, as the pool has a worker per
-    CPU; its LU is left to the first direct solve.  If anything raises,
-    the queued tasks are cancelled and the running ones waited for before
-    it propagates.  One DEBUG record on the ``groundbem`` logger reports
-    N, S, q, the factors' degree ``p`` (0 without a kernel term), the cap,
-    the tail estimate, the worker count, the seconds of the free block and
-    of the kernel factors, and ``wait_s``, the seconds ``assemble`` blocked
-    on the pool after the kernel factors.
+    block is built on this call's pool while the calling thread builds the
+    kernel factors, all under one cap of one BLAS thread, as the pool has
+    a worker per CPU; its LU is left to the first direct solve.  No pool
+    task or thread outlives the call, whether it returns or raises.  One
+    DEBUG record on the ``groundbem`` logger reports N, S, q, the factors'
+    degree ``p`` (0 without a kernel term), the cap, the tail estimate,
+    the pool's worker count, the seconds of the free block and of the
+    kernel factors, and ``wait_s``, the seconds ``assemble`` blocked on
+    the pool after the kernel factors.
     """
-    centroids = mesh.centroids
-    with blas_threads(1):
+    with one_blas_thread(), _pool() as (pool, workers):
         # The free block's row tasks run on the pool while this thread
         # builds the kernel factors, which read nothing of them.
         t_start = time.perf_counter()
-        a, tasks = _free_block(mesh, centroids)
+        a, tasks = _free_block(mesh, mesh.centroids, pool)
         kernel, tail = {}, 0.0
-        try:
-            if domain is not None:
-                kernel, tail = _kernel_factors(mesh, domain, config)
-            kernel_s = time.perf_counter() - t_start
-            done = _gather(tasks)
-            wait_s = time.perf_counter() - t_start - kernel_s
-        except BaseException:
-            for t in tasks:
-                t.cancel()
-            futures_wait(tasks)
-            raise
+        if domain is not None:
+            kernel, tail = _kernel_factors(mesh, domain, config)
+        kernel_s = time.perf_counter() - t_start
+        done = [t.result() for t in tasks]
+        wait_s = time.perf_counter() - t_start - kernel_s
     system = BemSystem(FreeOperator(mesh, a), domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
         "kernel_s=%.3f wait_s=%.3f",
         len(mesh), *system.rfac.shape, system.degree or 0, config.p, tail,
-        _pool()._max_workers, max(done) - t_start, kernel_s, wait_s,
+        workers, max(done) - t_start, kernel_s, wait_s,
     )
     return system
 
@@ -543,16 +528,15 @@ _LU_RTOL = 1e-12
 def _free_lu(system: BemSystem) -> tuple:
     """The operator's LU of the free block, ``(lu, piv)``, and the seconds
     this call spent making it: LAPACK ``getrf`` on the mesh's first direct
-    solve (see :class:`FreeOperator`), at one BLAS thread, as OpenBLAS's
-    threaded getrf rounds differently.  A zero pivot, which ``getrf``
-    returns where ``lu_factor`` would warn, raises :class:`SolveError`."""
+    solve (see :class:`FreeOperator`), under ``solve``'s one BLAS thread, as
+    OpenBLAS's threaded getrf rounds differently.  A zero pivot, which
+    ``getrf`` returns where ``lu_factor`` would warn, raises SolveError."""
     operator, lu_s = system.operator, 0.0
     if operator.lu is None:
         t0 = time.perf_counter()
         block_t = operator.matrix.copy().T
         getrf, = sla.get_lapack_funcs(("getrf",), (block_t,))
-        with blas_threads(1):
-            lu, piv, info = getrf(block_t, overwrite_a=True)
+        lu, piv, info = getrf(block_t, overwrite_a=True)
         operator.lu = (lu, piv), info
         lu_s = time.perf_counter() - t0
     free_lu, info = operator.lu
@@ -569,10 +553,11 @@ def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
     Both solvers run lgmres on the factored operator (the N x N kernel
-    product is never formed) with one BLAS thread, as the matvec runs on
-    the pool.  ``direct`` preconditions it with the operator's LU of the
-    free block, made by the first direct solve on the mesh and kept;
-    ``iterative`` has none.  If lgmres does not converge, or the relative
+    product is never formed); its zero start vector is never applied.
+    ``direct`` preconditions it with the operator's LU of the free block,
+    made by the first direct solve on the mesh and kept; ``iterative`` has
+    none.  The LU, lgmres and the residual check hold one BLAS thread, as
+    each matvec has a pool.  If lgmres does not converge, or the relative
     residual exceeds 1e-10, :class:`SolveError` is raised.  One DEBUG
     record on the ``groundbem`` logger reports the route, N, S, q, the
     matvecs lgmres took, the residual, and ``lu_s``, the seconds this call
@@ -586,23 +571,25 @@ def solve(system: BemSystem) -> np.ndarray:
 
     def matvec(v):
         nonlocal matvecs
+        if not np.any(v):
+            return np.zeros(n)
         matvecs += 1
         return apply_operator(system, v)
 
-    if system.config.solver == "direct":
-        free_lu, lu_s = _free_lu(system)
-        route, rtol = "lgmres-lu", _LU_RTOL
-        apply_lu = functools.partial(sla.lu_solve, free_lu, trans=1, check_finite=False)
-        precond = LinearOperator((n, n), matvec=apply_lu, dtype=float)
-    else:
-        lu_s, route, rtol, precond = 0.0, "lgmres", _SOLVE_RTOL, None
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    with blas_threads(1):
+    with one_blas_thread():
+        if system.config.solver == "direct":
+            free_lu, lu_s = _free_lu(system)
+            route, rtol = "lgmres-lu", _LU_RTOL
+            apply_lu = functools.partial(sla.lu_solve, free_lu, trans=1, check_finite=False)
+            precond = LinearOperator((n, n), matvec=apply_lu, dtype=float)
+        else:
+            lu_s, route, rtol, precond = 0.0, "lgmres", _SOLVE_RTOL, None
         # a copy, as lgmres hands back a zero right-hand side itself
         sigma, info = lgmres(op, rhs.copy(), rtol=rtol, atol=0.0, maxiter=2000, M=precond)
-    if info != 0:
-        raise SolveError(f"lgmres did not converge (info = {info})")
-    resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (np.linalg.norm(rhs) or 1.0)
+        if info != 0:
+            raise SolveError(f"lgmres did not converge (info = {info})")
+        resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (np.linalg.norm(rhs) or 1.0)
     _LOG.debug(
         "solve route=%s n=%d s=%d q=%d matvecs=%d residual=%.3e lu_s=%.3f",
         route, n, *system.rfac.shape, matvecs, resid, lu_s,
@@ -675,20 +662,20 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
     The panel sum is assembly's free-space block taken at these points,
-    built on the pool while the calling thread takes the kernel part,
-    which is truncated at its own degree: the law at the points' largest
-    radius, at most ``config.p`` (warned when the cap falls short of
-    ``prescribed_eps`` there).  At or below the factors' degree it takes a
-    prefix of ``sfac @ solution``; above it, one signature pass
-    at that degree.  With a kernel term, every point must lie inside
-    ``re`` (the receiver series diverges outside), else
-    :class:`DomainError` is raised; the metadata gives the degree used
-    (``degree``) and the cap (``p``), which, with ``re`` and ``r0``, are
-    None without one.  With ``source`` given, the incident monopole and
-    its kernel image are added and the induced part is reported
-    separately.  Points must be finite, of shape (M, 3) or (3,), and none
-    may coincide with ``source`` (one finite point, with a kernel term
-    inside ``re``), else :class:`DomainError` is raised.
+    built on this call's pool while the calling thread takes the kernel
+    part, which is truncated at its own degree: the law at the points'
+    largest radius, at most ``config.p`` (warned when the cap falls short
+    of ``prescribed_eps`` there).  At or below the factors' degree it
+    takes a prefix of ``sfac @ solution``; above it, one signature pass at
+    that degree.  With a kernel term, every point must lie inside ``re``
+    (the receiver series diverges outside), else :class:`DomainError` is
+    raised; the metadata gives the degree used (``degree``) and the cap
+    (``p``), which, with ``re`` and ``r0``, are None without one.  With
+    ``source`` given, the incident monopole and its kernel image are added
+    and the induced part is reported separately.  Points must be finite,
+    of shape (M, 3) or (3,), and none may coincide with ``source`` (one
+    finite point, with a kernel term inside ``re``), else
+    :class:`DomainError` is raised.
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
@@ -714,9 +701,9 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
                 f"field points must satisfy |y| < re = {re}: the "
                 "receiver series of the ground kernel diverges outside"
             )
-    # The panel sum runs on the pool while this thread takes the kernel part.
-    free, tasks = _free_block(system.mesh, pts)
-    try:
+    with _pool() as (pool, _):
+        # The panel sum runs on the pool while this thread takes the kernel part.
+        free, tasks = _free_block(system.mesh, pts, pool)
         if domain is not None:
             degree = choose_truncation(radius, re, config.prescribed_eps)
             if degree > config.p:
@@ -736,8 +723,8 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
             kernel = rfac_pts @ weights
             if source is not None:
                 image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
-    finally:
-        _gather(tasks)
+        for t in tasks:
+            t.result()
     values = free @ sigma + kernel
     induced = values + image
     if source is not None:

@@ -1,4 +1,4 @@
-"""Thread cap for the OpenBLAS libraries loaded into this process.
+"""One-thread cap for the OpenBLAS libraries loaded into this process.
 
 NumPy and SciPy wheels each ship their own OpenBLAS (NumPy's serves ``@``,
 SciPy's the LU in ``bem``).  OpenBLAS reads ``OPENBLAS_NUM_THREADS``
@@ -8,9 +8,10 @@ module finds every loaded OpenBLAS through the process's memory map and
 calls that entry point directly.
 
 The count is one setting for the whole process, so caps held at the same
-time by callers on several threads, which need not end in the order they
-began, combine: the smallest is in force, and the counts from before the
-first are restored when the last ends.
+time by callers on several threads need not end in the order they began:
+it stays at one while any is held, and the counts from before the first
+are restored when the last ends.  Other counts are set at process start,
+by ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -70,18 +71,18 @@ def blas_thread_counts() -> dict[str, int]:
 
 
 class _Caps:
-    """The caps in force, as ``(thread id, n)`` entries keyed by a token,
-    and the counts from before the first."""
+    """The caps in force, as the id of the thread holding each, keyed by a
+    token, and the counts from before the first."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.held: dict[object, tuple[int, int]] = {}
+        self.held: dict[object, int] = {}
         self.before: dict[str, int] = {}
 
     def apply(self, controls) -> None:
         for path, (_, set_) in controls.items():
             if self.held:
-                set_(min(n for _, n in self.held.values()))
+                set_(1)
             elif path in self.before:
                 set_(self.before[path])
 
@@ -94,7 +95,7 @@ def _forget_other_threads() -> None:
     # others never end there, and their lock may have been held.
     me = threading.get_ident()
     _CAPS.lock = threading.Lock()
-    _CAPS.held = {k: v for k, v in _CAPS.held.items() if v[0] == me}
+    _CAPS.held = {k: v for k, v in _CAPS.held.items() if v == me}
 
 
 if hasattr(os, "register_at_fork"):
@@ -102,20 +103,18 @@ if hasattr(os, "register_at_fork"):
 
 
 @contextlib.contextmanager
-def blas_threads(n: int):
-    """Cap every loaded OpenBLAS at ``n`` threads; restore on exit.
+def one_blas_thread():
+    """Cap every loaded OpenBLAS at one thread; restore on exit.
 
     Safe to hold from several threads at once (see the module docstring).
     Yields the counts read back after the cap, so a caller can check that
     it took effect (an empty dict means there was nothing to cap)."""
-    if n < 1:
-        raise ValueError(f"thread count must be at least 1, got {n}")
     controls = _controls()
     token = object()
     with _CAPS.lock:
         if not _CAPS.held:
             _CAPS.before = _counts(controls)
-        _CAPS.held[token] = (threading.get_ident(), int(n))
+        _CAPS.held[token] = threading.get_ident()
         _CAPS.apply(controls)
         counts = _counts(controls)
     try:

@@ -15,7 +15,6 @@ output (wall-clock columns of the cost-curve study excepted).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
 import json
 import os
@@ -24,7 +23,6 @@ import sys
 import numpy as np
 
 from . import experiments as xp
-from .blas import blas_threads
 from .bem import (
     BemConfig,
     assemble,
@@ -81,20 +79,6 @@ def _default_outdir():
     return os.environ.get("GROUNDBEM_OUTDIR", ".")
 
 
-@contextlib.contextmanager
-def _limit_threads(n):
-    if n is None:
-        yield
-        return
-    if n < 1:
-        raise _UsageError(f"--threads must be at least 1, got {n}")
-    with blas_threads(n) as counts:
-        if not counts:
-            print("note: no OpenBLAS library loaded; --threads has no effect",
-                  file=sys.stderr)
-        yield
-
-
 _STUDIES = {
     "bump": xp.run_bump_experiment,
     "dip": xp.run_dip_experiment,
@@ -106,13 +90,14 @@ _STUDY_FLAGS = {
     "h": "h", "eps": "eps", "edge": "target_edge", "delta": "delta",
     "ratios": "ratios", "p_values": "p_values", "seed": "seed",
 }
+# mesh kind -> the mesh flags (argparse dests) it does not take
+_MESH_UNUSED = {"bump": ("radius",), "dip": ("r0", "radius"),
+                "sphere": ("r0", "re"), "disc": ("r0", "re")}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="groundbem", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap the threads of the loaded OpenBLAS libraries")
     sub = ap.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernel", help="evaluate the ground kernel at one pair")
@@ -128,10 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mesh", help="generate a benchmark mesh")
     m.add_argument("--kind", choices=("bump", "dip", "sphere", "disc"), required=True)
     m.add_argument("--r0", type=float, default=None,
-                   help="detail radius (bump default 2, dip fixed at 1)")
-    m.add_argument("--re", type=float, default=None, help="extended radius")
+                   help="bump detail radius (default 2; a dip's is fixed at 1)")
+    m.add_argument("--re", type=float, default=None, help="bump/dip extended radius")
     m.add_argument("--edge", type=float, default=0.1, help="target edge length")
-    m.add_argument("--radius", type=float, default=1.0, help="sphere/disc radius")
+    m.add_argument("--radius", type=float, default=None,
+                   help="sphere/disc radius (default 1)")
     m.add_argument("--out", required=True, help="output mesh file")
 
     s = sub.add_parser("solve", help="solve a mesh under a monopole source")
@@ -177,18 +163,21 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    for flag in _MESH_UNUSED[args.kind]:
+        if getattr(args, flag) is not None:
+            raise _UsageError(f"mesh --kind {args.kind} takes no --{flag}")
+    radius = 1.0 if args.radius is None else args.radius
     if args.kind == "bump":
         r0 = 2.0 if args.r0 is None else args.r0
         re = r0 * 1.0935 if args.re is None else args.re
         mesh = make_bump_dip_mesh(1, r0=r0, re=re, target_edge=args.edge)
     elif args.kind == "dip":
-        r0 = 1.0 if args.r0 is None else args.r0
         re = 1.124 if args.re is None else args.re
-        mesh = make_bump_dip_mesh(-1, r0=r0, re=re, target_edge=args.edge)
+        mesh = make_bump_dip_mesh(-1, r0=1.0, re=re, target_edge=args.edge)
     elif args.kind == "sphere":
-        mesh = make_sphere_mesh(args.edge, radius=args.radius)
+        mesh = make_sphere_mesh(args.edge, radius=radius)
     else:
-        mesh = make_flat_disc_mesh(args.radius, args.edge)
+        mesh = make_flat_disc_mesh(radius, args.edge)
     save_mesh(mesh, args.out)
     print(f"wrote {args.out}: {len(mesh)} panels, tags {mesh.tag_counts()}")
     return 0
@@ -299,14 +288,13 @@ def main(argv=None) -> int:
         except _UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        with _limit_threads(args.threads):
-            if args.command == "kernel":
-                return _cmd_kernel(args)
-            if args.command == "mesh":
-                return _cmd_mesh(args)
-            if args.command == "solve":
-                return _cmd_solve(args)
-            return _cmd_experiment(args)
+        if args.command == "kernel":
+            return _cmd_kernel(args)
+        if args.command == "mesh":
+            return _cmd_mesh(args)
+        if args.command == "solve":
+            return _cmd_solve(args)
+        return _cmd_experiment(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

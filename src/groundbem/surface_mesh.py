@@ -352,15 +352,15 @@ def mirror_surface_mesh(mesh: PanelMesh) -> PanelMesh:
     return PanelMesh(verts_all, faces_all, tags_all)
 
 
-def make_flat_disc_mesh(radius: float, target_edge: float, tag: int = GROUND) -> PanelMesh:
-    """Flat disc in z = 0 with upward normals (plain grounded-plane model)."""
+def make_flat_disc_mesh(radius: float, target_edge: float) -> PanelMesh:
+    """Flat disc in z = 0, tag GROUND, upward normals (plain grounded plane)."""
     if target_edge <= 0 or radius <= 0:
         raise DomainError("target_edge and radius must be positive")
     b = _Builder()
     center = b.add_vertex(0.0, 0.0, 0.0)
     nsteps = max(1, int(round(radius / target_edge)))
     first = b.add_ring(radius / nsteps, 0.0, _ring_count(radius / nsteps, target_edge))
-    b.add_cap(center, first, tag)
+    b.add_cap(center, first, GROUND)
     rings = [first]
     for i in range(2, nsteps + 1):
         rr = radius * i / nsteps
@@ -368,7 +368,7 @@ def make_flat_disc_mesh(radius: float, target_edge: float, tag: int = GROUND) ->
         offset = 0.5 * (i % 2) * 2.0 * math.pi / count
         rings.append(b.add_ring(rr, 0.0, count, offset))
     for ra, rb in zip(rings, rings[1:]):
-        b.add_band(ra, rb, tag)
+        b.add_band(ra, rb, GROUND)
 
     def orient(centroids, tags):
         want = np.zeros_like(centroids)

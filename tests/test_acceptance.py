@@ -18,7 +18,7 @@ import pytest
 from scipy.optimize import brentq
 
 from groundbem.bem import BemConfig, apply_ground_kernel, assemble
-from groundbem.blas import blas_threads
+from groundbem.blas import one_blas_thread
 from groundbem.experiments import (
     ALPHA_STAR,
     CostModel,
@@ -225,7 +225,7 @@ def test_criterion_5_factored_assembly_equivalence_and_scaling():
             times.append(time.perf_counter() - t1)
         return float(np.median(times))
 
-    with blas_threads(1) as counts:
+    with one_blas_thread() as counts:
         assert counts and set(counts.values()) == {1}, counts
         ratios = [matvec_time(big) / matvec_time(small) for _ in range(3)]
     time_ratio = float(np.median(ratios))

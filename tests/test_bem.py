@@ -379,13 +379,14 @@ def test_solve_applies_the_operator_once_per_logged_matvec(
 ):
     # lgmres's operator states its dtype, so scipy applies it to no probe
     # vector before lgmres starts: the operator is applied once per matvec
-    # lgmres logs, and once more for the final residual check
+    # lgmres logs, and once more for the final residual check, and never
+    # to lgmres's zero start vector
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     calls, before_lgmres = [], []
 
-    def counted(*args, _real=bem.apply_operator):
-        calls.append(None)
-        return _real(*args)
+    def counted(system, vec, _real=bem.apply_operator):
+        calls.append(np.any(vec))
+        return _real(system, vec)
 
     def entered(*args, _real=bem.lgmres, **kwargs):
         before_lgmres.append(len(calls))
@@ -398,7 +399,7 @@ def test_solve_applies_the_operator_once_per_logged_matvec(
     solve(small_system)
     (record,) = [r for r in caplog.records if r.name == "groundbem"]
     fields = dict(w.split("=") for w in record.getMessage().split()[1:])
-    assert before_lgmres == [0]
+    assert before_lgmres == [0] and all(calls)
     assert len(calls) == int(fields["matvecs"]) + 1
 
 
@@ -471,8 +472,10 @@ def test_degrees_from_the_receivers_match_a_solve_held_at_the_cap(anchor_bump, m
     assert degree <= system.degree
     rfac_pts = receiver_harmonics(near / 2.187, degree) / 2.187
     kernel = rfac_pts @ (system.sfac @ sigma)[: degree * (degree - 1) // 2]
-    free, tasks = bem._free_block(mesh, near)
-    bem._gather(tasks)
+    with bem._pool() as (pool, _):
+        free, tasks = bem._free_block(mesh, near, pool)
+        for t in tasks:
+            t.result()
     np.testing.assert_allclose(inner.values, free @ sigma + kernel, rtol=1e-12)
 
 
@@ -811,7 +814,7 @@ def pooled_problem():
     return mesh, DomainSpec(r0=2.0, re=3.0), BemConfig(p=8)
 
 
-def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
+def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog, monkeypatch):
     mesh, domain, config = pooled_problem
     caplog.set_level(logging.DEBUG, logger="groundbem")
     with warnings.catch_warnings():
@@ -837,38 +840,51 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog):
     assert set(fields) == {
         "n", "s", "q", "p", "cap", "tail", "workers", "free_s", "kernel_s", "wait_s",
     }
+    # each call reads the CPUs the process may use at that time
+    monkeypatch.setattr(bem.os, "sched_getaffinity", lambda pid: {0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assemble(mesh, domain, config)
+    assert " workers=1 " in caplog.records[-1].getMessage()
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A pool that keeps every task submitted to it."""
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool ``bem`` makes while the test runs, in order, each keeping
+    the tasks submitted to it."""
+    made = []
 
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.tasks = []
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.tasks = []
+            made.append(self)
 
-    def submit(self, *args, **kwargs):
-        task = super().submit(*args, **kwargs)
-        self.tasks.append(task)
-        return task
+        def submit(self, *args, **kwargs):
+            task = super().submit(*args, **kwargs)
+            self.tasks.append(task)
+            return task
+
+    monkeypatch.setattr(bem, "ThreadPoolExecutor", CountingPool)
+    return made
 
 
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, monkeypatch):
+def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools):
     # for either solver assemble submits the free block's row tasks only,
-    # makes no LU, and leaves no task queued or running on the pool
+    # to one pool, makes no LU, and leaves no task queued or running
     mesh, domain, config = pooled_problem
-    with CountingPool(2) as pool:
-        monkeypatch.setattr(bem, "_pool", lambda: pool)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
-        pending = [t for t in pool.tasks if not t.done()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+    (pool,) = pools
+    pending = [t for t in pool.tasks if not t.done()]
     assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
     assert system.operator.lu is None
 
 
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, monkeypatch):
+def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, pools, monkeypatch):
     # the kernel factors raise while the free block's rows are queued and
     # running, for either solver: assemble cancels the queued tasks and
     # waits for the running ones before the error reaches its caller
@@ -878,11 +894,10 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, mon
         raise RuntimeError("kernel factors failed")
 
     monkeypatch.setattr(bem, "_kernel_factors", fail)
-    with CountingPool(2) as pool:
-        monkeypatch.setattr(bem, "_pool", lambda: pool)
-        with pytest.raises(RuntimeError, match="kernel factors failed"):
-            assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
-        running = [t for t in pool.tasks if not t.done()]
+    with pytest.raises(RuntimeError, match="kernel factors failed"):
+        assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+    (pool,) = pools
+    running = [t for t in pool.tasks if not t.done()]
     assert running == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
 
 
@@ -927,41 +942,62 @@ def field_problem(small_system):
     return system, pts
 
 
-def test_field_panel_sum_runs_beside_its_signature_pass(field_problem, monkeypatch):
+def test_field_panel_sum_runs_beside_its_signature_pass(field_problem, pools, monkeypatch):
     # the panel sum's row tasks are on the pool before the calling thread
     # starts the field's own signature pass, and all are done on return
     system, pts = field_problem
     want = evaluate_field(system, pts).values
+    pools.clear()
     seen = []
 
     def signature_sum(*args, _real=bem._signature_sum):
-        seen.append(len(pool.tasks))
+        seen.append(len(pools[-1].tasks))
         return _real(*args)
 
     monkeypatch.setattr(bem, "_signature_sum", signature_sum)
-    with CountingPool(2) as pool:
-        monkeypatch.setattr(bem, "_pool", lambda: pool)
-        grid = evaluate_field(system, pts)
-        pending = [t for t in pool.tasks if not t.done()]
+    grid = evaluate_field(system, pts)
+    (pool,) = pools
+    pending = [t for t in pool.tasks if not t.done()]
     rows = -(-len(pts) // bem._ROW_BLOCK)
     assert rows > 1 and seen == [rows]
     assert grid.metadata["degree"] > system.degree
     assert pending == [] and np.array_equal(grid.values, want)
 
 
-def test_failed_field_leaves_no_pool_task_running(field_problem, monkeypatch):
+def test_failed_field_leaves_no_pool_task_running(field_problem, pools, monkeypatch):
     system, pts = field_problem
 
     def fail(*args):
         raise RuntimeError("signature pass failed")
 
     monkeypatch.setattr(bem, "_signature_sum", fail)
-    with CountingPool(2) as pool:
-        monkeypatch.setattr(bem, "_pool", lambda: pool)
-        with pytest.raises(RuntimeError, match="signature pass failed"):
-            evaluate_field(system, pts)
-        running = [t for t in pool.tasks if not t.done()]
+    with pytest.raises(RuntimeError, match="signature pass failed"):
+        evaluate_field(system, pts)
+    (pool,) = pools
+    running = [t for t in pool.tasks if not t.done()]
     assert running == [] and len(pool.tasks) == -(-len(pts) // bem._ROW_BLOCK)
+
+
+def test_failed_row_task_reaches_the_caller(pooled_problem, field_problem, pools, monkeypatch):
+    # a row task of the free block raises, in assemble and in the field's
+    # panel sum: its own error reaches the caller, and no task of the
+    # call's pool is left queued or running
+    mesh, domain, config = pooled_problem
+    system, pts = field_problem
+
+    def fail(*args):
+        raise RuntimeError("row task failed")
+
+    monkeypatch.setattr(bem, "_single_layer_bare", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="row task failed"):
+            assemble(mesh, domain, config)
+        with pytest.raises(RuntimeError, match="row task failed"):
+            evaluate_field(system, pts)
+    assert len(pools) == 2
+    for pool in pools:
+        assert len(pool.tasks) > 1 and all(t.done() for t in pool.tasks)
 
 
 def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog):
@@ -972,24 +1008,24 @@ def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog
     v = np.sin(np.arange(len(mesh)))
     runs = []
     for workers in (1, 3):
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(bem, "_pool", lambda pool=pool: pool)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                system = assemble(mesh, domain, config)
-            assert f" workers={workers} " in caplog.records[-1].getMessage()
-            set_point_source_rhs(system, source)
-            direct = solve(system)
-            field = evaluate_field(system, pts, source=source).values
-            kernel_off = truncated_system(system)
-            set_point_source_rhs(kernel_off, source)
-            truncated = solve(kernel_off)
-            system.config = BemConfig(p=config.p, solver="iterative")
-            iterative = solve(system)
-            runs.append((
-                system.free_matrix, system.rfac, system.sfac,
-                apply_operator(system, v), direct, iterative, field, truncated,
-            ))
+        # every pool takes its worker count from the CPUs the process may use
+        monkeypatch.setattr(bem.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = assemble(mesh, domain, config)
+        assert f" workers={workers} " in caplog.records[-1].getMessage()
+        set_point_source_rhs(system, source)
+        direct = solve(system)
+        field = evaluate_field(system, pts, source=source).values
+        kernel_off = truncated_system(system)
+        set_point_source_rhs(kernel_off, source)
+        truncated = solve(kernel_off)
+        system.config = BemConfig(p=config.p, solver="iterative")
+        iterative = solve(system)
+        runs.append((
+            system.free_matrix, system.rfac, system.sfac,
+            apply_operator(system, v), direct, iterative, field, truncated,
+        ))
     for first, second in zip(*runs):
         assert np.array_equal(first, second)
 
@@ -1040,23 +1076,49 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
 _HYGIENE_SCRIPT = """
 import os, sys, threading, time, warnings
 import groundbem
-assert threading.active_count() == 1, threading.enumerate()
 from groundbem import bem
 from groundbem.surface_mesh import DomainSpec, make_bump_dip_mesh
+
+def no_thread_left():
+    # importing starts no thread, and no call leaves one behind
+    assert threading.active_count() == 1, threading.enumerate()
+
+no_thread_left()
 warnings.simplefilter("ignore")
 mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
 first = bem.assemble(mesh, domain, config).free_matrix
-assert threading.active_count() > 1
+no_thread_left()
 # fork right after a direct solve, which made the operator's LU
 system = bem.assemble(mesh, domain, config)
 bem.set_point_source_rhs(system, (0.0, 0.0, 1.5))
 bem.solve(system)
+no_thread_left()
+bem.evaluate_field(system, [(0.5, 0.0, 1.0)])
+no_thread_left()
+
+def fail(*args):
+    raise RuntimeError("failed")
+
+for name, call in [
+    ("_single_layer_bare", lambda: bem.assemble(mesh, domain, config)),
+    ("apply_ground_kernel", lambda: bem.solve(system)),
+    ("_single_layer_bare", lambda: bem.evaluate_field(system, [(0.5, 0.0, 1.0)])),
+]:
+    real = getattr(bem, name)
+    setattr(bem, name, fail)
+    try:
+        call()
+    except RuntimeError:
+        pass
+    else:
+        raise AssertionError(name)
+    setattr(bem, name, real)
+    no_thread_left()
 pid = os.fork()
 if pid == 0:
-    # the child inherits the LU and the pool object but none of the
-    # threads: it solves without a new LU, and assembles on a pool of its
-    # own
+    # the child inherits the LU: it solves without a new LU, and assembles
+    # the same block as the parent
     names, funcs = [], bem.sla.get_lapack_funcs
     bem.sla.get_lapack_funcs = lambda n, *a, **k: (names.extend(n), funcs(n, *a, **k))[1]
     ok = bem.solve(system).shape == (len(mesh),)

@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groundbem import cli
-from groundbem.blas import blas_thread_counts, blas_threads
+from groundbem import blas
+from groundbem.blas import blas_thread_counts, one_blas_thread
 from groundbem.cli import main
 from groundbem.errors import GroundBemError
 from groundbem.ground_kernel import KernelConfig, kernel_series
@@ -233,6 +235,17 @@ def test_experiment_bad_flags_are_usage_errors(args, disc_mesh, tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("kind, flag", [
+    ("dip", "--r0"), ("dip", "--radius"), ("bump", "--radius"),
+    ("sphere", "--r0"), ("sphere", "--re"), ("disc", "--r0"), ("disc", "--re"),
+])
+def test_mesh_flags_the_kind_does_not_take_are_usage_errors(kind, flag, tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    assert run_cli("mesh", "--kind", kind, flag, "2", "--out", str(out)) == 1
+    assert f"mesh --kind {kind} takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_accuracy_map_deterministic_csv(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -258,45 +271,30 @@ def test_experiment_bump_tiny(tmp_path, capsys):
     assert "bump_seed0_fields.csv" in out or (tmp_path / "bump_seed0_fields.csv").exists()
 
 
-def test_threads_caps_every_openblas_and_restores(monkeypatch, capsys):
-    # OpenBLAS reads OPENBLAS_NUM_THREADS only when it is loaded, so the cap
-    # has to reach the already-loaded libraries (numpy's and scipy's).
-    seen = []
-    real = cli._cmd_kernel
-
-    def spy(args):
-        seen.append(blas_thread_counts())
-        return real(args)
-
-    monkeypatch.setattr(cli, "_cmd_kernel", spy)
-    with blas_threads(2) as before:
-        assert run_cli("--threads", "1", "kernel", "--y", "0,0,0",
-                       "--x", "0.2,0,0.3") == 0
-        after = blas_thread_counts()
-    capsys.readouterr()
-    assert before
-    assert seen == [dict.fromkeys(before, 1)]
-    assert after == before
-
-
 def test_caps_held_at_once_combine_and_restore_out_of_order():
-    # callers on several threads may hold caps at once, which need not end
-    # in the order they began: the smallest in force applies, and the last
-    # to end restores the counts from before the first
-    before = blas_thread_counts()
-    outer = blas_threads(3)
-    inner = blas_threads(1)
-    assert dict.fromkeys(before, 3) == outer.__enter__()
-    assert dict.fromkeys(before, 1) == inner.__enter__()
-    outer.__exit__(None, None, None)
-    assert blas_thread_counts() == dict.fromkeys(before, 1)
-    inner.__exit__(None, None, None)
-    assert blas_thread_counts() == before
-
-
-def test_threads_below_one_is_usage_error():
-    assert run_cli("--threads", "0", "kernel", "--y", "0,0,0",
-                   "--x", "0.2,0,0.3") == 1
+    # callers on two threads hold one-thread caps at once, and the first
+    # to begin ends first: the count stays at one until the last ends,
+    # which restores the counts from before the first.  Every loaded
+    # OpenBLAS (numpy's and scipy's) starts at two threads here, so the
+    # restore shows.
+    controls = blas._controls()
+    start = blas_thread_counts()
+    assert start
+    for _, set_ in controls.values():
+        set_(2)
+    try:
+        before = blas_thread_counts()
+        first, second = one_blas_thread(), one_blas_thread()
+        with ThreadPoolExecutor(1) as other:
+            assert other.submit(first.__enter__).result(timeout=10) == dict.fromkeys(before, 1)
+            assert second.__enter__() == dict.fromkeys(before, 1)
+            other.submit(first.__exit__, None, None, None).result(timeout=10)
+            assert blas_thread_counts() == dict.fromkeys(before, 1)
+        second.__exit__(None, None, None)
+        assert blas_thread_counts() == before
+    finally:
+        for path, (_, set_) in controls.items():
+            set_(start[path])
 
 
 def test_console_entry_point():
