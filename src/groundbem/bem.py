@@ -6,9 +6,9 @@ collocation at panel centroids.  The system operator has two parts:
 * the mesh's free-space operator, shared by the systems on that mesh: a
   dense block of analytic single-layer integrals for panels within the
   near-field radius of a collocation point (always for the self term),
-  centroid monopole approximation beyond it, and the block's LU, which
-  the first direct solve of a system on the mesh makes and the operator
-  holds from then on;
+  centroid monopole approximation beyond it, and a sparse LU of the
+  block's entries between nearby panels, which the first solve of a
+  system on the mesh makes and the operator holds from then on;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -25,17 +25,16 @@ blocks hold more than ``prescribed_eps`` of the term; the field takes it
 at its own points.  A point the caller gives keeps its signature at the
 cap and contributes its first q columns.
 
-The solve never forms the kernel term as a matrix: both solvers run lgmres
-on the factored operator, the direct one preconditioned by the operator's
-LU of the free block.  The free block's rows and its matvec run on a pool
-that each public call makes for itself (``_pool``), and ``assemble`` and
-``solve`` each hold one cap of one BLAS thread for the whole call.
+The solve never forms the kernel term as a matrix: it runs lgmres on the
+factored operator, preconditioned by the operator's near-field LU.  The
+free block's rows and its matvec run on a pool that each public call
+makes for itself (``_pool``), and ``assemble`` and ``solve`` each hold
+one cap of one BLAS thread for the whole call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import logging
 import math
 import os
@@ -45,8 +44,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy import linalg as sla  # noqa: F401  (unused; bench/tracing.py wraps bem.sla.solve)
+from scipy.sparse.linalg import LinearOperator, SuperLU, lgmres, splu
+from scipy.spatial import cKDTree
 
 from .blas import one_blas_thread
 from .errors import DomainError, SolveError
@@ -224,9 +224,9 @@ class BemConfig:
     radii and ``prescribed_eps``, the target kernel accuracy, which also
     sets the warnings; only a kernel term reads either.
 
-    ``solver`` sets the preconditioner of :func:`solve`'s lgmres:
-    ``direct`` the free block's LU (N^2 more doubles, few matvecs),
-    ``iterative`` none (no LU, more matvecs).
+    ``solver`` is checked to be ``direct`` or ``iterative`` and read by
+    nothing: every system takes :func:`solve`'s one route.  The benchmark's
+    workloads still set it.
     """
 
     p: int = 12
@@ -244,20 +244,19 @@ class BemConfig:
 
 @dataclass(eq=False)
 class FreeOperator:
-    """Free-space operator of one mesh: the dense block ``matrix``, its LU
-    and the matvec.
+    """Free-space operator of one mesh: the dense block ``matrix``, the
+    matvec, and ``near_lu``, the preconditioner of :func:`solve`.
 
-    ``lu`` is ``((lu, piv), info)``, ``info > 0`` marking a zero pivot,
-    made by the first direct solve of any system on the mesh (None until
-    then), of the block's transpose: a plain copy of the block, seen
-    transposed, is Fortran-ordered, so LAPACK factors it in place, and
-    ``lu_solve(..., trans=1)`` solves with the block.  The operator holds
-    it, as large as the block (109 MB at N = 3691), as long as it lives.
+    ``near_lu`` is a ``scipy.sparse.linalg.splu`` factor of the block's
+    entries for the centroid pairs within ``_NEAR_RADIUS`` mean panel
+    diameters, the diagonal among them.  The first solve of any system on
+    the mesh makes it (None until then), and the operator holds it as long
+    as it lives: 54-221 L + U entries a row where measured, not N.
     """
 
     mesh: PanelMesh
     matrix: np.ndarray
-    lu: tuple | None = field(default=None, init=False, repr=False)
+    near_lu: SuperLU | None = field(default=None, init=False, repr=False)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """The block times ``vec``, on a pool in ``_MATVEC_ROWS`` row chunks."""
@@ -420,7 +419,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
     block is built on this call's pool while the calling thread builds the
     kernel factors, all under one cap of one BLAS thread, as the pool has
-    a worker per CPU; its LU is left to the first direct solve.  No pool
+    a worker per CPU; its near-field LU is left to the first solve.  No pool
     task or thread outlives the call, whether it returns or raises.  One
     DEBUG record on the ``groundbem`` logger reports N, S, q, the factors'
     degree ``p`` (0 without a kernel term), the cap, the tail estimate,
@@ -450,8 +449,8 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
 
 
 def truncated_system(system: BemSystem) -> BemSystem:
-    """Plain truncated BEM on the free-space operator (block and LU) of
-    ``system``: its config, no kernel term, a zero right-hand side."""
+    """Plain truncated BEM on the free-space operator (block and near-field
+    LU) of ``system``: its config, no kernel term, a zero right-hand side."""
     return BemSystem(system.operator, None, system.config)
 
 
@@ -483,8 +482,10 @@ def set_point_source_rhs(system: BemSystem, source) -> None:
 
 
 def set_boundary_potential(system: BemSystem, potential) -> None:
-    """Dirichlet data: ``potential`` (callable of points or array) sampled
-    at SURFACE panel centroids, zero on the grounded rows."""
+    """Dirichlet data: ``potential`` (callable of points, or array of one
+    value per SURFACE panel or per panel) sampled at SURFACE panel
+    centroids, zero on the grounded rows, where a per-panel array must be
+    zero too, else :class:`DomainError` is raised."""
     mesh = system.mesh
     rhs = np.zeros(len(mesh))
     on_s = mesh.tags == SURFACE
@@ -494,12 +495,11 @@ def set_boundary_potential(system: BemSystem, potential) -> None:
         )
     else:
         vals = np.asarray(potential, dtype=float)
-        if vals.shape == (len(mesh),):
-            rhs = vals.copy()
-        elif vals.shape == (int(np.sum(on_s)),):
-            rhs[on_s] = vals
-        else:
-            raise DomainError("potential array has wrong length")
+        if vals.shape == (len(mesh),) and not np.any(vals[~on_s]):
+            vals = vals[on_s]
+        if vals.shape != (int(np.sum(on_s)),):
+            raise DomainError("potential array has a wrong length or nonzero grounded rows")
+        rhs[on_s] = vals
     system.rhs = rhs
     system.solution = None
 
@@ -516,52 +516,54 @@ def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     return system.operator.matvec(vec) + apply_ground_kernel(system, vec)
 
 
-# Relative residual every solution must meet, and lgmres's stop without a
-# preconditioner.
+# The near set's radius, in mean panel diameters, and lgmres's stop: of radii
+# 1 to 2 and stops 1e-13 and 1e-14, the fastest pair on both benchmark bumps
+# that keeps a 248-panel bump's solve within 1e-12 (1.6e-13, elementwise) of
+# a dense LU of its whole operator.
+_NEAR_RADIUS = 1.25
+_LGMRES_RTOL = 1e-14
+# Relative residual every solution must meet.
 _SOLVE_RTOL = 1e-10
-# lgmres's stop with the free block's LU as preconditioner.  Stopped at
-# _SOLVE_RTOL its answer is about 5e-12 (relative) from a dense LU of the
-# whole operator; stopped here, within round-off, for at most one more matvec.
-_LU_RTOL = 1e-12
 
 
-def _free_lu(system: BemSystem) -> tuple:
-    """The operator's LU of the free block, ``(lu, piv)``, and the seconds
-    this call spent making it: LAPACK ``getrf`` on the mesh's first direct
-    solve (see :class:`FreeOperator`), under ``solve``'s one BLAS thread, as
-    OpenBLAS's threaded getrf rounds differently.  A zero pivot, which
-    ``getrf`` returns where ``lu_factor`` would warn, raises SolveError."""
-    operator, lu_s = system.operator, 0.0
-    if operator.lu is None:
+def _near_lu(operator: FreeOperator) -> tuple:
+    """The operator's ``near_lu`` (see :class:`FreeOperator`), made on the
+    mesh's first solve, and the seconds this call spent making it.  A zero
+    pivot, which ``splu`` raises as RuntimeError, raises SolveError."""
+    lu_s = 0.0
+    if operator.near_lu is None:
         t0 = time.perf_counter()
-        block_t = operator.matrix.copy().T
-        getrf, = sla.get_lapack_funcs(("getrf",), (block_t,))
-        lu, piv, info = getrf(block_t, overwrite_a=True)
-        operator.lu = (lu, piv), info
-        lu_s = time.perf_counter() - t0
-    free_lu, info = operator.lu
-    if info:
-        raise SolveError(
-            f"direct solve failed: diagonal number {info} of an LU factor is "
-            "exactly zero; singular matrix",
-            condition=operator.condition(),
+        tree = cKDTree(operator.mesh.centroids)
+        # every pair within the radius, the diagonal too, given the block's entries
+        near = tree.sparse_distance_matrix(
+            tree, _NEAR_RADIUS * operator.mesh.mean_diameter, output_type="coo_matrix"
         )
-    return free_lu, lu_s
+        near.data = operator.matrix[near.row, near.col]
+        try:
+            operator.near_lu = splu(near.tocsc())
+        except RuntimeError as exc:
+            raise SolveError(
+                f"near-field preconditioner failed: a pivot of its LU is exactly zero ({exc})",
+                condition=operator.condition(),
+            ) from exc
+        lu_s = time.perf_counter() - t0
+    return operator.near_lu, lu_s
 
 
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
-    Both solvers run lgmres on the factored operator (the N x N kernel
-    product is never formed); its zero start vector is never applied.
-    ``direct`` preconditions it with the operator's LU of the free block,
-    made by the first direct solve on the mesh and kept; ``iterative`` has
-    none.  The LU, lgmres and the residual check hold one BLAS thread, as
-    each matvec has a pool.  If lgmres does not converge, or the relative
-    residual exceeds 1e-10, :class:`SolveError` is raised.  One DEBUG
-    record on the ``groundbem`` logger reports the route, N, S, q, the
-    matvecs lgmres took, the residual, and ``lu_s``, the seconds this call
-    spent factoring the free block (0 unless it made the LU).
+    lgmres runs on the factored operator (the N x N kernel product is never
+    formed), preconditioned by the operator's near-field LU, which the
+    first solve on the mesh makes and the operator keeps; its zero start
+    vector is never applied.  It stops at a relative residual of 1e-14.
+    The factor, lgmres and the residual check hold one BLAS thread, as each
+    matvec has a pool.  If lgmres does not converge, or the relative
+    residual exceeds 1e-10, :class:`SolveError` is raised, carrying the
+    residual reached and the free block's condition number.  One DEBUG
+    record on the ``groundbem`` logger reports N, S, q, the matvecs lgmres
+    took, the residual, and ``lu_s``, the seconds this call spent making
+    the near-field LU (0 unless it made it).
     """
     n = system.size
     rhs = system.rhs
@@ -578,25 +580,23 @@ def solve(system: BemSystem) -> np.ndarray:
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     with one_blas_thread():
-        if system.config.solver == "direct":
-            free_lu, lu_s = _free_lu(system)
-            route, rtol = "lgmres-lu", _LU_RTOL
-            apply_lu = functools.partial(sla.lu_solve, free_lu, trans=1, check_finite=False)
-            precond = LinearOperator((n, n), matvec=apply_lu, dtype=float)
-        else:
-            lu_s, route, rtol, precond = 0.0, "lgmres", _SOLVE_RTOL, None
+        near_lu, lu_s = _near_lu(system.operator)
+        precond = LinearOperator((n, n), matvec=near_lu.solve, dtype=float)
         # a copy, as lgmres hands back a zero right-hand side itself
-        sigma, info = lgmres(op, rhs.copy(), rtol=rtol, atol=0.0, maxiter=2000, M=precond)
-        if info != 0:
-            raise SolveError(f"lgmres did not converge (info = {info})")
+        # maxiter counts outer cycles of up to 31 matvecs; none measured took three
+        sigma, info = lgmres(op, rhs.copy(), rtol=_LGMRES_RTOL, atol=0.0, maxiter=50, M=precond)
         resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (np.linalg.norm(rhs) or 1.0)
     _LOG.debug(
-        "solve route=%s n=%d s=%d q=%d matvecs=%d residual=%.3e lu_s=%.3f",
-        route, n, *system.rfac.shape, matvecs, resid, lu_s,
+        "solve n=%d s=%d q=%d matvecs=%d residual=%.3e lu_s=%.3f",
+        n, *system.rfac.shape, matvecs, resid, lu_s,
     )
-    if not resid <= _SOLVE_RTOL:
+    if info != 0 or not resid <= _SOLVE_RTOL:
+        failure = (
+            f"lgmres did not converge (info = {info})" if info
+            else f"solution residual exceeds {_SOLVE_RTOL:.1e}"
+        )
         raise SolveError(
-            f"solution residual {resid:.3e} exceeds {_SOLVE_RTOL:.1e}",
+            f"{failure}: relative residual {resid:.3e} reached",
             condition=system.operator.condition(),
         )
     system.solution = sigma

@@ -1,9 +1,10 @@
 """One-thread cap for the OpenBLAS libraries loaded into this process.
 
 NumPy and SciPy wheels each ship their own OpenBLAS (NumPy's serves ``@``,
-SciPy's the LU in ``bem``).  OpenBLAS reads ``OPENBLAS_NUM_THREADS``
-only when it is loaded, so once numpy is imported the thread count can be
-changed only through the library's own ``openblas_set_num_threads``.  This
+SciPy's the sparse LU and lgmres in ``bem``).  OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` only when it is loaded, so once numpy is imported
+the thread count can be changed only through the library's own
+``openblas_set_num_threads``.  This
 module finds every loaded OpenBLAS through the process's memory map and
 calls that entry point directly.
 
@@ -29,7 +30,8 @@ _SUFFIXES = ("64_", "")
 
 
 def _loaded_openblas_paths() -> list[str]:
-    # numpy (for ``@``) and scipy.linalg (for the LU) are what load them.
+    # numpy (for ``@``) and scipy.linalg (for the sparse LU and lgmres) are
+    # what load them.
     import numpy  # noqa: F401
     import scipy.linalg  # noqa: F401
 

@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--source", required=True, help="monopole location as x,y,z")
     s.add_argument("--eps", type=float, default=1e-4,
                    help="prescribed kernel accuracy (sets the truncation)")
-    s.add_argument("--solver", choices=("direct", "iterative"), default="direct",
-                   help="lgmres preconditioned by the free block's LU (direct: "
-                        "N^2 more doubles, few matvecs) or by nothing (iterative)")
     s.add_argument("--no-kernel", action="store_true",
                    help="plain truncated BEM: solve without the ground-kernel "
                         "term (no truncation; p is null in the output)")
@@ -205,7 +202,7 @@ def _cmd_solve(args) -> int:
     kernel = {}
     if use_kernel:
         kernel["p"] = xp.choose_truncation(domain.r0, domain.re, args.eps)
-    cfg = BemConfig(solver=args.solver, prescribed_eps=args.eps, **kernel)
+    cfg = BemConfig(prescribed_eps=args.eps, **kernel)
     system = assemble(mesh, domain if use_kernel else None, cfg)
     source = _parse_point(args.source)
     set_point_source_rhs(system, source)
@@ -228,7 +225,6 @@ def _cmd_solve(args) -> int:
             "p": kernel.get("p"),
             "degree": system.degree,
             "eps": args.eps,
-            "solver": args.solver,
             "use_ground_kernel": use_kernel,
             "source": list(source),
         }),

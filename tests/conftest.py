@@ -555,34 +555,18 @@ def oracle_direct_solve(system):
 # ---------------------------------------------------------------------------
 
 
-class LapackSpy:
-    """Stands in for ``scipy.linalg`` as ``groundbem.bem.sla`` and records
-    every LU made by LAPACK ``getrf`` through it, from any thread, as
-    ``(shape, F-ordered, factored in place, the factored array, the BLAS
-    thread counts during the call)``."""
+class SpluSpy:
+    """Stands in for ``scipy.sparse.linalg.splu`` as ``groundbem.bem.splu``
+    and records every sparse LU made through it, from any thread, as
+    ``(the factored matrix, the BLAS thread counts during the call)``."""
 
     def __init__(self, real):
         self._real = real
         self.calls = []
 
-    def __getattr__(self, name):
-        return getattr(self._real, name)
-
-    def get_lapack_funcs(self, names, arrays=(), *args, **kwargs):
-        funcs = self._real.get_lapack_funcs(names, arrays, *args, **kwargs)
-        if tuple(names) != ("getrf",):
-            return funcs
-        (getrf,) = funcs
-
-        def spy(a, *args, **kwargs):
-            counts = blas_thread_counts()
-            lu, piv, info = getrf(a, *args, **kwargs)
-            self.calls.append(
-                (a.shape, a.flags.f_contiguous, np.shares_memory(lu, a), lu, counts)
-            )
-            return lu, piv, info
-
-        return (spy,)
+    def __call__(self, a, *args, **kwargs):
+        self.calls.append((a, blas_thread_counts()))
+        return self._real(a, *args, **kwargs)
 
 
 def green(y, x):

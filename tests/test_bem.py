@@ -42,7 +42,7 @@ from groundbem.surface_mesh import (
 )
 
 from conftest import (
-    LapackSpy,
+    SpluSpy,
     green,
     oracle_direct_solve,
     oracle_free_block_loop,
@@ -255,26 +255,29 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
     assert np.all(got == 0.0)
 
 
-def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
-    # LAPACK overwrites only a Fortran-ordered matrix (any other is copied
-    # first), so the one LU, which the first direct solve makes, must get an
-    # F-ordered copy of the free block (its transpose) and factor it in
-    # place, with one BLAS thread.  The operator keeps its LU: a second
-    # solve and a kernel-off system on the same operator factor nothing.
-    spy = LapackSpy(bem.sla)
-    monkeypatch.setattr(bem, "sla", spy)
+def test_first_solve_factors_the_near_set_once(small_system, monkeypatch):
+    # the first solve makes the one near-field LU, with one BLAS thread: a
+    # sparse matrix whose pattern is every centroid pair within the near
+    # radius (the diagonal among them) and whose values are the free
+    # block's.  The operator keeps it: a second solve and a kernel-off
+    # system on the same operator factor nothing, and the block is unchanged
+    spy = SpluSpy(bem.splu)
+    monkeypatch.setattr(bem, "splu", spy)
     with pytest.warns(UserWarning):
         system = assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
-    n = system.size
+    mesh = system.mesh
     free = system.free_matrix.copy()
     set_point_source_rhs(system, (0.0, 0.0, 1.5))
     first = solve(system)
-    assert len(spy.calls) == 1
-    (shape, f_ordered, in_place, lu, counts), = spy.calls
-    assert (shape, f_ordered, in_place) == ((n, n), True, True)
-    assert not np.shares_memory(lu, system.free_matrix)
+    ((near, counts),) = spy.calls
+    assert near.format == "csc" and near.shape == free.shape
+    dist = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids[None, :], axis=-1)
+    rows, cols = np.nonzero(dist <= bem._NEAR_RADIUS * mesh.mean_diameter)
+    coo = near.tocoo()
+    assert sorted(zip(coo.row, coo.col)) == sorted(zip(rows, cols))
+    assert np.array_equal(coo.data, free[coo.row, coo.col])
     assert counts and set(counts.values()) == {1}
-    assert np.array_equal(system.free_matrix, free)
+    assert system.operator.near_lu is not None
 
     del spy.calls[:]
     assert np.array_equal(solve(system), first)
@@ -287,11 +290,10 @@ def test_direct_solve_factors_a_fortran_ordered_copy(small_system, monkeypatch):
 
 
 def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
-    # assemble makes no LU for either solver and builds the same system;
-    # the first direct solve makes the LU, so an iterative system switched
-    # to the direct route matches one assembled for it bit for bit
-    spy = LapackSpy(bem.sla)
-    monkeypatch.setattr(bem, "sla", spy)
+    # assemble makes no near-field LU for either solver value and builds
+    # the same system; the first solve on each operator makes its one LU
+    spy = SpluSpy(bem.splu)
+    monkeypatch.setattr(bem, "splu", spy)
     mesh, domain, source = small_system.mesh, small_system.domain, (0.0, 0.0, 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -300,15 +302,12 @@ def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
     assert spy.calls == []
     for name in ("free_matrix", "rfac", "sfac"):
         assert np.array_equal(getattr(system, name), getattr(direct, name))
-    assert system.operator.lu is None and direct.operator.lu is None
-    set_point_source_rhs(system, source)
-    solve(system)
-    assert spy.calls == []
-    system.config = BemConfig(p=12)
-    lazy = solve(system)
-    assert len(spy.calls) == 1 and spy.calls[0][0] == (system.size, system.size)
-    set_point_source_rhs(direct, source)
-    assert np.array_equal(solve(direct), lazy)
+    assert system.operator.near_lu is None and direct.operator.near_lu is None
+    for made, each in enumerate((system, direct), start=1):
+        set_point_source_rhs(each, source)
+        solve(each)
+        solve(each)
+        assert len(spy.calls) == made and each.operator.near_lu is not None
 
 
 @pytest.fixture(scope="module")
@@ -324,8 +323,8 @@ def p4_system():
 @pytest.fixture(scope="module")
 def dip_system():
     # the dip study's closest extension, ratio 1.1 with p = 97 for 1e-4:
-    # thousands of kernel columns, the most the LU-preconditioned lgmres
-    # has to make up for
+    # thousands of kernel columns, the most the near-field preconditioner
+    # leaves lgmres to make up for
     mesh = make_bump_dip_mesh(-1, r0=1.0, re=1.1, target_edge=0.11)
     system = assemble(mesh, DomainSpec(r0=1.0, re=1.1), BemConfig(p=97))
     set_point_source_rhs(system, (0.0, 0.0, 0.5))
@@ -350,10 +349,10 @@ def test_direct_solve_is_deterministic(dip_system):
     assert np.array_equal(solve(dip_system), first)
 
 
-def test_solve_logs_route_matvecs_and_residual(small_system, dip_system, solved_disc, caplog):
-    # preconditioned by the free block's LU, lgmres makes up the kernel
-    # term in a few matvecs, even the dip's thousands of columns (6, 9 and
-    # 3 when measured)
+def test_solve_logs_sizes_matvecs_and_residual(small_system, dip_system, solved_disc, caplog):
+    # preconditioned by the near-field LU, lgmres reaches its 1e-14 stop in
+    # a few dozen matvecs, even with the dip's thousands of kernel columns
+    # (29, 31 and 31 when measured)
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     caplog.set_level(logging.DEBUG, logger="groundbem")
     systems = (small_system, dip_system, solved_disc)
@@ -366,11 +365,34 @@ def test_solve_logs_route_matvecs_and_residual(small_system, dip_system, solved_
         words = record.getMessage().split()
         assert words[0] == "solve"
         fields = dict(w.split("=") for w in words[1:])
+        assert set(fields) == {"n", "s", "q", "matvecs", "residual", "lu_s"}
         s, q = system.rfac.shape
-        assert fields["route"] == "lgmres-lu"
         assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (system.size, s, q)
-        assert 1 <= int(fields["matvecs"]) <= 12
-        assert float(fields["residual"]) <= 1e-10
+        assert 1 <= int(fields["matvecs"]) <= 45
+        assert float(fields["residual"]) <= 1e-14
+
+
+def test_near_factor_stays_sparse(dip_system):
+    # the factor's fill stays a bounded number of entries a row (131 on the
+    # dip when measured), where a dense LU holds N
+    solve(dip_system)
+    lu = dip_system.operator.near_lu
+    assert lu.L.nnz + lu.U.nnz < 200 * dip_system.size
+
+
+def test_unconverged_lgmres_raises_with_residual_and_condition(small_system, monkeypatch):
+    # lgmres stopping short of its 1e-14 stop is a failure, reported like a
+    # residual over 1e-10: with the residual reached and the condition number
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+
+    def short(*args, _real=bem.lgmres, **kwargs):
+        sigma, _ = _real(*args, **kwargs)
+        return sigma, 5
+
+    monkeypatch.setattr(bem, "lgmres", short)
+    with pytest.raises(SolveError, match=r"info = 5\): relative residual \d\.\d{3}e-\d+ reached") as exc:
+        solve(small_system)
+    assert exc.value.condition == small_system.operator.condition() > 1.0
 
 
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
@@ -536,14 +558,14 @@ def test_solve_residual_contract(small_system):
 
 
 def test_iterative_matches_direct(small_system):
+    # solve reads no solver value: both give the same solution, bit for bit
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     direct = solve(small_system)
     it_cfg = BemConfig(p=12, solver="iterative")
     with pytest.warns(UserWarning):
         it_sys = assemble(small_system.mesh, small_system.domain, it_cfg)
     set_point_source_rhs(it_sys, (0.0, 0.0, 1.5))
-    iterative = solve(it_sys)
-    assert np.linalg.norm(iterative - direct) / np.linalg.norm(direct) < 1e-7
+    assert np.array_equal(solve(it_sys), direct)
 
 
 def test_flat_disc_matches_image_charge_density():
@@ -563,8 +585,8 @@ def test_singular_system_raises_solve_error():
     # two coincident panels give identical collocation rows
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = PanelMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]), np.array([GROUND, GROUND]))
-    # a zero pivot must surface as SolveError, not as a LinAlgWarning, also
-    # from the LU that assemble starts on the pool
+    # a zero pivot of the near-field LU must surface as SolveError, not as
+    # a LinAlgWarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         system = assemble(mesh, None, BemConfig())
@@ -600,6 +622,13 @@ def test_boundary_potential_rhs(small_system):
     assert np.all(small_system.rhs[~on_s] == 0.0)
     with pytest.raises(DomainError):
         set_boundary_potential(small_system, np.ones(3))
+    # one value per panel: the grounded rows must be zero, as the callable
+    # and the SURFACE-only array leave them
+    full = np.where(on_s, 2.0, 0.0)
+    set_boundary_potential(small_system, full)
+    assert np.array_equal(small_system.rhs, full)
+    with pytest.raises(DomainError, match="grounded"):
+        set_boundary_potential(small_system, np.ones(small_system.size))
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +797,18 @@ def bench_modules():
     return tracing, worker
 
 
+def test_bench_workloads_set_up(bench_modules):
+    # every benchmark workload sets up from src/ as it stands (config
+    # fields, mesh and study helpers), so a change that would stop the
+    # benchmark fails here first; no operation runs
+    _, worker = bench_modules
+    for make in worker.WORKLOADS.values():
+        workload = make(1)
+        workload.setup()
+        assert isinstance(workload.config, BemConfig) and len(workload.mesh) > 1000
+        assert workload.exact.shape == (len(workload.points),)
+
+
 def test_bench_reads_solved_system(small_system, bench_modules):
     _, worker = bench_modules
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
@@ -871,8 +912,9 @@ def pools(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
 def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools):
-    # for either solver assemble submits the free block's row tasks only,
-    # to one pool, makes no LU, and leaves no task queued or running
+    # for either solver value assemble submits the free block's row tasks
+    # only, to one pool, makes no near-field LU, and leaves no task queued
+    # or running
     mesh, domain, config = pooled_problem
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -880,7 +922,7 @@ def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools):
     (pool,) = pools
     pending = [t for t in pool.tasks if not t.done()]
     assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
-    assert system.operator.lu is None
+    assert system.operator.near_lu is None
 
 
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
@@ -902,9 +944,9 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, poo
 
 
 def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
-    # lu_s is what solve itself spent factoring the free block: the whole
-    # LU in the first direct solve on the mesh; nothing in a second solve,
-    # in the truncated system on the same operator, nor on the lgmres route
+    # lu_s is what solve itself spent making the near-field LU: all of it in
+    # the first solve on the mesh; nothing in a second solve, in the
+    # truncated system on the same operator, nor with the other solver value
     mesh, domain, config = pooled_problem
     source = (0.0, 0.0, 1.5)
     with warnings.catch_warnings():
@@ -923,7 +965,7 @@ def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
         dict(w.split("=") for w in r.getMessage().split()[1:])
         for r in caplog.records if r.name == "groundbem"
     ]
-    assert [f["route"] for f in fields] == ["lgmres-lu"] * 3 + ["lgmres"]
+    assert len(fields) == 4
     assert float(fields[0]["lu_s"]) > 0.0
     assert [float(f["lu_s"]) for f in fields[1:]] == [0.0, 0.0, 0.0]
 
@@ -1049,7 +1091,7 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with tracer.installed(), tracer.span("bench", "operation"):
-            # the direct route's LU is made by its solve on the calling thread
+            # each system's near-field LU is made by its solve on the calling thread
             for solver in ("iterative", "direct"):
                 config = BemConfig(p=12, solver=solver)
                 system = bem.assemble(small_system.mesh, small_system.domain, config)
@@ -1089,7 +1131,7 @@ mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
 first = bem.assemble(mesh, domain, config).free_matrix
 no_thread_left()
-# fork right after a direct solve, which made the operator's LU
+# fork right after a solve, which made the operator's near-field LU
 system = bem.assemble(mesh, domain, config)
 bem.set_point_source_rhs(system, (0.0, 0.0, 1.5))
 bem.solve(system)
@@ -1117,12 +1159,10 @@ for name, call in [
     no_thread_left()
 pid = os.fork()
 if pid == 0:
-    # the child inherits the LU: it solves without a new LU, and assembles
-    # the same block as the parent
-    names, funcs = [], bem.sla.get_lapack_funcs
-    bem.sla.get_lapack_funcs = lambda n, *a, **k: (names.extend(n), funcs(n, *a, **k))[1]
+    # the child inherits the near-field LU: it solves without making one,
+    # and assembles the same block as the parent
+    bem.splu = fail
     ok = bem.solve(system).shape == (len(mesh),)
-    ok = ok and "getrf" not in names
     ok = ok and bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
     os._exit(0 if ok else 1)
 assert os.waitpid(pid, 0)[1] == 0

@@ -28,7 +28,7 @@ from groundbem.experiments import (
     write_report,
 )
 
-from conftest import LapackSpy, green
+from conftest import SpluSpy, green
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +372,11 @@ def test_bump_error_decreases_under_refinement(tiny_bump):
 ], ids=["bump", "dip"])
 def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, monkeypatch):
     # the kernel and truncated systems of one mesh share its free block and
-    # LU; the truncated field equals that of a separately assembled
-    # kernel-off system bit for bit
+    # near-field LU, each made once; the truncated field equals that of a
+    # separately assembled kernel-off system bit for bit
     built, truncated = [], []
     real_block, real_field = bem._free_block, experiments.evaluate_field
-    sla = LapackSpy(bem.sla)
+    splu = SpluSpy(bem.splu)
 
     def free_block(mesh, points, pool):
         if points is mesh.centroids:
@@ -391,16 +391,13 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
 
     with monkeypatch.context() as m:
         m.setattr(bem, "_free_block", free_block)
-        m.setattr(bem, "sla", sla)
+        m.setattr(bem, "splu", splu)
         m.setattr(experiments, "evaluate_field", field)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             study(**kwargs)
     assert len(built) == meshes and len({id(mesh) for mesh in built}) == meshes
-    factored = [shape for shape, *_ in sla.calls]
-    assert sorted(n for n, _ in factored if n in {len(mesh) for mesh in built}) == sorted(
-        len(mesh) for mesh in built
-    )
+    assert sorted(near.shape[0] for near, _ in splu.calls) == sorted(len(mesh) for mesh in built)
     assert len(truncated) == meshes - 1
     for mesh, points, source, values in truncated:
         reference = assemble(mesh, None, BemConfig())
