@@ -7,8 +7,8 @@ collocation at panel centroids.  The system operator has two parts:
   dense block of analytic single-layer integrals for panels within the
   near-field radius of a collocation point (always for the self term),
   centroid monopole approximation beyond it, and a sparse LU of the
-  block's entries between nearby panels, which the first solve of a
-  system on the mesh makes and the operator holds from then on;
+  block's entries between nearby panels, both made by ``assemble`` and
+  never changed after;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -26,10 +26,10 @@ at its own points.  A point the caller gives keeps its signature at the
 cap and contributes its first q columns.
 
 The solve never forms the kernel term as a matrix: it runs lgmres on the
-factored operator, preconditioned by the operator's near-field LU.  The
-free block's rows and its matvec run on a pool that each public call
-makes for itself (``_pool``), and ``assemble`` and ``solve`` each hold
-one cap of one BLAS thread for the whole call.
+factored operator, preconditioned by the operator's near-field LU, and
+factors nothing itself.  The free block's rows and its matvec run on a
+pool that each public call makes for itself (``_pool``), and ``assemble``
+and ``solve`` each hold one cap of one BLAS thread for the whole call.
 """
 
 from __future__ import annotations
@@ -242,21 +242,21 @@ class BemConfig:
             raise DomainError("prescribed_eps must lie in (0, 1)")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FreeOperator:
     """Free-space operator of one mesh: the dense block ``matrix``, the
     matvec, and ``near_lu``, the preconditioner of :func:`solve`.
 
     ``near_lu`` is a ``scipy.sparse.linalg.splu`` factor of the block's
     entries for the centroid pairs within ``_NEAR_RADIUS`` mean panel
-    diameters, the diagonal among them.  The first solve of any system on
-    the mesh makes it (None until then), and the operator holds it as long
-    as it lives: 54-221 L + U entries a row where measured, not N.
+    diameters, the diagonal among them (``_near_lu``): 54-221 L + U
+    entries a row where measured, not N.  :func:`assemble` makes both, and
+    nothing changes them after, so systems on any thread may share them.
     """
 
     mesh: PanelMesh
     matrix: np.ndarray
-    near_lu: SuperLU | None = field(default=None, init=False, repr=False)
+    near_lu: SuperLU = field(repr=False)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """The block times ``vec``, on a pool in ``_MATVEC_ROWS`` row chunks."""
@@ -270,9 +270,38 @@ class FreeOperator:
                 t.result()
         return out
 
-    def condition(self) -> float | None:
-        """Condition number for a failure report; None above 2000 panels."""
-        return float(np.linalg.cond(self.matrix)) if len(self.mesh) <= 2000 else None
+
+# The near set's radius, in mean panel diameters, and lgmres's stop: of radii
+# 1 to 2 and stops 1e-13 and 1e-14, the fastest pair on both benchmark bumps
+# that keeps a 248-panel bump's solve within 1e-12 (1.6e-13, elementwise) of
+# a dense LU of its whole operator.
+_NEAR_RADIUS = 1.25
+_LGMRES_RTOL = 1e-14
+# Relative residual every solution must meet.
+_SOLVE_RTOL = 1e-10
+
+
+def _condition(matrix: np.ndarray) -> float | None:
+    """Condition number for a failure report; None above 2000 panels."""
+    return float(np.linalg.cond(matrix)) if len(matrix) <= 2000 else None
+
+
+def _near_lu(mesh: PanelMesh, matrix: np.ndarray) -> SuperLU:
+    """``near_lu`` of the free block ``matrix`` (see :class:`FreeOperator`).
+    A zero pivot, which ``splu`` raises as RuntimeError, raises SolveError."""
+    tree = cKDTree(mesh.centroids)
+    # every pair within the radius, the diagonal too, given the block's entries
+    near = tree.sparse_distance_matrix(
+        tree, _NEAR_RADIUS * mesh.mean_diameter, output_type="coo_matrix"
+    )
+    near.data = matrix[near.row, near.col]
+    try:
+        return splu(near.tocsc())
+    except RuntimeError as exc:
+        raise SolveError(
+            f"near-field preconditioner failed: a pivot of its LU is exactly zero ({exc})",
+            condition=_condition(matrix),
+        ) from exc
 
 
 @dataclass
@@ -418,14 +447,15 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     ``_kernel_factors``), at most ``config.p``.
     ``domain=None`` builds no kernel term (plain truncated BEM).  The free
     block is built on this call's pool while the calling thread builds the
-    kernel factors, all under one cap of one BLAS thread, as the pool has
-    a worker per CPU; its near-field LU is left to the first solve.  No pool
-    task or thread outlives the call, whether it returns or raises.  One
-    DEBUG record on the ``groundbem`` logger reports N, S, q, the factors'
-    degree ``p`` (0 without a kernel term), the cap, the tail estimate,
-    the pool's worker count, the seconds of the free block and of the
-    kernel factors, and ``wait_s``, the seconds ``assemble`` blocked on
-    the pool after the kernel factors.
+    kernel factors and then the block's near-field LU (a zero pivot raises
+    :class:`SolveError`), all under one cap of one BLAS thread, as the pool
+    has a worker per CPU.  No pool task or thread outlives the call,
+    whether it returns or raises.  One DEBUG record on the ``groundbem``
+    logger reports N, S, q, the factors' degree ``p`` (0 without a kernel
+    term), the cap, the tail estimate, the pool's worker count, the
+    seconds of the free block and of the kernel factors, ``wait_s``, the
+    seconds ``assemble`` blocked on the pool after the kernel factors, and
+    ``lu_s``, the seconds of the near-field LU.
     """
     with one_blas_thread(), _pool() as (pool, workers):
         # The free block's row tasks run on the pool while this thread
@@ -437,20 +467,22 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
             kernel, tail = _kernel_factors(mesh, domain, config)
         kernel_s = time.perf_counter() - t_start
         done = [t.result() for t in tasks]
-        wait_s = time.perf_counter() - t_start - kernel_s
-    system = BemSystem(FreeOperator(mesh, a), domain, config, **kernel)
+        t_lu = time.perf_counter()
+        near_lu = _near_lu(mesh, a)
+        lu_s = time.perf_counter() - t_lu
+    system = BemSystem(FreeOperator(mesh, a, near_lu), domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
-        "kernel_s=%.3f wait_s=%.3f",
+        "kernel_s=%.3f wait_s=%.3f lu_s=%.3f",
         len(mesh), *system.rfac.shape, system.degree or 0, config.p, tail,
-        workers, max(done) - t_start, kernel_s, wait_s,
+        workers, max(done) - t_start, kernel_s, t_lu - t_start - kernel_s, lu_s,
     )
     return system
 
 
 def truncated_system(system: BemSystem) -> BemSystem:
-    """Plain truncated BEM on the free-space operator (block and near-field
-    LU) of ``system``: its config, no kernel term, a zero right-hand side."""
+    """Plain truncated BEM on ``system``'s free-space operator, block and
+    near-field LU as made: its config, no kernel term, a zero right-hand side."""
     return BemSystem(system.operator, None, system.config)
 
 
@@ -516,54 +548,18 @@ def apply_operator(system: BemSystem, vec: np.ndarray) -> np.ndarray:
     return system.operator.matvec(vec) + apply_ground_kernel(system, vec)
 
 
-# The near set's radius, in mean panel diameters, and lgmres's stop: of radii
-# 1 to 2 and stops 1e-13 and 1e-14, the fastest pair on both benchmark bumps
-# that keeps a 248-panel bump's solve within 1e-12 (1.6e-13, elementwise) of
-# a dense LU of its whole operator.
-_NEAR_RADIUS = 1.25
-_LGMRES_RTOL = 1e-14
-# Relative residual every solution must meet.
-_SOLVE_RTOL = 1e-10
-
-
-def _near_lu(operator: FreeOperator) -> tuple:
-    """The operator's ``near_lu`` (see :class:`FreeOperator`), made on the
-    mesh's first solve, and the seconds this call spent making it.  A zero
-    pivot, which ``splu`` raises as RuntimeError, raises SolveError."""
-    lu_s = 0.0
-    if operator.near_lu is None:
-        t0 = time.perf_counter()
-        tree = cKDTree(operator.mesh.centroids)
-        # every pair within the radius, the diagonal too, given the block's entries
-        near = tree.sparse_distance_matrix(
-            tree, _NEAR_RADIUS * operator.mesh.mean_diameter, output_type="coo_matrix"
-        )
-        near.data = operator.matrix[near.row, near.col]
-        try:
-            operator.near_lu = splu(near.tocsc())
-        except RuntimeError as exc:
-            raise SolveError(
-                f"near-field preconditioner failed: a pivot of its LU is exactly zero ({exc})",
-                condition=operator.condition(),
-            ) from exc
-        lu_s = time.perf_counter() - t0
-    return operator.near_lu, lu_s
-
-
 def solve(system: BemSystem) -> np.ndarray:
     """Solve for the panel charge density.
 
     lgmres runs on the factored operator (the N x N kernel product is never
-    formed), preconditioned by the operator's near-field LU, which the
-    first solve on the mesh makes and the operator keeps; its zero start
-    vector is never applied.  It stops at a relative residual of 1e-14.
-    The factor, lgmres and the residual check hold one BLAS thread, as each
-    matvec has a pool.  If lgmres does not converge, or the relative
-    residual exceeds 1e-10, :class:`SolveError` is raised, carrying the
-    residual reached and the free block's condition number.  One DEBUG
-    record on the ``groundbem`` logger reports N, S, q, the matvecs lgmres
-    took, the residual, and ``lu_s``, the seconds this call spent making
-    the near-field LU (0 unless it made it).
+    formed), preconditioned by the operator's near-field LU, which
+    ``assemble`` made; its zero start vector is never applied.  It stops at
+    a relative residual of 1e-14.  lgmres and the residual check hold one
+    BLAS thread, as each matvec has a pool.  If lgmres does not converge,
+    or the relative residual exceeds 1e-10, :class:`SolveError` is raised,
+    carrying the residual reached and the free block's condition number.
+    One DEBUG record on the ``groundbem`` logger reports N, S, q, the
+    matvecs lgmres took and the residual.
     """
     n = system.size
     rhs = system.rhs
@@ -579,16 +575,14 @@ def solve(system: BemSystem) -> np.ndarray:
         return apply_operator(system, v)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    precond = LinearOperator((n, n), matvec=system.operator.near_lu.solve, dtype=float)
     with one_blas_thread():
-        near_lu, lu_s = _near_lu(system.operator)
-        precond = LinearOperator((n, n), matvec=near_lu.solve, dtype=float)
         # a copy, as lgmres hands back a zero right-hand side itself
         # maxiter counts outer cycles of up to 31 matvecs; none measured took three
         sigma, info = lgmres(op, rhs.copy(), rtol=_LGMRES_RTOL, atol=0.0, maxiter=50, M=precond)
         resid = np.linalg.norm(apply_operator(system, sigma) - rhs) / (np.linalg.norm(rhs) or 1.0)
     _LOG.debug(
-        "solve n=%d s=%d q=%d matvecs=%d residual=%.3e lu_s=%.3f",
-        n, *system.rfac.shape, matvecs, resid, lu_s,
+        "solve n=%d s=%d q=%d matvecs=%d residual=%.3e", n, *system.rfac.shape, matvecs, resid
     )
     if info != 0 or not resid <= _SOLVE_RTOL:
         failure = (
@@ -597,7 +591,7 @@ def solve(system: BemSystem) -> np.ndarray:
         )
         raise SolveError(
             f"{failure}: relative residual {resid:.3e} reached",
-            condition=system.operator.condition(),
+            condition=_condition(system.free_matrix),
         )
     system.solution = sigma
     return sigma

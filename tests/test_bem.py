@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -27,6 +28,7 @@ from groundbem.bem import (
     triangle_single_layer,
     truncated_system,
 )
+from groundbem.blas import blas_thread_counts
 from groundbem.errors import DomainError, SolveError
 from groundbem.experiments import analytic_bump_potential, choose_truncation, field_grid
 from groundbem.ground_kernel import KernelConfig, kernel_integral, receiver_harmonics
@@ -255,11 +257,11 @@ def test_kernel_off_system_has_no_kernel_rows(solved_disc, rng):
     assert np.all(got == 0.0)
 
 
-def test_first_solve_factors_the_near_set_once(small_system, monkeypatch):
-    # the first solve makes the one near-field LU, with one BLAS thread: a
-    # sparse matrix whose pattern is every centroid pair within the near
-    # radius (the diagonal among them) and whose values are the free
-    # block's.  The operator keeps it: a second solve and a kernel-off
+def test_assemble_factors_the_near_set_once(small_system, monkeypatch):
+    # assemble makes the one near-field LU, with one BLAS thread: a sparse
+    # matrix whose pattern is every centroid pair within the near radius
+    # (the diagonal among them) and whose values are the free block's.  The
+    # operator is frozen with it: a first and a second solve and a kernel-off
     # system on the same operator factor nothing, and the block is unchanged
     spy = SpluSpy(bem.splu)
     monkeypatch.setattr(bem, "splu", spy)
@@ -267,8 +269,6 @@ def test_first_solve_factors_the_near_set_once(small_system, monkeypatch):
         system = assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
     mesh = system.mesh
     free = system.free_matrix.copy()
-    set_point_source_rhs(system, (0.0, 0.0, 1.5))
-    first = solve(system)
     ((near, counts),) = spy.calls
     assert near.format == "csc" and near.shape == free.shape
     dist = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids[None, :], axis=-1)
@@ -277,9 +277,12 @@ def test_first_solve_factors_the_near_set_once(small_system, monkeypatch):
     assert sorted(zip(coo.row, coo.col)) == sorted(zip(rows, cols))
     assert np.array_equal(coo.data, free[coo.row, coo.col])
     assert counts and set(counts.values()) == {1}
-    assert system.operator.near_lu is not None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.operator.near_lu = None
 
     del spy.calls[:]
+    set_point_source_rhs(system, (0.0, 0.0, 1.5))
+    first = solve(system)
     assert np.array_equal(solve(system), first)
     truncated = truncated_system(system)
     assert truncated.operator is system.operator
@@ -289,25 +292,38 @@ def test_first_solve_factors_the_near_set_once(small_system, monkeypatch):
     assert np.array_equal(system.free_matrix, free)
 
 
-def test_iterative_assembly_starts_no_factorization(small_system, monkeypatch):
-    # assemble makes no near-field LU for either solver value and builds
-    # the same system; the first solve on each operator makes its one LU
+def test_systems_sharing_an_operator_solve_on_threads_at_once(small_system, monkeypatch):
+    # a system and its truncated system, each twice, solved at the same time
+    # on more threads than cores with a short switch interval, give bit for
+    # bit their sequential solutions, make no LU, and leave the BLAS thread
+    # counts as they found them
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    truncated = truncated_system(small_system)
+    set_point_source_rhs(truncated, (0.0, 0.0, 1.5))
+    want = [solve(small_system), solve(truncated)] * 2
+    systems = [small_system, truncated]
+    systems += [dataclasses.replace(system) for system in systems]
+    before = blas_thread_counts()
     spy = SpluSpy(bem.splu)
     monkeypatch.setattr(bem, "splu", spy)
-    mesh, domain, source = small_system.mesh, small_system.domain, (0.0, 0.0, 1.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        system = assemble(mesh, domain, BemConfig(p=12, solver="iterative"))
-        direct = assemble(mesh, domain, BemConfig(p=12))
+    start = threading.Barrier(len(systems))
+
+    def solve_together(system):
+        start.wait(timeout=60)
+        return solve(system)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(systems)) as pool:
+            tasks = [pool.submit(solve_together, system) for system in systems]
+            got = [t.result(timeout=120) for t in tasks]
+    finally:
+        sys.setswitchinterval(interval)
     assert spy.calls == []
-    for name in ("free_matrix", "rfac", "sfac"):
-        assert np.array_equal(getattr(system, name), getattr(direct, name))
-    assert system.operator.near_lu is None and direct.operator.near_lu is None
-    for made, each in enumerate((system, direct), start=1):
-        set_point_source_rhs(each, source)
-        solve(each)
-        solve(each)
-        assert len(spy.calls) == made and each.operator.near_lu is not None
+    for sigma, expected in zip(got, want):
+        assert np.array_equal(sigma, expected)
+    assert blas_thread_counts() == before
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +381,7 @@ def test_solve_logs_sizes_matvecs_and_residual(small_system, dip_system, solved_
         words = record.getMessage().split()
         assert words[0] == "solve"
         fields = dict(w.split("=") for w in words[1:])
-        assert set(fields) == {"n", "s", "q", "matvecs", "residual", "lu_s"}
+        assert set(fields) == {"n", "s", "q", "matvecs", "residual"}
         s, q = system.rfac.shape
         assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (system.size, s, q)
         assert 1 <= int(fields["matvecs"]) <= 45
@@ -375,7 +391,6 @@ def test_solve_logs_sizes_matvecs_and_residual(small_system, dip_system, solved_
 def test_near_factor_stays_sparse(dip_system):
     # the factor's fill stays a bounded number of entries a row (131 on the
     # dip when measured), where a dense LU holds N
-    solve(dip_system)
     lu = dip_system.operator.near_lu
     assert lu.L.nnz + lu.U.nnz < 200 * dip_system.size
 
@@ -392,13 +407,10 @@ def test_unconverged_lgmres_raises_with_residual_and_condition(small_system, mon
     monkeypatch.setattr(bem, "lgmres", short)
     with pytest.raises(SolveError, match=r"info = 5\): relative residual \d\.\d{3}e-\d+ reached") as exc:
         solve(small_system)
-    assert exc.value.condition == small_system.operator.condition() > 1.0
+    assert exc.value.condition == bem._condition(small_system.free_matrix) > 1.0
 
 
-@pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_solve_applies_the_operator_once_per_logged_matvec(
-    small_system, solver, monkeypatch, caplog
-):
+def test_solve_applies_the_operator_once_per_logged_matvec(small_system, monkeypatch, caplog):
     # lgmres's operator states its dtype, so scipy applies it to no probe
     # vector before lgmres starts: the operator is applied once per matvec
     # lgmres logs, and once more for the final residual check, and never
@@ -416,7 +428,6 @@ def test_solve_applies_the_operator_once_per_logged_matvec(
 
     monkeypatch.setattr(bem, "apply_operator", counted)
     monkeypatch.setattr(bem, "lgmres", entered)
-    monkeypatch.setattr(small_system, "config", BemConfig(p=12, solver=solver))
     caplog.set_level(logging.DEBUG, logger="groundbem")
     solve(small_system)
     (record,) = [r for r in caplog.records if r.name == "groundbem"]
@@ -557,13 +568,19 @@ def test_solve_residual_contract(small_system):
     assert resid <= 1e-10
 
 
-def test_iterative_matches_direct(small_system):
-    # solve reads no solver value: both give the same solution, bit for bit
+def test_solver_value_is_validated_and_unread(small_system):
+    # BemConfig.solver is checked, and then read by nothing: either value
+    # assembles the same system and gives the same solution, bit for bit
+    with pytest.raises(DomainError, match="unknown solver"):
+        BemConfig(solver="dense")
     set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
     direct = solve(small_system)
-    it_cfg = BemConfig(p=12, solver="iterative")
     with pytest.warns(UserWarning):
-        it_sys = assemble(small_system.mesh, small_system.domain, it_cfg)
+        it_sys = assemble(
+            small_system.mesh, small_system.domain, BemConfig(p=12, solver="iterative")
+        )
+    for name in ("free_matrix", "rfac", "sfac"):
+        assert np.array_equal(getattr(it_sys, name), getattr(small_system, name))
     set_point_source_rhs(it_sys, (0.0, 0.0, 1.5))
     assert np.array_equal(solve(it_sys), direct)
 
@@ -585,15 +602,14 @@ def test_singular_system_raises_solve_error():
     # two coincident panels give identical collocation rows
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = PanelMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]), np.array([GROUND, GROUND]))
-    # a zero pivot of the near-field LU must surface as SolveError, not as
-    # a LinAlgWarning
+    # a zero pivot of the near-field LU must surface from assemble as
+    # SolveError with the block's condition number, not as a LinAlgWarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        system = assemble(mesh, None, BemConfig())
-        set_point_source_rhs(system, (0.3, 0.3, 1.0))
-        with pytest.raises(SolveError, match="exactly zero"):
-            solve(system)
+        with pytest.raises(SolveError, match="exactly zero") as exc:
+            assemble(mesh, None, BemConfig())
     assert not [w for w in caught if issubclass(w.category, sla.LinAlgWarning)]
+    assert exc.value.condition > 1e15
 
 
 def test_zero_rhs_warns(small_system):
@@ -870,8 +886,8 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog, mon
     assert (int(fields["n"]), int(fields["s"]), int(fields["q"])) == (len(mesh), s, q)
     assert int(fields["workers"]) == len(os.sched_getaffinity(0))
     assert float(fields["free_s"]) > 0.0 and float(fields["kernel_s"]) > 0.0
-    # the time assemble blocked on the pool
-    assert float(fields["wait_s"]) >= 0.0
+    # the time assemble blocked on the pool, then the near-field LU's
+    assert float(fields["wait_s"]) >= 0.0 and float(fields["lu_s"]) > 0.0
     # the factors' degree, the cap it is held under and its tail estimate
     assert (int(fields["p"]), int(fields["cap"])) == (system.degree, config.p)
     assert q == system.degree * (system.degree - 1) // 2
@@ -879,7 +895,7 @@ def test_assemble_logs_sizes_workers_and_stage_times(pooled_problem, caplog, mon
         bem._tail_estimate(system.rfac, system.sfac), rel=1e-2
     )
     assert set(fields) == {
-        "n", "s", "q", "p", "cap", "tail", "workers", "free_s", "kernel_s", "wait_s",
+        "n", "s", "q", "p", "cap", "tail", "workers", "free_s", "kernel_s", "wait_s", "lu_s",
     }
     # each call reads the CPUs the process may use at that time
     monkeypatch.setattr(bem.os, "sched_getaffinity", lambda pid: {0})
@@ -910,26 +926,33 @@ def pools(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools):
-    # for either solver value assemble submits the free block's row tasks
-    # only, to one pool, makes no near-field LU, and leaves no task queued
-    # or running
+def test_assemble_leaves_no_pool_task_pending(pooled_problem, pools, monkeypatch):
+    # assemble submits the free block's row tasks only, to one pool, and
+    # leaves no task queued or running; the near-field LU comes after all
+    # of them, on the calling thread
     mesh, domain, config = pooled_problem
+    seen = []
+
+    def near_lu(*args, _real=bem._near_lu):
+        seen.append((threading.get_ident(), [t.done() for t in pools[-1].tasks]))
+        return _real(*args)
+
+    monkeypatch.setattr(bem, "_near_lu", near_lu)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+        system = assemble(mesh, domain, config)
     (pool,) = pools
     pending = [t for t in pool.tasks if not t.done()]
     assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
-    assert system.operator.near_lu is None
+    ((thread, done),) = seen
+    assert thread == threading.get_ident() and len(done) == len(pool.tasks) and all(done)
+    assert system.operator.near_lu is not None
 
 
-@pytest.mark.parametrize("solver", ["direct", "iterative"])
-def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, pools, monkeypatch):
+def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, pools, monkeypatch):
     # the kernel factors raise while the free block's rows are queued and
-    # running, for either solver: assemble cancels the queued tasks and
-    # waits for the running ones before the error reaches its caller
+    # running: assemble cancels the queued tasks and waits for the running
+    # ones before the error reaches its caller
     mesh, domain, config = pooled_problem
 
     def fail(*args):
@@ -937,37 +960,10 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, poo
 
     monkeypatch.setattr(bem, "_kernel_factors", fail)
     with pytest.raises(RuntimeError, match="kernel factors failed"):
-        assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
+        assemble(mesh, domain, config)
     (pool,) = pools
     running = [t for t in pool.tasks if not t.done()]
     assert running == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
-
-
-def test_solve_logs_lu_seconds_and_wait(pooled_problem, caplog):
-    # lu_s is what solve itself spent making the near-field LU: all of it in
-    # the first solve on the mesh; nothing in a second solve, in the
-    # truncated system on the same operator, nor with the other solver value
-    mesh, domain, config = pooled_problem
-    source = (0.0, 0.0, 1.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        system = assemble(mesh, domain, config)
-    set_point_source_rhs(system, source)
-    truncated = truncated_system(system)
-    set_point_source_rhs(truncated, source)
-    caplog.set_level(logging.DEBUG, logger="groundbem")
-    solve(system)
-    solve(system)
-    solve(truncated)
-    system.config = BemConfig(p=config.p, solver="iterative")
-    solve(system)
-    fields = [
-        dict(w.split("=") for w in r.getMessage().split()[1:])
-        for r in caplog.records if r.name == "groundbem"
-    ]
-    assert len(fields) == 4
-    assert float(fields[0]["lu_s"]) > 0.0
-    assert [float(f["lu_s"]) for f in fields[1:]] == [0.0, 0.0, 0.0]
 
 
 @pytest.fixture(scope="module")
@@ -1062,11 +1058,9 @@ def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog
         kernel_off = truncated_system(system)
         set_point_source_rhs(kernel_off, source)
         truncated = solve(kernel_off)
-        system.config = BemConfig(p=config.p, solver="iterative")
-        iterative = solve(system)
         runs.append((
             system.free_matrix, system.rfac, system.sfac,
-            apply_operator(system, v), direct, iterative, field, truncated,
+            apply_operator(system, v), direct, field, truncated,
         ))
     for first, second in zip(*runs):
         assert np.array_equal(first, second)
@@ -1091,23 +1085,21 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with tracer.installed(), tracer.span("bench", "operation"):
-            # each system's near-field LU is made by its solve on the calling thread
-            for solver in ("iterative", "direct"):
-                config = BemConfig(p=12, solver=solver)
-                system = bem.assemble(small_system.mesh, small_system.domain, config)
-                bem.set_point_source_rhs(system, source)
-                bem.solve(system)
-                grid = bem.evaluate_field(system, pts, source=source)
-                assert grid.metadata["degree"] > system.degree
+            # the near-field LU is made by assemble on the calling thread
+            system = bem.assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
+            bem.set_point_source_rhs(system, source)
+            bem.solve(system)
+            grid = bem.evaluate_field(system, pts, source=source)
+            assert grid.metadata["degree"] > system.degree
     spans = tracer.spans
     assert opened_on == {threading.get_ident()}
     assert sum(s.name == "apply_operator" for s in spans) > 5
-    assert sum(s.name == "assemble" for s in spans) == 2
+    assert sum(s.name == "assemble" for s in spans) == 1
     fields = [s.id for s in spans if s.name == "evaluate_field"]
     passes = [s for s in spans if s.name == "source_signature_batch" and s.parent in fields]
-    # one pass of all panels a field, and the image source
-    assert len(passes) == 2 * 2
-    assert sum(s.counts["plane"] + s.counts["interior"] for s in passes) == 2 * (system.size + 1)
+    # one pass of all panels, and the image source
+    assert len(passes) == 2
+    assert sum(s.counts["plane"] + s.counts["interior"] for s in passes) == system.size + 1
     for span in spans:
         assert span.end >= span.start and span.self_s >= 0.0
         if span.parent is not None:
@@ -1131,7 +1123,7 @@ mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
 first = bem.assemble(mesh, domain, config).free_matrix
 no_thread_left()
-# fork right after a solve, which made the operator's near-field LU
+# fork after a solve, on an operator whose near-field LU assemble made
 system = bem.assemble(mesh, domain, config)
 bem.set_point_source_rhs(system, (0.0, 0.0, 1.5))
 bem.solve(system)
@@ -1159,10 +1151,12 @@ for name, call in [
     no_thread_left()
 pid = os.fork()
 if pid == 0:
-    # the child inherits the near-field LU: it solves without making one,
+    # the child inherits the near-field LU: it solves with splu failing,
     # and assembles the same block as the parent
+    real = bem.splu
     bem.splu = fail
     ok = bem.solve(system).shape == (len(mesh),)
+    bem.splu = real
     ok = ok and bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
     os._exit(0 if ok else 1)
 assert os.waitpid(pid, 0)[1] == 0
