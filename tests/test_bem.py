@@ -410,7 +410,10 @@ def test_unconverged_lgmres_raises_with_residual_and_condition(small_system, mon
     assert exc.value.condition == bem._condition(small_system.free_matrix) > 1.0
 
 
-def test_solve_applies_the_operator_once_per_logged_matvec(small_system, monkeypatch, caplog):
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_solve_applies_the_operator_once_per_logged_matvec(
+    small_system, solver, monkeypatch, caplog
+):
     # lgmres's operator states its dtype, so scipy applies it to no probe
     # vector before lgmres starts: the operator is applied once per matvec
     # lgmres logs, and once more for the final residual check, and never
@@ -428,6 +431,7 @@ def test_solve_applies_the_operator_once_per_logged_matvec(small_system, monkeyp
 
     monkeypatch.setattr(bem, "apply_operator", counted)
     monkeypatch.setattr(bem, "lgmres", entered)
+    monkeypatch.setattr(small_system, "config", BemConfig(p=12, solver=solver))
     caplog.set_level(logging.DEBUG, logger="groundbem")
     solve(small_system)
     (record,) = [r for r in caplog.records if r.name == "groundbem"]
@@ -926,8 +930,9 @@ def pools(monkeypatch):
     return made
 
 
-def test_assemble_leaves_no_pool_task_pending(pooled_problem, pools, monkeypatch):
-    # assemble submits the free block's row tasks only, to one pool, and
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools, monkeypatch):
+    # for either solver assemble submits the free block's row tasks only, to one pool, and
     # leaves no task queued or running; the near-field LU comes after all
     # of them, on the calling thread
     mesh, domain, config = pooled_problem
@@ -940,7 +945,7 @@ def test_assemble_leaves_no_pool_task_pending(pooled_problem, pools, monkeypatch
     monkeypatch.setattr(bem, "_near_lu", near_lu)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        system = assemble(mesh, domain, config)
+        system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
     (pool,) = pools
     pending = [t for t in pool.tasks if not t.done()]
     assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
@@ -949,9 +954,10 @@ def test_assemble_leaves_no_pool_task_pending(pooled_problem, pools, monkeypatch
     assert system.operator.near_lu is not None
 
 
-def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, pools, monkeypatch):
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, pools, monkeypatch):
     # the kernel factors raise while the free block's rows are queued and
-    # running: assemble cancels the queued tasks and waits for the running
+    # running, for either solver: assemble cancels the queued tasks and waits for the running
     # ones before the error reaches its caller
     mesh, domain, config = pooled_problem
 
@@ -960,7 +966,7 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, pools, monk
 
     monkeypatch.setattr(bem, "_kernel_factors", fail)
     with pytest.raises(RuntimeError, match="kernel factors failed"):
-        assemble(mesh, domain, config)
+        assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
     (pool,) = pools
     running = [t for t in pool.tasks if not t.done()]
     assert running == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
