@@ -79,55 +79,125 @@ _LOG = logging.getLogger("groundbem")
 # ---------------------------------------------------------------------------
 
 
-def _edge_h(x, y, z):
-    """Per-edge antiderivative of the triangle single-layer reduction.
+def _panel_table(mesh: PanelMesh) -> np.ndarray:
+    """What :func:`_single_layer_bare` reads of each panel, ``(22, N)``, one
+    row per field: vertex 0; the panel's frame, edge 0's tangent e1, then
+    e2 = n x e1 and the normal n; vertex 1 at (l0, 0) and vertex 2 at
+    (x2, y2) in that frame; edges 1 and 2 each as its in-frame tangent and
+    length; and twice the area, l0 y2.  Every entry is a function of its
+    own panel's arrays alone, computed component by component."""
+    def dot(a, b):
+        return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
-    ``y`` is the (non-negative) height of the evaluation point over the
-    panel plane, ``z`` the signed in-plane distance to the edge line, and
-    ``x`` the along-edge coordinate.  The removable singularities are
-    handled explicitly: the log term carries a z factor (limit 0 on the
-    edge plane) and is evaluated in a cancellation-free form for x < 0.
+    v0 = mesh.face_vertices[:, 0]
+    e1 = mesh.edge_tangents[:, 0]
+    e2 = -mesh.edge_normals[:, 0]
+    t1, t2 = mesh.edge_tangents[:, 1], mesh.edge_tangents[:, 2]
+    l0, l1, l2 = mesh.edge_lengths.T
+    d2 = mesh.face_vertices[:, 2] - v0
+    x2, y2 = dot(d2, e1), dot(d2, e2)
+    return np.stack([
+        *v0.T, *e1.T, *e2.T, *mesh.normals.T,
+        l0, x2, y2, dot(t1, e1), dot(t1, e2), l1, dot(t2, e1), dot(t2, e2), l2, l0 * y2,
+    ])
+
+
+# Added to the squared height: keeps every vertex distance and every
+# (h^2 + z^2) of an edge term positive, so a point on a vertex or an edge
+# line takes no 0/0 and no log(0); it moves nothing above 1e-142 in length.
+_TINY = 1e-300
+
+
+def _edge_log(z, sigma, length, r_start, r_end, hh):
+    """-z ln(A+ / A-) of one edge: ``z`` is the signed distance of the
+    point's foot from the edge line, outward; ``sigma`` the foot's
+    coordinate along the edge from its start vertex; ``r_start``/``r_end``
+    the point's distances from the edge's vertices; ``hh`` the squared
+    height (plus ``_TINY``).  At each vertex, s its coordinate from the
+    foot, A = R + s, taken where s < 0 as (h^2 + z^2) / (R - s), which
+    does not cancel."""
+    hz2 = hh + z * z
+    s_end = length - sigma
+    a_start = r_start + np.abs(sigma)
+    a_end = r_end + np.abs(s_end)
+    a_start = np.where(sigma > 0.0, hz2 / a_start, a_start)
+    a_end = np.where(s_end < 0.0, hz2 / a_end, a_end)
+    return z * np.log(a_start / a_end)
+
+
+def _single_layer_bare(panel, point):
+    """Integral of 1/|y - x| over triangles, in closed form.
+
+    ``panel`` holds :func:`_panel_table` rows along its first axis (all
+    columns, some, or one) and ``point`` the evaluation points' x, y, z
+    along its first axis; their trailing shapes broadcast.  The integral is
+    the sum over edges of -z ln(A+ / A-) (Wilton et al., IEEE TAP 32(3),
+    1984; see :func:`_edge_log`) minus |h| |Omega|, Omega the solid angle
+    the triangle subtends (van Oosterom & Strackee, IEEE TBME 30(2), 1983).
+    Each vertex distance is computed once, every dot product component by
+    component, in the panel's frame.  Finite for points on the panel, its
+    edges and its vertices.
     """
-    r = np.sqrt(x * x + y * y + z * z)
-    at = y * (np.arctan2(x, z) - np.arctan2(y * x, z * r))
-    arg = np.where(x < 0.0, (y * y + z * z) / np.maximum(r - x, 1e-300), r + x)
-    lg = np.where(z != 0.0, -z * np.log(np.maximum(arg, 1e-300)), 0.0)
-    return at + lg
-
-
-def _single_layer_bare(fv, normals, tangents, lengths, enormals, points):
-    """Integral of 1/|y - x| over triangles, analytic three-edge sum.
-
-    All panel arrays and ``points`` must have broadcast-compatible leading
-    shapes; panel arrays carry trailing dims (3, 3) / (3,) / (3, 3), points
-    carry (3,).  Finite for evaluation points on the panel.
-    """
-    h = np.abs(np.sum((points - fv[..., 0, :]) * normals, axis=-1))
-    total = 0.0
-    for q in range(3):
-        d = points - fv[..., q, :]
-        xq = np.sum(d * tangents[..., q, :], axis=-1)
-        zq = np.sum(d * enormals[..., q, :], axis=-1)
-        lq = lengths[..., q]
-        total = total + _edge_h(lq - xq, h, zq) - _edge_h(-xq, h, zq)
-    return total
+    (ox, oy, oz, e1x, e1y, e1z, e2x, e2y, e2z, nx, ny, nz,
+     l0, x2, y2, c1, s1, l1, c2, s2, l2, area2) = panel
+    dx, dy, dz = point[0] - ox, point[1] - oy, point[2] - oz
+    # the point in the panel's frame: (xi, eta) in the plane, h above it
+    xi = dx * e1x + dy * e1y + dz * e1z
+    eta = dx * e2x + dy * e2y + dz * e2z
+    h = dx * nx + dy * ny + dz * nz
+    h2 = h * h
+    hh = h2 + _TINY
+    # in-plane offsets from vertex 1, (u1, eta), and vertex 2, (u2, w2)
+    u1 = xi - l0
+    u2, w2 = xi - x2, eta - y2
+    eta2 = eta * eta
+    r0 = np.sqrt(xi * xi + eta2 + hh)
+    r1 = np.sqrt(u1 * u1 + eta2 + hh)
+    r2 = np.sqrt(u2 * u2 + w2 * w2 + hh)
+    total = (
+        _edge_log(-eta, xi, l0, r0, r1, hh)
+        + _edge_log(u1 * s1 - eta * c1, u1 * c1 + eta * s1, l1, r1, r2, hh)
+        + _edge_log(u2 * s2 - w2 * c2, u2 * c2 + w2 * s2, l2, r2, r0, hh)
+    )
+    # tan(Omega / 2) = a0.(a1 x a2) / (R0 R1 R2 + (a0.a1) R2 + (a0.a2) R1
+    # + (a1.a2) R0), a_q vertex q less the point: the triple product is
+    # -h l0 y2, and a_p.a_q the in-plane part plus h^2.  Where h = 0 the
+    # term is 0, and arctan2(0, x) costs what skipping those pairs would.
+    habs = np.abs(h)
+    ew2 = eta * w2
+    den = (
+        r0 * r1 * r2
+        + (xi * u1 + eta2 + h2) * r2
+        + (xi * u2 + ew2 + h2) * r1
+        + (u1 * u2 + ew2 + h2) * r0
+    )
+    return total - 2.0 * habs * np.arctan2(habs * area2, den)
 
 
 def triangle_single_layer(mesh: PanelMesh, y) -> np.ndarray:
     """Single-layer potential of a unit density over each panel of
     ``mesh``, ``int_panel G(y, x) dS``, at one point ``y``: ``(N,)``, exact
-    for any evaluation point."""
-    bare = _single_layer_bare(
-        mesh.face_vertices, mesh.normals, mesh.edge_tangents, mesh.edge_lengths,
-        mesh.edge_normals, np.asarray(y, dtype=float).reshape(3),
-    )
+    for any evaluation point.  One closed form (:func:`_single_layer_bare`)
+    serves this, the free-space block and the field's panel sum."""
+    bare = _single_layer_bare(_panel_table(mesh), np.asarray(y, dtype=float).reshape(3))
     return bare / _FOUR_PI
 
 
 # Rows of the free-space block built by one task: the 256 x N distance block
-# takes 13 MB at N = 6306, and every near pair of those rows goes into one
-# analytic-integral call.
+# takes 13 MB at N = 6306.
 _ROW_BLOCK = 256
+# Near pairs per call of the closed form.  A row block has about 60 000 at
+# N = 6306; in one call their temporaries raised the bump's peak RSS by
+# 40-50 MB.
+_PAIR_BATCH = 8192
+# Relative margin of the k-d tree's candidate radius over the near-field
+# radius r.  The block's expanded squared distance |y|^2 + |c|^2 - 2 y.c is
+# off the true one by at most about 5 eps (|y|^2 + |c|^2), and a pair near
+# the radius has |y|^2 + |c|^2 <= 2 (R + r)^2, R the largest centroid
+# radius; so every pair the block puts inside r is a candidate while
+# 5 eps ((R + r) / r)^2 stays below the margin: up to (R + r) / r = 3e4,
+# far beyond a mesh whose dense block fits in memory.
+_NEAR_SLACK = 1e-6
 # Rows of the free block one task multiplies in ``apply_operator``.
 _MATVEC_ROWS = 512
 
@@ -157,15 +227,23 @@ def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor):
     returns the ``time.perf_counter()`` at which it finished.
 
     Pairs closer than the near-field radius, 5 mean panel diameters, get
-    the analytic triangle integral, all others the centroid monopole.  The
-    near pairs are read off each row block's distance block, so no second
-    structure is needed.
+    the closed-form triangle integral, all others the centroid monopole.
+    A pair is near when its entry of the row block's expanded squared
+    distances lies below the radius squared.  Each task takes its
+    candidates from a k-d tree of the centroids, out to the radius plus
+    ``_NEAR_SLACK`` (which covers that formula's rounding), and keeps
+    those, so the near set is the one a scan of the whole block would find.
+    The near pairs go to the closed form ``_PAIR_BATCH`` at a time, each
+    batch's panel data gathered from one table (``_panel_table``).
     """
     r_nf = 5.0 * mesh.mean_diameter
     r_nf2 = r_nf * r_nf
     cents = mesh.centroids
     csq = np.einsum("ij,ij->i", cents, cents)
     psq = np.einsum("ij,ij->i", points, points)
+    tree = cKDTree(cents)
+    table = _panel_table(mesh)
+    coords = np.ascontiguousarray(points.T)
     out = np.empty((points.shape[0], len(mesh)))
 
     def rows_task(i0):
@@ -179,19 +257,19 @@ def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor):
         d2 -= two_pc
         del two_pc
         np.maximum(d2, 0.0, out=d2)
-        i, j = np.nonzero(d2 < r_nf2)
+        near = cKDTree(points[rows]).sparse_distance_matrix(
+            tree, r_nf * (1.0 + _NEAR_SLACK), output_type="ndarray"
+        )
+        i, j = near["i"], near["j"]
+        keep = d2[i, j] < r_nf2
+        i, j = i[keep], j[keep]
         np.sqrt(d2, out=d2)
         d2 *= _FOUR_PI
         with np.errstate(divide="ignore"):
             np.divide(mesh.areas[None, :], d2, out=d2)
-        d2[i, j] = _single_layer_bare(
-            mesh.face_vertices[j],
-            mesh.normals[j],
-            mesh.edge_tangents[j],
-            mesh.edge_lengths[j],
-            mesh.edge_normals[j],
-            points[i0 + i],
-        ) / _FOUR_PI
+        for k in range(0, i.size, _PAIR_BATCH):
+            bi, bj = i[k:k + _PAIR_BATCH], j[k:k + _PAIR_BATCH]
+            d2[bi, bj] = _single_layer_bare(table[:, bj], coords[:, i0 + bi]) / _FOUR_PI
         return time.perf_counter()
 
     return out, [pool.submit(rows_task, i0) for i0 in range(0, points.shape[0], _ROW_BLOCK)]
@@ -273,7 +351,7 @@ class FreeOperator:
 
 # The near set's radius, in mean panel diameters, and lgmres's stop: of radii
 # 1 to 2 and stops 1e-13 and 1e-14, the fastest pair on both benchmark bumps
-# that keeps a 248-panel bump's solve within 1e-12 (1.6e-13, elementwise) of
+# that keeps a 248-panel bump's solve within 1e-12 (2.0e-13, elementwise) of
 # a dense LU of its whole operator.
 _NEAR_RADIUS = 1.25
 _LGMRES_RTOL = 1e-14
@@ -284,6 +362,27 @@ _SOLVE_RTOL = 1e-10
 def _condition(matrix: np.ndarray) -> float | None:
     """Condition number for a failure report; None above 2000 panels."""
     return float(np.linalg.cond(matrix)) if len(matrix) <= 2000 else None
+
+
+# Centroids closer than this many mean panel diameters are one collocation
+# point: two faces with the same vertices, in any order, land within rounding.
+_COINCIDENT = 1e-12
+
+
+def _refuse_coincident(mesh: PanelMesh) -> None:
+    """Raise SolveError (condition inf) naming the first two panels whose
+    centroids lie within ``_COINCIDENT`` mean panel diameters: their rows
+    of every system on the mesh are equal."""
+    pairs = cKDTree(mesh.centroids).query_pairs(
+        _COINCIDENT * mesh.mean_diameter, output_type="ndarray"
+    )
+    if pairs.size:
+        i, j = min(pairs.tolist())
+        raise SolveError(
+            f"panels {i} and {j} have coincident collocation points (centroids within "
+            f"{_COINCIDENT:g} mean panel diameters), so the system is singular",
+            condition=math.inf,
+        )
 
 
 def _near_lu(mesh: PanelMesh, matrix: np.ndarray) -> SuperLU:
@@ -438,25 +537,28 @@ def _kernel_factors(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> t
 def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> BemSystem:
     """Assemble the collocation system for the given mesh and domain.
 
-    The free-space block uses the analytic triangle integral for pairs
+    The free-space block uses the closed-form triangle integral for pairs
     closer than the near-field radius and the centroid monopole otherwise.
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
     series elsewhere; receiver factors only for the panels off the plane.
     Both are truncated at the degree the kernel rows need (see
     ``_kernel_factors``), at most ``config.p``.
-    ``domain=None`` builds no kernel term (plain truncated BEM).  The free
-    block is built on this call's pool while the calling thread builds the
-    kernel factors and then the block's near-field LU (a zero pivot raises
-    :class:`SolveError`), all under one cap of one BLAS thread, as the pool
-    has a worker per CPU.  No pool task or thread outlives the call,
-    whether it returns or raises.  One DEBUG record on the ``groundbem``
-    logger reports N, S, q, the factors' degree ``p`` (0 without a kernel
-    term), the cap, the tail estimate, the pool's worker count, the
-    seconds of the free block and of the kernel factors, ``wait_s``, the
-    seconds ``assemble`` blocked on the pool after the kernel factors, and
-    ``lu_s``, the seconds of the near-field LU.
+    ``domain=None`` builds no kernel term (plain truncated BEM).  Two panels
+    whose centroids coincide raise :class:`SolveError` before anything is
+    built (``_refuse_coincident``).  The free block is built on this call's
+    pool while the calling thread builds the kernel factors and then the
+    block's near-field LU (a zero pivot raises :class:`SolveError`), all
+    under one cap of one BLAS thread, as the pool has a worker per CPU.  No
+    pool task or thread outlives the call, whether it returns or raises.
+    One DEBUG record on the ``groundbem`` logger reports N, S, q, the
+    factors' degree ``p`` (0 without a kernel term), the cap, the tail
+    estimate, the pool's worker count, the seconds of the free block and
+    of the kernel factors, ``wait_s``, the seconds ``assemble`` blocked on
+    the pool after the kernel factors, and ``lu_s``, the seconds of the
+    near-field LU.
     """
+    _refuse_coincident(mesh)
     with one_blas_thread(), _pool() as (pool, workers):
         # The free block's row tasks run on the pool while this thread
         # builds the kernel factors, which read nothing of them.

@@ -8,7 +8,8 @@ the complex-basis coupling table from the closed forms of a_n^m and L_n^m,
 the plane-source radial functions from their positive-term series and from
 a positive-integrand Legendre-function representation plus Gauss
 quadrature, the Neumann kernel from its own layer integral, the triangle
-self-term from a polar-coordinate ray integral, the free-space block from a
+self-term from a polar-coordinate ray integral, the triangle single layer
+from the three-edge antiderivative sum, the free-space block from a
 per-panel column loop, the densified kernel matrix from one
 single-source signature per panel, and the direct solve from one dense LU
 of the free block plus the densified kernel term.  The per-(n, m)
@@ -25,7 +26,7 @@ from numpy.polynomial import polynomial as P
 from scipy import integrate
 from scipy import linalg as sla
 
-from groundbem.bem import _single_layer_bare
+from groundbem.bem import _panel_table, _single_layer_bare
 from groundbem.blas import blas_thread_counts
 from groundbem.errors import QuadratureError
 from groundbem.ground_kernel import (
@@ -479,6 +480,47 @@ def oracle_triangle_self(vertices2d, point2d):
 
 
 # ---------------------------------------------------------------------------
+# Triangle single-layer oracle (three-edge antiderivative sum)
+# ---------------------------------------------------------------------------
+
+
+def _edge_antiderivative(x, y, z):
+    """Per-edge antiderivative of the triangle single-layer reduction:
+    ``y`` the (non-negative) height of the point over the panel plane,
+    ``z`` its signed in-plane distance to the edge line, ``x`` the
+    along-edge coordinate.  Two arctangent differences per end carry the
+    height; the log term carries a z factor (limit 0 on the edge plane)
+    and is evaluated in a cancellation-free form for x < 0."""
+    r = np.sqrt(x * x + y * y + z * z)
+    at = y * (np.arctan2(x, z) - np.arctan2(y * x, z * r))
+    arg = np.where(x < 0.0, (y * y + z * z) / np.maximum(r - x, 1e-300), r + x)
+    lg = np.where(z != 0.0, -z * np.log(np.maximum(arg, 1e-300)), 0.0)
+    return at + lg
+
+
+def oracle_single_layer_edges(vertices, points):
+    """Integral of 1/|y - x| over the triangle ``vertices`` (3, 3) at each
+    of ``points`` (M, 3), as the sum over edges of the antiderivative's
+    difference between the edge's ends, every quantity taken from the
+    vertices here, in global coordinates."""
+    v = np.asarray(vertices, dtype=float)
+    points = np.asarray(points, dtype=float)
+    normal = np.cross(v[1] - v[0], v[2] - v[0])
+    normal /= np.linalg.norm(normal)
+    h = np.abs((points - v[0]) @ normal)
+    total = np.zeros(len(points))
+    for q in range(3):
+        edge = v[(q + 1) % 3] - v[q]
+        length = np.linalg.norm(edge)
+        tangent = edge / length
+        outward = np.cross(tangent, normal)
+        d = points - v[q]
+        x, z = d @ tangent, d @ outward
+        total += _edge_antiderivative(length - x, h, z) - _edge_antiderivative(-x, h, z)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Free-space block oracle (per-panel column loop)
 # ---------------------------------------------------------------------------
 
@@ -499,18 +541,12 @@ def oracle_free_block_loop(mesh, r_nf):
             d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * centroids[i0:i1] @ centroids.T
             np.maximum(d2, 0.0, out=d2)
             a[i0:i1] = mesh.areas[None, :] / (4.0 * math.pi * np.sqrt(d2))
+    table = _panel_table(mesh)
     for j in range(n):
         d2 = np.einsum("ij,ij->i", centroids - centroids[j], centroids - centroids[j])
         near = np.nonzero(d2 < r_nf * r_nf)[0]
         if near.size:
-            a[near, j] = _single_layer_bare(
-                mesh.face_vertices[j][None, :, :],
-                mesh.normals[j][None, :],
-                mesh.edge_tangents[j][None, :, :],
-                mesh.edge_lengths[j][None, :],
-                mesh.edge_normals[j][None, :, :],
-                centroids[near],
-            ) / (4.0 * math.pi)
+            a[near, j] = _single_layer_bare(table[:, j], centroids[near].T) / (4.0 * math.pi)
     return a
 
 

@@ -49,6 +49,7 @@ from conftest import (
     oracle_direct_solve,
     oracle_free_block_loop,
     oracle_ground_kernel_matrix,
+    oracle_single_layer_edges,
     oracle_triangle_self,
 )
 
@@ -101,6 +102,59 @@ def test_vertex_and_edge_points_finite():
         val = triangle_single_layer(panel, pt)[0]
         assert math.isfinite(val)
         assert val >= 0.0
+
+
+def _oracle_cases(rng):
+    """Seeded triangles, each in both vertex orders (so both normal
+    orientations), with the points the closed form must agree on."""
+    for k in range(24):
+        if k % 3:
+            verts = rng.uniform(-1, 1, (3, 3))
+        else:
+            # flat in z = c: points in that plane have h = 0 exactly
+            verts = np.column_stack([rng.uniform(-1, 1, (3, 2)), np.full(3, rng.uniform(-1, 1))])
+        normal = np.cross(verts[1] - verts[0], verts[2] - verts[0])
+        if np.linalg.norm(normal) < 0.2:
+            continue
+        normal /= np.linalg.norm(normal)
+        diam = max(np.linalg.norm(verts[q] - verts[q - 1]) for q in range(3))
+        centroid = verts.mean(axis=0)
+        # off the plane, 0.1 to 5 diameters from the centroid
+        way = rng.standard_normal((12, 3))
+        way /= np.linalg.norm(way, axis=1)[:, None]
+        off = centroid + way * diam * rng.uniform(0.1, 5.0, (12, 1))
+        # in the plane, inside (the centroid among them) and outside the triangle
+        bary = np.vstack([[1.0 / 3.0, 1.0 / 3.0], rng.uniform(-1.0, 2.0, (16, 2))])
+        coplanar = verts[0] + bary @ (verts[1:] - verts[0])
+        # on each edge line, before its start, on it and past its end, in
+        # the plane and, with the foot past either end, above and below it
+        along = np.array([-0.6, -0.1, 0.3, 0.5, 0.9, 1.2, 1.7])
+        lines, past = [], []
+        for q in range(3):
+            edge = verts[(q + 1) % 3] - verts[q]
+            outward = np.cross(edge, normal) / np.linalg.norm(edge)
+            lines.append(verts[q] + along[:, None] * edge)
+            for t, c, d in ((-0.4, 0.3, 0.2), (1.3, -0.2, -0.1), (2.0, 0.5, 0.4)):
+                past.append(verts[q] + t * edge + diam * (c * outward + d * normal))
+        points = np.vstack([off, coplanar, *lines, past, verts])
+        yield verts, points
+        yield verts[::-1], points
+
+
+def test_closed_form_matches_three_edge_oracle():
+    # an independent derivation: per edge, two arctangent differences and a
+    # log at each end, in global coordinates; no RuntimeWarning anywhere,
+    # vertices and edge lines included
+    cases = 0
+    for verts, points in _oracle_cases(np.random.default_rng(23)):
+        want = oracle_single_layer_edges(verts, points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bem._single_layer_bare(bem._panel_table(one_panel(verts)), points.T)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        cases += 1
+    assert cases >= 30
 
 
 def test_single_layer_of_a_mesh_is_each_panel_alone():
@@ -228,7 +282,7 @@ def test_extension_rows_have_no_kernel(small_system, rng):
     assert np.abs(contrib[~ext]).max() > 0.0
 
 
-def test_direct_solve_adds_kernel_on_surface_rows_only(small_system):
+def test_solve_adds_kernel_on_surface_rows_only(small_system):
     # the kernel rows of panels on the plane (extension and ground) are
     # exact zeros by parity, so the receiver factor is stored only for the
     # S panels off the plane, (S, q) against the (q, N) source factor, q
@@ -350,8 +404,8 @@ def dip_system():
 @pytest.mark.parametrize(
     "name, rtol", [("p4_system", 1e-12), ("dip_system", 1e-10), ("solved_disc", 1e-12)]
 )
-def test_direct_solve_matches_densified_oracle(request, name, rtol):
-    # small_system is checked in test_direct_solve_adds_kernel_on_surface_rows_only;
+def test_solve_matches_densified_oracle(request, name, rtol):
+    # small_system is checked in test_solve_adds_kernel_on_surface_rows_only;
     # the dip's 4465 kernel columns enter the oracle's dense matrix and the
     # solve's matvecs in different orders (3.5e-14 apart when measured)
     system = request.getfixturevalue(name)
@@ -360,7 +414,7 @@ def test_direct_solve_matches_densified_oracle(request, name, rtol):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
-def test_direct_solve_is_deterministic(dip_system):
+def test_solve_is_deterministic(dip_system):
     first = solve(dip_system)
     assert np.array_equal(solve(dip_system), first)
 
@@ -602,18 +656,38 @@ def test_flat_disc_matches_image_charge_density():
     assert np.max(rel) < 0.05
 
 
-def test_singular_system_raises_solve_error():
-    # two coincident panels give identical collocation rows
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    mesh = PanelMesh(verts, np.array([[0, 1, 2], [0, 1, 2]]), np.array([GROUND, GROUND]))
-    # a zero pivot of the near-field LU must surface from assemble as
-    # SolveError with the block's condition number, not as a LinAlgWarning
+def test_singular_system_raises_solve_error(monkeypatch):
+    # two coincident panels give identical collocation rows: assemble
+    # refuses them, naming both, before the N x N block is built, and
+    # raises no LinAlgWarning; given in another vertex order, the second
+    # face's centroid is one bit off the first's
+    verts = np.array([[0.5, 1.0, 0.0], [0.9, 0.3, 0.0], [0.8, 0.4, 0.0]])
+    mesh = PanelMesh(verts, np.array([[0, 1, 2], [2, 0, 1]]), np.array([GROUND, GROUND]))
+    assert not np.array_equal(*mesh.centroids)
+    built = []
+    monkeypatch.setattr(bem, "_free_block", lambda *args: built.append(args))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(SolveError, match="exactly zero") as exc:
+        with pytest.raises(SolveError, match="panels 0 and 1 have coincident collocation points") as exc:
             assemble(mesh, None, BemConfig())
     assert not [w for w in caught if issubclass(w.category, sla.LinAlgWarning)]
-    assert exc.value.condition > 1e15
+    assert exc.value.condition == math.inf
+    assert built == []
+
+
+def test_zero_pivot_of_the_near_lu_raises_solve_error(monkeypatch):
+    # splu reports a zero pivot as RuntimeError; assemble raises SolveError
+    # with the block's condition number
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    mesh = PanelMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]), np.array([GROUND, GROUND]))
+
+    def splu(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(bem, "splu", splu)
+    with pytest.raises(SolveError, match="pivot of its LU is exactly zero") as exc:
+        assemble(mesh, None, BemConfig())
+    assert 1.0 <= exc.value.condition < math.inf
 
 
 def test_zero_rhs_warns(small_system):

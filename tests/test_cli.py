@@ -95,8 +95,8 @@ def test_solve_refuses_a_truncation_past_the_limit_before_assembling(tmp_path, m
 
 
 def test_solve_on_a_singular_mesh_is_a_numeric_error(tmp_path, capsys):
-    # two coincident faces give identical collocation rows: assemble's
-    # near-field LU meets a zero pivot, and nothing is written
+    # two coincident faces give identical collocation rows: assemble
+    # refuses them before building anything, and nothing is written
     mesh_path = tmp_path / "twice.mesh"
     mesh_path.write_text(
         "vertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\nface 0 1 2 1\nface 0 1 2 1\n"
@@ -104,7 +104,7 @@ def test_solve_on_a_singular_mesh_is_a_numeric_error(tmp_path, capsys):
     assert run_cli("solve", "--mesh", str(mesh_path), "--source", "0.3,0.3,1",
                    "--out-prefix", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
-    assert "numeric error: " in err and "pivot of its LU is exactly zero" in err
+    assert "numeric error: " in err and "panels 0 and 1 have coincident collocation points" in err
     assert not list(tmp_path.glob("run*"))
 
 
