@@ -186,9 +186,9 @@ def triangle_single_layer(mesh: PanelMesh, y) -> np.ndarray:
 # Rows of the free-space block built by one task: the 256 x N distance block
 # takes 13 MB at N = 6306.
 _ROW_BLOCK = 256
-# Near pairs per call of the closed form.  A row block has about 60 000 at
-# N = 6306; in one call their temporaries raised the bump's peak RSS by
-# 40-50 MB.
+# Near pairs per call of the closed form.  A row block has about 60 000; in
+# one call their temporaries took bump_p104's peak RSS from 275-283 MB to
+# 308-309 MB.
 _PAIR_BATCH = 8192
 # Relative margin of the k-d tree's candidate radius over the near-field
 # radius r.  The block's expanded squared distance |y|^2 + |c|^2 - 2 y.c is
