@@ -4,11 +4,13 @@ The boundary integral equation is discretized with constant panels and
 collocation at panel centroids.  The system operator has two parts:
 
 * the mesh's free-space operator, shared by the systems on that mesh: a
-  dense block of analytic single-layer integrals for panels within the
-  near-field radius of a collocation point (always for the self term),
-  centroid monopole approximation beyond it, and a sparse LU of the
-  block's entries between nearby panels, both made by ``assemble`` and
-  never changed after;
+  dense block of analytic single-layer integrals for panels whose
+  centroids lie within the near-field radius of a collocation point
+  (always for the self term), centroid monopole approximation beyond it,
+  and a sparse LU of the block's entries between nearby panels, both made
+  by ``assemble`` and never changed after.  Every distance is the norm of
+  a coordinate difference; ``assemble`` and ``evaluate_field`` each build
+  one k-d tree of the centroids;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -47,6 +49,7 @@ import numpy as np
 from scipy import linalg as sla  # noqa: F401  (unused; bench/tracing.py wraps bem.sla.solve)
 from scipy.sparse.linalg import LinearOperator, SuperLU, lgmres, splu
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .blas import one_blas_thread
 from .errors import DomainError, SolveError
@@ -183,21 +186,14 @@ def triangle_single_layer(mesh: PanelMesh, y) -> np.ndarray:
     return bare / _FOUR_PI
 
 
-# Rows of the free-space block built by one task: the 256 x N distance block
-# takes 13 MB at N = 6306.
+# Rows of the free-space block built by one task.  It writes their distances
+# straight into its rows of the result (13 MB at N = 6306) and holds no other
+# row-wide block.
 _ROW_BLOCK = 256
 # Near pairs per call of the closed form.  A row block has about 60 000; in
 # one call their temporaries took bump_p104's peak RSS from 275-283 MB to
 # 308-309 MB.
 _PAIR_BATCH = 8192
-# Relative margin of the k-d tree's candidate radius over the near-field
-# radius r.  The block's expanded squared distance |y|^2 + |c|^2 - 2 y.c is
-# off the true one by at most about 5 eps (|y|^2 + |c|^2), and a pair near
-# the radius has |y|^2 + |c|^2 <= 2 (R + r)^2, R the largest centroid
-# radius; so every pair the block puts inside r is a candidate while
-# 5 eps ((R + r) / r)^2 stays below the margin: up to (R + r) / r = 3e4,
-# far beyond a mesh whose dense block fits in memory.
-_NEAR_SLACK = 1e-6
 # Rows of the free block one task multiplies in ``apply_operator``.
 _MATVEC_ROWS = 512
 
@@ -220,7 +216,7 @@ def _pool():
         pool.shutdown(cancel_futures=True)
 
 
-def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor):
+def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor, tree: cKDTree):
     """Single layer of every panel at every point, ``(len(points), N)``,
     started on ``pool``, one task per ``_ROW_BLOCK`` rows.  Returns the
     result, filled once every task is done, and the tasks, each of which
@@ -228,48 +224,32 @@ def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor):
 
     Pairs closer than the near-field radius, 5 mean panel diameters, get
     the closed-form triangle integral, all others the centroid monopole.
-    A pair is near when its entry of the row block's expanded squared
-    distances lies below the radius squared.  Each task takes its
-    candidates from a k-d tree of the centroids, out to the radius plus
-    ``_NEAR_SLACK`` (which covers that formula's rounding), and keeps
-    those, so the near set is the one a scan of the whole block would find.
-    The near pairs go to the closed form ``_PAIR_BATCH`` at a time, each
-    batch's panel data gathered from one table (``_panel_table``).
+    Each task writes its rows' Euclidean distances (``cdist``) into the
+    result and turns them into the monopole in place.  Its near pairs are
+    those ``tree``, the centroids' k-d tree, puts at a distance below the
+    radius; the tree's distances are bitwise those of ``cdist``.  They go
+    to the closed form ``_PAIR_BATCH`` at a time, each batch's panel data
+    gathered from one table (``_panel_table``).
     """
     r_nf = 5.0 * mesh.mean_diameter
-    r_nf2 = r_nf * r_nf
     cents = mesh.centroids
-    csq = np.einsum("ij,ij->i", cents, cents)
-    psq = np.einsum("ij,ij->i", points, points)
-    tree = cKDTree(cents)
     table = _panel_table(mesh)
     coords = np.ascontiguousarray(points.T)
     out = np.empty((points.shape[0], len(mesh)))
 
     def rows_task(i0):
         rows = slice(i0, i0 + _ROW_BLOCK)
-        # The squared distances, then the monopole, in this task's rows of
-        # the result: the same operations in the same order as with a fresh
-        # temporary per step, so bitwise equal to that.
-        d2 = out[rows]
-        two_pc = 2.0 * points[rows] @ cents.T
-        np.add(psq[rows, None], csq[None, :], out=d2)
-        d2 -= two_pc
-        del two_pc
-        np.maximum(d2, 0.0, out=d2)
-        near = cKDTree(points[rows]).sparse_distance_matrix(
-            tree, r_nf * (1.0 + _NEAR_SLACK), output_type="ndarray"
-        )
-        i, j = near["i"], near["j"]
-        keep = d2[i, j] < r_nf2
-        i, j = i[keep], j[keep]
-        np.sqrt(d2, out=d2)
-        d2 *= _FOUR_PI
+        block = out[rows]
+        cdist(points[rows], cents, out=block)
+        block *= _FOUR_PI
         with np.errstate(divide="ignore"):
-            np.divide(mesh.areas[None, :], d2, out=d2)
+            np.divide(mesh.areas[None, :], block, out=block)
+        near = cKDTree(points[rows]).sparse_distance_matrix(tree, r_nf, output_type="ndarray")
+        near = near[near["v"] < r_nf]
+        i, j = near["i"], near["j"]
         for k in range(0, i.size, _PAIR_BATCH):
             bi, bj = i[k:k + _PAIR_BATCH], j[k:k + _PAIR_BATCH]
-            d2[bi, bj] = _single_layer_bare(table[:, bj], coords[:, i0 + bi]) / _FOUR_PI
+            block[bi, bj] = _single_layer_bare(table[:, bj], coords[:, i0 + bi]) / _FOUR_PI
         return time.perf_counter()
 
     return out, [pool.submit(rows_task, i0) for i0 in range(0, points.shape[0], _ROW_BLOCK)]
@@ -369,13 +349,11 @@ def _condition(matrix: np.ndarray) -> float | None:
 _COINCIDENT = 1e-12
 
 
-def _refuse_coincident(mesh: PanelMesh) -> None:
+def _refuse_coincident(mesh: PanelMesh, tree: cKDTree) -> None:
     """Raise SolveError (condition inf) naming the first two panels whose
-    centroids lie within ``_COINCIDENT`` mean panel diameters: their rows
-    of every system on the mesh are equal."""
-    pairs = cKDTree(mesh.centroids).query_pairs(
-        _COINCIDENT * mesh.mean_diameter, output_type="ndarray"
-    )
+    centroids lie within ``_COINCIDENT`` mean panel diameters (``tree`` is
+    their k-d tree): their rows of every system on the mesh are equal."""
+    pairs = tree.query_pairs(_COINCIDENT * mesh.mean_diameter, output_type="ndarray")
     if pairs.size:
         i, j = min(pairs.tolist())
         raise SolveError(
@@ -385,10 +363,10 @@ def _refuse_coincident(mesh: PanelMesh) -> None:
         )
 
 
-def _near_lu(mesh: PanelMesh, matrix: np.ndarray) -> SuperLU:
-    """``near_lu`` of the free block ``matrix`` (see :class:`FreeOperator`).
-    A zero pivot, which ``splu`` raises as RuntimeError, raises SolveError."""
-    tree = cKDTree(mesh.centroids)
+def _near_lu(mesh: PanelMesh, matrix: np.ndarray, tree: cKDTree) -> SuperLU:
+    """``near_lu`` of the free block ``matrix`` (see :class:`FreeOperator`),
+    ``tree`` the centroids' k-d tree.  A zero pivot, which ``splu`` raises
+    as RuntimeError, raises SolveError."""
     # every pair within the radius, the diagonal too, given the block's entries
     near = tree.sparse_distance_matrix(
         tree, _NEAR_RADIUS * mesh.mean_diameter, output_type="coo_matrix"
@@ -558,19 +536,20 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     the pool after the kernel factors, and ``lu_s``, the seconds of the
     near-field LU.
     """
-    _refuse_coincident(mesh)
+    tree = cKDTree(mesh.centroids)
+    _refuse_coincident(mesh, tree)
     with one_blas_thread(), _pool() as (pool, workers):
         # The free block's row tasks run on the pool while this thread
         # builds the kernel factors, which read nothing of them.
         t_start = time.perf_counter()
-        a, tasks = _free_block(mesh, mesh.centroids, pool)
+        a, tasks = _free_block(mesh, mesh.centroids, pool, tree)
         kernel, tail = {}, 0.0
         if domain is not None:
             kernel, tail = _kernel_factors(mesh, domain, config)
         kernel_s = time.perf_counter() - t_start
         done = [t.result() for t in tasks]
         t_lu = time.perf_counter()
-        near_lu = _near_lu(mesh, a)
+        near_lu = _near_lu(mesh, a, tree)
         lu_s = time.perf_counter() - t_lu
     system = BemSystem(FreeOperator(mesh, a, near_lu), domain, config, **kernel)
     _LOG.debug(
@@ -791,7 +770,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     degree = None
     if domain is not None:
         re = domain.re
-        radius = float(np.max(np.linalg.norm(pts, axis=1)))
+        radius = float(np.max(np.linalg.norm(pts, axis=1), initial=0.0))
         if radius >= re:
             raise DomainError(
                 f"field points must satisfy |y| < re = {re}: the "
@@ -799,7 +778,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
             )
     with _pool() as (pool, _):
         # The panel sum runs on the pool while this thread takes the kernel part.
-        free, tasks = _free_block(system.mesh, pts, pool)
+        free, tasks = _free_block(system.mesh, pts, pool, cKDTree(system.mesh.centroids))
         if domain is not None:
             degree = choose_truncation(radius, re, config.prescribed_eps)
             if degree > config.p:

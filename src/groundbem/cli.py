@@ -191,8 +191,8 @@ def _infer_domain(mesh):
 
 
 def _cmd_solve(args) -> int:
-    if args.field and len(args.field) != 2:
-        raise _UsageError(f"--field expects nr,nth, got {len(args.field)} values")
+    if args.field and (len(args.field) != 2 or min(args.field) < 1):
+        raise _UsageError(f"--field expects nr,nth of at least 1 each, got {args.field}")
     mesh = load_mesh(args.mesh)
     domain = _infer_domain(mesh)
     use_kernel = not args.no_kernel and domain.re > domain.r0

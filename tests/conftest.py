@@ -527,24 +527,20 @@ def oracle_single_layer_edges(vertices, points):
 
 def oracle_free_block_loop(mesh, r_nf):
     """Free-space collocation block as the per-column loop built it: the
-    centroid monopole in row chunks of 2e7 // N, then, one panel at a time,
-    the analytic integral on every centroid whose direct-difference squared
-    distance lies below r_nf^2."""
+    centroid monopole from direct differences (``np.linalg.norm``) in row
+    chunks of 2e6 // N, then, one panel at a time, the analytic integral on
+    every centroid whose direct-difference distance lies below r_nf."""
     n = len(mesh)
     centroids = mesh.centroids
     a = np.empty((n, n))
-    sq = np.einsum("ij,ij->i", centroids, centroids)
-    chunk = max(1, int(2e7) // max(n, 1))
+    chunk = max(1, int(2e6) // max(n, 1))
     with np.errstate(divide="ignore"):
         for i0 in range(0, n, chunk):
-            i1 = min(i0 + chunk, n)
-            d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * centroids[i0:i1] @ centroids.T
-            np.maximum(d2, 0.0, out=d2)
-            a[i0:i1] = mesh.areas[None, :] / (4.0 * math.pi * np.sqrt(d2))
+            d = np.linalg.norm(centroids[i0:i0 + chunk, None] - centroids[None, :], axis=-1)
+            a[i0:i0 + chunk] = mesh.areas[None, :] / (4.0 * math.pi * d)
     table = _panel_table(mesh)
     for j in range(n):
-        d2 = np.einsum("ij,ij->i", centroids - centroids[j], centroids - centroids[j])
-        near = np.nonzero(d2 < r_nf * r_nf)[0]
+        near = np.nonzero(np.linalg.norm(centroids - centroids[j], axis=1) < r_nf)[0]
         if near.size:
             a[near, j] = _single_layer_bare(table[:, j], centroids[near].T) / (4.0 * math.pi)
     return a

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
 from groundbem import bem
@@ -231,6 +233,54 @@ def test_near_entries_are_analytic(small_system, solved_disc):
                 assert a[i, j] == pytest.approx(want, rel=1e-12)
                 hits += 1
         assert hits > 100
+
+
+def test_shifted_mesh_keeps_its_near_set_and_far_entries(pooled_problem):
+    # moved 1e3 along x, a mesh's free block keeps its near set (the pairs
+    # whose entry is not the monopole) and its far entries to 5e-12: the
+    # distances come from coordinate differences, not from |y|^2 + |c|^2
+    # - 2 y.c, whose rounding grows with |y|^2 and |c|^2
+    mesh = pooled_problem[0]
+    shifted = PanelMesh(mesh.vertices + [1e3, 0.0, 0.0], mesh.faces, mesh.tags)
+    blocks, nears = [], []
+    for m in (mesh, shifted):
+        a = assemble(m, None, BemConfig()).free_matrix
+        d = cdist(m.centroids, m.centroids)
+        np.fill_diagonal(d, np.inf)
+        mono = m.areas / (4.0 * math.pi * d)
+        blocks.append(a)
+        nears.append(np.abs(a - mono) > 1e-9 * mono)
+    r_nf = 5.0 * mesh.mean_diameter
+    assert np.array_equal(nears[0], cdist(mesh.centroids, mesh.centroids) < r_nf)
+    assert np.array_equal(nears[1], nears[0])
+    far = ~nears[0]
+    rel = np.abs(blocks[1][far] - blocks[0][far]) / blocks[0][far]
+    assert np.max(rel) <= 5e-12
+
+
+def test_assemble_and_field_build_one_centroid_tree_each(pooled_problem, monkeypatch):
+    # assemble's coincidence check, free block and near-field LU share one
+    # k-d tree of the centroids, and the field builds one for its panel
+    # sum; the row tasks build trees of their own rows only
+    mesh, domain, config = pooled_problem
+    built = []
+
+    def tree(data, *args, _real=bem.cKDTree, **kwargs):
+        built.append(data)
+        return _real(data, *args, **kwargs)
+
+    monkeypatch.setattr(bem, "cKDTree", tree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble(mesh, domain, config)
+        rows = -(-len(mesh) // bem._ROW_BLOCK)
+        assert [d is mesh.centroids for d in built] == [True] + [False] * rows
+        assert all(len(d) <= bem._ROW_BLOCK for d in built[1:])
+        set_point_source_rhs(system, (0.0, 0.0, 1.5))
+        solve(system)
+        built.clear()
+        evaluate_field(system, [[0.3, 0.0, 1.2], [0.0, 0.4, 1.4]])
+    assert [d is mesh.centroids for d in built] == [True, False]
 
 
 @pytest.fixture(scope="module")
@@ -564,7 +614,7 @@ def test_degrees_from_the_receivers_match_a_solve_held_at_the_cap(anchor_bump, m
     rfac_pts = receiver_harmonics(near / 2.187, degree) / 2.187
     kernel = rfac_pts @ (system.sfac @ sigma)[: degree * (degree - 1) // 2]
     with bem._pool() as (pool, _):
-        free, tasks = bem._free_block(mesh, near, pool)
+        free, tasks = bem._free_block(mesh, near, pool, cKDTree(mesh.centroids))
         for t in tasks:
             t.result()
     np.testing.assert_allclose(inner.values, free @ sigma + kernel, rtol=1e-12)
@@ -1080,6 +1130,15 @@ def test_field_panel_sum_runs_beside_its_signature_pass(field_problem, pools, mo
     assert rows > 1 and seen == [rows]
     assert grid.metadata["degree"] > system.degree
     assert pending == [] and np.array_equal(grid.values, want)
+
+
+def test_field_of_no_points_is_empty(field_problem, solved_disc):
+    # with a kernel term and without: an empty grid, no error
+    for system in (field_problem[0], solved_disc):
+        for source in (None, (0.0, 0.0, 1.5)):
+            grid = evaluate_field(system, np.zeros((0, 3)), source=source)
+            assert grid.points.shape == (0, 3)
+            assert grid.values.shape == grid.induced.shape == grid.flags.shape == (0,)
 
 
 def test_failed_field_leaves_no_pool_task_running(field_problem, pools, monkeypatch):

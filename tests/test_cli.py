@@ -182,6 +182,20 @@ def test_field_export_round_trip(disc_mesh, tmp_path, capsys):
     assert payload["metadata"]["source"] == [0.0, 0.0, 0.5]
 
 
+@pytest.mark.parametrize("field", ["--field=-1,4", "--field=0,4", "--field=3,0", "--field=3"])
+def test_solve_refuses_a_bad_field_grid_before_the_mesh_is_loaded(
+    field, disc_mesh, tmp_path, capsys, monkeypatch
+):
+    # nr or nth below 1 (or not two values) is a usage error raised before
+    # the mesh is read, so no solve runs and nothing is written
+    loaded = []
+    monkeypatch.setattr(cli, "load_mesh", lambda path: loaded.append(path))
+    assert run_cli("solve", "--mesh", disc_mesh, "--source", "0,0,0.5", field,
+                   "--out-prefix", str(tmp_path / "d")) == 1
+    assert "usage error: --field expects nr,nth" in capsys.readouterr().err
+    assert loaded == [] and not list(tmp_path.iterdir())
+
+
 def test_solve_field_files_are_byte_identical(disc_mesh, tmp_path, capsys):
     for run in ("a", "b"):
         assert run_cli("solve", "--mesh", disc_mesh, "--source", "0,0,0.5",

@@ -378,10 +378,10 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
     real_block, real_field = bem._free_block, experiments.evaluate_field
     splu = SpluSpy(bem.splu)
 
-    def free_block(mesh, points, pool):
+    def free_block(mesh, points, pool, tree):
         if points is mesh.centroids:
             built.append(mesh)
-        return real_block(mesh, points, pool)
+        return real_block(mesh, points, pool, tree)
 
     def field(system, points, source=None):
         grid = real_field(system, points, source=source)
