@@ -277,10 +277,11 @@ def choose_truncation(r0: float, re: float, eps: float) -> int:
 class BemConfig:
     """Discretization and solver parameters.
 
-    ``p`` caps the truncation of the kernel term: the paper's choice for
-    receivers out to ``r0``.  The degrees used follow from the receivers'
-    radii and ``prescribed_eps``, the target kernel accuracy, which also
-    sets the warnings; only a kernel term reads either.
+    ``p``, an integer from 2 to ``P_HARD_LIMIT``, caps the truncation of
+    the kernel term: the paper's choice for receivers out to ``r0``.  The
+    degrees used follow from the receivers' radii and ``prescribed_eps``,
+    the target kernel accuracy, which also sets the warnings; only a
+    kernel term reads either.
 
     ``solver`` is checked to be ``direct`` or ``iterative`` and read by
     nothing: every system takes :func:`solve`'s one route.  The benchmark's
@@ -292,6 +293,8 @@ class BemConfig:
     prescribed_eps: float = 1e-4
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
+            raise DomainError(f"truncation number must be an integer, got {self.p!r}")
         if not 2 <= self.p <= P_HARD_LIMIT:
             raise DomainError(f"truncation number must lie in 2..{P_HARD_LIMIT}, got {self.p}")
         if self.solver not in ("direct", "iterative"):
@@ -640,10 +643,13 @@ def solve(system: BemSystem) -> np.ndarray:
     or the relative residual exceeds 1e-10, :class:`SolveError` is raised,
     carrying the residual reached and the free block's condition number.
     One DEBUG record on the ``groundbem`` logger reports N, S, q, the
-    matvecs lgmres took and the residual.
+    matvecs lgmres took and the residual.  A right-hand side with a
+    non-finite entry raises :class:`DomainError` before lgmres runs.
     """
     n = system.size
     rhs = system.rhs
+    if not np.all(np.isfinite(rhs)):
+        raise DomainError("the right-hand side has non-finite entries")
     if not np.any(rhs):
         warnings.warn("solving with an all-zero right-hand side", stacklevel=2)
     matvecs = 0

@@ -60,8 +60,9 @@ __all__ = [
 class KernelConfig:
     """Evaluation parameters for the ground kernel.
 
-    scale_radius:       hole radius R parameterizing K(y, x; R).
-    p:                  series truncation number, 2 to ``P_HARD_LIMIT`` (128).
+    scale_radius:       hole radius R parameterizing K(y, x; R), finite.
+    p:                  series truncation number, an integer from 2 to
+                        ``P_HARD_LIMIT`` (128).
     integral_tolerance: relative tolerance for the quadrature path.
     """
 
@@ -70,8 +71,10 @@ class KernelConfig:
     integral_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.scale_radius <= 0:
-            raise DomainError(f"scale_radius must be > 0, got {self.scale_radius}")
+        if not 0 < self.scale_radius < math.inf:
+            raise DomainError(f"scale_radius must be finite and > 0, got {self.scale_radius}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
+            raise DomainError(f"truncation number must be an integer, got {self.p!r}")
         if self.p < 2:
             raise DomainError(f"truncation number must be >= 2, got {self.p}")
         if self.p > P_HARD_LIMIT:

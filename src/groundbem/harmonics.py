@@ -1,5 +1,5 @@
-"""Special-function substrate: complete elliptic integrals, the ``nu``
-constant table of the factored kernel, and recursively evaluated real
+"""Special-function substrate: complete elliptic integrals (SciPy's), the
+``nu`` constant table of the factored kernel, and recursively evaluated real
 solid harmonics.
 
 Conventions used throughout the package:
@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
@@ -53,29 +54,13 @@ class TruncationAccuracyWarning(UserWarning):
 
 def elliptic_ke(mu):
     """Complete elliptic integrals ``(K, E)`` at ``mu`` in [0, 1), a scalar
-    or an array, by arithmetic-geometric-mean iteration; both are accurate
-    to a few ulp away from the logarithmic blow-up of K at ``mu -> 1``."""
+    or an array, from :func:`scipy.special.ellipk` and
+    :func:`scipy.special.ellipe`; both are within a few ulp of the exact
+    values up to the logarithmic blow-up of K at ``mu -> 1``."""
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0.0) & (mu < 1.0)):
         raise DomainError(f"elliptic parameter must lie in [0, 1), got {mu}")
-    a = np.ones_like(mu)
-    b = np.sqrt(1.0 - mu)
-    c = np.sqrt(mu)
-    # Running sum of 2^(n-1) c_n^2, n = 0 term included up front.
-    s = 0.5 * mu.copy()
-    pow2 = 1.0
-    # Once c_n <= 1e-9 a_n the next c is below rounding; steps beyond
-    # that only feed 2^n-scaled rounding noise into s.
-    for _ in range(60):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        s += pow2 * c * c
-        pow2 *= 2.0
-        if np.max(np.abs(c)) <= 1e-9 * np.min(a):
-            break
-    k = np.pi / (2.0 * a)
-    e = k * (1.0 - s)
-    return k, e
+    return special.ellipk(mu), special.ellipe(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -55,16 +55,17 @@ _AREA_EPS = 1e-14
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Radii of the detailed and extended computational domains."""
+    """Radii of the detailed and extended computational domains, finite
+    and ``0 < r0 <= re``."""
 
     r0: float
     re: float
 
     def __post_init__(self):
-        if not self.r0 > 0:
-            raise DomainError(f"r0 must be positive, got {self.r0}")
-        if self.re < self.r0:
-            raise DomainError(f"re = {self.re} must be >= r0 = {self.r0}")
+        if not 0 < self.r0 < math.inf:
+            raise DomainError(f"r0 must be finite and positive, got {self.r0}")
+        if not self.r0 <= self.re < math.inf:
+            raise DomainError(f"re = {self.re} must be finite and >= r0 = {self.r0}")
 
     @property
     def delta(self) -> float:
@@ -280,12 +281,12 @@ def make_bump_dip_mesh(sign: int, r0: float, re: float, target_edge: float) -> P
     ring is empty.  Normals point into the computational domain: up on the
     flat ground, outward on the bump, toward the axis on the dip bowl.
     """
-    if target_edge <= 0:
-        raise DomainError(f"target_edge must be positive, got {target_edge}")
+    if not 0 < target_edge < math.inf:
+        raise DomainError(f"target_edge must be finite and positive, got {target_edge}")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 (bump) or -1 (dip)")
-    if re < r0:
-        raise DomainError(f"re = {re} must be >= r0 = {r0}")
+    if not r0 <= re < math.inf:
+        raise DomainError(f"re = {re} must be finite and >= r0 = {r0}")
     if sign == 1 and not r0 > 1.0:
         raise DomainError("bump geometry requires r0 > 1")
     if sign == -1 and abs(r0 - 1.0) > 1e-12:
@@ -314,8 +315,8 @@ def make_sphere_mesh(target_edge: float, radius: float = 1.0) -> PanelMesh:
     """Full sphere, tag SURFACE, outward normals: the upper hemisphere
     joined to its mirror image by :func:`mirror_surface_mesh`, then scaled
     to ``radius``."""
-    if target_edge <= 0 or radius <= 0:
-        raise DomainError("target_edge and radius must be positive")
+    if not (0 < target_edge < math.inf and 0 < radius < math.inf):
+        raise DomainError("target_edge and radius must be finite and positive")
     b = _Builder()
     _add_hemisphere(b, target_edge / radius, z_sign=1)
     sphere = mirror_surface_mesh(b.build(lambda centroids, tags: centroids))
@@ -354,8 +355,8 @@ def mirror_surface_mesh(mesh: PanelMesh) -> PanelMesh:
 
 def make_flat_disc_mesh(radius: float, target_edge: float) -> PanelMesh:
     """Flat disc in z = 0, tag GROUND, upward normals (plain grounded plane)."""
-    if target_edge <= 0 or radius <= 0:
-        raise DomainError("target_edge and radius must be positive")
+    if not (0 < target_edge < math.inf and 0 < radius < math.inf):
+        raise DomainError("target_edge and radius must be finite and positive")
     b = _Builder()
     center = b.add_vertex(0.0, 0.0, 0.0)
     nsteps = max(1, int(round(radius / target_edge)))

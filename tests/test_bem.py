@@ -759,6 +759,34 @@ def test_config_refuses_a_truncation_past_the_safe_limit():
             BemConfig(p=p)
 
 
+@pytest.mark.parametrize("p", [8.0, 9.5, 12.7])
+def test_configs_refuse_a_truncation_that_is_not_an_integer(p):
+    # a float p would reach NumPy as an array size, or be truncated to int
+    for make in (BemConfig, KernelConfig):
+        with pytest.raises(DomainError, match="truncation number"):
+            make(p=p)
+    assert BemConfig(p=np.int64(8)).p == KernelConfig(p=np.int64(8)).p == 8
+
+
+def test_solve_refuses_a_non_finite_rhs(small_system):
+    # a source on a collocation point, a NaN potential and a direct
+    # assignment all reach solve, which refuses them before lgmres
+    k = int(np.flatnonzero(small_system.mesh.tags == SURFACE)[0])
+    with np.errstate(divide="ignore"):
+        set_point_source_rhs(small_system, small_system.mesh.centroids[k])
+    assert not np.all(np.isfinite(small_system.rhs))
+    with pytest.raises(DomainError, match="non-finite"):
+        solve(small_system)
+    set_boundary_potential(small_system, lambda c: math.nan)
+    with pytest.raises(DomainError, match="non-finite"):
+        solve(small_system)
+    small_system.rhs = np.full(small_system.size, math.inf)
+    with pytest.raises(DomainError, match="non-finite"):
+        solve(small_system)
+    set_point_source_rhs(small_system, (0.0, 0.0, 1.5))
+    solve(small_system)
+
+
 def test_boundary_potential_rhs(small_system):
     set_boundary_potential(small_system, lambda c: 1.0)
     on_s = small_system.mesh.tags == SURFACE

@@ -336,6 +336,25 @@ def test_console_entry_point():
     assert float(proc.stdout.strip()) == 0.0
 
 
+@pytest.mark.parametrize("args", [
+    ("mesh", "--kind", "bump", "--edge", "nan"),
+    ("mesh", "--kind", "bump", "--re", "inf"),
+    ("mesh", "--kind", "disc", "--radius", "nan"),
+    ("experiment", "bump", "--edge", "nan"),
+])
+def test_non_finite_sizes_are_numeric_errors(args, tmp_path):
+    # run as a script: a size the generators let through would end in a
+    # traceback and exit 1
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "groundbem.cli", *args, "--out", str(tmp_path / "out.mesh")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "numeric error: " in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GROUNDBEM_OUTDIR", str(tmp_path))
     args = ("experiment", "accuracy-map", "--ratios", "2.5", "--p-values", "4",

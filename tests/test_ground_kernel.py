@@ -310,8 +310,9 @@ def test_domain_validation():
         kernel_integral((1.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG)
     with pytest.raises(DomainError):
         kernel_integral((0.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG, tail_radius=0.5)
-    with pytest.raises(DomainError):
-        KernelConfig(scale_radius=-1.0)
+    for radius in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="scale_radius"):
+            KernelConfig(scale_radius=radius)
     with pytest.raises(DomainError):
         KernelConfig(p=1)
 

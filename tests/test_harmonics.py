@@ -90,6 +90,29 @@ def test_elliptic_domain_error(bad):
         elliptic_ke(np.array([0.3, bad]))
 
 
+# (mu, K, E): K and E from mpmath at 40 digits at the float mu, rounded to
+# the nearest double.  The last two mu are 1.8e-11 and 2.1e-13 below 1,
+# where an AGM iteration's E is about 20 ulp off.
+_ELLIPTIC_FROZEN = [
+    (0.0, 1.5707963267948966, 1.5707963267948966),
+    (1e-3, 1.5711892469233444, 1.5704035540514236),
+    (0.5, 1.8540746773013719, 1.3506438810476755),
+    (0.9, 2.5780921133481733, 1.1047747327040733),
+    (0.98, 3.3541414456991596, 1.0285945190307744),
+    (0.999, 4.841132560550297, 1.0021707908344453),
+    (1 - 1e-6, 8.294051463601063, 1.0000038970261722),
+    (0.9999999999820884, 13.759081730559164, 1.0000000001187455),
+    (0.9999999999997895, 15.980943804551746, 1.0000000000016294),
+]
+
+
+@pytest.mark.parametrize("mu, k_ref, e_ref", _ELLIPTIC_FROZEN)
+def test_elliptic_within_four_ulp_of_frozen_values(mu, k_ref, e_ref):
+    k, e = elliptic_ke(mu)
+    assert abs(k - k_ref) <= 4 * np.spacing(k_ref)
+    assert abs(e - e_ref) <= 4 * np.spacing(e_ref)
+
+
 def test_elliptic_array_matches_scalar():
     grid = np.linspace(0.0, 0.999, 37)
     k, e = elliptic_ke(grid)

@@ -45,6 +45,9 @@ def test_domain_spec():
         DomainSpec(r0=-1.0, re=2.0)
     with pytest.raises(DomainError):
         DomainSpec(r0=2.0, re=1.0)
+    for r0, re in ((1.0, math.nan), (1.0, math.inf), (math.nan, 2.0), (math.inf, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            DomainSpec(r0=r0, re=re)
 
 
 def test_bump_vertices_on_unit_sphere(bump):
@@ -153,6 +156,23 @@ def test_generator_validation():
         make_bump_dip_mesh(1, r0=2.0, re=2.5, target_edge=-0.1)
     with pytest.raises(DomainError):
         make_bump_dip_mesh(2, r0=2.0, re=2.5, target_edge=0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_generators_refuse_non_finite_sizes(bad):
+    # an infinite edge would otherwise make a 42-panel bump or a 6-panel disc
+    makers = [
+        lambda: make_bump_dip_mesh(1, r0=2.0, re=2.4, target_edge=bad),
+        lambda: make_bump_dip_mesh(1, r0=2.0, re=bad, target_edge=0.4),
+        lambda: make_bump_dip_mesh(-1, r0=1.0, re=bad, target_edge=0.4),
+        lambda: make_sphere_mesh(bad),
+        lambda: make_sphere_mesh(0.3, radius=bad),
+        lambda: make_flat_disc_mesh(bad, 0.3),
+        lambda: make_flat_disc_mesh(1.0, bad),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError, match="finite"):
+            make()
 
 
 def test_save_load_round_trip(bump, tmp_path):
