@@ -3,14 +3,17 @@
 The boundary integral equation is discretized with constant panels and
 collocation at panel centroids.  The system operator has two parts:
 
-* the mesh's free-space operator, shared by the systems on that mesh: a
-  dense block of analytic single-layer integrals for panels whose
-  centroids lie within the near-field radius of a collocation point
-  (always for the self term), centroid monopole approximation beyond it,
-  and a sparse LU of the block's entries between nearby panels, both made
-  by ``assemble`` and never changed after.  Every distance is the norm of
-  a coordinate difference; ``assemble`` and ``evaluate_field`` each build
-  one k-d tree of the centroids;
+* the mesh's free-space operator, shared by the systems on that mesh: the
+  block of analytic single-layer integrals for panels whose centroids lie
+  within the near-field radius of a collocation point (always for the
+  self term) and centroid monopoles beyond it, and a sparse LU of the
+  block's entries between nearby panels, both made by ``assemble`` and
+  never changed after.  The block is hierarchical (:class:`HMatrix`): on
+  one median-bisection cluster tree of the centroids, blocks whose boxes
+  lie close are stored densely, and the far ones, pure monopoles, as
+  adaptive-cross-approximation factors, so no N x N array is held.  Every
+  distance is the norm of a coordinate difference; ``assemble`` builds one
+  k-d tree of the centroids, for its coincidence check and its LU;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -29,8 +32,9 @@ cap and contributes its first q columns.
 
 The solve never forms the kernel term as a matrix: it runs lgmres on the
 factored operator, preconditioned by the operator's near-field LU, and
-factors nothing itself.  The free block's rows and its matvec run on a
-pool that each public call makes for itself (``_pool``), and ``assemble``
+factors nothing itself.  The free block's leaves and ACA batches, and
+the field's panel sum, run on a pool that each public call makes for
+itself (``_pool``); the matvec runs on the calling thread.  ``assemble``
 and ``solve`` each hold one cap of one BLAS thread for the whole call.
 """
 
@@ -54,7 +58,7 @@ from scipy.spatial.distance import cdist
 from .blas import one_blas_thread
 from .errors import DomainError, SolveError
 from .ground_kernel import interior_inner_cap, receiver_harmonics, source_signature_batch
-from .harmonics import P_HARD_LIMIT, build_spectral_constants
+from .harmonics import P_HARD_LIMIT, build_spectral_constants, check_truncation
 from .surface_mesh import SURFACE, DomainSpec, PanelMesh
 
 __all__ = [
@@ -62,6 +66,7 @@ __all__ = [
     "BemSystem",
     "FieldGrid",
     "FreeOperator",
+    "HMatrix",
     "choose_truncation",
     "triangle_single_layer",
     "assemble",
@@ -186,25 +191,32 @@ def triangle_single_layer(mesh: PanelMesh, y) -> np.ndarray:
     return bare / _FOUR_PI
 
 
-# Rows of the free-space block built by one task.  It writes their distances
-# straight into its rows of the result (13 MB at N = 6306) and holds no other
-# row-wide block.
+# Field points per task of the field's panel sum: a 256 x N block of
+# entries while the task runs (13 MB at N = 6306), reduced against the
+# density before the task returns.
 _ROW_BLOCK = 256
-# Near pairs per call of the closed form.  A row block has about 60 000; in
-# one call their temporaries took bump_p104's peak RSS from 275-283 MB to
-# 308-309 MB.
+# Near pairs per call of the closed form.  A 256-row block has about
+# 60 000; in one call their temporaries took bump_p104's peak RSS from
+# 275-283 MB to 308-309 MB.
 _PAIR_BATCH = 8192
-# Rows of the free block one task multiplies in ``apply_operator``.
-_MATVEC_ROWS = 512
+# Panels per leaf of the cluster tree, at most.  Of 32, 64 and 128, 64 gave
+# the fastest matvec at N = 3691 and 6306 (2.9 and 7.3 ms, one thread),
+# storing 43 and 74 MB; 128 stored 67 and 107 MB.
+_LEAF = 64
+# Relative Frobenius accuracy at which ACA stops on a far block.
+_ACA_TOL = 1e-6
+# Rows and columns of the far blocks of one shape stepped together by one
+# ACA task: B blocks of m x n make B (m + n).
+_ACA_BATCH = 1 << 16
 
 
 @contextlib.contextmanager
 def _pool():
     """``(pool, workers)`` for one public call: one worker per CPU this
-    process may use now.  Tasks split by rows at fixed sizes, so every
-    result is bitwise the same for any worker count; NumPy releases the GIL
-    in all of it.  However the block is left, queued tasks are cancelled
-    and running ones waited for, so no task or thread outlives the call."""
+    process may use now.  Tasks split at fixed boundaries, so every result
+    is bitwise the same for any worker count; NumPy releases the GIL in
+    all of it.  However the block is left, queued tasks are cancelled and
+    running ones waited for, so no task or thread outlives the call."""
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
     else:  # not on macOS or Windows
@@ -216,43 +228,318 @@ def _pool():
         pool.shutdown(cancel_futures=True)
 
 
-def _free_block(mesh: PanelMesh, points: np.ndarray, pool: ThreadPoolExecutor, tree: cKDTree):
-    """Single layer of every panel at every point, ``(len(points), N)``,
-    started on ``pool``, one task per ``_ROW_BLOCK`` rows.  Returns the
-    result, filled once every task is done, and the tasks, each of which
-    returns the ``time.perf_counter()`` at which it finished.
+def _entries(
+    mesh: PanelMesh, table: np.ndarray, points: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Free-space entries of the panels ``cols`` at ``points``,
+    ``(len(points), len(cols))``: the closed-form triangle integral for
+    pairs closer than the near-field radius, 5 mean panel diameters, the
+    centroid monopole for all others, every distance from ``cdist``.  The
+    closed form takes ``_PAIR_BATCH`` pairs a call, each batch's panel data
+    gathered from ``table`` (``_panel_table``)."""
+    block = cdist(points, mesh.centroids[cols])
+    i, j = np.nonzero(block < 5.0 * mesh.mean_diameter)
+    block *= _FOUR_PI
+    with np.errstate(divide="ignore"):
+        np.divide(mesh.areas[cols], block, out=block)
+    coords = points.T
+    for k in range(0, i.size, _PAIR_BATCH):
+        bi, bj = i[k:k + _PAIR_BATCH], j[k:k + _PAIR_BATCH]
+        block[bi, bj] = _single_layer_bare(table[:, cols[bj]], coords[:, bi]) / _FOUR_PI
+    return block
 
-    Pairs closer than the near-field radius, 5 mean panel diameters, get
-    the closed-form triangle integral, all others the centroid monopole.
-    Each task writes its rows' Euclidean distances (``cdist``) into the
-    result and turns them into the monopole in place.  Its near pairs are
-    those ``tree``, the centroids' k-d tree, puts at a distance below the
-    radius; the tree's distances are bitwise those of ``cdist``.  They go
-    to the closed form ``_PAIR_BATCH`` at a time, each batch's panel data
-    gathered from one table (``_panel_table``).
-    """
-    r_nf = 5.0 * mesh.mean_diameter
-    cents = mesh.centroids
+
+def _panel_sum(mesh: PanelMesh, points: np.ndarray, sigma: np.ndarray, pool: ThreadPoolExecutor):
+    """Single layer of the density ``sigma`` at every point, ``(len(points),)``,
+    started on ``pool``, one task per ``_ROW_BLOCK`` points, each of which
+    reduces its rows of :func:`_entries` against ``sigma``.  Returns the
+    result, filled once every task is done, and the tasks."""
     table = _panel_table(mesh)
-    coords = np.ascontiguousarray(points.T)
-    out = np.empty((points.shape[0], len(mesh)))
+    cols = np.arange(len(mesh))
+    out = np.empty(points.shape[0])
 
     def rows_task(i0):
         rows = slice(i0, i0 + _ROW_BLOCK)
-        block = out[rows]
-        cdist(points[rows], cents, out=block)
-        block *= _FOUR_PI
-        with np.errstate(divide="ignore"):
-            np.divide(mesh.areas[None, :], block, out=block)
-        near = cKDTree(points[rows]).sparse_distance_matrix(tree, r_nf, output_type="ndarray")
-        near = near[near["v"] < r_nf]
-        i, j = near["i"], near["j"]
-        for k in range(0, i.size, _PAIR_BATCH):
-            bi, bj = i[k:k + _PAIR_BATCH], j[k:k + _PAIR_BATCH]
-            block[bi, bj] = _single_layer_bare(table[:, bj], coords[:, i0 + bi]) / _FOUR_PI
-        return time.perf_counter()
+        np.dot(_entries(mesh, table, points[rows], cols), sigma, out=out[rows])
 
     return out, [pool.submit(rows_task, i0) for i0 in range(0, points.shape[0], _ROW_BLOCK)]
+
+
+# ---------------------------------------------------------------------------
+# The compressed free-space block
+# ---------------------------------------------------------------------------
+
+
+def _cluster_tree(points: np.ndarray) -> tuple:
+    """Median bisection of ``points``: ``(order, nodes)``, ``order`` the
+    point at each tree position and ``nodes[k] = (start, stop, lo, hi,
+    kids)``, node k holding the positions start to stop, ``lo``/``hi``
+    their bounding box and ``kids`` its two halves' node numbers, or ()
+    for a leaf of at most ``_LEAF`` points.  A node splits along its
+    box's longest side, at the stable sort's median; node 0 is the root."""
+    order = np.arange(len(points))
+    nodes = []
+
+    def split(start, stop):
+        pts = points[order[start:stop]]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        k = len(nodes)
+        nodes.append(None)
+        kids = ()
+        if stop - start > _LEAF:
+            part = np.argsort(pts[:, np.argmax(hi - lo)], kind="stable")
+            order[start:stop] = order[start:stop][part]
+            mid = (start + stop) // 2
+            kids = (split(start, mid), split(mid, stop))
+        nodes[k] = (start, stop, lo, hi, kids)
+        return k
+
+    split(0, len(points))
+    return order, nodes
+
+
+def _partition(nodes: list, r_far: float) -> tuple:
+    """Block partition of the root against itself: ``(near, far)``, lists of
+    node pairs (rows, columns).  A pair is far (admissible) when its boxes
+    lie at least ``max(r_far, the smaller box diagonal)`` apart, near when
+    it is not and both are leaves; otherwise each node that is not a leaf
+    splits.  Every (row, column) position lies in exactly one block."""
+    boxes = [(lo.tolist(), hi.tolist()) for _, _, lo, hi, _ in nodes]
+    diam = [math.dist(lo, hi) for lo, hi in boxes]
+    near, far = [], []
+
+    def visit(s, t):
+        (slo, shi), (tlo, thi) = boxes[s], boxes[t]
+        skids, tkids = nodes[s][4], nodes[t][4]
+        gap = math.hypot(*(max(0.0, a - b, c - d) for a, b, c, d in zip(tlo, shi, slo, thi)))
+        if gap >= max(r_far, min(diam[s], diam[t])):
+            far.append((s, t))
+        elif not skids and not tkids:
+            near.append((s, t))
+        else:
+            for a in skids or (s,):
+                for b in tkids or (t,):
+                    visit(a, b)
+
+    visit(0, 0)
+    return near, far
+
+
+def _aca(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> list:
+    """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
+    Math. 86, 2000) of the blocks ``1 / |p_r - p_c|``, r from ``rows[b]`` to
+    ``rows[b] + m`` and c from ``cols[b]`` to ``cols[b] + n`` (positions into
+    ``points``), all blocks stepped together.  Returns a list of ``(same,
+    u, v)``, one for the blocks ``same`` of each rank k, ascending: block
+    ``same[i]`` is ``u[i] @ v[i]``, u ``(m, k)`` and v ``(k, n)``.
+
+    A block stops when its last cross term's Frobenius norm falls to
+    ``_ACA_TOL`` of its whole approximation's, when its residual row is
+    zero, or at rank min(m, n); each next pivot row is the largest entry of
+    the last column among rows not yet taken.  A stopped block keeps its
+    terms so far; the stopped blocks leave the batch once they are half of
+    it."""
+    live = np.arange(len(rows))
+    y = points[rows[:, None] + np.arange(m)]
+    x = points[cols[:, None] + np.arange(n)]
+    u, v = np.zeros((live.size, m, min(m, n, 16))), np.zeros((live.size, min(m, n, 16), n))
+    pivot = np.zeros(live.size, dtype=np.intp)
+    taken = np.zeros((live.size, m), dtype=bool)
+    norm2 = np.zeros(live.size)
+    kept = [None] * live.size
+    running = np.ones(live.size, dtype=bool)
+    small_before = np.zeros(live.size, dtype=bool)
+    for k in range(min(m, n)):
+        if k == u.shape[2]:  # room for 8 more terms
+            u = np.concatenate([u, np.zeros((live.size, m, 8))], axis=2)
+            v = np.concatenate([v, np.zeros((live.size, 8, n))], axis=1)
+        at = np.arange(live.size)
+        # the residual's pivot row, then its column at the row's largest entry
+        d = x - y[at, pivot][:, None]
+        row = 1.0 / np.sqrt(np.einsum("bnc,bnc->bn", d, d))
+        row -= (u[at, pivot, :k][:, None] @ v[:, :k])[:, 0]
+        j = np.argmax(np.abs(row), axis=1)
+        delta = row[at, j]
+        d = y - x[at, j][:, None]
+        col = 1.0 / np.sqrt(np.einsum("bmc,bmc->bm", d, d))
+        col -= (u[:, :, :k] @ v[at, :k, j][..., None])[..., 0]
+        zero = delta == 0.0  # nothing left to add
+        row /= np.where(zero, 1.0, delta)[:, None]
+        row[zero] = col[zero] = 0.0
+        u[:, :, k], v[:, k] = col, row
+        # |S_k|^2 = |S_(k-1)|^2 + 2 sum_l (u_l.u_k)(v_l.v_k) + |u_k|^2 |v_k|^2
+        cross = (col[:, None] @ u[:, :, :k]) @ (v[:, :k] @ row[..., None])
+        size2 = np.einsum("bm,bm->b", col, col) * np.einsum("bn,bn->b", row, row)
+        norm2 += 2.0 * cross[:, 0, 0] + size2
+        taken[at, pivot] = True
+        pivot = np.argmax(np.where(taken, -1.0, np.abs(col)), axis=1)
+        small = size2 <= _ACA_TOL ** 2 * norm2
+        stop = running & (zero | (small & small_before) | (k + 1 == min(m, n)))
+        small_before = small
+        for b in np.flatnonzero(stop):
+            kept[live[b]] = (u[b, :, :k + 1], v[b, :k + 1])
+        running &= ~stop
+        if not running.any():
+            break
+        if 2 * np.count_nonzero(running) <= running.size:  # drop the stopped blocks
+            go = running
+            live, y, x, u, v = live[go], y[go], x[go], u[go], v[go]
+            pivot, taken, norm2, small_before = pivot[go], taken[go], norm2[go], small_before[go]
+            running = running[go]
+    ranks = np.array([ub.shape[1] for ub, _ in kept])
+    return [
+        (same, np.stack([kept[b][0] for b in same]), np.stack([kept[b][1] for b in same]))
+        for same in (np.flatnonzero(ranks == rank) for rank in np.unique(ranks))
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class HMatrix:
+    """The free-space block of a mesh, compressed on one cluster tree of
+    its centroids (:func:`_cluster_tree`, :func:`_partition`).
+
+    ``order`` holds the panel at each tree position.  Leaf k of the tree
+    holds the positions ``leaves[k]`` (a slice); its near blocks are stored
+    densely, together, as ``near[k]``, its panels' rows against the panels
+    ``near_cols[k]``, exactly as :func:`_entries` gives them.
+
+    A far (admissible) block holds only centroid monopoles ``w_c / |p_r -
+    p_c|``, ``weights`` the w = area / 4 pi of each tree position.  Its
+    mirror block is far too, and both are ``G diag(w)`` of one symmetric
+    kernel block G = 1/|p_r - p_c|, so one ACA of G (:func:`_aca`), u v,
+    serves both: u on the rows' side and v^T on the columns'.  Each tree
+    node with far blocks keeps its sides' factors side by side, as
+    ``clusters``: ``(positions, q, partner)``, q ``(len(positions), R)``,
+    each column's partner column, across the block, at ``partner`` in the
+    numbering of all nodes' columns in turn.  ``nbytes`` counts every
+    stored array; no (N, N) array is ever held.
+    """
+
+    order: np.ndarray
+    weights: np.ndarray
+    leaves: tuple
+    near: tuple
+    near_cols: tuple
+    clusters: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return (self.order.size, self.order.size)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.order, self.weights, *self.near, *self.near_cols]
+        arrays += [a for _, q, partner in self.clusters for a in (q, partner)]
+        return sum(a.nbytes for a in arrays)
+
+    def near_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The stored entries at the panel pairs ``(rows[k], cols[k])``, each
+        of which must lie in a near leaf pair."""
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(self.order.size)
+        starts = np.array([leaf.start for leaf in self.leaves])
+        leaf = np.searchsorted(starts, position[rows], side="right") - 1
+        by_leaf = np.argsort(leaf, kind="stable")
+        bounds = np.searchsorted(leaf[by_leaf], np.arange(len(self.leaves) + 1))
+        column = np.zeros_like(self.order)
+        out = np.empty(rows.size)
+        for k, near in enumerate(self.near):
+            pairs = by_leaf[bounds[k]:bounds[k + 1]]
+            column[self.near_cols[k]] = np.arange(near.shape[1])
+            out[pairs] = near[position[rows[pairs]] - starts[k], column[cols[pairs]]]
+        return out
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """The block times ``vec``, ``(N,)`` or ``(N, k)``, on the calling
+        thread: each leaf's near blocks in one product, then the far blocks
+        in two passes over the nodes, ``q^T`` times the weighted vector
+        into every column's coefficient, then ``q`` times its columns'
+        partners' coefficients.  It reads each stored byte once or twice,
+        at the speed of memory: a pool of two threads made it no faster,
+        and its tasks' hand-offs slower."""
+        out = np.empty(vec.shape)
+        for leaf, near, cols in zip(self.leaves, self.near, self.near_cols):
+            out[self.order[leaf]] = near @ vec[cols]
+        if self.clusters:
+            weighted = vec[self.order] * self.weights.reshape(-1, *[1] * (vec.ndim - 1))
+            coef = np.concatenate([q.T @ weighted[at] for at, q, _ in self.clusters])
+            far = np.zeros(vec.shape)
+            for at, q, partner in self.clusters:
+                far[at] += q @ coef[partner]
+            out[self.order] += far
+        return out
+
+
+def _hmatrix(mesh: PanelMesh, pool: ThreadPoolExecutor) -> tuple:
+    """Start the :class:`HMatrix` of ``mesh`` on ``pool``: one task per
+    leaf's near blocks, filled by :func:`_entries`, and one per batch of far
+    blocks of one shape, at most ``_ACA_BATCH`` of their rows and columns
+    (:func:`_aca`), each block taken with its mirror.  Batches split at
+    fixed boundaries.  Returns the tasks, each of which returns the
+    ``time.perf_counter()`` at which it finished, and a function that
+    builds the :class:`HMatrix` once every task is done.  Far blocks lie
+    at least the near-field radius apart, so every entry they hold is a
+    monopole; the 1.25-diameter pairs of ``_near_lu`` all lie in near
+    blocks."""
+    centroids = mesh.centroids
+    order, nodes = _cluster_tree(centroids)
+    near_pairs, far_pairs = _partition(nodes, 5.0 * mesh.mean_diameter)
+    leaf_of = {s: k for k, s in enumerate(s for s, node in enumerate(nodes) if not node[4])}
+    leaves = [slice(nodes[s][0], nodes[s][1]) for s in leaf_of]
+    cols_of = [[] for _ in leaves]
+    for s, t in near_pairs:
+        cols_of[leaf_of[s]].append(order[nodes[t][0]:nodes[t][1]])
+    near_cols = [np.concatenate(c) for c in cols_of]
+    shapes = {}
+    for s, t in far_pairs:
+        if s < t:  # its mirror (t, s) is far too
+            shape = (nodes[s][1] - nodes[s][0], nodes[t][1] - nodes[t][0])
+            shapes.setdefault(shape, []).append((s, t))
+    batches = []
+    for (m, n), pairs in sorted(shapes.items()):
+        size = max(1, _ACA_BATCH // (m + n))
+        batches += [(np.asarray(pairs[b:b + size]), m, n) for b in range(0, len(pairs), size)]
+    table = _panel_table(mesh)
+    tree_points = centroids[order]
+    starts = np.array([node[0] for node in nodes])
+    near = [None] * len(leaves)
+    far = [None] * len(batches)
+
+    def near_task(k):
+        near[k] = _entries(mesh, table, tree_points[leaves[k]], near_cols[k])
+        return time.perf_counter()
+
+    def far_task(b):
+        pairs, m, n = batches[b]
+        far[b] = _aca(tree_points, starts[pairs[:, 0]], starts[pairs[:, 1]], m, n)
+        return time.perf_counter()
+
+    def build():
+        # node: [its side of a block's factors, the other node, that side's index]
+        sides = {}
+        for (pairs, _, _), ranks in zip(batches, far):
+            for same, u, v in ranks:
+                for (s, t), us, vs in zip(pairs[same], u, v):
+                    sides.setdefault(s, []).append([us, t, len(sides.setdefault(t, []))])
+                    sides[t].append([vs.T, s, len(sides[s]) - 1])
+        offsets, total = {}, 0
+        for c in sorted(sides):
+            offsets[c] = np.cumsum([total] + [q.shape[1] for q, _, _ in sides[c]])
+            total = offsets[c][-1]
+        clusters = []
+        for c in sorted(sides):
+            partner = [offsets[t][i] + np.arange(q.shape[1]) for q, t, i in sides[c]]
+            q = np.concatenate([q for q, _, _ in sides[c]], axis=1)
+            clusters.append((slice(nodes[c][0], nodes[c][1]), q, np.concatenate(partner)))
+            sides[c] = None
+        weights = mesh.areas[order] / _FOUR_PI
+        return HMatrix(
+            order, weights, tuple(leaves), tuple(near), tuple(near_cols), tuple(clusters)
+        )
+
+    tasks = [pool.submit(near_task, k) for k in range(len(leaves))]
+    tasks += [pool.submit(far_task, b) for b in range(len(batches))]
+    return tasks, build
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +580,7 @@ class BemConfig:
     prescribed_eps: float = 1e-4
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
-            raise DomainError(f"truncation number must be an integer, got {self.p!r}")
+        check_truncation(self.p)
         if not 2 <= self.p <= P_HARD_LIMIT:
             raise DomainError(f"truncation number must lie in 2..{P_HARD_LIMIT}, got {self.p}")
         if self.solver not in ("direct", "iterative"):
@@ -305,8 +591,9 @@ class BemConfig:
 
 @dataclass(frozen=True, eq=False)
 class FreeOperator:
-    """Free-space operator of one mesh: the dense block ``matrix``, the
-    matvec, and ``near_lu``, the preconditioner of :func:`solve`.
+    """Free-space operator of one mesh: the compressed block ``blocks`` (an
+    :class:`HMatrix`), its matvec, and ``near_lu``, the preconditioner of
+    :func:`solve`.
 
     ``near_lu`` is a ``scipy.sparse.linalg.splu`` factor of the block's
     entries for the centroid pairs within ``_NEAR_RADIUS`` mean panel
@@ -316,20 +603,12 @@ class FreeOperator:
     """
 
     mesh: PanelMesh
-    matrix: np.ndarray
+    blocks: HMatrix
     near_lu: SuperLU = field(repr=False)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """The block times ``vec``, on a pool in ``_MATVEC_ROWS`` row chunks."""
-        out = np.empty(len(self.mesh))
-        with _pool() as (pool, _):
-            tasks = [
-                pool.submit(np.dot, self.matrix[i:i + _MATVEC_ROWS], vec, out[i:i + _MATVEC_ROWS])
-                for i in range(0, out.size, _MATVEC_ROWS)
-            ]
-            for t in tasks:
-                t.result()
-        return out
+        """The block times ``vec`` (:meth:`HMatrix.matvec`)."""
+        return self.blocks.matvec(vec)
 
 
 # The near set's radius, in mean panel diameters, and lgmres's stop: of radii
@@ -342,9 +621,11 @@ _LGMRES_RTOL = 1e-14
 _SOLVE_RTOL = 1e-10
 
 
-def _condition(matrix: np.ndarray) -> float | None:
-    """Condition number for a failure report; None above 2000 panels."""
-    return float(np.linalg.cond(matrix)) if len(matrix) <= 2000 else None
+def _condition(blocks: HMatrix) -> float | None:
+    """Condition number of the free block for a failure report, densified
+    as its product with the identity; None above 2000 panels."""
+    n = blocks.shape[0]
+    return float(np.linalg.cond(blocks.matvec(np.eye(n)))) if n <= 2000 else None
 
 
 # Centroids closer than this many mean panel diameters are one collocation
@@ -366,21 +647,22 @@ def _refuse_coincident(mesh: PanelMesh, tree: cKDTree) -> None:
         )
 
 
-def _near_lu(mesh: PanelMesh, matrix: np.ndarray, tree: cKDTree) -> SuperLU:
-    """``near_lu`` of the free block ``matrix`` (see :class:`FreeOperator`),
-    ``tree`` the centroids' k-d tree.  A zero pivot, which ``splu`` raises
+def _near_lu(mesh: PanelMesh, blocks: HMatrix, tree: cKDTree) -> SuperLU:
+    """``near_lu`` of the free block ``blocks`` (see :class:`FreeOperator`),
+    ``tree`` the centroids' k-d tree.  Every pair lies in a near leaf pair of
+    ``blocks``, which gives its entry.  A zero pivot, which ``splu`` raises
     as RuntimeError, raises SolveError."""
     # every pair within the radius, the diagonal too, given the block's entries
     near = tree.sparse_distance_matrix(
         tree, _NEAR_RADIUS * mesh.mean_diameter, output_type="coo_matrix"
     )
-    near.data = matrix[near.row, near.col]
+    near.data = blocks.near_entries(near.row, near.col)
     try:
         return splu(near.tocsc())
     except RuntimeError as exc:
         raise SolveError(
             f"near-field preconditioner failed: a pivot of its LU is exactly zero ({exc})",
-            condition=_condition(matrix),
+            condition=_condition(blocks),
         ) from exc
 
 
@@ -389,7 +671,8 @@ class BemSystem:
     """Assembled collocation system.
 
     ``operator`` is the mesh's free-space operator, which other systems may
-    share; ``free_matrix`` is its block.  With a ``domain`` the ground-kernel
+    share; ``free_matrix`` is its compressed block (an :class:`HMatrix`,
+    whose ``nbytes`` are the bytes it stores).  With a ``domain`` the ground-kernel
     term is ``rfac @ sfac`` on the rows ``kernel_rows`` (the panels off the
     plane) and zero on all others, the source factor including panel areas,
     both at ``degree`` (at most ``config.p``); ``constants`` are the cap's,
@@ -420,8 +703,8 @@ class BemSystem:
         return self.operator.mesh
 
     @property
-    def free_matrix(self) -> np.ndarray:
-        return self.operator.matrix
+    def free_matrix(self) -> HMatrix:
+        return self.operator.blocks
 
     @property
     def size(self) -> int:
@@ -519,7 +802,8 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     """Assemble the collocation system for the given mesh and domain.
 
     The free-space block uses the closed-form triangle integral for pairs
-    closer than the near-field radius and the centroid monopole otherwise.
+    closer than the near-field radius and the centroid monopole otherwise,
+    compressed as an :class:`HMatrix` (``_hmatrix``).
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
     series elsewhere; receiver factors only for the panels off the plane.
@@ -542,19 +826,20 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     tree = cKDTree(mesh.centroids)
     _refuse_coincident(mesh, tree)
     with one_blas_thread(), _pool() as (pool, workers):
-        # The free block's row tasks run on the pool while this thread
+        # The free block's tasks run on the pool while this thread
         # builds the kernel factors, which read nothing of them.
         t_start = time.perf_counter()
-        a, tasks = _free_block(mesh, mesh.centroids, pool, tree)
+        tasks, build = _hmatrix(mesh, pool)
         kernel, tail = {}, 0.0
         if domain is not None:
             kernel, tail = _kernel_factors(mesh, domain, config)
         kernel_s = time.perf_counter() - t_start
         done = [t.result() for t in tasks]
+        blocks = build()
         t_lu = time.perf_counter()
-        near_lu = _near_lu(mesh, a, tree)
+        near_lu = _near_lu(mesh, blocks, tree)
         lu_s = time.perf_counter() - t_lu
-    system = BemSystem(FreeOperator(mesh, a, near_lu), domain, config, **kernel)
+    system = BemSystem(FreeOperator(mesh, blocks, near_lu), domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
         "kernel_s=%.3f wait_s=%.3f lu_s=%.3f",
@@ -639,7 +924,7 @@ def solve(system: BemSystem) -> np.ndarray:
     formed), preconditioned by the operator's near-field LU, which
     ``assemble`` made; its zero start vector is never applied.  It stops at
     a relative residual of 1e-14.  lgmres and the residual check hold one
-    BLAS thread, as each matvec has a pool.  If lgmres does not converge,
+    BLAS thread, as ``assemble`` does.  If lgmres does not converge,
     or the relative residual exceeds 1e-10, :class:`SolveError` is raised,
     carrying the residual reached and the free block's condition number.
     One DEBUG record on the ``groundbem`` logger reports N, S, q, the
@@ -742,8 +1027,10 @@ def _signature_sum(mesh: PanelMesh, re: float, p: int, sigma: np.ndarray) -> np.
 def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
-    The panel sum is assembly's free-space block taken at these points,
-    built on this call's pool while the calling thread takes the kernel
+    The panel sum takes the free-space entries at these points from the
+    row code of the free block's near leaves, uncompressed, each task of
+    this call's pool reducing its rows against the solution
+    (``_panel_sum``), while the calling thread takes the kernel
     part, which is truncated at its own degree: the law at the points'
     largest radius, at most ``config.p`` (warned when the cap falls short
     of ``prescribed_eps`` there).  At or below the factors' degree it
@@ -784,7 +1071,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
             )
     with _pool() as (pool, _):
         # The panel sum runs on the pool while this thread takes the kernel part.
-        free, tasks = _free_block(system.mesh, pts, pool, cKDTree(system.mesh.centroids))
+        free, tasks = _panel_sum(system.mesh, pts, sigma, pool)
         if domain is not None:
             degree = choose_truncation(radius, re, config.prescribed_eps)
             if degree > config.p:
@@ -806,7 +1093,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
                 image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
         for t in tasks:
             t.result()
-    values = free @ sigma + kernel
+    values = free + kernel
     induced = values + image
     if source is not None:
         values = values + 1.0 / (_FOUR_PI * dist) + image

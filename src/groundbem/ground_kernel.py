@@ -33,6 +33,7 @@ from .harmonics import (
     P_HARD_LIMIT,
     SpectralConstants,
     build_spectral_constants,
+    check_truncation,
     elliptic_ke,
     sh_index,
     solid_harmonics_batch,
@@ -73,8 +74,7 @@ class KernelConfig:
     def __post_init__(self):
         if not 0 < self.scale_radius < math.inf:
             raise DomainError(f"scale_radius must be finite and > 0, got {self.scale_radius}")
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
-            raise DomainError(f"truncation number must be an integer, got {self.p!r}")
+        check_truncation(self.p)
         if self.p < 2:
             raise DomainError(f"truncation number must be >= 2, got {self.p}")
         if self.p > P_HARD_LIMIT:

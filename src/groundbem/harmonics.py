@@ -29,6 +29,7 @@ __all__ = [
     "TruncationAccuracyWarning",
     "elliptic_ke",
     "build_spectral_constants",
+    "check_truncation",
     "solid_harmonics_batch",
     "sh_index",
 ]
@@ -83,10 +84,20 @@ class SpectralConstants:
     nu: np.ndarray
 
 
+def check_truncation(p) -> int:
+    """A truncation number ``p`` as an int: a bool or a non-integer (12.7,
+    and 8.0 too) raises :class:`DomainError`.  The configs and this
+    module's builders share this one rule."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise DomainError(f"truncation number must be an integer, got {p!r}")
+    return int(p)
+
+
 def build_spectral_constants(p: int) -> SpectralConstants:
     """Build the ``nu`` table for truncation number ``p`` by running
-    products; no factorial of a large argument is ever formed."""
-    p = int(p)
+    products; no factorial of a large argument is ever formed.  A ``p``
+    that is not an integer raises :class:`DomainError`."""
+    p = check_truncation(p)
     if p < 1:
         raise DomainError(f"truncation number must be >= 1, got {p}")
     if p > P_HARD_LIMIT:
@@ -145,9 +156,9 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
     produces degree n + 1 from degrees n and n - 1: the vertical three-term
     recurrence for |m| <= n - 1, the subdiagonal step at m = +-n and the
     diagonal step at m = +-(n + 1).  The transpose of that table is
-    returned.
+    returned.  A ``p`` that is not an integer raises :class:`DomainError`.
     """
-    p = int(p)
+    p = check_truncation(p)
     if p < 1:
         raise DomainError(f"truncation number must be >= 1, got {p}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -280,9 +280,13 @@ def make_bump_dip_mesh(sign: int, r0: float, re: float, target_edge: float) -> P
     dip has its rim at the detail radius, so ``r0 = 1`` and the inner flat
     ring is empty.  Normals point into the computational domain: up on the
     flat ground, outward on the bump, toward the axis on the dip bowl.
+    ``target_edge`` must lie in (0, 1], up to the feature's unit radius.
     """
-    if not 0 < target_edge < math.inf:
-        raise DomainError(f"target_edge must be finite and positive, got {target_edge}")
+    if not 0 < target_edge <= 1.0:
+        raise DomainError(
+            "target_edge must be finite, positive and at most the unit feature "
+            f"radius, got {target_edge}"
+        )
     if sign not in (1, -1):
         raise DomainError("sign must be +1 (bump) or -1 (dip)")
     if not r0 <= re < math.inf:
@@ -314,9 +318,12 @@ def make_bump_dip_mesh(sign: int, r0: float, re: float, target_edge: float) -> P
 def make_sphere_mesh(target_edge: float, radius: float = 1.0) -> PanelMesh:
     """Full sphere, tag SURFACE, outward normals: the upper hemisphere
     joined to its mirror image by :func:`mirror_surface_mesh`, then scaled
-    to ``radius``."""
-    if not (0 < target_edge < math.inf and 0 < radius < math.inf):
-        raise DomainError("target_edge and radius must be finite and positive")
+    to ``radius``; ``target_edge`` must lie in (0, radius]."""
+    if not (0 < radius < math.inf and 0 < target_edge <= radius):
+        raise DomainError(
+            f"radius must be finite and positive and target_edge in (0, radius], "
+            f"got radius {radius}, target_edge {target_edge}"
+        )
     b = _Builder()
     _add_hemisphere(b, target_edge / radius, z_sign=1)
     sphere = mirror_surface_mesh(b.build(lambda centroids, tags: centroids))
@@ -354,9 +361,13 @@ def mirror_surface_mesh(mesh: PanelMesh) -> PanelMesh:
 
 
 def make_flat_disc_mesh(radius: float, target_edge: float) -> PanelMesh:
-    """Flat disc in z = 0, tag GROUND, upward normals (plain grounded plane)."""
-    if not (0 < target_edge < math.inf and 0 < radius < math.inf):
-        raise DomainError("target_edge and radius must be finite and positive")
+    """Flat disc in z = 0, tag GROUND, upward normals (plain grounded plane);
+    ``target_edge`` must lie in (0, radius]."""
+    if not (0 < radius < math.inf and 0 < target_edge <= radius):
+        raise DomainError(
+            f"radius must be finite and positive and target_edge in (0, radius], "
+            f"got radius {radius}, target_edge {target_edge}"
+        )
     b = _Builder()
     center = b.add_vertex(0.0, 0.0, 0.0)
     nsteps = max(1, int(round(radius / target_edge)))

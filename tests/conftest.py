@@ -569,12 +569,27 @@ def oracle_ground_kernel_matrix(system):
     return solid_harmonics_batch(yt, p) @ sigs.T * mesh.areas[None, :] / re
 
 
+def densify_free_block(blocks):
+    """The compressed free block as a dense (N, N) array: its product with
+    the identity, so near entries come out bit for bit as stored."""
+    return blocks.matvec(np.eye(blocks.shape[0]))
+
+
+def near_block_mask(blocks):
+    """Which (row, column) entries of the compressed free block its near
+    leaves store, as a dense (N, N) boolean array."""
+    mask = np.zeros(blocks.shape, dtype=bool)
+    for leaf, cols in zip(blocks.leaves, blocks.near_cols):
+        mask[np.ix_(blocks.order[leaf], cols)] = True
+    return mask
+
+
 def oracle_direct_solve(system):
-    """The densify-then-LU direct solve: the free block plus ``rfac @ sfac``
-    added on the kernel rows in chunks of about 2e7 entries, then one LU
-    solve of that N x N matrix against ``system.rhs``."""
+    """The densify-then-LU direct solve: the densified compressed free block
+    plus ``rfac @ sfac`` added on the kernel rows in chunks of about 2e7
+    entries, then one LU solve of that N x N matrix against ``system.rhs``."""
     n = system.size
-    a = np.array(system.free_matrix, order="F")
+    a = np.asfortranarray(densify_free_block(system.free_matrix))
     rows = system.kernel_rows
     chunk = max(1, int(2e7) // max(n, 1))
     for i0 in range(0, rows.size, chunk):

@@ -47,7 +47,9 @@ from groundbem.surface_mesh import (
 
 from conftest import (
     SpluSpy,
+    densify_free_block,
     green,
+    near_block_mask,
     oracle_direct_solve,
     oracle_free_block_loop,
     oracle_ground_kernel_matrix,
@@ -194,7 +196,7 @@ def test_small_mesh_size(small_system):
 
 def test_far_pair_green_symmetry(small_system):
     mesh = small_system.mesh
-    a = small_system.free_matrix
+    a = densify_free_block(small_system.free_matrix)
     r_nf = 5.0 * mesh.mean_diameter
     n = len(mesh)
     idx = np.arange(0, n, 7)
@@ -210,20 +212,23 @@ def test_far_pair_green_symmetry(small_system):
 
 
 def test_near_entries_are_analytic(small_system, solved_disc):
-    # the flat disc has more panels than one row block of the free-space
-    # sum, so block boundaries are crossed; every entry must equal the
-    # per-column loop bit for bit, near entries the analytic integral and
-    # far entries the centroid monopole
-    assert len(small_system.mesh) < bem._ROW_BLOCK < len(solved_disc.mesh)
+    # the small bump is one set of near leaves, the flat disc many leaves and
+    # far blocks; every entry its near leaves store must equal the
+    # per-column loop bit for bit, pairs within the near-field radius the
+    # analytic integral and all others the centroid monopole
+    assert not np.all(near_block_mask(solved_disc.free_matrix))
     for system in (small_system, solved_disc):
         mesh = system.mesh
         r_nf = 5.0 * mesh.mean_diameter
-        a = system.free_matrix
-        assert np.array_equal(a, oracle_free_block_loop(mesh, r_nf))
+        a = densify_free_block(system.free_matrix)
+        near = near_block_mask(system.free_matrix)
+        assert np.array_equal(a[near], oracle_free_block_loop(mesh, r_nf)[near])
         hits = 0
         for i in range(0, len(mesh), 13):
             layer = triangle_single_layer(mesh, mesh.centroids[i])
             for j in range(0, len(mesh), 11):
+                if not near[i, j]:
+                    continue
                 d = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j])
                 want = (
                     layer[j]
@@ -235,16 +240,74 @@ def test_near_entries_are_analytic(small_system, solved_disc):
         assert hits > 100
 
 
+def test_cluster_blocks_cover_every_pair_once(pooled_problem, solved_disc):
+    # the partition of the centroids' cluster tree covers every (row,
+    # column) of the block exactly once; far blocks keep every pair beyond
+    # the near-field radius (so every far entry is a monopole), and every
+    # pair of the near-field LU lies in a near block, as the operator stores
+    for mesh in (pooled_problem[0], solved_disc.mesh):
+        n = len(mesh)
+        r_nf = 5.0 * mesh.mean_diameter
+        order, nodes = bem._cluster_tree(mesh.centroids)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert all(stop - start <= bem._LEAF for start, stop, _, _, kids in nodes if not kids)
+        near, far = bem._partition(nodes, r_nf)
+        assert far, "the mesh must have admissible blocks"
+        count = np.zeros((n, n), dtype=int)
+        far_mask = np.zeros((n, n), dtype=bool)
+        for blocks, is_far in ((near, False), (far, True)):
+            for s, t in blocks:
+                rows = order[nodes[s][0]:nodes[s][1]]
+                cols = order[nodes[t][0]:nodes[t][1]]
+                count[np.ix_(rows, cols)] += 1
+                far_mask[np.ix_(rows, cols)] = is_far
+        assert np.all(count == 1)
+        dist = cdist(mesh.centroids, mesh.centroids)
+        assert dist[far_mask].min() >= r_nf
+        assert not np.any(far_mask & (dist <= bem._NEAR_RADIUS * mesh.mean_diameter))
+        system = solved_disc if mesh is solved_disc.mesh else assemble(mesh, None, BemConfig())
+        assert np.array_equal(near_block_mask(system.free_matrix), ~far_mask)
+
+
+def test_compressed_entries_stay_within_the_aca_tolerance(solved_disc):
+    # against the per-column loop: the near leaves bit for bit, the far
+    # blocks' ACA factors within _ACA_TOL in the Frobenius norm of all the
+    # far entries (2.6e-7 when measured), each far entry within 1e-4
+    mesh = solved_disc.mesh
+    want = oracle_free_block_loop(mesh, 5.0 * mesh.mean_diameter)
+    got = densify_free_block(solved_disc.free_matrix)
+    near = near_block_mask(solved_disc.free_matrix)
+    assert np.count_nonzero(~near) > len(mesh) ** 2 / 2
+    assert np.array_equal(got[near], want[near])
+    far = ~near
+    assert np.linalg.norm(got[far] - want[far]) <= bem._ACA_TOL * np.linalg.norm(want[far])
+    assert np.max(np.abs(got[far] - want[far]) / want[far]) <= 1e-4
+
+
+def test_compressed_block_stores_under_half_the_dense_bytes():
+    # at the wide benchmark bump's N = 6306 the dense block took 8 N^2 =
+    # 318 MB; the compressed one stores near leaves, ACA factors and index
+    # arrays in 77 MB when measured, and nbytes counts them all
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.1)
+    assert len(mesh) == 6306
+    blocks = assemble(mesh, None, BemConfig()).free_matrix
+    stored = [blocks.order, blocks.weights, *blocks.near, *blocks.near_cols]
+    stored += [a for _, q, partner in blocks.clusters for a in (q, partner)]
+    assert blocks.nbytes == sum(a.nbytes for a in stored)
+    assert blocks.nbytes <= 0.45 * 8 * len(mesh) ** 2
+
+
 def test_shifted_mesh_keeps_its_near_set_and_far_entries(pooled_problem):
-    # moved 1e3 along x, a mesh's free block keeps its near set (the pairs
-    # whose entry is not the monopole) and its far entries to 5e-12: the
-    # distances come from coordinate differences, not from |y|^2 + |c|^2
-    # - 2 y.c, whose rounding grows with |y|^2 and |c|^2
+    # moved 1e3 along x, a mesh's free-space entries (the row code that
+    # fills the near leaves and the field's panel sum) keep their near set
+    # (the pairs whose entry is not the monopole) and their far entries to
+    # 5e-12: the distances come from coordinate differences, not from
+    # |y|^2 + |c|^2 - 2 y.c, whose rounding grows with |y|^2 and |c|^2
     mesh = pooled_problem[0]
     shifted = PanelMesh(mesh.vertices + [1e3, 0.0, 0.0], mesh.faces, mesh.tags)
     blocks, nears = [], []
     for m in (mesh, shifted):
-        a = assemble(m, None, BemConfig()).free_matrix
+        a = bem._entries(m, bem._panel_table(m), m.centroids, np.arange(len(m)))
         d = cdist(m.centroids, m.centroids)
         np.fill_diagonal(d, np.inf)
         mono = m.areas / (4.0 * math.pi * d)
@@ -258,10 +321,10 @@ def test_shifted_mesh_keeps_its_near_set_and_far_entries(pooled_problem):
     assert np.max(rel) <= 5e-12
 
 
-def test_assemble_and_field_build_one_centroid_tree_each(pooled_problem, monkeypatch):
-    # assemble's coincidence check, free block and near-field LU share one
-    # k-d tree of the centroids, and the field builds one for its panel
-    # sum; the row tasks build trees of their own rows only
+def test_assemble_builds_one_centroid_tree_and_the_field_none(pooled_problem, monkeypatch):
+    # assemble's coincidence check and near-field LU share one k-d tree of
+    # the centroids; the free block's leaves and the field's panel sum take
+    # their near pairs from the distances they compute
     mesh, domain, config = pooled_problem
     built = []
 
@@ -273,14 +336,12 @@ def test_assemble_and_field_build_one_centroid_tree_each(pooled_problem, monkeyp
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = assemble(mesh, domain, config)
-        rows = -(-len(mesh) // bem._ROW_BLOCK)
-        assert [d is mesh.centroids for d in built] == [True] + [False] * rows
-        assert all(len(d) <= bem._ROW_BLOCK for d in built[1:])
+        assert [d is mesh.centroids for d in built] == [True]
         set_point_source_rhs(system, (0.0, 0.0, 1.5))
         solve(system)
         built.clear()
         evaluate_field(system, [[0.3, 0.0, 1.2], [0.0, 0.4, 1.4]])
-    assert [d is mesh.centroids for d in built] == [True, False]
+    assert built == []
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +433,7 @@ def test_assemble_factors_the_near_set_once(small_system, monkeypatch):
     with pytest.warns(UserWarning):
         system = assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
     mesh = system.mesh
-    free = system.free_matrix.copy()
+    free = densify_free_block(system.free_matrix)
     ((near, counts),) = spy.calls
     assert near.format == "csc" and near.shape == free.shape
     dist = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids[None, :], axis=-1)
@@ -393,7 +454,7 @@ def test_assemble_factors_the_near_set_once(small_system, monkeypatch):
     set_point_source_rhs(truncated, (0.0, 0.0, 1.5))
     solve(truncated)
     assert spy.calls == []
-    assert np.array_equal(system.free_matrix, free)
+    assert np.array_equal(densify_free_block(system.free_matrix), free)
 
 
 def test_systems_sharing_an_operator_solve_on_threads_at_once(small_system, monkeypatch):
@@ -614,10 +675,10 @@ def test_degrees_from_the_receivers_match_a_solve_held_at_the_cap(anchor_bump, m
     rfac_pts = receiver_harmonics(near / 2.187, degree) / 2.187
     kernel = rfac_pts @ (system.sfac @ sigma)[: degree * (degree - 1) // 2]
     with bem._pool() as (pool, _):
-        free, tasks = bem._free_block(mesh, near, pool, cKDTree(mesh.centroids))
+        free, tasks = bem._panel_sum(mesh, near, sigma, pool)
         for t in tasks:
             t.result()
-    np.testing.assert_allclose(inner.values, free @ sigma + kernel, rtol=1e-12)
+    np.testing.assert_allclose(inner.values, free + kernel, rtol=1e-12)
 
 
 def test_tail_check_raises_the_degree_the_law_leaves_short(caplog, monkeypatch):
@@ -687,7 +748,10 @@ def test_solver_value_is_validated_and_unread(small_system):
         it_sys = assemble(
             small_system.mesh, small_system.domain, BemConfig(p=12, solver="iterative")
         )
-    for name in ("free_matrix", "rfac", "sfac"):
+    assert np.array_equal(
+        densify_free_block(it_sys.free_matrix), densify_free_block(small_system.free_matrix)
+    )
+    for name in ("rfac", "sfac"):
         assert np.array_equal(getattr(it_sys, name), getattr(small_system, name))
     set_point_source_rhs(it_sys, (0.0, 0.0, 1.5))
     assert np.array_equal(solve(it_sys), direct)
@@ -708,14 +772,14 @@ def test_flat_disc_matches_image_charge_density():
 
 def test_singular_system_raises_solve_error(monkeypatch):
     # two coincident panels give identical collocation rows: assemble
-    # refuses them, naming both, before the N x N block is built, and
+    # refuses them, naming both, before the free block is started, and
     # raises no LinAlgWarning; given in another vertex order, the second
     # face's centroid is one bit off the first's
     verts = np.array([[0.5, 1.0, 0.0], [0.9, 0.3, 0.0], [0.8, 0.4, 0.0]])
     mesh = PanelMesh(verts, np.array([[0, 1, 2], [2, 0, 1]]), np.array([GROUND, GROUND]))
     assert not np.array_equal(*mesh.centroids)
     built = []
-    monkeypatch.setattr(bem, "_free_block", lambda *args: built.append(args))
+    monkeypatch.setattr(bem, "_hmatrix", lambda *args: built.append(args))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SolveError, match="panels 0 and 1 have coincident collocation points") as exc:
@@ -882,10 +946,15 @@ def test_point_source_outside_re_names_re(small_system):
 
 def test_field_at_centroids_is_the_free_matvec(solved_disc):
     # with the kernel off and no source, the field at the collocation
-    # points is the same panel sum as the assembled block
+    # points is the panel sum of the uncompressed block, to rounding, and
+    # the compressed block's matvec to the ACA tolerance
     mesh = solved_disc.mesh
+    sigma = solved_disc.solution
     grid = evaluate_field(solved_disc, mesh.centroids)
-    assert np.array_equal(grid.values, solved_disc.free_matrix @ solved_disc.solution)
+    exact = oracle_free_block_loop(mesh, 5.0 * mesh.mean_diameter) @ sigma
+    np.testing.assert_allclose(grid.values, exact, rtol=1e-12)
+    matvec = solved_disc.operator.matvec(sigma)
+    assert np.linalg.norm(grid.values - matvec) <= bem._ACA_TOL * np.linalg.norm(exact)
 
 
 def test_far_field_decay(solved_disc):
@@ -1021,9 +1090,9 @@ def test_bench_tracer_self_times_add_up(small_system, bench_modules):
 
 @pytest.fixture(scope="module")
 def pooled_problem():
-    # rows for more than one free-block task and more than one matvec task
+    # several leaves and far blocks: more than one task of each kind
     mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.3)
-    assert len(mesh) > max(bem._ROW_BLOCK, bem._MATVEC_ROWS)
+    assert len(mesh) > 4 * bem._LEAF
     return mesh, DomainSpec(r0=2.0, re=3.0), BemConfig(p=8)
 
 
@@ -1082,9 +1151,24 @@ def pools(monkeypatch):
     return made
 
 
+def free_block_tasks(mesh):
+    """The number of tasks ``_hmatrix`` submits for ``mesh``: one per leaf
+    and one per ACA batch; none of them runs here."""
+    submitted = []
+
+    class Pool:
+        def submit(self, *args):
+            submitted.append(args)
+
+    tasks, _ = bem._hmatrix(mesh, Pool())
+    assert len(tasks) == len(submitted)
+    return len(submitted)
+
+
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
 def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools, monkeypatch):
-    # for either solver assemble submits the free block's row tasks only, to one pool, and
+    # for either solver assemble submits the free block's tasks only (its
+    # leaves' and its ACA batches', more than one of each), to one pool, and
     # leaves no task queued or running; the near-field LU comes after all
     # of them, on the calling thread
     mesh, domain, config = pooled_problem
@@ -1100,7 +1184,8 @@ def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools, mon
         system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
     (pool,) = pools
     pending = [t for t in pool.tasks if not t.done()]
-    assert pending == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
+    assert pending == [] and len(pool.tasks) == free_block_tasks(mesh)
+    assert len(pool.tasks) > len(system.free_matrix.leaves) > 1
     ((thread, done),) = seen
     assert thread == threading.get_ident() and len(done) == len(pool.tasks) and all(done)
     assert system.operator.near_lu is not None
@@ -1121,7 +1206,7 @@ def test_failed_assemble_leaves_no_pool_task_running(pooled_problem, solver, poo
         assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
     (pool,) = pools
     running = [t for t in pool.tasks if not t.done()]
-    assert running == [] and len(pool.tasks) == -(-len(mesh) // bem._ROW_BLOCK)
+    assert running == [] and len(pool.tasks) == free_block_tasks(mesh)
 
 
 @pytest.fixture(scope="module")
@@ -1226,7 +1311,7 @@ def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog
         set_point_source_rhs(kernel_off, source)
         truncated = solve(kernel_off)
         runs.append((
-            system.free_matrix, system.rfac, system.sfac,
+            densify_free_block(system.free_matrix), system.rfac, system.sfac,
             apply_operator(system, v), direct, field, truncated,
         ))
     for first, second in zip(*runs):
@@ -1276,6 +1361,7 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
 
 _HYGIENE_SCRIPT = """
 import os, sys, threading, time, warnings
+import numpy as np
 import groundbem
 from groundbem import bem
 from groundbem.surface_mesh import DomainSpec, make_bump_dip_mesh
@@ -1288,7 +1374,8 @@ no_thread_left()
 warnings.simplefilter("ignore")
 mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.5)
 domain, config = DomainSpec(r0=2.0, re=3.0), bem.BemConfig(p=6)
-first = bem.assemble(mesh, domain, config).free_matrix
+eye = np.eye(len(mesh))
+first = bem.assemble(mesh, domain, config).free_matrix.matvec(eye)
 no_thread_left()
 # fork after a solve, on an operator whose near-field LU assemble made
 system = bem.assemble(mesh, domain, config)
@@ -1324,7 +1411,8 @@ if pid == 0:
     bem.splu = fail
     ok = bem.solve(system).shape == (len(mesh),)
     bem.splu = real
-    ok = ok and bem.assemble(mesh, domain, config).free_matrix.tobytes() == first.tobytes()
+    again = bem.assemble(mesh, domain, config).free_matrix.matvec(eye)
+    ok = ok and again.tobytes() == first.tobytes()
     os._exit(0 if ok else 1)
 assert os.waitpid(pid, 0)[1] == 0
 print(time.time(), flush=True)

@@ -341,6 +341,8 @@ def test_console_entry_point():
     ("mesh", "--kind", "bump", "--re", "inf"),
     ("mesh", "--kind", "disc", "--radius", "nan"),
     ("experiment", "bump", "--edge", "nan"),
+    # an edge larger than the unit feature radius
+    ("mesh", "--kind", "bump", "--edge", "5"),
 ])
 def test_non_finite_sizes_are_numeric_errors(args, tmp_path):
     # run as a script: a size the generators let through would end in a

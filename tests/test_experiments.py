@@ -375,13 +375,12 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
     # near-field LU, each made once; the truncated field equals that of a
     # separately assembled kernel-off system bit for bit
     built, truncated = [], []
-    real_block, real_field = bem._free_block, experiments.evaluate_field
+    real_block, real_field = bem._hmatrix, experiments.evaluate_field
     splu = SpluSpy(bem.splu)
 
-    def free_block(mesh, points, pool, tree):
-        if points is mesh.centroids:
-            built.append(mesh)
-        return real_block(mesh, points, pool, tree)
+    def free_block(mesh, pool):
+        built.append(mesh)
+        return real_block(mesh, pool)
 
     def field(system, points, source=None):
         grid = real_field(system, points, source=source)
@@ -390,7 +389,7 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
         return grid
 
     with monkeypatch.context() as m:
-        m.setattr(bem, "_free_block", free_block)
+        m.setattr(bem, "_hmatrix", free_block)
         m.setattr(bem, "splu", splu)
         m.setattr(experiments, "evaluate_field", field)
         with warnings.catch_warnings():

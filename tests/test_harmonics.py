@@ -183,6 +183,19 @@ def test_truncation_limits():
         build_spectral_constants(104)
 
 
+@pytest.mark.parametrize("p", [12.7, 3.9, 8.0, True])
+def test_truncation_that_is_not_an_integer_is_refused(p):
+    # int() would have turned 12.7 into 12 and 3.9 into 3 without a word;
+    # the rule is the configs' own
+    pts = np.array([[0.1, 0.2, 0.3]])
+    with pytest.raises(DomainError, match="truncation number must be an integer"):
+        build_spectral_constants(p)
+    with pytest.raises(DomainError, match="truncation number must be an integer"):
+        solid_harmonics_batch(pts, p)
+    assert build_spectral_constants(np.int64(8)).p == 8
+    assert solid_harmonics_batch(pts, np.int64(8)).shape == (1, 64)
+
+
 # ---------------------------------------------------------------------------
 # Solid harmonics
 # ---------------------------------------------------------------------------

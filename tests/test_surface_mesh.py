@@ -175,6 +175,26 @@ def test_generators_refuse_non_finite_sizes(bad):
             make()
 
 
+def test_generators_refuse_an_edge_larger_than_the_geometry():
+    # a bump or dip edge above the unit feature radius, a sphere or disc
+    # edge above its radius: the generators would return a handful of
+    # panels that resolve nothing
+    makers = [
+        lambda: make_bump_dip_mesh(1, r0=2.0, re=2.4, target_edge=1e300),
+        lambda: make_bump_dip_mesh(1, r0=2.0, re=2.4, target_edge=1.01),
+        lambda: make_bump_dip_mesh(-1, r0=1.0, re=1.5, target_edge=1.5),
+        lambda: make_sphere_mesh(2.6, radius=2.5),
+        lambda: make_flat_disc_mesh(1.0, 1e300),
+        lambda: make_flat_disc_mesh(3.0, 3.5),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError, match="target_edge"):
+            make()
+    # an edge equal to the limit is still a mesh
+    assert len(make_bump_dip_mesh(1, r0=2.0, re=2.4, target_edge=1.0)) > 0
+    assert len(make_flat_disc_mesh(1.0, 1.0)) > 0
+
+
 def test_save_load_round_trip(bump, tmp_path):
     path = tmp_path / "bump.mesh"
     save_mesh(bump, path)
