@@ -7,13 +7,13 @@ collocation at panel centroids.  The system operator has two parts:
   block of analytic single-layer integrals for panels whose centroids lie
   within the near-field radius of a collocation point (always for the
   self term) and centroid monopoles beyond it, and a sparse LU of the
-  block's entries between nearby panels, both made by ``assemble`` and
-  never changed after.  The block is hierarchical (:class:`HMatrix`): on
-  one median-bisection cluster tree of the centroids, blocks whose boxes
-  lie close are stored densely, and the far ones, pure monopoles, as
-  adaptive-cross-approximation factors, so no N x N array is held.  Every
-  distance is the norm of a coordinate difference; ``assemble`` builds one
-  k-d tree of the centroids, for its coincidence check and its LU;
+  closed-form entries between nearby panels, both made by ``assemble``
+  and never changed after.  The block is hierarchical (:class:`HMatrix`):
+  on one median-bisection cluster tree of the centroids, blocks whose
+  boxes lie close are stored densely, and the far ones, pure monopoles,
+  as adaptive-cross-approximation factors, so no N x N array is held.
+  Every distance is the norm of a coordinate difference; ``assemble``
+  builds one k-d tree of the centroids, for its coincidence check and LU;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
   factored low-rank form -- an (S x q) receiver-harmonic factor times a
   (q x N) source-signature factor -- so applying it costs O(q N).
@@ -34,8 +34,9 @@ The solve never forms the kernel term as a matrix: it runs lgmres on the
 factored operator, preconditioned by the operator's near-field LU, and
 factors nothing itself.  The free block's leaves and ACA batches, and
 the field's panel sum, run on a pool that each public call makes for
-itself (``_pool``); the matvec runs on the calling thread.  ``assemble``
-and ``solve`` each hold one cap of one BLAS thread for the whole call.
+itself (``_pool``); the kernel factors, the near-field LU and the matvec
+run on the calling thread.  ``assemble`` and ``solve`` each hold one cap
+of one BLAS thread for the whole call.
 """
 
 from __future__ import annotations
@@ -199,6 +200,9 @@ _ROW_BLOCK = 256
 # 60 000; in one call their temporaries took bump_p104's peak RSS from
 # 275-283 MB to 308-309 MB.
 _PAIR_BATCH = 8192
+# The near-field radius in mean panel diameters, inside which entries take
+# the closed form; far blocks lie this far apart, so ACA sees monopoles only.
+_NEAR_FIELD = 5.0
 # Panels per leaf of the cluster tree, at most.  Of 32, 64 and 128, 64 gave
 # the fastest matvec at N = 3691 and 6306 (2.9 and 7.3 ms, one thread),
 # storing 43 and 74 MB; 128 stored 67 and 107 MB.
@@ -228,24 +232,31 @@ def _pool():
         pool.shutdown(cancel_futures=True)
 
 
+def _pair_entries(table: np.ndarray, points: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Closed-form free-space entry of panel ``cols[k]`` at ``points[k]``,
+    ``(len(cols),)``, ``_PAIR_BATCH`` pairs a call, each batch's panel data
+    gathered from ``table`` (``_panel_table``)."""
+    out = np.empty(cols.size)
+    for k in range(0, cols.size, _PAIR_BATCH):
+        batch = slice(k, k + _PAIR_BATCH)
+        out[batch] = _single_layer_bare(table[:, cols[batch]], points[batch].T) / _FOUR_PI
+    return out
+
+
 def _entries(
     mesh: PanelMesh, table: np.ndarray, points: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Free-space entries of the panels ``cols`` at ``points``,
-    ``(len(points), len(cols))``: the closed-form triangle integral for
-    pairs closer than the near-field radius, 5 mean panel diameters, the
-    centroid monopole for all others, every distance from ``cdist``.  The
-    closed form takes ``_PAIR_BATCH`` pairs a call, each batch's panel data
-    gathered from ``table`` (``_panel_table``)."""
+    ``(len(points), len(cols))``: the closed form (:func:`_pair_entries`)
+    for pairs closer than the near-field radius, ``_NEAR_FIELD`` mean panel
+    diameters, the centroid monopole for all others, every distance from
+    ``cdist``."""
     block = cdist(points, mesh.centroids[cols])
-    i, j = np.nonzero(block < 5.0 * mesh.mean_diameter)
+    i, j = np.nonzero(block < _NEAR_FIELD * mesh.mean_diameter)
     block *= _FOUR_PI
     with np.errstate(divide="ignore"):
         np.divide(mesh.areas[cols], block, out=block)
-    coords = points.T
-    for k in range(0, i.size, _PAIR_BATCH):
-        bi, bj = i[k:k + _PAIR_BATCH], j[k:k + _PAIR_BATCH]
-        block[bi, bj] = _single_layer_bare(table[:, cols[bj]], coords[:, bi]) / _FOUR_PI
+    block[i, j] = _pair_entries(table, points[i], cols[j])
     return block
 
 
@@ -329,16 +340,16 @@ def _aca(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int, n: int)
     """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
     Math. 86, 2000) of the blocks ``1 / |p_r - p_c|``, r from ``rows[b]`` to
     ``rows[b] + m`` and c from ``cols[b]`` to ``cols[b] + n`` (positions into
-    ``points``), all blocks stepped together.  Returns a list of ``(same,
-    u, v)``, one for the blocks ``same`` of each rank k, ascending: block
-    ``same[i]`` is ``u[i] @ v[i]``, u ``(m, k)`` and v ``(k, n)``.
+    ``points``), all blocks stepped together.  Returns one ``(u, v)`` per
+    block, in the order given: the block is ``u @ v``, u ``(m, k)`` and v
+    ``(k, n)``, k its rank.
 
     A block stops when its last cross term's Frobenius norm falls to
     ``_ACA_TOL`` of its whole approximation's, when its residual row is
     zero, or at rank min(m, n); each next pivot row is the largest entry of
-    the last column among rows not yet taken.  A stopped block keeps its
-    terms so far; the stopped blocks leave the batch once they are half of
-    it."""
+    the last column among rows not yet taken.  A stopped block keeps a copy
+    of its terms so far; the stopped blocks leave the batch once they are
+    half of it."""
     live = np.arange(len(rows))
     y = points[rows[:, None] + np.arange(m)]
     x = points[cols[:, None] + np.arange(n)]
@@ -377,7 +388,7 @@ def _aca(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int, n: int)
         stop = running & (zero | (small & small_before) | (k + 1 == min(m, n)))
         small_before = small
         for b in np.flatnonzero(stop):
-            kept[live[b]] = (u[b, :, :k + 1], v[b, :k + 1])
+            kept[live[b]] = (u[b, :, :k + 1].copy(), v[b, :k + 1].copy())
         running &= ~stop
         if not running.any():
             break
@@ -386,11 +397,7 @@ def _aca(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int, n: int)
             live, y, x, u, v = live[go], y[go], x[go], u[go], v[go]
             pivot, taken, norm2, small_before = pivot[go], taken[go], norm2[go], small_before[go]
             running = running[go]
-    ranks = np.array([ub.shape[1] for ub, _ in kept])
-    return [
-        (same, np.stack([kept[b][0] for b in same]), np.stack([kept[b][1] for b in same]))
-        for same in (np.flatnonzero(ranks == rank) for rank in np.unique(ranks))
-    ]
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,23 +439,6 @@ class HMatrix:
         arrays += [a for _, q, partner in self.clusters for a in (q, partner)]
         return sum(a.nbytes for a in arrays)
 
-    def near_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The stored entries at the panel pairs ``(rows[k], cols[k])``, each
-        of which must lie in a near leaf pair."""
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(self.order.size)
-        starts = np.array([leaf.start for leaf in self.leaves])
-        leaf = np.searchsorted(starts, position[rows], side="right") - 1
-        by_leaf = np.argsort(leaf, kind="stable")
-        bounds = np.searchsorted(leaf[by_leaf], np.arange(len(self.leaves) + 1))
-        column = np.zeros_like(self.order)
-        out = np.empty(rows.size)
-        for k, near in enumerate(self.near):
-            pairs = by_leaf[bounds[k]:bounds[k + 1]]
-            column[self.near_cols[k]] = np.arange(near.shape[1])
-            out[pairs] = near[position[rows[pairs]] - starts[k], column[cols[pairs]]]
-        return out
-
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """The block times ``vec``, ``(N,)`` or ``(N, k)``, on the calling
         thread: each leaf's near blocks in one product, then the far blocks
@@ -470,20 +460,20 @@ class HMatrix:
         return out
 
 
-def _hmatrix(mesh: PanelMesh, pool: ThreadPoolExecutor) -> tuple:
+def _hmatrix(mesh: PanelMesh, table: np.ndarray, pool: ThreadPoolExecutor) -> tuple:
     """Start the :class:`HMatrix` of ``mesh`` on ``pool``: one task per
-    leaf's near blocks, filled by :func:`_entries`, and one per batch of far
-    blocks of one shape, at most ``_ACA_BATCH`` of their rows and columns
-    (:func:`_aca`), each block taken with its mirror.  Batches split at
-    fixed boundaries.  Returns the tasks, each of which returns the
-    ``time.perf_counter()`` at which it finished, and a function that
-    builds the :class:`HMatrix` once every task is done.  Far blocks lie
-    at least the near-field radius apart, so every entry they hold is a
-    monopole; the 1.25-diameter pairs of ``_near_lu`` all lie in near
-    blocks."""
+    leaf's near blocks, filled by :func:`_entries` from ``table``
+    (``_panel_table``), and one per batch of far blocks of one shape, at
+    most ``_ACA_BATCH`` of their rows and columns (:func:`_aca`), each block
+    taken with its mirror.  Batches split at fixed boundaries.  Returns the
+    tasks, each of which returns the ``time.perf_counter()`` at which it
+    finished, and a function that builds the :class:`HMatrix` once every
+    task is done.  Far blocks lie at least the near-field radius,
+    ``_NEAR_FIELD`` mean panel diameters, apart, so every entry they hold
+    is a monopole."""
     centroids = mesh.centroids
     order, nodes = _cluster_tree(centroids)
-    near_pairs, far_pairs = _partition(nodes, 5.0 * mesh.mean_diameter)
+    near_pairs, far_pairs = _partition(nodes, _NEAR_FIELD * mesh.mean_diameter)
     leaf_of = {s: k for k, s in enumerate(s for s, node in enumerate(nodes) if not node[4])}
     leaves = [slice(nodes[s][0], nodes[s][1]) for s in leaf_of]
     cols_of = [[] for _ in leaves]
@@ -499,7 +489,6 @@ def _hmatrix(mesh: PanelMesh, pool: ThreadPoolExecutor) -> tuple:
     for (m, n), pairs in sorted(shapes.items()):
         size = max(1, _ACA_BATCH // (m + n))
         batches += [(np.asarray(pairs[b:b + size]), m, n) for b in range(0, len(pairs), size)]
-    table = _panel_table(mesh)
     tree_points = centroids[order]
     starts = np.array([node[0] for node in nodes])
     near = [None] * len(leaves)
@@ -515,23 +504,24 @@ def _hmatrix(mesh: PanelMesh, pool: ThreadPoolExecutor) -> tuple:
         return time.perf_counter()
 
     def build():
-        # node: [its side of a block's factors, the other node, that side's index]
+        # node s: the other node t of each of its far blocks, and s's side
+        # of their factors, u for the block (s, t) with s < t, else v^T
         sides = {}
-        for (pairs, _, _), ranks in zip(batches, far):
-            for same, u, v in ranks:
-                for (s, t), us, vs in zip(pairs[same], u, v):
-                    sides.setdefault(s, []).append([us, t, len(sides.setdefault(t, []))])
-                    sides[t].append([vs.T, s, len(sides[s]) - 1])
-        offsets, total = {}, 0
-        for c in sorted(sides):
-            offsets[c] = np.cumsum([total] + [q.shape[1] for q, _, _ in sides[c]])
-            total = offsets[c][-1]
+        for (pairs, _, _), factors in zip(batches, far):
+            for (s, t), (u, v) in zip(pairs.tolist(), factors):
+                sides.setdefault(s, {})[t] = u
+                sides.setdefault(t, {})[s] = v.T
+        column, total = {}, 0  # the first column of node s's side of (s, t)
+        for s in sorted(sides):
+            for t, q in sides[s].items():
+                column[s, t] = total
+                total += q.shape[1]
         clusters = []
-        for c in sorted(sides):
-            partner = [offsets[t][i] + np.arange(q.shape[1]) for q, t, i in sides[c]]
-            q = np.concatenate([q for q, _, _ in sides[c]], axis=1)
-            clusters.append((slice(nodes[c][0], nodes[c][1]), q, np.concatenate(partner)))
-            sides[c] = None
+        for s in sorted(sides):
+            partner = [column[t, s] + np.arange(q.shape[1]) for t, q in sides[s].items()]
+            q = np.concatenate(list(sides[s].values()), axis=1)
+            clusters.append((slice(nodes[s][0], nodes[s][1]), q, np.concatenate(partner)))
+            sides[s] = None
         weights = mesh.areas[order] / _FOUR_PI
         return HMatrix(
             order, weights, tuple(leaves), tuple(near), tuple(near_cols), tuple(clusters)
@@ -597,9 +587,10 @@ class FreeOperator:
 
     ``near_lu`` is a ``scipy.sparse.linalg.splu`` factor of the block's
     entries for the centroid pairs within ``_NEAR_RADIUS`` mean panel
-    diameters, the diagonal among them (``_near_lu``): 54-221 L + U
-    entries a row where measured, not N.  :func:`assemble` makes both, and
-    nothing changes them after, so systems on any thread may share them.
+    diameters, the diagonal among them, in closed form (``_near_lu``):
+    54-221 L + U entries a row where measured, not N.  :func:`assemble`
+    makes both, and nothing changes them after, so systems on any thread
+    may share them.
     """
 
     mesh: PanelMesh
@@ -647,22 +638,22 @@ def _refuse_coincident(mesh: PanelMesh, tree: cKDTree) -> None:
         )
 
 
-def _near_lu(mesh: PanelMesh, blocks: HMatrix, tree: cKDTree) -> SuperLU:
-    """``near_lu`` of the free block ``blocks`` (see :class:`FreeOperator`),
-    ``tree`` the centroids' k-d tree.  Every pair lies in a near leaf pair of
-    ``blocks``, which gives its entry.  A zero pivot, which ``splu`` raises
-    as RuntimeError, raises SolveError."""
-    # every pair within the radius, the diagonal too, given the block's entries
+def _near_lu(mesh: PanelMesh, table: np.ndarray, tree: cKDTree) -> SuperLU:
+    """``near_lu`` of the free block of ``mesh`` (see :class:`FreeOperator`),
+    ``tree`` the centroids' k-d tree.  ``_NEAR_RADIUS`` lies inside
+    ``_NEAR_FIELD``, so every entry is the closed form (:func:`_pair_entries`),
+    as the block's near leaves hold it.  A zero pivot, which ``splu`` raises as
+    RuntimeError, raises SolveError; ``assemble`` adds its condition."""
+    # every pair within the radius, the diagonal too
     near = tree.sparse_distance_matrix(
         tree, _NEAR_RADIUS * mesh.mean_diameter, output_type="coo_matrix"
     )
-    near.data = blocks.near_entries(near.row, near.col)
+    near.data = _pair_entries(table, mesh.centroids[near.row], near.col)
     try:
         return splu(near.tocsc())
     except RuntimeError as exc:
         raise SolveError(
-            f"near-field preconditioner failed: a pivot of its LU is exactly zero ({exc})",
-            condition=_condition(blocks),
+            f"near-field preconditioner failed: a pivot of its LU is exactly zero ({exc})"
         ) from exc
 
 
@@ -813,38 +804,46 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
     whose centroids coincide raise :class:`SolveError` before anything is
     built (``_refuse_coincident``).  The free block is built on this call's
     pool while the calling thread builds the kernel factors and then the
-    block's near-field LU (a zero pivot raises :class:`SolveError`), all
-    under one cap of one BLAS thread, as the pool has a worker per CPU.  No
-    pool task or thread outlives the call, whether it returns or raises.
-    One DEBUG record on the ``groundbem`` logger reports N, S, q, the
-    factors' degree ``p`` (0 without a kernel term), the cap, the tail
-    estimate, the pool's worker count, the seconds of the free block and
-    of the kernel factors, ``wait_s``, the seconds ``assemble`` blocked on
-    the pool after the kernel factors, and ``lu_s``, the seconds of the
-    near-field LU.
+    near-field LU from the closed form (``_near_lu``), all under one cap of
+    one BLAS thread, as the pool has a worker per CPU.  A zero pivot of the
+    LU raises :class:`SolveError`, with the block's condition number, once
+    the block's tasks are done.  No pool task or thread outlives the call,
+    whether it returns or raises.  One DEBUG record on the ``groundbem``
+    logger reports N, S, q, the factors' degree ``p`` (0 without a kernel
+    term), the cap, the tail estimate, the pool's worker count, the
+    seconds of the free block and of the kernel factors, ``wait_s``, the
+    seconds ``assemble`` blocked on the pool after the kernel factors and
+    the LU, and ``lu_s``, the seconds of the near-field LU.
     """
     tree = cKDTree(mesh.centroids)
     _refuse_coincident(mesh, tree)
+    table = _panel_table(mesh)
     with one_blas_thread(), _pool() as (pool, workers):
-        # The free block's tasks run on the pool while this thread
-        # builds the kernel factors, which read nothing of them.
+        # The free block's tasks run on the pool while this thread builds
+        # the kernel factors and the near-field LU, which read nothing of them.
         t_start = time.perf_counter()
-        tasks, build = _hmatrix(mesh, pool)
+        tasks, build = _hmatrix(mesh, table, pool)
         kernel, tail = {}, 0.0
         if domain is not None:
             kernel, tail = _kernel_factors(mesh, domain, config)
-        kernel_s = time.perf_counter() - t_start
-        done = [t.result() for t in tasks]
-        blocks = build()
         t_lu = time.perf_counter()
-        near_lu = _near_lu(mesh, blocks, tree)
-        lu_s = time.perf_counter() - t_lu
+        try:
+            near_lu = _near_lu(mesh, table, tree)
+        except SolveError as exc:  # a zero pivot, reported with the block's condition
+            for t in tasks:
+                t.result()
+            exc.condition = _condition(build())
+            raise
+        t_wait = time.perf_counter()
+        done = [t.result() for t in tasks]
+        wait_s = time.perf_counter() - t_wait
+        blocks = build()
     system = BemSystem(FreeOperator(mesh, blocks, near_lu), domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
         "kernel_s=%.3f wait_s=%.3f lu_s=%.3f",
         len(mesh), *system.rfac.shape, system.degree or 0, config.p, tail,
-        workers, max(done) - t_start, kernel_s, t_lu - t_start - kernel_s, lu_s,
+        workers, max(done) - t_start, t_lu - t_start, wait_s, t_wait - t_lu,
     )
     return system
 

@@ -9,8 +9,8 @@ module finds every loaded OpenBLAS through the process's memory map and
 calls that entry point directly.
 
 ``bem.assemble`` and ``bem.solve`` each hold one cap for the whole call: on
-the N = 14603 bump at two threads, ``solve`` took 8.6-9.0 s uncapped, not
-4.3-4.5 s, and its solution moved in the last bits (two runs a side, 2-vCPU
+the N = 14603 bump at two threads, ``solve`` took 2.9-3.3 s uncapped, not
+1.7 s, and its solution moved in the last bits (two runs a side, 2-vCPU
 VM).  Under a cap ``evaluate_field`` kept its bits and time, so it has none.
 
 The count is one setting for the whole process, so caps held at the same

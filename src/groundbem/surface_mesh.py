@@ -87,6 +87,8 @@ class PanelMesh:
         vertices = np.asarray(vertices, dtype=float)
         faces = np.asarray(faces, dtype=np.int64)
         tags = np.asarray(tags, dtype=np.int64)
+        if not faces.size:
+            raise MeshFormatError("mesh has no faces")
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshFormatError("vertices must have shape (V, 3)")
         if not np.all(np.isfinite(vertices)):
@@ -95,7 +97,7 @@ class PanelMesh:
             raise MeshFormatError("faces must have shape (F, 3)")
         if tags.shape != (faces.shape[0],):
             raise MeshFormatError("one region tag per face required")
-        if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
+        if faces.min() < 0 or faces.max() >= len(vertices):
             raise MeshFormatError("face indices out of range")
         bad_tags = set(np.unique(tags)) - set(_VALID_TAGS)
         if bad_tags:
@@ -441,6 +443,4 @@ def load_mesh(path) -> PanelMesh:
                 tags.append(tag)
             else:
                 raise MeshFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-    if not faces:
-        raise MeshFormatError("mesh file contains no faces")
     return PanelMesh(np.asarray(vertices), np.asarray(faces), np.asarray(tags))

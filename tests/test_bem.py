@@ -197,7 +197,7 @@ def test_small_mesh_size(small_system):
 def test_far_pair_green_symmetry(small_system):
     mesh = small_system.mesh
     a = densify_free_block(small_system.free_matrix)
-    r_nf = 5.0 * mesh.mean_diameter
+    r_nf = bem._NEAR_FIELD * mesh.mean_diameter
     n = len(mesh)
     idx = np.arange(0, n, 7)
     for i in idx:
@@ -219,7 +219,7 @@ def test_near_entries_are_analytic(small_system, solved_disc):
     assert not np.all(near_block_mask(solved_disc.free_matrix))
     for system in (small_system, solved_disc):
         mesh = system.mesh
-        r_nf = 5.0 * mesh.mean_diameter
+        r_nf = bem._NEAR_FIELD * mesh.mean_diameter
         a = densify_free_block(system.free_matrix)
         near = near_block_mask(system.free_matrix)
         assert np.array_equal(a[near], oracle_free_block_loop(mesh, r_nf)[near])
@@ -247,7 +247,7 @@ def test_cluster_blocks_cover_every_pair_once(pooled_problem, solved_disc):
     # pair of the near-field LU lies in a near block, as the operator stores
     for mesh in (pooled_problem[0], solved_disc.mesh):
         n = len(mesh)
-        r_nf = 5.0 * mesh.mean_diameter
+        r_nf = bem._NEAR_FIELD * mesh.mean_diameter
         order, nodes = bem._cluster_tree(mesh.centroids)
         assert np.array_equal(np.sort(order), np.arange(n))
         assert all(stop - start <= bem._LEAF for start, stop, _, _, kids in nodes if not kids)
@@ -274,7 +274,7 @@ def test_compressed_entries_stay_within_the_aca_tolerance(solved_disc):
     # blocks' ACA factors within _ACA_TOL in the Frobenius norm of all the
     # far entries (2.6e-7 when measured), each far entry within 1e-4
     mesh = solved_disc.mesh
-    want = oracle_free_block_loop(mesh, 5.0 * mesh.mean_diameter)
+    want = oracle_free_block_loop(mesh, bem._NEAR_FIELD * mesh.mean_diameter)
     got = densify_free_block(solved_disc.free_matrix)
     near = near_block_mask(solved_disc.free_matrix)
     assert np.count_nonzero(~near) > len(mesh) ** 2 / 2
@@ -282,6 +282,33 @@ def test_compressed_entries_stay_within_the_aca_tolerance(solved_disc):
     far = ~near
     assert np.linalg.norm(got[far] - want[far]) <= bem._ACA_TOL * np.linalg.norm(want[far])
     assert np.max(np.abs(got[far] - want[far]) / want[far]) <= 1e-4
+
+
+def test_aca_factors_each_block_of_a_batch_in_order():
+    # six blocks 1/|y - x| of 20 x 28 random points in unit cubes, stepped
+    # as one batch, the column cube shifted along x by 12, 2.5, 10, 1.05, 15
+    # and 8: one factor pair per block, in the order given, each within
+    # _ACA_TOL of its block in the Frobenius norm.  The four far blocks stop
+    # by rank 11 and leave the batch while the other two run on: the 2.5
+    # block past the growth step at rank 16 (rank 18 when measured), the
+    # 1.05 block only at rank min(m, n) = 20
+    m, n = 20, 28
+    rng = np.random.default_rng(1)
+    shifts = (12.0, 2.5, 10.0, 1.05, 15.0, 8.0)
+    blocks = [(rng.random((m, 3)), rng.random((n, 3)) + [shift, 0.0, 0.0]) for shift in shifts]
+    points = np.concatenate([np.concatenate(block) for block in blocks])
+    rows = np.arange(len(blocks)) * (m + n)
+    factors = bem._aca(points, rows, rows + m, m, n)
+    assert len(factors) == len(blocks)
+    ranks = []
+    for (y, x), (u, v) in zip(blocks, factors):
+        k = u.shape[1]
+        assert u.shape == (m, k) and v.shape == (k, n)
+        want = 1.0 / cdist(y, x)
+        assert np.linalg.norm(u @ v - want) <= bem._ACA_TOL * np.linalg.norm(want)
+        ranks.append(k)
+    assert max(ranks[0], ranks[2], ranks[4], ranks[5]) <= 11
+    assert 16 < ranks[1] < min(m, n) and ranks[3] == min(m, n)
 
 
 def test_compressed_block_stores_under_half_the_dense_bytes():
@@ -313,7 +340,7 @@ def test_shifted_mesh_keeps_its_near_set_and_far_entries(pooled_problem):
         mono = m.areas / (4.0 * math.pi * d)
         blocks.append(a)
         nears.append(np.abs(a - mono) > 1e-9 * mono)
-    r_nf = 5.0 * mesh.mean_diameter
+    r_nf = bem._NEAR_FIELD * mesh.mean_diameter
     assert np.array_equal(nears[0], cdist(mesh.centroids, mesh.centroids) < r_nf)
     assert np.array_equal(nears[1], nears[0])
     far = ~nears[0]
@@ -951,7 +978,7 @@ def test_field_at_centroids_is_the_free_matvec(solved_disc):
     mesh = solved_disc.mesh
     sigma = solved_disc.solution
     grid = evaluate_field(solved_disc, mesh.centroids)
-    exact = oracle_free_block_loop(mesh, 5.0 * mesh.mean_diameter) @ sigma
+    exact = oracle_free_block_loop(mesh, bem._NEAR_FIELD * mesh.mean_diameter) @ sigma
     np.testing.assert_allclose(grid.values, exact, rtol=1e-12)
     matvec = solved_disc.operator.matvec(sigma)
     assert np.linalg.norm(grid.values - matvec) <= bem._ACA_TOL * np.linalg.norm(exact)
@@ -1160,7 +1187,7 @@ def free_block_tasks(mesh):
         def submit(self, *args):
             submitted.append(args)
 
-    tasks, _ = bem._hmatrix(mesh, Pool())
+    tasks, _ = bem._hmatrix(mesh, bem._panel_table(mesh), Pool())
     assert len(tasks) == len(submitted)
     return len(submitted)
 
@@ -1169,16 +1196,31 @@ def free_block_tasks(mesh):
 def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools, monkeypatch):
     # for either solver assemble submits the free block's tasks only (its
     # leaves' and its ACA batches', more than one of each), to one pool, and
-    # leaves no task queued or running; the near-field LU comes after all
-    # of them, on the calling thread
+    # leaves no task queued or running; the near-field LU reads nothing of
+    # the block, and runs once, on the calling thread, before assemble
+    # waits on any task
     mesh, domain, config = pooled_problem
     seen = []
 
     def near_lu(*args, _real=bem._near_lu):
-        seen.append((threading.get_ident(), [t.done() for t in pools[-1].tasks]))
+        seen.append(("lu", threading.get_ident()))
         return _real(*args)
 
+    def hmatrix(*args, _real=bem._hmatrix):
+        tasks, build = _real(*args)
+
+        class Waited:
+            def __init__(self, task):
+                self.task = task
+
+            def result(self):
+                seen.append(("wait", threading.get_ident()))
+                return self.task.result()
+
+        return [Waited(t) for t in tasks], build
+
     monkeypatch.setattr(bem, "_near_lu", near_lu)
+    monkeypatch.setattr(bem, "_hmatrix", hmatrix)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = assemble(mesh, domain, BemConfig(p=config.p, solver=solver))
@@ -1186,9 +1228,28 @@ def test_assemble_leaves_no_pool_task_pending(pooled_problem, solver, pools, mon
     pending = [t for t in pool.tasks if not t.done()]
     assert pending == [] and len(pool.tasks) == free_block_tasks(mesh)
     assert len(pool.tasks) > len(system.free_matrix.leaves) > 1
-    ((thread, done),) = seen
-    assert thread == threading.get_ident() and len(done) == len(pool.tasks) and all(done)
+    me = threading.get_ident()
+    assert seen == [("lu", me)] + [("wait", me)] * len(pool.tasks)
     assert system.operator.near_lu is not None
+
+
+def test_zero_pivot_on_a_pooled_mesh_waits_for_the_block(pooled_problem, pools, monkeypatch):
+    # the LU fails before assemble waits on the pool: the SolveError still
+    # carries the built block's condition number, and no task is left
+    # queued or running when it reaches the caller
+    mesh, domain, config = pooled_problem
+
+    def splu(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(bem, "splu", splu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolveError, match="pivot of its LU is exactly zero") as exc:
+            assemble(mesh, domain, config)
+    assert 1.0 <= exc.value.condition < math.inf
+    (pool,) = pools
+    assert all(t.done() for t in pool.tasks) and len(pool.tasks) == free_block_tasks(mesh)
 
 
 @pytest.mark.parametrize("solver", ["direct", "iterative"])

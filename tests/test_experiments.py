@@ -378,9 +378,9 @@ def test_studies_build_and_factor_each_free_block_once(study, kwargs, meshes, mo
     real_block, real_field = bem._hmatrix, experiments.evaluate_field
     splu = SpluSpy(bem.splu)
 
-    def free_block(mesh, pool):
+    def free_block(mesh, *args):
         built.append(mesh)
-        return real_block(mesh, pool)
+        return real_block(mesh, *args)
 
     def field(system, points, source=None):
         grid = real_field(system, points, source=source)

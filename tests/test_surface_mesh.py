@@ -245,6 +245,17 @@ def test_load_rejects_malformed(tmp_path):
             load_mesh(p6)
 
 
+def test_mesh_without_faces_is_refused(tmp_path):
+    # built directly or read from a file of vertices only: assemble would
+    # otherwise die outside GroundBemError on the empty cluster tree
+    with pytest.raises(MeshFormatError, match="no faces"):
+        PanelMesh(np.zeros((0, 3)), np.zeros((0, 3), int), np.zeros(0, int))
+    path = tmp_path / "empty.mesh"
+    path.write_text("vertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\n")
+    with pytest.raises(MeshFormatError, match="no faces"):
+        load_mesh(path)
+
+
 def test_mesh_arrays_immutable(bump):
     with pytest.raises(ValueError):
         bump.vertices[0, 0] = 99.0
