@@ -32,11 +32,14 @@ cap and contributes its first q columns.
 
 The solve never forms the kernel term as a matrix: it runs lgmres on the
 factored operator, preconditioned by the operator's near-field LU, and
-factors nothing itself.  The free block's leaves and ACA batches, and
-the field's panel sum, run on a pool that each public call makes for
-itself (``_pool``); the kernel factors, the near-field LU and the matvec
-run on the calling thread.  ``assemble`` and ``solve`` each hold one cap
-of one BLAS thread for the whole call.
+factors nothing itself.  The free block's leaves and ACA batches, the
+field's panel sum and the plane-source chunks of the field's signature
+sum run on a pool that each public call makes for itself (``_pool``);
+the kernel factors, the near-field LU, the matvec and the rest of the
+field's kernel part run on the calling thread.  No pool task calls a
+public function of the package's layer modules: ``bench/tracing.py``
+keeps one span stack for them.  ``assemble`` and ``solve`` each hold one
+cap of one BLAS thread for the whole call.
 """
 
 from __future__ import annotations
@@ -58,7 +61,12 @@ from scipy.spatial.distance import cdist
 
 from .blas import one_blas_thread
 from .errors import DomainError, SolveError
-from .ground_kernel import interior_inner_cap, receiver_harmonics, source_signature_batch
+from .ground_kernel import (
+    interior_inner_cap,
+    receiver_harmonics,
+    source_signature_batch,
+    source_signature_sum,
+)
 from .harmonics import P_HARD_LIMIT, build_spectral_constants, check_truncation
 from .surface_mesh import SURFACE, DomainSpec, PanelMesh
 
@@ -748,12 +756,15 @@ def _kernel_factors(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> t
 
     The factors take the law at the largest kernel-row radius, capped by
     ``config.p``, and one degree more while ``_tail_estimate`` exceeds
-    ``config.prescribed_eps``, up to the cap.  The kernel rows are the only
-    interior sources, so the law at their radius also bounds their inner
-    series.  Warns (at the caller of ``assemble``) when the cap falls short
-    of ``prescribed_eps`` at ``r0``, when the tail still exceeds it at the
-    cap, and when the float64 range caps the inner series of a point the
-    caller gives, whose signature is taken at the cap."""
+    ``config.prescribed_eps``, up to the cap.  The columns are degree-major,
+    so each build (``_factors``) is made one degree above the degree checked
+    and serves two checks as prefixes; a degree below the build keeps a copy
+    of its prefix.  The kernel rows are the only interior sources, so the
+    law at their radius also bounds their inner series.  Warns (at the
+    caller of ``assemble``) when the cap falls short of ``prescribed_eps``
+    at ``r0``, when the tail still exceeds it at the cap, and when the
+    float64 range caps the inner series of a point the caller gives, whose
+    signature is taken at the cap."""
     p, eps, re = config.p, config.prescribed_eps, domain.re
     ratio = domain.r0 / re
     if ratio ** p > eps:
@@ -774,12 +785,20 @@ def _kernel_factors(mesh: PanelMesh, domain: DomainSpec, config: BemConfig) -> t
     rows = np.flatnonzero(centroids[:, 2] != 0.0)
     radius = float(np.max(np.linalg.norm(centroids[rows], axis=1), initial=0.0))
     degree = min(p, choose_truncation(radius, re, eps))
+    top = 0
     while True:
-        rfac, sfac = _factors(mesh, rows, re, degree)
+        if top < degree:
+            # one degree above the one checked: its prefix serves the next check too
+            top = min(p, degree + 1)
+            rfac_top, sfac_top = _factors(mesh, rows, re, top)
+        q = degree * (degree - 1) // 2
+        rfac, sfac = rfac_top[:, :q], sfac_top[:q]
         tail = _tail_estimate(rfac, sfac)
         if tail <= eps or degree == p:
             break
         degree += 1
+    if degree < top:  # keep the prefix alone, in the build's layout
+        rfac, sfac = rfac.copy(order="K"), sfac.copy(order="K")
     if tail > eps:
         warnings.warn(
             f"kernel term's top degrees hold ~{tail:.2e} of it at the cap "
@@ -1005,24 +1024,6 @@ def _below_ground_flags(mesh: PanelMesh, points: np.ndarray) -> np.ndarray:
     return flags
 
 
-# Sources per block of the field's own signature pass: 7 MB of
-# signatures at p = 42.
-_FIELD_BLOCK = 1024
-
-
-def _signature_sum(mesh: PanelMesh, re: float, p: int, sigma: np.ndarray) -> np.ndarray:
-    """``sfac @ sigma`` at truncation p, ``(p(p - 1)/2,)``, from one
-    signature pass over ``_FIELD_BLOCK`` sources at a time on the calling
-    thread, so no (N, q) table is held."""
-    constants = build_spectral_constants(p)
-    weights = mesh.areas * sigma
-    out = np.zeros(p * (p - 1) // 2)
-    for i0 in range(0, len(mesh), _FIELD_BLOCK):
-        block = slice(i0, i0 + _FIELD_BLOCK)
-        out += weights[block] @ source_signature_batch(mesh.centroids[block] / re, constants)
-    return out
-
-
 def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """Potential of the solved system at the given points.
 
@@ -1033,11 +1034,15 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     part, which is truncated at its own degree: the law at the points'
     largest radius, at most ``config.p`` (warned when the cap falls short
     of ``prescribed_eps`` there).  At or below the factors' degree it
-    takes a prefix of ``sfac @ solution``; above it, one signature pass at
-    that degree.  With a kernel term, every point must lie inside ``re``
-    (the receiver series diverges outside), else :class:`DomainError` is
-    raised; the metadata gives the degree used (``degree``) and the cap
-    (``p``), which, with ``re`` and ``r0``, are None without one.  With
+    takes a prefix of ``sfac @ solution``; above it, the signature sum of
+    the panels weighted by area times solution at that degree
+    (``source_signature_sum``, no (N, q) table), whose plane-source chunks
+    go to the same pool after the panel sum's tasks; the result is bitwise
+    the same for any worker count.  With a kernel term, every point must
+    lie inside ``re`` (the receiver series diverges outside), else
+    :class:`DomainError` is raised; the metadata gives the degree used
+    (``degree``) and the cap (``p``), which, with ``re`` and ``r0``, are
+    None without one.  With
     ``source`` given, the incident monopole and its kernel image are added
     and the induced part is reported separately.  Points must be finite,
     of shape (M, 3) or (3,), and none may coincide with ``source`` (one
@@ -1069,7 +1074,8 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
                 "receiver series of the ground kernel diverges outside"
             )
     with _pool() as (pool, _):
-        # The panel sum runs on the pool while this thread takes the kernel part.
+        # The panel sum, then the signature sum's plane chunks, run on the
+        # pool while this thread takes the rest of the kernel part.
         free, tasks = _panel_sum(system.mesh, pts, sigma, pool)
         if domain is not None:
             degree = choose_truncation(radius, re, config.prescribed_eps)
@@ -1082,14 +1088,17 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
                     stacklevel=2,
                 )
             q = degree * (degree - 1) // 2
+            rfac_pts = receiver_harmonics(pts / re, degree) / re
+            if source is not None:
+                image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
             if degree <= system.degree:
                 weights = system.sfac[:q] @ sigma
             else:
-                weights = _signature_sum(system.mesh, re, degree, sigma)
-            rfac_pts = receiver_harmonics(pts / re, degree) / re
+                weights = source_signature_sum(
+                    system.mesh.centroids / re, system.mesh.areas * sigma,
+                    build_spectral_constants(degree), pool,
+                )
             kernel = rfac_pts @ weights
-            if source is not None:
-                image = rfac_pts @ source_signature_batch(xs / re, system.constants)[0][:q]
         for t in tasks:
             t.result()
     values = free + kernel

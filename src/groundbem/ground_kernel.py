@@ -45,6 +45,7 @@ __all__ = [
     "radial_table",
     "receiver_harmonics",
     "source_signature_batch",
+    "source_signature_sum",
     "kernel_integral",
     "kernel_series",
     "kernel_neumann",
@@ -116,11 +117,15 @@ _W_FORWARD = 1.0
 _W_START = 12.0
 _U_FORWARD = 6.0
 _U_START = 18.0
-_U_BLOCK = 1 << 19  # entries per array in one block of the u start sums
+# Entries per array in one block of the u start sums: about 1 MB, so two
+# tables built at once, on the field's pool, hold less scratch than one did
+# at 1 << 19.  A column's result does not depend on the block width.
+_U_BLOCK = 1 << 17
 
 
-def _w_columns(xis, m_top):
-    """w_m for m = 0..m_top, one column per xi.
+def _w_columns(xis, kk, ee, m_top):
+    """w_m for m = 0..m_top, one column per xi, ``kk`` and ``ee`` the
+    complete elliptic integrals K and E at xi^2.
 
     Forward from w_0 = 4K and w_1 = 4(K - E)/xi where the forward error
     stays small; elsewhere the ratios r_m = w_m / w_(m-1) come from
@@ -128,7 +133,6 @@ def _w_columns(xis, m_top):
     from the large-m form r_N = xi (2N - 1)/(2N) (1 + xi^2/(4 (1 - xi^2) N^2))
     at each column's own start N, and w_m = 4K r_1 ... r_m.
     """
-    kk, ee = elliptic_ke(xis * xis)
     w = np.empty((m_top + 1, xis.size))
     w[0] = 4.0 * kk
     log_inv = -np.log(xis)
@@ -259,7 +263,7 @@ class RadialTable:
             raise DomainError(f"truncation number must be >= 2, got {p}")
         self.xis = xis
         self.p = p
-        self.w = _w_columns(xis, max(1, p - 2))
+        self.w = _w_columns(xis, *elliptic_ke(xis * xis), max(1, p - 2))
         self.u = _u_layers(xis, self.w, p)
         self.layer_n = {m: np.arange(m + 1, p, 2) for m in self.u}
 
@@ -359,13 +363,12 @@ def interior_inner_cap(constants: SpectralConstants) -> int:
 _INTERIOR_BLOCK = 128
 
 
-def _signature_interior_batch(pts, rows, constants, out):
-    """Inner-series signatures of the general interior sources ``pts[rows]``
-    into the same rows of ``out``, summed to the n' <= 2p - 3 cap (the
-    terms beyond are negligible at the radii where this branch is
-    dispatched).  The source harmonics are built for ``_INTERIOR_BLOCK``
-    of these sources at a time, up to the highest source degree the
-    series keeps."""
+def _interior_terms(constants):
+    """The inner series as products of source harmonics: ``(degree, terms)``,
+    ``degree`` one above the highest source degree kept, and per signed m one
+    ``(out columns, harmonic columns, nu column scale, coupling^T)``; the
+    signatures of sources with harmonics H are ``(H[:, in] * nu) @ coupling^T``
+    in their out columns."""
     terms = []
     degree = 1
     for m, (n_rec, cols, nu_cols, cmat) in _interior_coupling(constants).items():
@@ -373,6 +376,17 @@ def _signature_interior_batch(pts, rows, constants, out):
             degree = max(degree, int(cols[-1]) + 1)
             for sm in ((m,) if m == 0 else (m, -m)):
                 terms.append((_kernel_column(n_rec, sm), sh_index(cols, sm), nu_cols, cmat.T))
+    return degree, terms
+
+
+def _signature_interior_batch(pts, rows, constants, out):
+    """Inner-series signatures of the general interior sources ``pts[rows]``
+    into the same rows of ``out``, summed to the n' <= 2p - 3 cap (the
+    terms beyond are negligible at the radii where this branch is
+    dispatched).  The source harmonics are built for ``_INTERIOR_BLOCK``
+    of these sources at a time, up to the highest source degree the
+    series keeps."""
+    degree, terms = _interior_terms(constants)
     for i0 in range(0, rows.size, _INTERIOR_BLOCK):
         block = rows[i0 : i0 + _INTERIOR_BLOCK]
         harmonics = solid_harmonics_batch(pts[block], degree)
@@ -390,12 +404,33 @@ def _signature_ground_batch(pts, rows, constants, out):
     table = RadialTable(rho, p)
     block = rows[:, None]
     for m in range(p - 1):
-        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
         ns = np.arange(m + 1, p, 2)
-        base = (pref * constants.nu[ns + 1, m])[:, None] * table.u[m]
+        base = _plane_scale(constants, m, ns)[:, None] * table.u[m]
         out[block, _kernel_column(ns, m)] = (base * np.cos(m * phi)).T
         if m > 0:
             out[block, _kernel_column(ns, -m)] = (base * np.sin(-m * phi)).T
+
+
+def _plane_scale(constants, m, ns):
+    """The factor of u_n^m in the plane-source signatures of degrees ``ns``."""
+    pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
+    return pref * constants.nu[ns + 1, m]
+
+
+def _sources(points):
+    """``(points, on_plane)`` of dimensionless sources, ``(N, 3)`` and the
+    plane points' mask (z = 0, off the axis), or DomainError unless every
+    source is finite with |x| < 1."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise DomainError(f"sources must have shape (N, 3), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("source coordinates must be finite")
+    r = np.linalg.norm(pts, axis=1)
+    if np.any(r >= 1.0):
+        raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    return pts, (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
 
 
 def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
@@ -407,22 +442,90 @@ def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
     the rest through the inner harmonic series; each branch writes its
     rows of the one result, so rows are returned in input order.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError(f"sources must have shape (N, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("source coordinates must be finite")
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r >= 1.0):
-        raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
+    pts, on_plane = _sources(points)
     coeffs = np.zeros((pts.shape[0], constants.p * (constants.p - 1) // 2))
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    on_plane = (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
     if np.any(on_plane):
         _signature_ground_batch(pts, np.flatnonzero(on_plane), constants, coeffs)
     if not np.all(on_plane):
         _signature_interior_batch(pts, np.flatnonzero(~on_plane), constants, coeffs)
     return coeffs
+
+
+# Plane sources per pool task of :func:`source_signature_sum`: a task's radial
+# layers hold about p^2/4 entries a source, 1.8 MB at p = 42.
+_PLANE_CHUNK = 512
+
+
+def _plane_sum(xis, phi, kk, ee, weights, constants):
+    """``weights @`` the signatures of the plane sources at radii ``xis`` and
+    azimuths ``phi``, ``(q,)``, ``kk`` and ``ee`` K and E at xi^2: each radial
+    layer m is contracted with w cos(m phi) and w sin(-m phi) in turn.  It
+    calls no public function, so it may run on a pool thread."""
+    p = constants.p
+    out = np.zeros(p * (p - 1) // 2)
+    layers = _u_layers(xis, _w_columns(xis, kk, ee, max(1, p - 2)), p)
+    for m, layer in layers.items():
+        ns = np.arange(m + 1, p, 2)
+        scale = _plane_scale(constants, m, ns)
+        if m == 0:
+            out[_kernel_column(ns, 0)] = scale * (layer @ weights)
+        else:
+            both = layer @ np.column_stack((weights * np.cos(m * phi), weights * np.sin(-m * phi)))
+            out[_kernel_column(ns, m)] = scale * both[:, 0]
+            out[_kernel_column(ns, -m)] = scale * both[:, 1]
+    return out
+
+
+def _interior_sum(pts, weights, constants):
+    """``weights @`` the inner-series signatures of the interior sources
+    ``pts``, ``(q,)``: their nu-scaled solid harmonics, ``_INTERIOR_BLOCK``
+    sources at a time, are summed with the weights into moments, which are
+    then coupled once per signed m."""
+    degree, terms = _interior_terms(constants)
+    out = np.zeros(constants.p * (constants.p - 1) // 2)
+    scale = np.zeros(degree * degree)
+    for _, in_idx, nu_cols, _ in terms:
+        scale[in_idx] = nu_cols
+    moments = np.zeros(degree * degree)
+    for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
+        block = slice(i0, i0 + _INTERIOR_BLOCK)
+        moments += weights[block] @ (solid_harmonics_batch(pts[block], degree) * scale)
+    for out_idx, in_idx, _, cmat_t in terms:
+        out[out_idx] = moments[in_idx] @ cmat_t
+    return out
+
+
+def source_signature_sum(points, weights, constants: SpectralConstants, pool) -> np.ndarray:
+    """``weights @ source_signature_batch(points, constants)``, ``(p(p - 1)/2,)``,
+    without forming the (N, q) signature table.
+
+    K and E of every plane source come from one call, on the calling thread.
+    The plane sources then go, in fixed chunks of ``_PLANE_CHUNK``, to
+    ``pool`` (a ``concurrent.futures`` executor), each chunk contracting its
+    radial layers with the weights (:func:`_plane_sum`, which calls no
+    public function).  Meanwhile the calling thread sums the interior
+    sources' moments and couples them (:func:`_interior_sum`, multipole
+    style: Greengard & Rokhlin, J. Comput. Phys. 73, 1987), then adds the
+    chunk sums in chunk order, so the result is bitwise the same for any
+    worker count.  Sources must be finite with |x| < 1, one weight each,
+    else :class:`DomainError` is raised."""
+    pts, on_plane = _sources(points)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (pts.shape[0],):
+        raise DomainError(f"need one weight per source, got shape {weights.shape}")
+    plane = np.flatnonzero(on_plane)
+    xis = np.hypot(pts[plane, 0], pts[plane, 1])
+    phi = np.arctan2(pts[plane, 1], pts[plane, 0])
+    kk, ee = elliptic_ke(xis * xis)
+    w = weights[plane]
+    tasks = []
+    for i0 in range(0, plane.size, _PLANE_CHUNK):
+        c = slice(i0, i0 + _PLANE_CHUNK)
+        tasks.append(pool.submit(_plane_sum, xis[c], phi[c], kk[c], ee[c], w[c], constants))
+    out = _interior_sum(pts[~on_plane], weights[~on_plane], constants)
+    for task in tasks:
+        out += task.result()
+    return out
 
 
 # ---------------------------------------------------------------------------

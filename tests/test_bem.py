@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
 
-from groundbem import bem
+from groundbem import bem, ground_kernel
 from groundbem.bem import (
     BemConfig,
     apply_ground_kernel,
@@ -729,6 +729,42 @@ def test_tail_check_raises_the_degree_the_law_leaves_short(caplog, monkeypatch):
     assert below > 1e-4
 
 
+def test_kernel_factors_build_once_where_the_tail_adds_a_degree(small_system, monkeypatch):
+    # on this mesh the law gives 9 and the tail check adds a degree: one
+    # build one degree above the law serves both checks, and the factors
+    # kept at its top degree are that build's, bit for bit.  On a mesh
+    # where the law's degree passes, the kept factors are a copy of the
+    # build's prefix, laid out as a build at that degree would be (whose
+    # interior signatures sum two fewer inner-series degrees).
+    built = []
+
+    def factors(mesh, rows, re, p, _real=bem._factors):
+        built.append(p)
+        return _real(mesh, rows, re, p)
+
+    monkeypatch.setattr(bem, "_factors", factors)
+    mesh, domain = small_system.mesh, small_system.domain
+    law = choose_truncation(np.linalg.norm(mesh.centroids[small_system.kernel_rows], axis=1).max(),
+                            domain.re, 1e-4)
+    kernel, _ = bem._kernel_factors(mesh, domain, BemConfig(p=12))
+    assert built == [law + 1] and bem._truncation_of(kernel["rfac"].shape[1]) == law + 1
+    rfac, sfac = factors(mesh, kernel["kernel_rows"], domain.re, law + 1)
+    assert np.array_equal(kernel["rfac"], rfac) and np.array_equal(kernel["sfac"], sfac)
+
+    built.clear()
+    wide = make_bump_dip_mesh(1, r0=2.0, re=2.187, target_edge=0.5)
+    kernel, tail = bem._kernel_factors(wide, DomainSpec(r0=2.0, re=2.187), BemConfig(p=104))
+    degree = bem._truncation_of(kernel["rfac"].shape[1])
+    assert built == [degree + 1] and tail <= 1e-4
+    q = degree * (degree - 1) // 2
+    rfac, sfac = bem._factors(wide, kernel["kernel_rows"], 2.187, degree + 1)
+    layout = bem._factors(wide, kernel["kernel_rows"], 2.187, degree)
+    kept = (kernel["rfac"], kernel["sfac"])
+    for kept, prefix, alone in zip(kept, (rfac[:, :q], sfac[:q]), layout):
+        assert kept.base is None and kept.strides == alone.strides
+        assert np.array_equal(kept, prefix)
+
+
 def test_tail_estimate_is_scaled_per_degree_block(rng):
     # rank-one degree blocks of known Frobenius norms 0.3^n, their source
     # side scaled up by 1e180 and receiver side down by as much, as the
@@ -1284,24 +1320,34 @@ def field_problem(small_system):
     return system, pts
 
 
+def field_tasks(system, pts):
+    """The pool tasks of ``evaluate_field(system, pts)`` when the field takes
+    its own signature sum: the panel sum's row tasks, then one per chunk of
+    the plane sources."""
+    rows = -(-len(pts) // bem._ROW_BLOCK)
+    plane = np.count_nonzero(system.mesh.centroids[:, 2] == 0.0)
+    return rows, -(-plane // ground_kernel._PLANE_CHUNK)
+
+
 def test_field_panel_sum_runs_beside_its_signature_pass(field_problem, pools, monkeypatch):
-    # the panel sum's row tasks are on the pool before the calling thread
-    # starts the field's own signature pass, and all are done on return
+    # the panel sum's row tasks, then the signature sum's plane chunks, are
+    # on the pool before the calling thread takes the interior sources'
+    # moments, and all are done on return
     system, pts = field_problem
     want = evaluate_field(system, pts).values
     pools.clear()
     seen = []
 
-    def signature_sum(*args, _real=bem._signature_sum):
+    def moments(*args, _real=ground_kernel._interior_sum):
         seen.append(len(pools[-1].tasks))
         return _real(*args)
 
-    monkeypatch.setattr(bem, "_signature_sum", signature_sum)
+    monkeypatch.setattr(ground_kernel, "_interior_sum", moments)
     grid = evaluate_field(system, pts)
     (pool,) = pools
     pending = [t for t in pool.tasks if not t.done()]
-    rows = -(-len(pts) // bem._ROW_BLOCK)
-    assert rows > 1 and seen == [rows]
+    rows, chunks = field_tasks(system, pts)
+    assert rows > 1 and chunks >= 1 and seen == [rows + chunks]
     assert grid.metadata["degree"] > system.degree
     assert pending == [] and np.array_equal(grid.values, want)
 
@@ -1316,17 +1362,35 @@ def test_field_of_no_points_is_empty(field_problem, solved_disc):
 
 
 def test_failed_field_leaves_no_pool_task_running(field_problem, pools, monkeypatch):
+    # the calling thread fails while the row tasks and the plane chunks are
+    # queued and running: none is left running when the error reaches the
+    # caller
     system, pts = field_problem
 
     def fail(*args):
-        raise RuntimeError("signature pass failed")
+        raise RuntimeError("interior moments failed")
 
-    monkeypatch.setattr(bem, "_signature_sum", fail)
-    with pytest.raises(RuntimeError, match="signature pass failed"):
+    monkeypatch.setattr(ground_kernel, "_interior_sum", fail)
+    with pytest.raises(RuntimeError, match="interior moments failed"):
         evaluate_field(system, pts)
     (pool,) = pools
     running = [t for t in pool.tasks if not t.done()]
-    assert running == [] and len(pool.tasks) == -(-len(pts) // bem._ROW_BLOCK)
+    assert running == [] and len(pool.tasks) == sum(field_tasks(system, pts))
+
+
+def test_failed_plane_chunk_reaches_the_caller(field_problem, pools, monkeypatch):
+    # a plane chunk of the field's signature sum raises on the pool: its own
+    # error reaches the caller, and no task is left queued or running
+    system, pts = field_problem
+
+    def fail(*args):
+        raise RuntimeError("plane chunk failed")
+
+    monkeypatch.setattr(ground_kernel, "_plane_sum", fail)
+    with pytest.raises(RuntimeError, match="plane chunk failed"):
+        evaluate_field(system, pts)
+    (pool,) = pools
+    assert all(t.done() for t in pool.tasks) and len(pool.tasks) == sum(field_tasks(system, pts))
 
 
 def test_failed_row_task_reaches_the_caller(pooled_problem, field_problem, pools, monkeypatch):
@@ -1379,9 +1443,10 @@ def test_outputs_independent_of_worker_count(pooled_problem, monkeypatch, caplog
         assert np.array_equal(first, second)
 
 
-def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, monkeypatch):
+def test_traced_spans_nest_with_the_pool_running(bench_modules, pools, monkeypatch):
     # bench/tracing.py keeps one span stack: a traced function running on a
-    # worker thread next to the caller would break the nesting
+    # worker thread next to the caller would break the nesting.  The mesh
+    # sends two chunks of plane sources to the field's pool.
     tracing, _ = bench_modules
     tracer = tracing.Tracer()
     opened_on = set()
@@ -1391,28 +1456,27 @@ def test_traced_spans_nest_with_the_pool_running(small_system, bench_modules, mo
         return _open(*args)
 
     monkeypatch.setattr(tracer, "_open", open_span)
+    mesh = make_bump_dip_mesh(1, r0=2.0, re=3.0, target_edge=0.25)
+    domain = DomainSpec(r0=2.0, re=3.0)
     source = (0.0, 0.0, 1.5)
-    # points beyond the kernel rows' degree: the field makes its own
-    # signature pass, on the calling thread while its panel sum runs on the pool
+    # points beyond the kernel rows' degree: the field takes its own
+    # signature sum, its plane sources on the pool beside the panel sum
     pts = np.array([[1.5, 0.0, 0.5], [0.0, 1.2, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with tracer.installed(), tracer.span("bench", "operation"):
             # the near-field LU is made by assemble on the calling thread
-            system = bem.assemble(small_system.mesh, small_system.domain, BemConfig(p=12))
+            system = bem.assemble(mesh, domain, BemConfig(p=12))
             bem.set_point_source_rhs(system, source)
             bem.solve(system)
             grid = bem.evaluate_field(system, pts, source=source)
-            assert grid.metadata["degree"] > system.degree
+    assert grid.metadata["degree"] > system.degree
+    rows, chunks = field_tasks(system, pts)
+    assert chunks >= 2 and len(pools[-1].tasks) == rows + chunks
     spans = tracer.spans
     assert opened_on == {threading.get_ident()}
     assert sum(s.name == "apply_operator" for s in spans) > 5
     assert sum(s.name == "assemble" for s in spans) == 1
-    fields = [s.id for s in spans if s.name == "evaluate_field"]
-    passes = [s for s in spans if s.name == "source_signature_batch" and s.parent in fields]
-    # one pass of all panels, and the image source
-    assert len(passes) == 2
-    assert sum(s.counts["plane"] + s.counts["interior"] for s in passes) == system.size + 1
     for span in spans:
         assert span.end >= span.start and span.self_s >= 0.0
         if span.parent is not None:

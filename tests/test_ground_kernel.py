@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from groundbem.ground_kernel import (
     radial_table,
     receiver_harmonics,
     source_signature_batch,
+    source_signature_sum,
 )
 from groundbem.harmonics import (
     TruncationAccuracyWarning,
@@ -542,6 +544,76 @@ def test_signatures_hold_no_second_branch_table():
         tracemalloc.stop()
     plane_table = n_plane * out.shape[1] * out.itemsize
     assert peak - base - out.nbytes < plane_table
+
+
+def _signature_sum(pts, weights, constants, workers=2):
+    """:func:`source_signature_sum` on a pool of ``workers``: the sum and
+    the number of plane chunks sent to the pool."""
+    with ThreadPoolExecutor(workers) as pool:
+        sent = []
+        submit = pool.submit
+        pool.submit = lambda *args: sent.append(args) or submit(*args)
+        return source_signature_sum(pts, weights, constants, pool), len(sent)
+
+
+def _inner_series_scale(pts, weights, constants):
+    """|weights| @ the sums of the absolute inner-series terms of each
+    interior source's signature columns: the rounding of any order of
+    summing those terms is a few ulp of this."""
+    degree, terms = ground_kernel._interior_terms(constants)
+    interior = pts[:, 2] != 0.0
+    harmonics = np.abs(solid_harmonics_batch(pts[interior], degree))
+    out = np.zeros(constants.p * (constants.p - 1) // 2)
+    for out_idx, in_idx, nu_cols, cmat_t in terms:
+        absolute = (harmonics[:, in_idx] * np.abs(nu_cols)) @ np.abs(cmat_t)
+        out[out_idx] = np.abs(weights[interior]) @ absolute
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 13, 42, 104])
+def test_signature_sum_equals_the_table_product(p):
+    # the table-free sum against weights @ the signature table, within
+    # 1e-14 of the table's largest entry: a mixed batch of two plane
+    # chunks, one smaller than a chunk, one with no plane source and one
+    # with no interior source.  The interior sources are summed before
+    # their coupling, the table after it; at p = 104 the top inner-series
+    # columns of sources near |x| = 0.9 cancel by about 1e4, so there
+    # either order is off the exact sum by up to a few ulp of the absolute
+    # terms (1e-12 of the largest entry), which the bound allows.
+    chunk = ground_kernel._PLANE_CHUNK
+    constants = build_spectral_constants(p)
+    rng = np.random.default_rng(p)
+    for n_plane, n_interior, chunks in (
+        (chunk + 37, _INTERIOR_BLOCK + 9, 2), (40, 25, 1), (0, 60, 0), (chunk + 1, 0, 2),
+    ):
+        pts = _ring_and_ball(rng, n_plane, n_interior)
+        weights = rng.uniform(-0.5, 1.5, len(pts))
+        want = weights @ source_signature_batch(pts, constants)
+        got, sent = _signature_sum(pts, weights, constants)
+        assert sent == chunks
+        rounding = 4.0 * np.finfo(float).eps * _inner_series_scale(pts, weights, constants)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want)) + rounding)
+
+
+def test_signature_sum_independent_of_worker_count():
+    # the plane chunks are added in chunk order: pools of one and two
+    # workers give the same sum bit for bit
+    constants = build_spectral_constants(23)
+    rng = np.random.default_rng(5)
+    pts = _ring_and_ball(rng, 3 * ground_kernel._PLANE_CHUNK + 11, 70)
+    weights = rng.uniform(-1.0, 1.0, len(pts))
+    (one, sent), (two, _) = (_signature_sum(pts, weights, constants, w) for w in (1, 2))
+    assert sent == 4 and np.array_equal(_bits(one), _bits(two))
+
+
+def test_signature_sum_domain_errors():
+    constants = build_spectral_constants(6)
+    pts = np.array([[0.2, 0.1, 0.0], [0.1, 0.0, 0.3]])
+    for bad_pts, bad_weights in (
+        (pts, np.ones(3)), (np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.3]]), np.ones(2)),
+    ):
+        with pytest.raises(DomainError):
+            _signature_sum(bad_pts, bad_weights, constants)
 
 
 @pytest.mark.parametrize("p", [23, 104])
