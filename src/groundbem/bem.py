@@ -27,8 +27,10 @@ columns are degree-major, so a lower degree's columns are a prefix.
 need: the paper's law (``choose_truncation``) at their largest radius.
 The factors take it at the kernel rows, raised while their top two degree
 blocks hold more than ``prescribed_eps`` of the term; the field takes it
-at its own points.  A point the caller gives keeps its signature at the
-cap and contributes its first q columns.
+at its own points, summing the panels' signatures against the solution
+without their table (one walk per source branch in ``ground_kernel``
+serves both).  A point the caller gives keeps its signature at the cap
+and contributes its first q columns.
 
 The solve never forms the kernel term as a matrix: it runs lgmres on the
 factored operator, preconditioned by the operator's near-field LU, and
@@ -1036,13 +1038,14 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     of ``prescribed_eps`` there).  At or below the factors' degree it
     takes a prefix of ``sfac @ solution``; above it, the signature sum of
     the panels weighted by area times solution at that degree
-    (``source_signature_sum``, no (N, q) table), whose plane-source chunks
-    go to the same pool after the panel sum's tasks; the result is bitwise
-    the same for any worker count.  With a kernel term, every point must
-    lie inside ``re`` (the receiver series diverges outside), else
-    :class:`DomainError` is raised; the metadata gives the degree used
-    (``degree``) and the cap (``p``), which, with ``re`` and ``r0``, are
-    None without one.  With
+    (``source_signature_sum``, no (N, q) table: the plane layers and inner
+    series ``sfac`` is built from, contracted with the weights), whose
+    plane-source chunks go to the same pool after the panel sum's tasks;
+    the result is bitwise the same for any worker count.  With a kernel
+    term, every point must lie inside ``re`` (the receiver series diverges
+    outside), else :class:`DomainError` is raised; the metadata gives the
+    degree used (``degree``) and the cap (``p``), which, with ``re`` and
+    ``r0``, are None without one.  With
     ``source`` given, the incident monopole and its kernel image are added
     and the induced part is reported separately.  Points must be finite,
     of shape (M, 3) or (3,), and none may coincide with ``source`` (one

@@ -11,7 +11,9 @@ hole of radius ``R``):
 * a factored series over real solid harmonics, whose source-side factor
   is either an inner harmonic series (general interior sources) or, for
   sources on the plane itself, radial functions run by recurrences seeded
-  with complete elliptic integrals.
+  with complete elliptic integrals.  Each branch has one private walk
+  (``_plane_layers``, ``_interior_terms``), which the signature table and
+  the weighted signature sum both read.
 
 The Neumann kernel is obtained from the Dirichlet one by the exact swap
 ``KN(y, x) = -K(x, y)``.
@@ -75,15 +77,17 @@ class KernelConfig:
     def __post_init__(self):
         if not 0 < self.scale_radius < math.inf:
             raise DomainError(f"scale_radius must be finite and > 0, got {self.scale_radius}")
-        check_truncation(self.p)
-        if self.p < 2:
-            raise DomainError(f"truncation number must be >= 2, got {self.p}")
-        if self.p > P_HARD_LIMIT:
-            raise DomainError(
-                f"truncation number {self.p} exceeds the float64-safe limit {P_HARD_LIMIT}"
-            )
+        _truncation(self.p)
         if not 0 < self.integral_tolerance < 1:
             raise DomainError("integral_tolerance must lie in (0, 1)")
+
+
+def _truncation(p) -> int:
+    """A truncation number as an int in 2..``P_HARD_LIMIT``, else :class:`DomainError`."""
+    p = check_truncation(p)
+    if not 2 <= p <= P_HARD_LIMIT:
+        raise DomainError(f"truncation number must be an integer in 2..{P_HARD_LIMIT}, got {p}")
+    return p
 
 
 def _as_point(v) -> np.ndarray:
@@ -258,11 +262,8 @@ class RadialTable:
             raise DomainError("xis must be one-dimensional")
         if not np.all((xis > 0.0) & (xis < 1.0)):
             raise DomainError("all xi must lie strictly inside (0, 1)")
-        p = int(p)
-        if p < 2:
-            raise DomainError(f"truncation number must be >= 2, got {p}")
-        self.xis = xis
-        self.p = p
+        p = _truncation(p)
+        self.xis, self.p = xis, p
         self.w = _w_columns(xis, *elliptic_ke(xis * xis), max(1, p - 2))
         self.u = _u_layers(xis, self.w, p)
         self.layer_n = {m: np.arange(m + 1, p, 2) for m in self.u}
@@ -316,45 +317,62 @@ def receiver_harmonics(points, p: int) -> np.ndarray:
 _PLANE_TOL = 1e-13
 
 
-def _interior_coupling(constants: SpectralConstants):
-    """Per-|m| pieces of the inner harmonic series.
-
-    The series is evaluated as (nu-scaled source harmonics) @ M_m with
-    M_m[i, k] = -(2 - delta_m0)/(4 pi) * nu_{n_i+1}^m / (n'_k + n_i + 1);
-    scaling the harmonics by nu_{n'}^m FIRST keeps every intermediate in
-    float64 range (the separate factors grow double-factorially while
-    their product stays bounded).  Source degrees whose nu overflows are
-    dropped: the matching terms lie far below double precision at the
-    radii this branch serves.
-
-    Returns per m: (receiver degrees, source degrees, nu column scale,
-    coupling matrix).
-    """
+def _plane_layers(xis, kk, ee, constants):
+    """Plane-source signatures at radii ``xis`` (K, E at xi^2 in ``kk``,
+    ``ee``) by radial layer m = 0..p - 2: ``(m, +m columns, -m columns, scale,
+    u)``, the degrees n = m + 1, m + 3, ... < p being ``scale * u`` times
+    cos(m phi) and sin(-m phi).  Each u is a view of one stacked array.  It
+    calls no public function, so it may run on a pool thread."""
     p = constants.p
-    out = {}
+    if p < 2:
+        raise DomainError(f"plane sources need a truncation number >= 2, got {p}")
+    layers = _u_layers(xis, _w_columns(xis, kk, ee, max(1, p - 2)), p)
+    for m, u in layers.items():
+        ns = np.arange(m + 1, p, 2)
+        pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
+        yield m, _kernel_column(ns, m), _kernel_column(ns, -m), pref * constants.nu[ns + 1, m], u
+
+
+def _interior_terms(constants):
+    """The inner harmonic series: ``(degree, cap, scale, terms)``.
+
+    Per m, receiver degrees n = m + 1, m + 3, ... < p couple to source degrees
+    n' = m, m + 2, ... <= 2p - 3 by M_m[i, k] = -(2 - delta_m0)/(4 pi) *
+    nu_{n_i+1}^m / (n'_k + n_i + 1), applied to harmonics scaled by nu_{n'}^m
+    FIRST: the separate factors grow double-factorially while their product
+    stays in float64 range.  Degrees whose nu overflows are dropped (their
+    terms lie far below double precision at the radii this branch serves).
+    ``cap`` is the lowest top source degree kept over all m, ``degree`` one
+    above the highest, ``scale`` the nu of each of the ``degree^2`` harmonic
+    columns (zero where unread), and ``terms`` per signed m ``(out columns,
+    harmonic columns, M_m^T)``: sources of scaled harmonics S have the
+    signatures ``S[:, harmonic columns] @ M_m^T``."""
+    p, nu = constants.p, constants.nu
+    degree, cap, coupled = 1, 2 * p - 3, []
     for m in range(p):
-        rows = np.arange(m, p)
-        rows = rows[(rows + m) % 2 == 1]
-        cols = np.arange(m, 2 * p - 2)
-        cols = cols[(cols + m) % 2 == 0]
-        cols = cols[np.isfinite(constants.nu[cols, m])]
-        if rows.size == 0 or cols.size == 0:
-            out[m] = (rows, cols, np.zeros(cols.size), np.zeros((rows.size, cols.size)))
-            continue
+        rows = np.arange(m + 1, p, 2)
+        cols = np.arange(m, 2 * p - 2, 2)
+        cols = cols[np.isfinite(nu[cols, m])]
+        if cols.size:
+            cap = min(cap, int(cols[-1]))
+            if rows.size:
+                degree = max(degree, int(cols[-1]) + 1)
+                coupled.append((m, rows, cols))
+    scale, terms = np.zeros(degree * degree), []
+    for m, rows, cols in coupled:
         pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (4.0 * math.pi)
-        nu_rows = constants.nu[rows + 1, m]
-        nu_cols = constants.nu[cols, m]
-        denom = rows[:, None] + cols[None, :] + 1.0
-        out[m] = (rows, cols, nu_cols, pref * nu_rows[:, None] / denom)
-    return out
+        cmat_t = (pref * nu[rows + 1, m][:, None] / (rows[:, None] + cols[None, :] + 1.0)).T
+        for sm in ((m,) if m == 0 else (m, -m)):
+            scale[sh_index(cols, sm)] = nu[cols, m]
+            terms.append((_kernel_column(rows, sm), sh_index(cols, sm), cmat_t))
+    return degree, cap, scale, terms
 
 
 def interior_inner_cap(constants: SpectralConstants) -> int:
     """Smallest inner-series source degree retained across all m (the
-    float64-overflow cap of :func:`_interior_coupling`); the inner
-    truncation error behaves like |x|^cap."""
-    caps = [int(cols[-1]) for _, cols, _, _ in _interior_coupling(constants).values() if cols.size]
-    return min(caps, default=2 * constants.p - 3)
+    float64-overflow cap of the inner series); the inner truncation error
+    behaves like |x|^cap."""
+    return _interior_terms(constants)[1]
 
 
 # Sources per block of the interior signatures: the source harmonics of
@@ -363,64 +381,22 @@ def interior_inner_cap(constants: SpectralConstants) -> int:
 _INTERIOR_BLOCK = 128
 
 
-def _interior_terms(constants):
-    """The inner series as products of source harmonics: ``(degree, terms)``,
-    ``degree`` one above the highest source degree kept, and per signed m one
-    ``(out columns, harmonic columns, nu column scale, coupling^T)``; the
-    signatures of sources with harmonics H are ``(H[:, in] * nu) @ coupling^T``
-    in their out columns."""
-    terms = []
-    degree = 1
-    for m, (n_rec, cols, nu_cols, cmat) in _interior_coupling(constants).items():
-        if n_rec.size and cols.size:
-            degree = max(degree, int(cols[-1]) + 1)
-            for sm in ((m,) if m == 0 else (m, -m)):
-                terms.append((_kernel_column(n_rec, sm), sh_index(cols, sm), nu_cols, cmat.T))
-    return degree, terms
-
-
-def _signature_interior_batch(pts, rows, constants, out):
-    """Inner-series signatures of the general interior sources ``pts[rows]``
-    into the same rows of ``out``, summed to the n' <= 2p - 3 cap (the
-    terms beyond are negligible at the radii where this branch is
-    dispatched).  The source harmonics are built for ``_INTERIOR_BLOCK``
-    of these sources at a time, up to the highest source degree the
-    series keeps."""
-    degree, terms = _interior_terms(constants)
-    for i0 in range(0, rows.size, _INTERIOR_BLOCK):
-        block = rows[i0 : i0 + _INTERIOR_BLOCK]
-        harmonics = solid_harmonics_batch(pts[block], degree)
-        for out_idx, in_idx, nu_cols, cmat_t in terms:
-            out[block[:, None], out_idx] = (harmonics[:, in_idx] * nu_cols[None, :]) @ cmat_t
-
-
-def _signature_ground_batch(pts, rows, constants, out):
-    """Signatures of the plane sources ``pts[rows]`` into the same rows of
-    ``out`` via the radial recurrences, one |m| at a time: the degrees
-    n = m + 1, m + 3, ... < p read radial layer m."""
-    p = constants.p
-    rho = np.hypot(pts[rows, 0], pts[rows, 1])
-    phi = np.arctan2(pts[rows, 1], pts[rows, 0])
-    table = RadialTable(rho, p)
-    block = rows[:, None]
-    for m in range(p - 1):
-        ns = np.arange(m + 1, p, 2)
-        base = _plane_scale(constants, m, ns)[:, None] * table.u[m]
-        out[block, _kernel_column(ns, m)] = (base * np.cos(m * phi)).T
-        if m > 0:
-            out[block, _kernel_column(ns, -m)] = (base * np.sin(-m * phi)).T
-
-
-def _plane_scale(constants, m, ns):
-    """The factor of u_n^m in the plane-source signatures of degrees ``ns``."""
-    pref = -(2.0 - (1.0 if m == 0 else 0.0)) / (8.0 * math.pi**2)
-    return pref * constants.nu[ns + 1, m]
+def _source_harmonics(pts, degree, scale):
+    """``(block, S)`` for ``_INTERIOR_BLOCK`` of the sources ``pts`` at a
+    time: ``S`` their solid harmonics below ``degree`` times ``scale``, the
+    nu of :func:`_interior_terms`, and ``block`` their slice of ``pts``."""
+    for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
+        block = slice(i0, i0 + _INTERIOR_BLOCK)
+        harmonics = solid_harmonics_batch(pts[block], degree)[:, : scale.size]
+        harmonics *= scale
+        yield block, harmonics
 
 
 def _sources(points):
-    """``(points, on_plane)`` of dimensionless sources, ``(N, 3)`` and the
-    plane points' mask (z = 0, off the axis), or DomainError unless every
-    source is finite with |x| < 1."""
+    """``(points, plane, interior, xis, phi)`` of dimensionless sources:
+    ``(N, 3)``, the rows of the plane points (z = 0, off the axis) and of the
+    rest, and the plane points' radii and azimuths; or DomainError unless
+    every source is finite with |x| < 1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DomainError(f"sources must have shape (N, 3), got {pts.shape}")
@@ -430,7 +406,9 @@ def _sources(points):
     if np.any(r >= 1.0):
         raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
     rho = np.hypot(pts[:, 0], pts[:, 1])
-    return pts, (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
+    on_plane = (np.abs(pts[:, 2]) <= _PLANE_TOL * np.maximum(1.0, r)) & (rho > 0.0)
+    plane, interior = np.flatnonzero(on_plane), np.flatnonzero(~on_plane)
+    return pts, plane, interior, rho[plane], np.arctan2(pts[plane, 1], pts[plane, 0])
 
 
 def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
@@ -438,16 +416,27 @@ def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
     ``(N, p(p - 1)/2)`` in the columns of :func:`receiver_harmonics`; one
     (3,) point is a one-row batch.
 
-    Plane points (z = 0, off the axis) go through the radial recurrences,
-    the rest through the inner harmonic series; each branch writes its
-    rows of the one result, so rows are returned in input order.
+    Plane points (z = 0, off the axis) go through the radial recurrences
+    (:func:`_plane_layers`), the rest through the inner harmonic series
+    (:func:`_interior_terms`, ``_INTERIOR_BLOCK`` sources at a time); each
+    branch writes its rows of the one result, so rows are returned in
+    input order.
     """
-    pts, on_plane = _sources(points)
+    pts, plane, interior, xis, phi = _sources(points)
     coeffs = np.zeros((pts.shape[0], constants.p * (constants.p - 1) // 2))
-    if np.any(on_plane):
-        _signature_ground_batch(pts, np.flatnonzero(on_plane), constants, coeffs)
-    if not np.all(on_plane):
-        _signature_interior_batch(pts, np.flatnonzero(~on_plane), constants, coeffs)
+    if plane.size:
+        for m, pos, neg, scale, u in _plane_layers(xis, *elliptic_ke(xis * xis), constants):
+            base = scale[:, None] * u
+            coeffs[plane[:, None], pos] = (base * np.cos(m * phi)).T
+            if m > 0:
+                coeffs[plane[:, None], neg] = (base * np.sin(-m * phi)).T
+        # the last layer would keep every layer's stacked array alive
+        del u
+    if interior.size:
+        degree, _, scale, terms = _interior_terms(constants)
+        for block, harmonics in _source_harmonics(pts[interior], degree, scale):
+            for out_idx, in_idx, cmat_t in terms:
+                coeffs[interior[block, None], out_idx] = harmonics[:, in_idx] @ cmat_t
     return coeffs
 
 
@@ -456,73 +445,48 @@ def source_signature_batch(points, constants: SpectralConstants) -> np.ndarray:
 _PLANE_CHUNK = 512
 
 
-def _plane_sum(xis, phi, kk, ee, weights, constants):
-    """``weights @`` the signatures of the plane sources at radii ``xis`` and
-    azimuths ``phi``, ``(q,)``, ``kk`` and ``ee`` K and E at xi^2: each radial
-    layer m is contracted with w cos(m phi) and w sin(-m phi) in turn.  It
-    calls no public function, so it may run on a pool thread."""
-    p = constants.p
-    out = np.zeros(p * (p - 1) // 2)
-    layers = _u_layers(xis, _w_columns(xis, kk, ee, max(1, p - 2)), p)
-    for m, layer in layers.items():
-        ns = np.arange(m + 1, p, 2)
-        scale = _plane_scale(constants, m, ns)
-        if m == 0:
-            out[_kernel_column(ns, 0)] = scale * (layer @ weights)
-        else:
-            both = layer @ np.column_stack((weights * np.cos(m * phi), weights * np.sin(-m * phi)))
-            out[_kernel_column(ns, m)] = scale * both[:, 0]
-            out[_kernel_column(ns, -m)] = scale * both[:, 1]
-    return out
-
-
-def _interior_sum(pts, weights, constants):
-    """``weights @`` the inner-series signatures of the interior sources
-    ``pts``, ``(q,)``: their nu-scaled solid harmonics, ``_INTERIOR_BLOCK``
-    sources at a time, are summed with the weights into moments, which are
-    then coupled once per signed m."""
-    degree, terms = _interior_terms(constants)
-    out = np.zeros(constants.p * (constants.p - 1) // 2)
-    scale = np.zeros(degree * degree)
-    for _, in_idx, nu_cols, _ in terms:
-        scale[in_idx] = nu_cols
-    moments = np.zeros(degree * degree)
-    for i0 in range(0, pts.shape[0], _INTERIOR_BLOCK):
-        block = slice(i0, i0 + _INTERIOR_BLOCK)
-        moments += weights[block] @ (solid_harmonics_batch(pts[block], degree) * scale)
-    for out_idx, in_idx, _, cmat_t in terms:
-        out[out_idx] = moments[in_idx] @ cmat_t
-    return out
-
-
 def source_signature_sum(points, weights, constants: SpectralConstants, pool) -> np.ndarray:
     """``weights @ source_signature_batch(points, constants)``, ``(p(p - 1)/2,)``,
     without forming the (N, q) signature table.
 
-    K and E of every plane source come from one call, on the calling thread.
-    The plane sources then go, in fixed chunks of ``_PLANE_CHUNK``, to
-    ``pool`` (a ``concurrent.futures`` executor), each chunk contracting its
-    radial layers with the weights (:func:`_plane_sum`, which calls no
-    public function).  Meanwhile the calling thread sums the interior
-    sources' moments and couples them (:func:`_interior_sum`, multipole
-    style: Greengard & Rokhlin, J. Comput. Phys. 73, 1987), then adds the
-    chunk sums in chunk order, so the result is bitwise the same for any
-    worker count.  Sources must be finite with |x| < 1, one weight each,
-    else :class:`DomainError` is raised."""
-    pts, on_plane = _sources(points)
+    K and E of every plane source come from one call on the calling thread;
+    the plane sources then go in fixed chunks of ``_PLANE_CHUNK`` to ``pool``
+    (a ``concurrent.futures`` executor), each chunk contracting its radial
+    layers (:func:`_plane_layers`) with w cos(m phi) and w sin(-m phi).
+    Meanwhile the calling thread sums the interior sources' weighted,
+    nu-scaled harmonics into moments and couples them once per signed m
+    (Greengard & Rokhlin, J. Comput. Phys. 73, 1987), then adds the chunk
+    sums in chunk order, so the result is bitwise the same for any worker
+    count.  Sources must be finite with |x| < 1, one weight each, else
+    :class:`DomainError` is raised."""
+    pts, plane, interior, xis, phi = _sources(points)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (pts.shape[0],):
         raise DomainError(f"need one weight per source, got shape {weights.shape}")
-    plane = np.flatnonzero(on_plane)
-    xis = np.hypot(pts[plane, 0], pts[plane, 1])
-    phi = np.arctan2(pts[plane, 1], pts[plane, 0])
+    q = constants.p * (constants.p - 1) // 2
     kk, ee = elliptic_ke(xis * xis)
-    w = weights[plane]
-    tasks = []
-    for i0 in range(0, plane.size, _PLANE_CHUNK):
-        c = slice(i0, i0 + _PLANE_CHUNK)
-        tasks.append(pool.submit(_plane_sum, xis[c], phi[c], kk[c], ee[c], w[c], constants))
-    out = _interior_sum(pts[~on_plane], weights[~on_plane], constants)
+    w_plane = weights[plane]
+
+    def chunk(c):
+        out, w, ph = np.zeros(q), w_plane[c], phi[c]
+        for m, pos, neg, scale, u in _plane_layers(xis[c], kk[c], ee[c], constants):
+            if m == 0:
+                out[pos] = scale * (u @ w)
+            else:
+                both = u @ np.column_stack((w * np.cos(m * ph), w * np.sin(-m * ph)))
+                out[pos] = scale * both[:, 0]
+                out[neg] = scale * both[:, 1]
+        return out
+
+    tasks = [pool.submit(chunk, slice(i0, i0 + _PLANE_CHUNK))
+             for i0 in range(0, plane.size, _PLANE_CHUNK)]
+    degree, _, scale, terms = _interior_terms(constants)
+    moments, w_in = np.zeros(degree * degree), weights[interior]
+    for block, harmonics in _source_harmonics(pts[interior], degree, scale):
+        moments += w_in[block] @ harmonics
+    out = np.zeros(q)
+    for out_idx, in_idx, cmat_t in terms:
+        out[out_idx] = moments[in_idx] @ cmat_t
     for task in tasks:
         out += task.result()
     return out
@@ -619,12 +583,13 @@ def kernel_integral(
     The infinite default integrates the whole plane and requires |y| < R
     and |x| < R (the closed-form integrand is smooth there).  A finite
     ``tail_radius`` truncates the integral there and adds its analytic
-    far-field tail, valid for any pair above the plane.
+    far-field tail, valid for any pair above the plane; one that is not
+    above R (NaN included) raises :class:`DomainError`.
     """
     r = config.scale_radius
     yt, xt = _as_point(y) / r, _as_point(x) / r
     rinf = float(tail_radius)
-    if rinf <= r:
+    if not rinf > r:
         raise DomainError("tail radius must exceed the scale radius")
     if rinf == math.inf and max(np.linalg.norm(yt), np.linalg.norm(xt)) >= 1.0:
         raise DomainError("kernel_integral requires |y| < R and |x| < R "

@@ -1338,11 +1338,11 @@ def test_field_panel_sum_runs_beside_its_signature_pass(field_problem, pools, mo
     pools.clear()
     seen = []
 
-    def moments(*args, _real=ground_kernel._interior_sum):
+    def moments(*args, _real=ground_kernel._source_harmonics):
         seen.append(len(pools[-1].tasks))
         return _real(*args)
 
-    monkeypatch.setattr(ground_kernel, "_interior_sum", moments)
+    monkeypatch.setattr(ground_kernel, "_source_harmonics", moments)
     grid = evaluate_field(system, pts)
     (pool,) = pools
     pending = [t for t in pool.tasks if not t.done()]
@@ -1370,7 +1370,7 @@ def test_failed_field_leaves_no_pool_task_running(field_problem, pools, monkeypa
     def fail(*args):
         raise RuntimeError("interior moments failed")
 
-    monkeypatch.setattr(ground_kernel, "_interior_sum", fail)
+    monkeypatch.setattr(ground_kernel, "_source_harmonics", fail)
     with pytest.raises(RuntimeError, match="interior moments failed"):
         evaluate_field(system, pts)
     (pool,) = pools
@@ -1380,13 +1380,14 @@ def test_failed_field_leaves_no_pool_task_running(field_problem, pools, monkeypa
 
 def test_failed_plane_chunk_reaches_the_caller(field_problem, pools, monkeypatch):
     # a plane chunk of the field's signature sum raises on the pool: its own
-    # error reaches the caller, and no task is left queued or running
+    # error reaches the caller, and no task is left queued or running.  The
+    # fixture has assembled before the plane walk is patched.
     system, pts = field_problem
 
     def fail(*args):
         raise RuntimeError("plane chunk failed")
 
-    monkeypatch.setattr(ground_kernel, "_plane_sum", fail)
+    monkeypatch.setattr(ground_kernel, "_plane_layers", fail)
     with pytest.raises(RuntimeError, match="plane chunk failed"):
         evaluate_field(system, pts)
     (pool,) = pools

@@ -129,6 +129,12 @@ def test_radial_domain_errors():
             radial_table(bad, 6)
     with pytest.raises(DomainError):
         RadialTable(np.array([0.5, math.nan]), 6)
+    # truncations as KernelConfig takes them: no silent int() of 6.5,
+    # nothing past the float64-safe 128
+    for p in (6.5, 1, 129):
+        with pytest.raises(DomainError, match="truncation number"):
+            radial_table(0.5, p)
+    assert radial_table(0.5, np.int64(128)).p == 128
 
 
 @pytest.mark.parametrize("p", [8, 23, 104])
@@ -312,6 +318,9 @@ def test_domain_validation():
         kernel_integral((1.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG)
     with pytest.raises(DomainError):
         kernel_integral((0.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG, tail_radius=0.5)
+    # NaN passes a "<= R" test; it is refused before the quadrature
+    with pytest.raises(DomainError, match="tail radius"):
+        kernel_integral((0.2, 0.0, 0.1), (0.1, 0.0, 0.1), CFG, tail_radius=math.nan)
     for radius in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="scale_radius"):
             KernelConfig(scale_radius=radius)
@@ -560,12 +569,12 @@ def _inner_series_scale(pts, weights, constants):
     """|weights| @ the sums of the absolute inner-series terms of each
     interior source's signature columns: the rounding of any order of
     summing those terms is a few ulp of this."""
-    degree, terms = ground_kernel._interior_terms(constants)
+    degree, _, scale, terms = ground_kernel._interior_terms(constants)
     interior = pts[:, 2] != 0.0
     harmonics = np.abs(solid_harmonics_batch(pts[interior], degree))
     out = np.zeros(constants.p * (constants.p - 1) // 2)
-    for out_idx, in_idx, nu_cols, cmat_t in terms:
-        absolute = (harmonics[:, in_idx] * np.abs(nu_cols)) @ np.abs(cmat_t)
+    for out_idx, in_idx, cmat_t in terms:
+        absolute = (harmonics[:, in_idx] * np.abs(scale[in_idx])) @ np.abs(cmat_t)
         out[out_idx] = np.abs(weights[interior]) @ absolute
     return out
 
