@@ -7,11 +7,12 @@ collocation at panel centroids.  The system operator has two parts:
   block of analytic single-layer integrals for panels whose centroids lie
   within the near-field radius of a collocation point (always for the
   self term) and centroid monopoles beyond it, and a sparse LU of the
-  closed-form entries between nearby panels, both made by ``assemble``
-  and never changed after.  The block is hierarchical (:class:`HMatrix`):
-  on one median-bisection cluster tree of the centroids, blocks whose
-  boxes lie close are stored densely, and the far ones, pure monopoles,
-  as adaptive-cross-approximation factors, so no N x N array is held.
+  closed-form entries between nearby panels, one :class:`FreeOperator`
+  made by ``assemble`` and never changed after.  The block is
+  hierarchical: on one median-bisection cluster tree of the centroids,
+  blocks whose boxes lie close are stored densely, and the far ones, pure
+  monopoles, as adaptive-cross-approximation factors, so no N x N array
+  is held.
   Every distance is the norm of a coordinate difference; ``assemble``
   builds one k-d tree of the centroids, for its coincidence check and LU;
 * the ground-plane kernel term (absent in plain truncated BEM), kept in
@@ -69,7 +70,7 @@ from .ground_kernel import (
     source_signature_batch,
     source_signature_sum,
 )
-from .harmonics import P_HARD_LIMIT, build_spectral_constants, check_truncation
+from .harmonics import build_spectral_constants, check_truncation
 from .surface_mesh import SURFACE, DomainSpec, PanelMesh
 
 __all__ = [
@@ -77,7 +78,6 @@ __all__ = [
     "BemSystem",
     "FieldGrid",
     "FreeOperator",
-    "HMatrix",
     "choose_truncation",
     "triangle_single_layer",
     "assemble",
@@ -411,9 +411,12 @@ def _aca(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, m: int, n: int)
 
 
 @dataclass(frozen=True, eq=False)
-class HMatrix:
-    """The free-space block of a mesh, compressed on one cluster tree of
-    its centroids (:func:`_cluster_tree`, :func:`_partition`).
+class FreeOperator:
+    """Free-space operator of one mesh: its block, compressed on one cluster
+    tree of the centroids (:func:`_cluster_tree`, :func:`_partition`), and
+    ``near_lu``, the preconditioner of :func:`solve`.  :func:`assemble`
+    makes both, and nothing changes them after, so systems on any thread
+    may share them.
 
     ``order`` holds the panel at each tree position.  Leaf k of the tree
     holds the positions ``leaves[k]`` (a slice); its near blocks are stored
@@ -429,15 +432,22 @@ class HMatrix:
     ``clusters``: ``(positions, q, partner)``, q ``(len(positions), R)``,
     each column's partner column, across the block, at ``partner`` in the
     numbering of all nodes' columns in turn.  ``nbytes`` counts every
-    stored array; no (N, N) array is ever held.
+    array the block stores, not the LU; no (N, N) array is ever held.
+
+    ``near_lu`` is a ``scipy.sparse.linalg.splu`` factor of the block's
+    entries for the centroid pairs within ``_NEAR_RADIUS`` mean panel
+    diameters, the diagonal among them, in closed form (``_near_lu``):
+    54-221 L + U entries a row where measured, not N.
     """
 
+    mesh: PanelMesh
     order: np.ndarray
     weights: np.ndarray
     leaves: tuple
     near: tuple
     near_cols: tuple
     clusters: tuple
+    near_lu: SuperLU = field(repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -471,16 +481,16 @@ class HMatrix:
 
 
 def _hmatrix(mesh: PanelMesh, table: np.ndarray, pool: ThreadPoolExecutor) -> tuple:
-    """Start the :class:`HMatrix` of ``mesh`` on ``pool``: one task per
+    """Start the free block of ``mesh`` on ``pool``: one task per
     leaf's near blocks, filled by :func:`_entries` from ``table``
     (``_panel_table``), and one per batch of far blocks of one shape, at
     most ``_ACA_BATCH`` of their rows and columns (:func:`_aca`), each block
     taken with its mirror.  Batches split at fixed boundaries.  Returns the
     tasks, each of which returns the ``time.perf_counter()`` at which it
-    finished, and a function that builds the :class:`HMatrix` once every
-    task is done.  Far blocks lie at least the near-field radius,
-    ``_NEAR_FIELD`` mean panel diameters, apart, so every entry they hold
-    is a monopole."""
+    finished, and a function that builds the :class:`FreeOperator` around
+    a given ``near_lu`` once every task is done.  Far blocks lie at least
+    the near-field radius, ``_NEAR_FIELD`` mean panel diameters, apart, so
+    every entry they hold is a monopole."""
     centroids = mesh.centroids
     order, nodes = _cluster_tree(centroids)
     near_pairs, far_pairs = _partition(nodes, _NEAR_FIELD * mesh.mean_diameter)
@@ -513,7 +523,7 @@ def _hmatrix(mesh: PanelMesh, table: np.ndarray, pool: ThreadPoolExecutor) -> tu
         far[b] = _aca(tree_points, starts[pairs[:, 0]], starts[pairs[:, 1]], m, n)
         return time.perf_counter()
 
-    def build():
+    def build(near_lu):
         # node s: the other node t of each of its far blocks, and s's side
         # of their factors, u for the block (s, t) with s < t, else v^T
         sides = {}
@@ -533,8 +543,9 @@ def _hmatrix(mesh: PanelMesh, table: np.ndarray, pool: ThreadPoolExecutor) -> tu
             clusters.append((slice(nodes[s][0], nodes[s][1]), q, np.concatenate(partner)))
             sides[s] = None
         weights = mesh.areas[order] / _FOUR_PI
-        return HMatrix(
-            order, weights, tuple(leaves), tuple(near), tuple(near_cols), tuple(clusters)
+        return FreeOperator(
+            mesh, order, weights, tuple(leaves), tuple(near), tuple(near_cols), tuple(clusters),
+            near_lu,
         )
 
     tasks = [pool.submit(near_task, k) for k in range(len(leaves))]
@@ -581,35 +592,10 @@ class BemConfig:
 
     def __post_init__(self):
         check_truncation(self.p)
-        if not 2 <= self.p <= P_HARD_LIMIT:
-            raise DomainError(f"truncation number must lie in 2..{P_HARD_LIMIT}, got {self.p}")
         if self.solver not in ("direct", "iterative"):
             raise DomainError(f"unknown solver {self.solver!r}")
         if not 0.0 < self.prescribed_eps < 1.0:
             raise DomainError("prescribed_eps must lie in (0, 1)")
-
-
-@dataclass(frozen=True, eq=False)
-class FreeOperator:
-    """Free-space operator of one mesh: the compressed block ``blocks`` (an
-    :class:`HMatrix`), its matvec, and ``near_lu``, the preconditioner of
-    :func:`solve`.
-
-    ``near_lu`` is a ``scipy.sparse.linalg.splu`` factor of the block's
-    entries for the centroid pairs within ``_NEAR_RADIUS`` mean panel
-    diameters, the diagonal among them, in closed form (``_near_lu``):
-    54-221 L + U entries a row where measured, not N.  :func:`assemble`
-    makes both, and nothing changes them after, so systems on any thread
-    may share them.
-    """
-
-    mesh: PanelMesh
-    blocks: HMatrix
-    near_lu: SuperLU = field(repr=False)
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """The block times ``vec`` (:meth:`HMatrix.matvec`)."""
-        return self.blocks.matvec(vec)
 
 
 # The near set's radius, in mean panel diameters, and lgmres's stop: of radii
@@ -622,11 +608,11 @@ _LGMRES_RTOL = 1e-14
 _SOLVE_RTOL = 1e-10
 
 
-def _condition(blocks: HMatrix) -> float | None:
+def _condition(operator: FreeOperator) -> float | None:
     """Condition number of the free block for a failure report, densified
     as its product with the identity; None above 2000 panels."""
-    n = blocks.shape[0]
-    return float(np.linalg.cond(blocks.matvec(np.eye(n)))) if n <= 2000 else None
+    n = operator.shape[0]
+    return float(np.linalg.cond(operator.matvec(np.eye(n)))) if n <= 2000 else None
 
 
 # Centroids closer than this many mean panel diameters are one collocation
@@ -672,14 +658,12 @@ class BemSystem:
     """Assembled collocation system.
 
     ``operator`` is the mesh's free-space operator, which other systems may
-    share; ``free_matrix`` is its compressed block (an :class:`HMatrix`,
-    whose ``nbytes`` are the bytes it stores).  With a ``domain`` the ground-kernel
-    term is ``rfac @ sfac`` on the rows ``kernel_rows`` (the panels off the
-    plane) and zero on all others, the source factor including panel areas,
-    both at ``degree`` (at most ``config.p``); ``constants`` are the cap's,
-    for points the caller gives.  With ``domain=None`` it is a rank-0 term:
-    no rows, empty factors.  ``rhs`` (zero unless given) and ``solution``
-    are per panel.
+    share.  With a ``domain`` the ground-kernel term is ``rfac @ sfac`` on
+    the rows ``kernel_rows`` (the panels off the plane) and zero on all
+    others, the source factor including panel areas, both at ``degree`` (at
+    most ``config.p``); ``constants`` are the cap's, for points the caller
+    gives.  With ``domain=None`` it is a rank-0 term: no rows, empty
+    factors.  ``rhs`` (zero unless given) and ``solution`` are per panel.
     """
 
     operator: FreeOperator
@@ -704,8 +688,9 @@ class BemSystem:
         return self.operator.mesh
 
     @property
-    def free_matrix(self) -> HMatrix:
-        return self.operator.blocks
+    def free_matrix(self) -> FreeOperator:
+        """``operator`` itself, kept only because ``bench/worker.py`` reads it."""
+        return self.operator
 
     @property
     def size(self) -> int:
@@ -815,7 +800,7 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
 
     The free-space block uses the closed-form triangle integral for pairs
     closer than the near-field radius and the centroid monopole otherwise,
-    compressed as an :class:`HMatrix` (``_hmatrix``).
+    compressed on one cluster tree (``_hmatrix``).
     Kernel source factors are built from the plane recurrences for panels
     on the extension (and any flat ground), from the interior harmonic
     series elsewhere; receiver factors only for the panels off the plane.
@@ -853,13 +838,13 @@ def assemble(mesh: PanelMesh, domain: DomainSpec | None, config: BemConfig) -> B
         except SolveError as exc:  # a zero pivot, reported with the block's condition
             for t in tasks:
                 t.result()
-            exc.condition = _condition(build())
+            exc.condition = _condition(build(None))
             raise
         t_wait = time.perf_counter()
         done = [t.result() for t in tasks]
         wait_s = time.perf_counter() - t_wait
-        blocks = build()
-    system = BemSystem(FreeOperator(mesh, blocks, near_lu), domain, config, **kernel)
+        operator = build(near_lu)
+    system = BemSystem(operator, domain, config, **kernel)
     _LOG.debug(
         "assemble n=%d s=%d q=%d p=%d cap=%d tail=%.2e workers=%d free_s=%.3f "
         "kernel_s=%.3f wait_s=%.3f lu_s=%.3f",
@@ -983,7 +968,7 @@ def solve(system: BemSystem) -> np.ndarray:
         )
         raise SolveError(
             f"{failure}: relative residual {resid:.3e} reached",
-            condition=_condition(system.free_matrix),
+            condition=_condition(system.operator),
         )
     system.solution = sigma
     return sigma

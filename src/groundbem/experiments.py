@@ -36,7 +36,7 @@ from .ground_kernel import (
     receiver_harmonics,
     source_signature_batch,
 )
-from .harmonics import build_spectral_constants
+from .harmonics import build_spectral_constants, check_truncation
 from .surface_mesh import (
     EXTENSION,
     DomainSpec,
@@ -247,6 +247,25 @@ def cost_optimizer(
 # ---------------------------------------------------------------------------
 
 
+_RING_FILL = 0.998  # keeps the plane sources (_ring) off the extension's rim
+
+
+def _ring_ratios(ratios) -> np.ndarray:
+    """``ratios`` sorted, as floats; DomainError unless each is finite and
+    leaves the plane sources an annulus."""
+    ratios = np.asarray(sorted(ratios), dtype=float)
+    if not np.all(np.isfinite(ratios) & (_RING_FILL * ratios * ratios > 1.0)):
+        raise DomainError(f"extension ratios need {_RING_FILL} ratio^2 > 1, got {ratios.tolist()}")
+    return ratios
+
+
+def _ring(ratio: float, n: int, rng) -> np.ndarray:
+    """``n`` plane sources, area-uniform on 1 <= rho^2 < _RING_FILL ratio^2."""
+    rr = np.sqrt(rng.uniform(1.0, ratio * ratio * _RING_FILL, n))
+    ph = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.stack([rr * np.cos(ph), rr * np.sin(ph), np.zeros(n)], axis=1)
+
+
 def _fig2_points(ratio: float, n_receivers: int, n_sources: int, rng):
     """Receivers on the unit-hemisphere arc in the y = 0 plane; sources
     spread over the hemisphere surface and the extension annulus."""
@@ -255,16 +274,12 @@ def _fig2_points(ratio: float, n_receivers: int, n_sources: int, rng):
         [np.cos(th), np.zeros_like(th), np.sin(th)], axis=1
     )
     n_hemi = n_sources // 2
-    n_ext = n_sources - n_hemi
     u = rng.uniform(0.05, 0.95, n_hemi)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_hemi)
     sz = u  # cos(theta) uniform: area-uniform on the hemisphere
     sr = np.sqrt(1.0 - sz * sz)
     hemi = np.stack([sr * np.cos(phi), sr * np.sin(phi), sz], axis=1)
-    rr = np.sqrt(rng.uniform(1.0, ratio * ratio * 0.998, n_ext))
-    ph2 = rng.uniform(0.0, 2.0 * math.pi, n_ext)
-    ext = np.stack([rr * np.cos(ph2), rr * np.sin(ph2), np.zeros(n_ext)], axis=1)
-    return receivers, np.vstack([hemi, ext])
+    return receivers, np.vstack([hemi, _ring(ratio, n_sources - n_hemi, rng)])
 
 
 @dataclass(frozen=True)
@@ -298,9 +313,11 @@ def accuracy_map(
     tol: float = 1e-10,
 ) -> AccuracyMap:
     """Relative L2 error of the truncated series against the integral
-    reference over a grid of extension ratios and truncation numbers."""
-    ratios = np.asarray(sorted(ratios), dtype=float)
-    p_values = np.asarray(sorted(int(p) for p in p_values))
+    reference over a grid of extension ratios and truncation numbers.  A
+    ratio or a p that ``_ring_ratios`` or ``check_truncation`` refuses
+    raises :class:`DomainError` before any work."""
+    ratios = _ring_ratios(ratios)
+    p_values = np.asarray(sorted(check_truncation(p) for p in p_values))
     rng = np.random.default_rng(seed)
     eps2 = np.zeros((ratios.size, p_values.size))
     failures = []
@@ -317,10 +334,10 @@ def accuracy_map(
                     failures.append({"ratio": float(ratio), "pair": (a, b), "error": str(exc)})
                     ref[a, b] = np.nan
         ok = np.isfinite(ref)
-        for j, p in enumerate(p_values):
-            constants = build_spectral_constants(int(p))
+        for j, p in enumerate(p_values.tolist()):
+            constants = build_spectral_constants(p)
             sig = source_signature_batch(sources / ratio, constants)
-            rec = receiver_harmonics(receivers / ratio, int(p)) / ratio
+            rec = receiver_harmonics(receivers / ratio, p) / ratio
             ser = rec @ sig.T
             eps2[i, j] = relative_l2_error(ser[ok], ref[ok])
     return AccuracyMap(
@@ -566,8 +583,12 @@ def measure_cost_curve(
     fixed prescribed accuracy.  Plane-source counts scale with the ring
     area at fixed surface density, mirroring how a solver would mesh the
     extension.  Each run signs all sources in one batch, as assembly
-    does; each timing is the best of ``repeats`` runs."""
-    ratios = np.asarray(sorted(ratios), dtype=float)
+    does; each timing is the best of ``repeats`` runs.  A ratio that
+    ``_ring_ratios`` refuses or ``repeats < 1`` raises :class:`DomainError`
+    before any work."""
+    ratios = _ring_ratios(ratios)
+    if not repeats >= 1:
+        raise DomainError(f"repeats must be at least 1, got {repeats}")
     rng = np.random.default_rng(seed)
     density = n_sources / (2.0 * math.pi)
     p_values = np.zeros(ratios.size, dtype=int)
@@ -581,9 +602,7 @@ def measure_cost_curve(
         for _ in range(repeats):
             t0 = time.perf_counter()
             constants = build_spectral_constants(p)
-            rr = np.sqrt(rng.uniform(1.0, ratio * ratio * 0.998, n_ext))
-            ph = rng.uniform(0.0, 2.0 * math.pi, n_ext)
-            ring = np.stack([rr * np.cos(ph), rr * np.sin(ph), np.zeros(n_ext)], axis=1)
+            ring = _ring(float(ratio), n_ext, rng)
             sig = source_signature_batch(np.vstack([sources, ring]) / ratio, constants)
             rec = receiver_harmonics(receivers / ratio, p) / ratio
             _ = rec @ sig.T

@@ -32,7 +32,6 @@ from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 from .harmonics import (
-    P_HARD_LIMIT,
     SpectralConstants,
     build_spectral_constants,
     check_truncation,
@@ -77,17 +76,9 @@ class KernelConfig:
     def __post_init__(self):
         if not 0 < self.scale_radius < math.inf:
             raise DomainError(f"scale_radius must be finite and > 0, got {self.scale_radius}")
-        _truncation(self.p)
+        check_truncation(self.p)
         if not 0 < self.integral_tolerance < 1:
             raise DomainError("integral_tolerance must lie in (0, 1)")
-
-
-def _truncation(p) -> int:
-    """A truncation number as an int in 2..``P_HARD_LIMIT``, else :class:`DomainError`."""
-    p = check_truncation(p)
-    if not 2 <= p <= P_HARD_LIMIT:
-        raise DomainError(f"truncation number must be an integer in 2..{P_HARD_LIMIT}, got {p}")
-    return p
 
 
 def _as_point(v) -> np.ndarray:
@@ -262,7 +253,7 @@ class RadialTable:
             raise DomainError("xis must be one-dimensional")
         if not np.all((xis > 0.0) & (xis < 1.0)):
             raise DomainError("all xi must lie strictly inside (0, 1)")
-        p = _truncation(p)
+        p = check_truncation(p)
         self.xis, self.p = xis, p
         self.w = _w_columns(xis, *elliptic_ke(xis * xis), max(1, p - 2))
         self.u = _u_layers(xis, self.w, p)
@@ -324,7 +315,7 @@ def _plane_layers(xis, kk, ee, constants):
     cos(m phi) and sin(-m phi).  Each u is a view of one stacked array.  It
     calls no public function, so it may run on a pool thread."""
     p = constants.p
-    if p < 2:
+    if p < 2:  # a hand-built SpectralConstants skips check_truncation
         raise DomainError(f"plane sources need a truncation number >= 2, got {p}")
     layers = _u_layers(xis, _w_columns(xis, kk, ee, max(1, p - 2)), p)
     for m, u in layers.items():

@@ -84,26 +84,27 @@ class SpectralConstants:
     nu: np.ndarray
 
 
-def check_truncation(p) -> int:
-    """A truncation number ``p`` as an int: a bool or a non-integer (12.7,
-    and 8.0 too) raises :class:`DomainError`.  The configs and this
-    module's builders share this one rule."""
+def _integer(p) -> int:
+    """``p`` as an int; a bool or a non-integer (8.0 too) raises :class:`DomainError`."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise DomainError(f"truncation number must be an integer, got {p!r}")
     return int(p)
 
 
+def check_truncation(p) -> int:
+    """A truncation number ``p`` as an int from 2 to ``P_HARD_LIMIT``, else
+    :class:`DomainError`: the one rule every entry point taking a ``p`` calls."""
+    p = _integer(p)
+    if not 2 <= p <= P_HARD_LIMIT:
+        raise DomainError(f"truncation number must be an integer in 2..{P_HARD_LIMIT}, got {p}")
+    return p
+
+
 def build_spectral_constants(p: int) -> SpectralConstants:
     """Build the ``nu`` table for truncation number ``p`` by running
     products; no factorial of a large argument is ever formed.  A ``p``
-    that is not an integer raises :class:`DomainError`."""
+    that :func:`check_truncation` refuses raises :class:`DomainError`."""
     p = check_truncation(p)
-    if p < 1:
-        raise DomainError(f"truncation number must be >= 1, got {p}")
-    if p > P_HARD_LIMIT:
-        raise DomainError(
-            f"truncation number {p} exceeds the float64-safe limit {P_HARD_LIMIT}"
-        )
     if p > _P_SOFT_LIMIT:
         warnings.warn(
             f"truncation number {p} is beyond the validated envelope "
@@ -112,7 +113,7 @@ def build_spectral_constants(p: int) -> SpectralConstants:
             stacklevel=2,
         )
 
-    top = max(2 * p - 2, 1)
+    top = 2 * p - 2
     nu = np.zeros((top + 1, top + 1))
     # Diagonal seeds (-1)^m (2m-1)!!, vertical two-term products.  High
     # corners of the table may overflow to +-inf; every consumer restricts
@@ -156,9 +157,10 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
     produces degree n + 1 from degrees n and n - 1: the vertical three-term
     recurrence for |m| <= n - 1, the subdiagonal step at m = +-n and the
     diagonal step at m = +-(n + 1).  The transpose of that table is
-    returned.  A ``p`` that is not an integer raises :class:`DomainError`.
+    returned.  ``p`` counts degrees: one that is not an integer of at
+    least 1 raises :class:`DomainError`, and none is too large.
     """
-    p = check_truncation(p)
+    p = _integer(p)
     if p < 1:
         raise DomainError(f"truncation number must be >= 1, got {p}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -478,6 +478,7 @@ def test_assemble_factors_the_near_set_once(small_system, monkeypatch):
     assert np.array_equal(solve(system), first)
     truncated = truncated_system(system)
     assert truncated.operator is system.operator
+    assert system.free_matrix is system.operator
     set_point_source_rhs(truncated, (0.0, 0.0, 1.5))
     solve(truncated)
     assert spy.calls == []

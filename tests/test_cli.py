@@ -343,6 +343,9 @@ def test_console_entry_point():
     ("experiment", "bump", "--edge", "nan"),
     # an edge larger than the unit feature radius
     ("mesh", "--kind", "bump", "--edge", "5"),
+    # extension ratios that leave the plane sources no annulus
+    ("experiment", "accuracy-map", "--ratios", "0.8", "--p-values", "4"),
+    ("experiment", "cost-curve", "--ratios", "1.0005"),
 ])
 def test_non_finite_sizes_are_numeric_errors(args, tmp_path):
     # run as a script: a size the generators let through would end in a

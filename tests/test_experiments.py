@@ -252,6 +252,27 @@ def test_accuracy_map_records_only_package_errors(monkeypatch):
         accuracy_map([2.0], [4, 6], n_receivers=4, n_sources=6, seed=9, tol=1e-7)
 
 
+@pytest.mark.parametrize("study, kwargs, match", [
+    # a p is never cast: 6.5 must not run as p = 6
+    (accuracy_map, dict(p_values=(6.5,)), "truncation number must be an integer"),
+    (accuracy_map, dict(p_values=(4, 1)), "truncation number must be an integer"),
+    # 0.998 ratio^2 <= 1 leaves the plane sources no annulus to be drawn from
+    (accuracy_map, dict(ratios=(2.0, 0.8)), "extension ratios"),
+    (accuracy_map, dict(ratios=(math.nan,)), "extension ratios"),
+    (measure_cost_curve, dict(ratios=(1.0005,)), "extension ratios"),
+    (measure_cost_curve, dict(ratios=(2.0, math.inf)), "extension ratios"),
+    # no run to take the best of
+    (measure_cost_curve, dict(repeats=0), "repeats"),
+], ids=["p-6.5", "p-1", "ratio-0.8", "ratio-nan", "ratio-1.0005", "ratio-inf", "repeats-0"])
+def test_studies_refuse_bad_input_before_any_work(study, kwargs, match, monkeypatch):
+    work = []
+    for name in ("kernel_integral", "source_signature_batch"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
+    with pytest.raises(DomainError, match=match):
+        study(**kwargs)
+    assert work == []
+
+
 # ---------------------------------------------------------------------------
 # Benchmarks (small smoke versions; full scale runs in acceptance)
 # ---------------------------------------------------------------------------

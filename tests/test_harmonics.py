@@ -171,10 +171,11 @@ def test_zero_below_diagonal():
 
 
 def test_truncation_limits():
-    with pytest.raises(DomainError):
-        build_spectral_constants(0)
-    with pytest.raises(DomainError):
-        build_spectral_constants(129)
+    # the configs' range: at p = 1 the kernel has no column (q = 0), and
+    # plane sources cannot be signed
+    for p in (0, 1, 129):
+        with pytest.raises(DomainError, match="truncation number must be an integer in 2..128"):
+            build_spectral_constants(p)
     with pytest.warns(TruncationAccuracyWarning):
         build_spectral_constants(105)
     # the bump anchor's p = 104 is inside the validated envelope
