@@ -70,7 +70,7 @@ from .ground_kernel import (
     source_signature_batch,
     source_signature_sum,
 )
-from .harmonics import build_spectral_constants, check_truncation
+from .harmonics import build_spectral_constants, check_points, check_truncation
 from .surface_mesh import SURFACE, DomainSpec, PanelMesh
 
 __all__ = [
@@ -197,8 +197,9 @@ def triangle_single_layer(mesh: PanelMesh, y) -> np.ndarray:
     """Single-layer potential of a unit density over each panel of
     ``mesh``, ``int_panel G(y, x) dS``, at one point ``y``: ``(N,)``, exact
     for any evaluation point.  One closed form (:func:`_single_layer_bare`)
-    serves this, the free-space block and the field's panel sum."""
-    bare = _single_layer_bare(_panel_table(mesh), np.asarray(y, dtype=float).reshape(3))
+    serves this, the free-space block and the field's panel sum.  A ``y``
+    that :func:`check_points` refuses raises :class:`DomainError`."""
+    bare = _single_layer_bare(_panel_table(mesh), check_points(y, one=True)[0])
     return bare / _FOUR_PI
 
 
@@ -861,9 +862,7 @@ def truncated_system(system: BemSystem) -> BemSystem:
 
 
 def _source_point(source, domain: DomainSpec | None) -> np.ndarray:
-    xs = np.asarray(source, dtype=float).ravel()
-    if xs.shape != (3,) or not np.all(np.isfinite(xs)):
-        raise DomainError("the source must be one point with finite coordinates")
+    xs = check_points(source, one=True)[0]
     if domain is not None and np.linalg.norm(xs / domain.re) >= 1.0:
         raise DomainError(f"the source must satisfy |x| < re = {domain.re}: its series diverges")
     return xs
@@ -1039,11 +1038,7 @@ def evaluate_field(system: BemSystem, points, source=None) -> FieldGrid:
     """
     if system.solution is None:
         raise SolveError("system has no solution; call solve() first")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError(f"field points must have shape (M, 3), got {np.shape(points)}")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("field point coordinates must be finite")
+    pts = check_points(points)
     if source is not None:
         xs = _source_point(source, system.domain)
         dist = np.linalg.norm(pts - xs, axis=1)

@@ -32,6 +32,7 @@ from .bem import (
 )
 from .errors import GroundBemError
 from .ground_kernel import KernelConfig, kernel_neumann, kernel_value
+from .harmonics import check_points
 from .surface_mesh import (
     EXTENSION,
     DomainSpec,
@@ -193,6 +194,8 @@ def _infer_domain(mesh):
 def _cmd_solve(args) -> int:
     if args.field and (len(args.field) != 2 or min(args.field) < 1):
         raise _UsageError(f"--field expects nr,nth of at least 1 each, got {args.field}")
+    source = _parse_point(args.source)
+    check_points(source, one=True)  # a bad source costs no mesh read and no assembly
     mesh = load_mesh(args.mesh)
     domain = _infer_domain(mesh)
     use_kernel = not args.no_kernel and domain.re > domain.r0
@@ -204,7 +207,6 @@ def _cmd_solve(args) -> int:
         kernel["p"] = xp.choose_truncation(domain.r0, domain.re, args.eps)
     cfg = BemConfig(prescribed_eps=args.eps, **kernel)
     system = assemble(mesh, domain if use_kernel else None, cfg)
-    source = _parse_point(args.source)
     set_point_source_rhs(system, source)
     sigma = bem_solve(system)
 
@@ -278,19 +280,11 @@ def _cmd_experiment(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    commands = {"kernel": _cmd_kernel, "mesh": _cmd_mesh, "solve": _cmd_solve,
+                "experiment": _cmd_experiment}
     try:
-        try:
-            args = parser.parse_args(argv)
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        if args.command == "kernel":
-            return _cmd_kernel(args)
-        if args.command == "mesh":
-            return _cmd_mesh(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_experiment(args)
+        args = parser.parse_args(argv)
+        return commands[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -36,7 +36,7 @@ from .ground_kernel import (
     receiver_harmonics,
     source_signature_batch,
 )
-from .harmonics import build_spectral_constants, check_truncation
+from .harmonics import build_spectral_constants, check_points, check_truncation
 from .surface_mesh import (
     EXTENSION,
     DomainSpec,
@@ -88,9 +88,11 @@ def _g(y, x):
 
 def analytic_bump_potential(y, h: float) -> float:
     """Image solution of the unit bump under a monopole at (0, 0, h):
-    mirror source below the plane plus the sphere images of both."""
+    mirror source below the plane plus the sphere images of both.  ``y``
+    must be one point that :func:`check_points` takes."""
     if not h > 1.0:
         raise DomainError(f"bump image solution requires h > 1, got {h}")
+    y = check_points(y, one=True)[0]
     return (
         _g(y, (0.0, 0.0, h))
         - _g(y, (0.0, 0.0, -h))
@@ -251,12 +253,19 @@ _RING_FILL = 0.998  # keeps the plane sources (_ring) off the extension's rim
 
 
 def _ring_ratios(ratios) -> np.ndarray:
-    """``ratios`` sorted, as floats; DomainError unless each is finite and
-    leaves the plane sources an annulus."""
+    """``ratios`` sorted, as floats; DomainError unless there is one at
+    least and each is finite and leaves the plane sources an annulus."""
     ratios = np.asarray(sorted(ratios), dtype=float)
-    if not np.all(np.isfinite(ratios) & (_RING_FILL * ratios * ratios > 1.0)):
+    if not ratios.size or not np.all(np.isfinite(ratios) & (_RING_FILL * ratios * ratios > 1.0)):
         raise DomainError(f"extension ratios need {_RING_FILL} ratio^2 > 1, got {ratios.tolist()}")
     return ratios
+
+
+def _study_counts(**counts) -> None:
+    """DomainError unless each count is an integer (not a bool) of at least 1."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"{name} must be an integer of at least 1, got {n!r}")
 
 
 def _ring(ratio: float, n: int, rng) -> np.ndarray:
@@ -314,10 +323,13 @@ def accuracy_map(
 ) -> AccuracyMap:
     """Relative L2 error of the truncated series against the integral
     reference over a grid of extension ratios and truncation numbers.  A
-    ratio or a p that ``_ring_ratios`` or ``check_truncation`` refuses
-    raises :class:`DomainError` before any work."""
+    ratio, p or count that ``_ring_ratios``, ``check_truncation`` or
+    ``_study_counts`` refuses, or no p at all, raises :class:`DomainError` before any work."""
     ratios = _ring_ratios(ratios)
     p_values = np.asarray(sorted(check_truncation(p) for p in p_values))
+    if not p_values.size:
+        raise DomainError("accuracy_map needs at least one truncation number")
+    _study_counts(n_receivers=n_receivers, n_sources=n_sources)
     rng = np.random.default_rng(seed)
     eps2 = np.zeros((ratios.size, p_values.size))
     failures = []
@@ -438,13 +450,13 @@ def run_bump_experiment(
     f_inf = _point_source_field(sys_inf, source, pts)
     f_tr = _point_source_field(truncated_system(sys_inf), source, pts)
 
+    def incident(points):  # the source and its mirror image below the plane
+        return np.asarray([_g(y, source) - _g(y, (0.0, 0.0, -h)) for y in points])
+
     sys_img = assemble(mirror_surface_mesh(mesh), None, BemConfig())
-    sys_img.rhs = -np.asarray(
-        [_g(c, source) - _g(c, (0.0, 0.0, -h)) for c in sys_img.mesh.centroids]
-    )
+    sys_img.rhs = -incident(sys_img.mesh.centroids)
     solve(sys_img)
-    mirror = np.asarray([_g(y, source) - _g(y, (0.0, 0.0, -h)) for y in pts])
-    f_img = evaluate_field(sys_img, pts).values + mirror
+    f_img = evaluate_field(sys_img, pts).values + incident(pts)
 
     return BumpReport(
         h=h, delta=delta, target_edge=target_edge, eps=eps, p=p,
@@ -584,11 +596,10 @@ def measure_cost_curve(
     area at fixed surface density, mirroring how a solver would mesh the
     extension.  Each run signs all sources in one batch, as assembly
     does; each timing is the best of ``repeats`` runs.  A ratio that
-    ``_ring_ratios`` refuses or ``repeats < 1`` raises :class:`DomainError`
-    before any work."""
+    ``_ring_ratios`` refuses or a count that ``_study_counts`` refuses
+    raises :class:`DomainError` before any work."""
     ratios = _ring_ratios(ratios)
-    if not repeats >= 1:
-        raise DomainError(f"repeats must be at least 1, got {repeats}")
+    _study_counts(n_receivers=n_receivers, n_sources=n_sources, repeats=repeats)
     rng = np.random.default_rng(seed)
     density = n_sources / (2.0 * math.pi)
     p_values = np.zeros(ratios.size, dtype=int)

@@ -34,6 +34,7 @@ from .errors import DomainError, QuadratureError
 from .harmonics import (
     SpectralConstants,
     build_spectral_constants,
+    check_points,
     check_truncation,
     elliptic_ke,
     sh_index,
@@ -79,13 +80,6 @@ class KernelConfig:
         check_truncation(self.p)
         if not 0 < self.integral_tolerance < 1:
             raise DomainError("integral_tolerance must lie in (0, 1)")
-
-
-def _as_point(v) -> np.ndarray:
-    pt = np.asarray(v, dtype=float).reshape(3)
-    if not np.all(np.isfinite(pt)):
-        raise DomainError("point coordinates must be finite")
-    return pt
 
 
 def _cyl(pt):
@@ -387,12 +381,8 @@ def _sources(points):
     """``(points, plane, interior, xis, phi)`` of dimensionless sources:
     ``(N, 3)``, the rows of the plane points (z = 0, off the axis) and of the
     rest, and the plane points' radii and azimuths; or DomainError unless
-    every source is finite with |x| < 1."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError(f"sources must have shape (N, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("source coordinates must be finite")
+    :func:`check_points` takes ``points`` and every source has |x| < 1."""
+    pts = check_points(points)
     r = np.linalg.norm(pts, axis=1)
     if np.any(r >= 1.0):
         raise DomainError("all sources must satisfy |x| < 1: the source series diverges")
@@ -562,12 +552,8 @@ def _kernel_quadrature(yt, xt, eta_min, tol):
 _TAIL_RADIUS = 1e3
 
 
-def kernel_integral(
-    y,
-    x,
-    config: KernelConfig = KernelConfig(),
-    tail_radius: float = math.inf,
-) -> float:
+def kernel_integral(y, x, config: KernelConfig = KernelConfig(),
+                    tail_radius: float = math.inf) -> float:
     """Dirichlet kernel K(y, x; R) by the reference double integral over the
     plane outside the hole.
 
@@ -578,7 +564,7 @@ def kernel_integral(
     above R (NaN included) raises :class:`DomainError`.
     """
     r = config.scale_radius
-    yt, xt = _as_point(y) / r, _as_point(x) / r
+    yt, xt = check_points(y, one=True)[0] / r, check_points(x, one=True)[0] / r
     rinf = float(tail_radius)
     if not rinf > r:
         raise DomainError("tail radius must exceed the scale radius")
@@ -603,7 +589,7 @@ def kernel_series(y, x, config: KernelConfig = KernelConfig()) -> float:
     ``config.p``: the receiver harmonics at y/R contracted with the source
     signature of x/R.  Requires |y| < R and |x| < R."""
     r = config.scale_radius
-    yt, xt = _as_point(y) / r, _as_point(x) / r
+    yt, xt = check_points(y, one=True)[0] / r, check_points(x, one=True)[0] / r
     if max(np.linalg.norm(yt), np.linalg.norm(xt)) >= 1.0:
         raise DomainError("series path requires |y| < R and |x| < R")
     signature = source_signature_batch(xt, build_spectral_constants(config.p))[0]
@@ -619,8 +605,7 @@ def kernel_value(y, x, config: KernelConfig = KernelConfig()) -> float:
     """K(y, x; R) by the route the pair needs: the series where both scaled
     radii are at most 0.95, the whole-plane integral where both are below 1,
     and the integral truncated at 1e3 R plus its tail beyond."""
-    yp = _as_point(y)
-    xp = _as_point(x)
+    yp, xp = check_points(y, one=True)[0], check_points(x, one=True)[0]
     r = config.scale_radius
     reach = max(float(np.linalg.norm(yp)) / r, float(np.linalg.norm(xp)) / r)
     if reach <= _SERIES_FRACTION:

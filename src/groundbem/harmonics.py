@@ -1,6 +1,7 @@
 """Special-function substrate: complete elliptic integrals (SciPy's), the
 ``nu`` constant table of the factored kernel, and recursively evaluated real
-solid harmonics.
+solid harmonics; with the package's two input rules, :func:`check_truncation`
+for truncation numbers and :func:`check_points` for coordinates.
 
 Conventions used throughout the package:
 
@@ -29,6 +30,7 @@ __all__ = [
     "TruncationAccuracyWarning",
     "elliptic_ke",
     "build_spectral_constants",
+    "check_points",
     "check_truncation",
     "solid_harmonics_batch",
     "sh_index",
@@ -100,6 +102,23 @@ def check_truncation(p) -> int:
     return p
 
 
+def check_points(points, one: bool = False) -> np.ndarray:
+    """``points`` as an ``(M, 3)`` float64 array, a (3,) point as one row and M = 0
+    allowed (with ``one``, exactly one row), else :class:`DomainError`: not numeric,
+    not of that shape or not finite.  The one rule of every entry point taking points."""
+    kind = "one point with finite coordinates" if one else "finite points of shape (M, 3) or (3,)"
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected {kind}, got non-numeric input: {exc}") from None
+    pts = pts[None, :] if pts.ndim == 1 else pts
+    if pts.ndim != 2 or pts.shape[1] != 3 or (one and len(pts) != 1):
+        raise DomainError(f"expected {kind}, got shape {np.shape(points)}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError(f"expected {kind}, got non-finite coordinates")
+    return pts
+
+
 def build_spectral_constants(p: int) -> SpectralConstants:
     """Build the ``nu`` table for truncation number ``p`` by running
     products; no factorial of a large argument is ever formed.  A ``p``
@@ -146,7 +165,7 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
 
     Parameters
     ----------
-    points : (N, 3) array
+    points : (N, 3) array, or one (3,) point (:func:`check_points`)
     p : truncation number
 
     Returns
@@ -163,11 +182,7 @@ def solid_harmonics_batch(points: np.ndarray, p: int) -> np.ndarray:
     p = _integer(p)
     if p < 1:
         raise DomainError(f"truncation number must be >= 1, got {p}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 3:
-        raise DomainError("points must have shape (N, 3)")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("points must have finite coordinates")
+    pts = check_points(points)
 
     npts = pts.shape[0]
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]

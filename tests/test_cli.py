@@ -196,6 +196,22 @@ def test_solve_refuses_a_bad_field_grid_before_the_mesh_is_loaded(
     assert loaded == [] and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("source, status", [
+    ("0,0", 1), ("0,0,x", 1), ("0,0,nan", 2), ("0,inf,1", 2),
+])
+def test_solve_refuses_a_bad_source_before_the_mesh_is_loaded(
+    source, status, disc_mesh, tmp_path, capsys, monkeypatch
+):
+    # a malformed source is a usage error (1), a non-finite one a domain
+    # error (2); both are refused before the mesh is read or assembled
+    calls = []
+    monkeypatch.setattr(cli, "load_mesh", lambda path: calls.append("load_mesh"))
+    monkeypatch.setattr(cli, "assemble", lambda *args: calls.append("assemble"))
+    assert run_cli("solve", "--mesh", disc_mesh, "--source", source,
+                   "--out-prefix", str(tmp_path / "s")) == status
+    assert calls == [] and not list(tmp_path.iterdir())
+
+
 def test_solve_field_files_are_byte_identical(disc_mesh, tmp_path, capsys):
     for run in ("a", "b"):
         assert run_cli("solve", "--mesh", disc_mesh, "--source", "0,0,0.5",

@@ -263,7 +263,19 @@ def test_accuracy_map_records_only_package_errors(monkeypatch):
     (measure_cost_curve, dict(ratios=(2.0, math.inf)), "extension ratios"),
     # no run to take the best of
     (measure_cost_curve, dict(repeats=0), "repeats"),
-], ids=["p-6.5", "p-1", "ratio-0.8", "ratio-nan", "ratio-1.0005", "ratio-inf", "repeats-0"])
+    # nothing to map or time
+    (accuracy_map, dict(p_values=()), "at least one truncation number"),
+    (accuracy_map, dict(ratios=()), "extension ratios"),
+    (measure_cost_curve, dict(ratios=()), "extension ratios"),
+    # counts are integers of at least 1, never cast and never a bool
+    (measure_cost_curve, dict(repeats=2.5), "repeats must be an integer"),
+    (accuracy_map, dict(n_sources=2.5), "n_sources must be an integer"),
+    (measure_cost_curve, dict(n_sources=-1), "n_sources must be an integer"),
+    (accuracy_map, dict(n_receivers=True), "n_receivers must be an integer"),
+    (measure_cost_curve, dict(n_receivers=0), "n_receivers must be an integer"),
+], ids=["p-6.5", "p-1", "ratio-0.8", "ratio-nan", "ratio-1.0005", "ratio-inf", "repeats-0",
+        "no-p", "no-ratio-map", "no-ratio-curve", "repeats-2.5", "n_sources-2.5",
+        "n_sources--1", "n_receivers-True", "n_receivers-0"])
 def test_studies_refuse_bad_input_before_any_work(study, kwargs, match, monkeypatch):
     work = []
     for name in ("kernel_integral", "source_signature_batch"):

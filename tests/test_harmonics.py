@@ -1,19 +1,43 @@
+import functools
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from groundbem.bem import (
+    BemConfig,
+    assemble,
+    evaluate_field,
+    set_point_source_rhs,
+    solve,
+    triangle_single_layer,
+)
 from groundbem.errors import DomainError
+from groundbem.experiments import analytic_bump_potential
+from groundbem.ground_kernel import (
+    KernelConfig,
+    kernel_integral,
+    kernel_neumann,
+    kernel_series,
+    kernel_value,
+    receiver_harmonics,
+    source_signature_batch,
+    source_signature_sum,
+)
 from groundbem.harmonics import (
     TruncationAccuracyWarning,
     build_spectral_constants,
+    check_points,
     elliptic_ke,
     sh_index,
     solid_harmonics_batch,
 )
+
+from groundbem.surface_mesh import make_flat_disc_mesh
 
 from conftest import oracle_solid_harmonic, oracle_solid_harmonics_loop
 
@@ -275,3 +299,103 @@ def test_batch_bitwise_equals_loop_oracle(p, npts):
 def test_nonfinite_point_rejected():
     with pytest.raises(DomainError):
         solid_harmonics_batch(np.array([[np.nan, 0.0, 0.0]]), 4)
+
+
+# ---------------------------------------------------------------------------
+# Coordinates: one rule, check_points, at every entry point taking points
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def entry_context():
+    mesh = make_flat_disc_mesh(1.0, 0.4)
+    solved = assemble(mesh, None, BemConfig())
+    set_point_source_rhs(solved, (0.0, 0.0, 0.5))
+    solve(solved)
+    with ThreadPoolExecutor(1) as pool:
+        yield dict(mesh=mesh, solved=solved, pool=pool, constants=build_spectral_constants(6),
+                   unsolved=assemble(mesh, None, BemConfig()))
+
+
+_POINT = (0.1, 0.2, 0.3)
+
+
+def _rhs_of(system, source):
+    set_point_source_rhs(system, source)
+    return system.rhs.copy()
+
+
+# Entries taking a batch of points, (M, 3) or one (3,) point; ``c`` is the
+# entry_context.  The signature sum takes one weight per row of the batch.
+_BATCH_ENTRIES = {
+    "solid_harmonics_batch": lambda c, pts: solid_harmonics_batch(pts, 4),
+    "receiver_harmonics": lambda c, pts: receiver_harmonics(pts, 4),
+    "source_signature_batch": lambda c, pts: source_signature_batch(pts, c["constants"]),
+    "source_signature_sum": lambda c, pts: source_signature_sum(
+        pts, np.ones(np.atleast_2d(pts).shape[0]), c["constants"], c["pool"]),
+    "evaluate_field": lambda c, pts: evaluate_field(c["solved"], pts).values,
+}
+# Entries taking exactly one point, in either slot of the kernel pair.
+_ONE_ENTRIES = {
+    "kernel_value": lambda c, pt: kernel_value(pt, _POINT),
+    "kernel_integral": lambda c, pt: kernel_integral(
+        _POINT, pt, KernelConfig(integral_tolerance=1e-6)),
+    "kernel_series": lambda c, pt: kernel_series(pt, _POINT),
+    "kernel_neumann": lambda c, pt: kernel_neumann(_POINT, pt),
+    "set_point_source_rhs": lambda c, pt: _rhs_of(c["unsolved"], pt),
+    "evaluate_field-source": lambda c, pt: evaluate_field(
+        c["solved"], [[0.3, -0.2, 0.4]], source=pt).values,
+    "triangle_single_layer": lambda c, pt: triangle_single_layer(c["mesh"], pt),
+    "analytic_bump_potential": lambda c, pt: analytic_bump_potential(pt, 2.0),
+}
+_BAD = {
+    "two-elements": [0.1, 0.2],
+    "2x3x3": np.full((2, 3, 3), 0.1),
+    "string": "0.1,0.2,0.3",
+    "nan": [0.1, math.nan, 0.3],
+    "inf": [0.1, 0.2, -math.inf],
+}
+# A batch entry takes these; one-point entries must not.
+_BAD_ONE = {"two-points": [_POINT, (0.2, 0.1, 0.3)], "no-point": np.zeros((0, 3))}
+
+
+@pytest.mark.parametrize("name, bad", [
+    *((name, bad) for name in _BATCH_ENTRIES for bad in _BAD),
+    *((name, bad) for name in _ONE_ENTRIES for bad in (*_BAD, *_BAD_ONE)),
+])
+def test_every_entry_refuses_bad_coordinates(name, bad, entry_context):
+    entry = {**_BATCH_ENTRIES, **_ONE_ENTRIES}[name]
+    with pytest.raises(DomainError):
+        entry(entry_context, {**_BAD, **_BAD_ONE}[bad])
+
+
+@pytest.mark.parametrize("name", _BATCH_ENTRIES)
+def test_batch_entries_take_every_accepted_shape(name, entry_context):
+    # (3,) and (1, 3) give the same bits, as do an (M, 3) array and its
+    # nested list; an empty (0, 3) batch is valid
+    entry = functools.partial(_BATCH_ENTRIES[name], entry_context)
+    pts = np.array([_POINT, (-0.2, 0.1, 0.4), (0.3, -0.1, 0.0)])
+    assert np.array_equal(entry(pts[0]), entry(pts[:1]))
+    assert np.array_equal(entry(pts), entry(pts.tolist()))
+    assert not np.any(entry(np.zeros((0, 3))))
+
+
+@pytest.mark.parametrize("name", _ONE_ENTRIES)
+def test_one_point_entries_take_a_point_or_one_row(name, entry_context):
+    entry = functools.partial(_ONE_ENTRIES[name], entry_context)
+    pt = np.array([-0.2, 0.1, 0.4])
+    assert np.array_equal(entry(pt), entry(pt[None, :]))
+    assert np.array_equal(entry(pt), entry(tuple(pt)))
+
+
+def test_check_points_shapes_and_messages():
+    assert check_points([0.1, 0.2, 0.3]).shape == (1, 3)
+    assert check_points(np.zeros((0, 3))).shape == (0, 3)
+    assert check_points(np.zeros((1, 3), dtype=np.float32), one=True).dtype == np.float64
+    pts = np.ones((4, 3))
+    assert check_points(pts) is pts
+    for bad in (None, 1.5, [object(), 0.0, 0.0], [1j, 0.0, 0.0], [[0.1, 0.2], [0.3]]):
+        with pytest.raises(DomainError, match="expected finite points"):
+            check_points(bad)
+    with pytest.raises(DomainError, match="one point with finite coordinates"):
+        check_points([0.0, math.nan, 0.0], one=True)
